@@ -1,9 +1,10 @@
 """Shared helpers: deterministic reductions and the thread pool knob.
 
 INFOGAME_THREADS: unset or "0" picks an automatic worker count, any other
-integer is used verbatim.  Parallel maps always assemble results by input
-index and reductions always use the same pairwise tree, so the output of
-every routine is bit-identical regardless of the worker count.
+integer is used verbatim.  The pool serves the simulator's per-sample map;
+the solver does not use it.  Parallel maps always assemble results by
+input index and reductions always use the same pairwise tree, so the
+output of every routine is bit-identical regardless of the worker count.
 """
 
 from __future__ import annotations

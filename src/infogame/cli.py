@@ -103,19 +103,6 @@ def _float_list(text: str) -> list[float]:
         raise ConfigError(f"expected comma-separated floats, got {text!r}") from exc
 
 
-def _slice_rows(result: SolveResult):
-    grids = result.grids
-    mesh = grids.state.mesh().reshape(-1, grids.state.ndim)
-    for fld in result.fields:
-        flat = fld.values.reshape(-1, grids.p.npoints, grids.q.npoints)
-        for xi in range(flat.shape[0]):
-            for a in range(grids.p.npoints):
-                for b in range(grids.q.npoints):
-                    yield fld.t, mesh[xi], grids.p.points[a], grids.q.points[b], flat[
-                        xi, a, b
-                    ]
-
-
 def _write_solve_outputs(out_dir: str, result: SolveResult, cfg_resolved: dict, cfg_sha: str) -> None:
     grids = result.grids
     header = (
@@ -125,14 +112,21 @@ def _write_solve_outputs(out_dir: str, result: SolveResult, cfg_resolved: dict, 
         + [f"q_{j + 1}" for j in range(grids.q.dim)]
         + ["w"]
     )
+    # the coordinate cells repeat in every slice, so each is formatted once
+    mesh = grids.state.mesh().reshape(-1, grids.state.ndim)
+    x_cells = [",".join(repr(float(v)) for v in x) for x in mesh]
+    pq_cells = [
+        ",".join(repr(float(v)) for v in (*p, *q))
+        for p in grids.p.points
+        for q in grids.q.points
+    ]
     lines = [",".join(header)]
-    for t, x, p, q, w in _slice_rows(result):
-        cells = [repr(float(t))]
-        cells += [repr(float(v)) for v in x]
-        cells += [repr(float(v)) for v in p]
-        cells += [repr(float(v)) for v in q]
-        cells.append(repr(float(w)))
-        lines.append(",".join(cells))
+    for fld in result.fields:
+        t_cell = repr(float(fld.t))
+        table = fld.values.reshape(len(x_cells), len(pq_cells)).tolist()
+        for x, ws in zip(x_cells, table):
+            head = f"{t_cell},{x},"
+            lines.extend([f"{head}{pq},{w!r}" for pq, w in zip(pq_cells, ws)])
     _write_atomic(os.path.join(out_dir, "slices.csv"), "\n".join(lines) + "\n")
     meta = {
         "config": cfg_resolved,

@@ -114,3 +114,22 @@ def discrete_convexity_violation(grid: SimplexGrid, values: np.ndarray) -> float
     mid = values[grid.triples[:, 1]]
     hi = values[grid.triples[:, 2]]
     return float(np.max(mid - 0.5 * (lo + hi)))
+
+
+def convexity_violations(grid: SimplexGrid, rows: np.ndarray) -> np.ndarray:
+    """`discrete_convexity_violation` of every row along the last axis.
+
+    One gather over the triple set for the whole (..., npoints) table; the
+    result has shape rows.shape[:-1] and equals the per-row values bitwise.
+    """
+    rows = np.asarray(rows, dtype=float)
+    if rows.shape[-1:] != (grid.npoints,):
+        raise ConfigError(
+            f"rows shape {rows.shape} does not end in the grid size {grid.npoints}"
+        )
+    if grid.triples.shape[0] == 0:
+        return np.zeros(rows.shape[:-1])
+    lo = rows[..., grid.triples[:, 0]]
+    mid = rows[..., grid.triples[:, 1]]
+    hi = rows[..., grid.triples[:, 2]]
+    return np.max(mid - 0.5 * (lo + hi), axis=-1)

@@ -25,6 +25,11 @@ of dependence of the boundary.
 The running term enters H_num as +sum_ij l_ij p_i q_j: that is the sign
 under which smooth complete-information values satisfy the scheme's
 equation pointwise and pure running cost integrates to elapsed time.
+
+Each envelope pass hands the whole slice to `transform.vex_rows` as one
+(rows, npoints) table, and the convexity certificates are one batched
+gather over the lattice triples.  The solver runs on the calling thread
+only, so its results do not depend on INFOGAME_THREADS.
 """
 
 from __future__ import annotations
@@ -34,11 +39,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import transform
-from ._util import parallel_map
 from .errors import ConfigError, NumericsError
 from .hamiltonian import sample_isaacs_gap
 from .model import GameModel, restrict_to_types, running_matrix, terminal_matrix
-from .simplex import SimplexGrid, build_grid, discrete_convexity_violation
+from .simplex import SimplexGrid, build_grid, convexity_violations
 
 _MEMORY_CAP_BYTES = 2 * 1024**3
 
@@ -289,17 +293,6 @@ class ProjectionResult:
     commutation_residual: float
 
 
-def _project_rows(grid: SimplexGrid, block: np.ndarray, concave: bool) -> np.ndarray:
-    """Envelope each row of a (rows, npoints) block."""
-    out = np.empty_like(block)
-    for r in range(block.shape[0]):
-        if concave:
-            out[r] = transform.cav_q(grid, block[r])
-        else:
-            out[r] = transform.vex_p(grid, block[r])
-    return out
-
-
 def _apply_envelopes(
     grids: Grids, values: np.ndarray, order: str
 ) -> np.ndarray:
@@ -309,24 +302,15 @@ def _apply_envelopes(
     def vex_step(arr):
         if np_pts == 1:
             return arr
-        moved = np.moveaxis(arr, 1, 2).reshape(-1, np_pts)  # rows over (x, q)
-        chunks = np.array_split(np.arange(moved.shape[0]), 4 * max(1, moved.shape[0] // 512))
-        pieces = parallel_map(
-            lambda idx: _project_rows(grids.p, moved[idx], concave=False), chunks
-        )
-        flat = np.concatenate(pieces, axis=0)
-        return np.moveaxis(flat.reshape(-1, nq_pts, np_pts), 2, 1)
+        rows = np.moveaxis(arr, 1, 2).reshape(-1, np_pts)  # rows over (x, q)
+        vexed = transform.vex_rows(grids.p, rows)
+        return np.moveaxis(vexed.reshape(-1, nq_pts, np_pts), 2, 1)
 
     def cav_step(arr):
         if nq_pts == 1:
             return arr
-        moved = arr.reshape(-1, nq_pts)  # rows over (x, p)
-        chunks = np.array_split(np.arange(moved.shape[0]), 4 * max(1, moved.shape[0] // 512))
-        pieces = parallel_map(
-            lambda idx: _project_rows(grids.q, moved[idx], concave=True), chunks
-        )
-        flat = np.concatenate(pieces, axis=0)
-        return flat.reshape(-1, np_pts, nq_pts)
+        rows = arr.reshape(-1, nq_pts)  # rows over (x, p)
+        return -transform.vex_rows(grids.q, -rows).reshape(arr.shape)
 
     if order == "vex-cav":
         work = cav_step(vex_step(work))
@@ -336,20 +320,10 @@ def _apply_envelopes(
 
 
 def _certificates(grids: Grids, values: np.ndarray) -> tuple[float, float]:
-    np_pts, nq_pts = grids.p.npoints, grids.q.npoints
-    flat = values.reshape(-1, np_pts, nq_pts)
-    worst_p = 0.0
-    worst_q = 0.0
-    for block in flat:
-        for qi in range(nq_pts):
-            worst_p = max(
-                worst_p, discrete_convexity_violation(grids.p, block[:, qi])
-            )
-        for pi in range(np_pts):
-            worst_q = max(
-                worst_q, discrete_convexity_violation(grids.q, -block[pi, :])
-            )
-    return worst_p, worst_q
+    flat = values.reshape(-1, grids.p.npoints, grids.q.npoints)
+    worst_p = np.max(convexity_violations(grids.p, np.moveaxis(flat, 1, 2)))
+    worst_q = np.max(convexity_violations(grids.q, -flat))
+    return max(0.0, float(worst_p)), max(0.0, float(worst_q))
 
 
 def dual_project(

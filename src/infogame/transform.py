@@ -5,7 +5,9 @@ belief variable is w*(s) = max_p <s, p> - w(p) and the concave conjugate
 is w#(s) = min_q <s, q> - w(q), both evaluated exactly by scanning the
 grid.  Lower convex envelopes (vex) are geometric: a monotone-chain lower
 hull for two-component simplices and a lifted convex hull for more
-components.  The upper concave envelope (cav) is -vex(-w).
+components.  The upper concave envelope (cav) is -vex(-w).  `vex_rows`
+envelopes a whole (rows, npoints) table at once and agrees bitwise with
+`vex_p` applied row by row.
 
 Envelope values at the simplex vertices never change, envelopes are
 idempotent, and the biconjugate computed from facet-slope probes
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .simplex import SimplexGrid, discrete_convexity_violation
+from .simplex import SimplexGrid, convexity_violations, discrete_convexity_violation
 
 TIE_TOLERANCE = 1e-12
 _AFFINE_RTOL = 1e-11
@@ -119,6 +121,48 @@ def _vex_dim2(grid: SimplexGrid, values: np.ndarray) -> np.ndarray:
     return out
 
 
+def _vex_dim2_rows(grid: SimplexGrid, ys: np.ndarray) -> np.ndarray:
+    """`_vex_dim2` of every row of ys, with the same arithmetic.
+
+    The monotone chain keeps one stack per row; each pass of the inner
+    loop tests, with `_chain_lower_hull`'s cross product and `< 0.0` pop
+    rule, the rows whose top two entries may still be popped.
+    """
+    n_rows, n = ys.shape
+    xs = grid.numerators[:, 0]  # 0..N ascending by lexicographic order
+    xf = xs.astype(float)
+    every = np.arange(n_rows)
+    stack = np.empty((n_rows, n), dtype=np.intp)
+    height = np.zeros(n_rows, dtype=np.intp)
+    for i in range(n):
+        live = every[height >= 2]
+        while live.size:
+            a = stack[live, height[live] - 2]
+            b = stack[live, height[live] - 1]
+            cross = (xf[b] - xf[a]) * (ys[live, i] - ys[live, a]) - (
+                ys[live, b] - ys[live, a]
+            ) * (xf[i] - xf[a])
+            live = live[cross < 0.0]
+            height[live] -= 1
+            live = live[height[live] >= 2]
+        stack[every, height] = i
+        height += 1
+    on_hull = np.zeros((n_rows, n), dtype=bool)
+    filled = np.arange(n) < height[:, None]
+    on_hull[np.nonzero(filled)[0], stack[filled]] = True
+    # every node lies between its nearest hull nodes on either side; the
+    # first and last nodes are always on the hull
+    pos = np.arange(n)
+    left = np.maximum.accumulate(np.where(on_hull, pos, 0), axis=1)
+    right = np.minimum.accumulate(np.where(on_hull, pos, n - 1)[:, ::-1], axis=1)[:, ::-1]
+    r, k = np.nonzero(~on_hull)
+    a, b = left[r, k], right[r, k]
+    xa, xb, x = xs[a], xs[b], xs[k]
+    out = ys.copy()
+    out[r, k] = (ys[r, a] * (xb - x) + ys[r, b] * (x - xa)) / (xb - xa)
+    return out
+
+
 def _affine_fit(grid: SimplexGrid, values: np.ndarray) -> np.ndarray | None:
     """Coefficients (c_1..c_{dim-1}, c_0) if w is affine on the grid."""
     reduced = grid.points[:, :-1]
@@ -171,6 +215,34 @@ def vex_p(grid: SimplexGrid, values: np.ndarray) -> np.ndarray:
     planes = reduced @ grads.T + offs  # (npoints, nfacets)
     out = np.min(np.stack([planes.max(axis=1), values]), axis=0)
     out[members] = values[members]  # hull nodes keep their exact input values
+    return out
+
+
+def vex_rows(grid: SimplexGrid, rows: np.ndarray) -> np.ndarray:
+    """Lower convex envelope of every row of a (rows, npoints) table.
+
+    Bitwise equal to `vex_p` on each row.  The fixed-point screen runs on
+    all rows with one gather; on two-component simplices the remaining
+    rows share one vectorised hull, on larger ones each goes through
+    `vex_p`.  The concave form is -vex_rows(grid, -rows).
+    """
+    rows = np.asarray(rows, dtype=float)
+    if rows.ndim != 2 or rows.shape[1] != grid.npoints:
+        raise ConfigError(
+            f"rows shape {rows.shape} does not match grid (rows, {grid.npoints})"
+        )
+    if not np.all(np.isfinite(rows)):
+        raise ConfigError("tabulated values must be finite")
+    out = rows.copy()
+    if grid.dim == 1 or grid.npoints == 1:
+        return out
+    scale = np.maximum(1.0, np.max(np.abs(rows), axis=1))
+    todo = np.flatnonzero(convexity_violations(grid, rows) > _FIXED_POINT_TOL * scale)
+    if grid.dim == 2:
+        out[todo] = _vex_dim2_rows(grid, rows[todo])
+    else:
+        for r in todo:
+            out[r] = vex_p(grid, rows[r])
     return out
 
 

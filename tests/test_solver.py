@@ -5,9 +5,10 @@ import pytest
 
 from infogame.errors import ConfigError
 from infogame.model import model_from_config, preset, preset_config
-from infogame.simplex import build_grid
+from infogame.simplex import build_grid, discrete_convexity_violation
 from infogame.solver import (
     Grids,
+    _apply_envelopes,
     build_state_grid,
     cfl_limit,
     classical_solve,
@@ -17,6 +18,7 @@ from infogame.solver import (
     terminal_field,
     validate_time_step,
 )
+from infogame.transform import cav_q, vex_p
 
 
 def grids_for(model, nx=41, box=(-2.0, 2.0), np_res=4, nq_res=4):
@@ -178,6 +180,67 @@ def test_dual_project_reports_residuals():
     assert proj.residual > 0.0
     again = dual_project(grids, proj.values)
     np.testing.assert_allclose(again.values, proj.values, rtol=0, atol=1e-12)
+
+
+def _row_loop_envelopes(grids, values, order):
+    """The envelope pair applied one row at a time through vex_p and cav_q."""
+    work = values.reshape(-1, grids.p.npoints, grids.q.npoints).copy()
+
+    def vex(arr):
+        for x in range(arr.shape[0]):
+            for b in range(grids.q.npoints):
+                arr[x, :, b] = vex_p(grids.p, arr[x, :, b])
+        return arr
+
+    def cav(arr):
+        for x in range(arr.shape[0]):
+            for a in range(grids.p.npoints):
+                arr[x, a, :] = cav_q(grids.q, arr[x, a, :])
+        return arr
+
+    work = cav(vex(work)) if order == "vex-cav" else vex(cav(work))
+    return work.reshape(values.shape)
+
+
+def _mixed_field(grids, rng, nx=5):
+    """A bilinear field, fixed by both envelopes, with noise on some cells;
+    many rows stay noise-free and so take the screened path."""
+    gmat = rng.standard_normal((nx, grids.p.dim, grids.q.dim))
+    values = np.einsum("xij,ai,bj->xab", gmat, grids.p.points, grids.q.points)
+    noise = rng.standard_normal(values.shape) * (rng.random(values.shape) < 0.1)
+    return values + noise
+
+
+@pytest.mark.parametrize("types,resolution", [(2, 8), (3, 4)])
+def test_dual_project_matches_the_row_loop(types, resolution):
+    grids = Grids(
+        state=build_state_grid([(-1.0, 1.0)], [5]),
+        p=build_grid(types, resolution),
+        q=build_grid(types, resolution),
+    )
+    values = _mixed_field(grids, np.random.default_rng(31 + types))
+    want = {order: _row_loop_envelopes(grids, values, order) for order in ("vex-cav", "cav-vex")}
+    for order, ref in want.items():
+        assert np.array_equal(_apply_envelopes(grids, values, order), ref)
+    proj = dual_project(grids, values)
+    ref = want["vex-cav"]
+    assert np.array_equal(proj.values, ref)
+    assert proj.residual == float(np.max(np.abs(ref - values)))
+    assert proj.commutation_residual == float(np.max(np.abs(ref - want["cav-vex"])))
+    flat = ref.reshape(-1, grids.p.npoints, grids.q.npoints)
+    worst_p = max([0.0] + [discrete_convexity_violation(grids.p, col) for blk in flat for col in blk.T])
+    worst_q = max([0.0] + [discrete_convexity_violation(grids.q, -row) for blk in flat for row in blk])
+    assert proj.convexity_violation_p == worst_p
+    assert proj.concavity_violation_q == worst_q
+
+
+def test_dual_project_rejects_non_finite_fields():
+    m = preset("static-bilinear")
+    grids = grids_for(m, nx=1, box=(0.0, 0.0), np_res=4, nq_res=4)
+    raw = np.zeros((1, grids.p.npoints, grids.q.npoints))
+    raw[0, 2, 1] = np.nan
+    with pytest.raises(ConfigError):
+        dual_project(grids, raw)
 
 
 def test_refinement_shrinks_error_against_reference():

@@ -14,7 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
-from infogame.simplex import build_grid, discrete_convexity_violation
+from infogame.errors import ConfigError
+from infogame.simplex import build_grid, convexity_violations, discrete_convexity_violation
 from infogame.transform import (
     biconjugate_p,
     cav_q,
@@ -25,6 +26,7 @@ from infogame.transform import (
     facet_slope_probes,
     subdifferential_margin,
     vex_p,
+    vex_rows,
 )
 
 
@@ -172,3 +174,73 @@ def test_envelope_properties_random(seed, dim, resolution):
     assert discrete_convexity_violation(grid, env) <= 1e-10
     again = vex_p(grid, env)
     np.testing.assert_allclose(again, env, rtol=0, atol=1e-10)
+
+
+ROW_KINDS = ("random", "ties", "collinear", "affine", "near-convex")
+
+
+def _integer_affine(grid, rng):
+    """Affine in the numerators with integer coefficients: exact in floats."""
+    coef = rng.integers(-3, 4, grid.dim).astype(float)
+    return grid.numerators @ coef + float(rng.integers(-5, 6))
+
+
+def _table_row(grid, kind, rng):
+    if kind == "random":
+        return rng.uniform(-3, 3, grid.npoints)
+    if kind == "ties":
+        return rng.integers(-2, 3, grid.npoints).astype(float)
+    if kind == "collinear":
+        # bumps on an affine base: the hull runs through collinear nodes, whose
+        # cross products are often exactly 0.0 and whose chord values differ
+        # from the stored ones in the last bit
+        bumps = rng.integers(0, 3, grid.npoints) * (rng.random(grid.npoints) < 0.3)
+        return _table_row(grid, "affine", rng) + bumps
+    if kind == "affine":
+        return grid.points @ rng.standard_normal(grid.dim) + rng.standard_normal()
+    # near-convex: an exact affine row with one midpoint raised by a share of
+    # the fixed-point tolerance, or by just over it
+    row = _integer_affine(grid, rng)
+    if grid.triples.shape[0]:
+        scale = max(1.0, float(np.max(np.abs(row))))
+        share = rng.choice([rng.uniform(0.1, 0.9), rng.uniform(1.1, 3.0)])
+        row[rng.choice(grid.triples[:, 1])] += share * 1e-12 * scale
+    return row
+
+
+@st.composite
+def envelope_tables(draw):
+    dim = draw(st.sampled_from((2, 3)))
+    grid = build_grid(dim, draw(st.integers(1, 16 if dim == 2 else 6)))
+    kinds = draw(st.lists(st.sampled_from(ROW_KINDS), min_size=1, max_size=10))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return grid, kinds, np.array([_table_row(grid, kind, rng) for kind in kinds])
+
+
+@given(envelope_tables())
+@settings(max_examples=150, deadline=None)
+def test_vex_rows_is_bitwise_the_per_row_envelope(case):
+    grid, kinds, rows = case
+    assert np.array_equal(vex_rows(grid, rows), np.array([vex_p(grid, r) for r in rows]))
+    assert np.array_equal(-vex_rows(grid, -rows), np.array([cav_q(grid, r) for r in rows]))
+    per_row = [discrete_convexity_violation(grid, r) for r in rows]
+    batched = convexity_violations(grid, rows)
+    assert np.array_equal(batched, per_row)
+    assert np.max(batched) == max(per_row)
+    for kind, row, viol in zip(kinds, rows, per_row):
+        if kind == "near-convex" and viol <= 1e-12 * max(1.0, float(np.max(np.abs(row)))):
+            # inside the fixed-point tolerance: returned as is
+            assert grid.triples.shape[0] == 0 or viol > 0.0
+            assert np.array_equal(vex_rows(grid, row[None, :])[0], row)
+
+
+def test_vex_rows_validates_its_table():
+    grid = build_grid(2, 4)
+    with pytest.raises(ConfigError):
+        vex_rows(grid, np.zeros(grid.npoints))
+    with pytest.raises(ConfigError):
+        vex_rows(grid, np.zeros((3, grid.npoints + 1)))
+    rows = np.zeros((3, grid.npoints))
+    rows[1, 2] = np.inf
+    with pytest.raises(ConfigError):
+        vex_rows(grid, rows)
