@@ -7,17 +7,15 @@ from .errors import ConfigError, InvalidControlError, NumericsError
 from .hamiltonian import (
     HamiltonianQuery,
     ham_bellman_inf_sup,
-    ham_dual_minus,
-    ham_dual_plus,
     ham_inf_sup,
     ham_sup_inf,
     isaacs_gap,
+    pair_table,
     sample_isaacs_gap,
 )
 from .model import (
     ControlSet,
     GameModel,
-    extend_with_running_cost,
     model_from_config,
     preset,
     preset_config,
@@ -77,9 +75,7 @@ from .transform import (
     concave_conjugate_q,
     conjugate_p,
     coordinate_difference_probes,
-    dual_field,
     facet_slope_probes,
-    subdifferential_margin,
     vex_p,
 )
 from .dualcheck import (

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Iterable, Sequence, TypeVar
+from typing import Callable, Sequence, TypeVar
 
 import numpy as np
 
@@ -76,10 +76,3 @@ def sha256_hex(data: bytes) -> str:
     import hashlib
 
     return hashlib.sha256(data).hexdigest()
-
-
-def as_float_array(x: Iterable[float], name: str) -> np.ndarray:
-    arr = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise ConfigError(f"{name} must be finite")
-    return arr

@@ -19,6 +19,7 @@ import tempfile
 import time
 import traceback
 from fractions import Fraction
+from typing import Iterable
 
 import numpy as np
 
@@ -57,13 +58,14 @@ def _jsonable(obj):
     return obj
 
 
-def _write_atomic(path: str, text: str) -> None:
+def _write_atomic(path: str, chunks: Iterable[str]) -> None:
+    """Write the chunks in order to a temp file, then replace path with it."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as handle:
-            handle.write(text)
+            handle.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -120,14 +122,20 @@ def _write_solve_outputs(out_dir: str, result: SolveResult, cfg_resolved: dict, 
         for p in grids.p.points
         for q in grids.q.points
     ]
-    lines = [",".join(header)]
-    for fld in result.fields:
-        t_cell = repr(float(fld.t))
-        table = fld.values.reshape(len(x_cells), len(pq_cells)).tolist()
-        for x, ws in zip(x_cells, table):
-            head = f"{t_cell},{x},"
-            lines.extend([f"{head}{pq},{w!r}" for pq, w in zip(pq_cells, ws)])
-    _write_atomic(os.path.join(out_dir, "slices.csv"), "\n".join(lines) + "\n")
+
+    def slice_chunks():
+        yield ",".join(header) + "\n"
+        for fld in result.fields:
+            t_cell = repr(float(fld.t))
+            table = fld.values.reshape(len(x_cells), len(pq_cells)).tolist()
+            yield "".join(
+                f"{t_cell},{x},{pq},{w!r}\n"
+                for x, ws in zip(x_cells, table)
+                for pq, w in zip(pq_cells, ws)
+            )
+
+    # one slice in memory at a time
+    _write_atomic(os.path.join(out_dir, "slices.csv"), slice_chunks())
     meta = {
         "config": cfg_resolved,
         "config_sha256": cfg_sha,
@@ -148,7 +156,7 @@ def _write_solve_outputs(out_dir: str, result: SolveResult, cfg_resolved: dict, 
         },
         "diagnostics": result.diagnostics,
     }
-    _write_atomic(os.path.join(out_dir, "diagnostics.json"), _dump_json(meta))
+    _write_atomic(os.path.join(out_dir, "diagnostics.json"), [_dump_json(meta)])
 
 
 def load_solve(out_dir: str) -> SolveResult:
@@ -160,33 +168,38 @@ def load_solve(out_dir: str) -> SolveResult:
             meta = json.load(handle)
         with open(csv_path) as handle:
             csv_lines = handle.read().splitlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read solve outputs: {exc}") from exc
-    model = model_from_config(meta["config"])
-    g = meta["grid"]
-    state = build_state_grid([tuple(b) for b in g["bounds"]], g["counts"])
-    grids = Grids(
-        state=state,
-        p=build_grid(model.u_types, g["p_resolution"]),
-        q=build_grid(model.v_types, g["q_resolution"]),
-    )
-    times = meta["times"]
-    nx = int(np.prod(state.shape))
-    per_slice = nx * grids.p.npoints * grids.q.npoints
-    body = csv_lines[1:]
-    if len(body) != per_slice * len(times):
-        raise ConfigError("slices.csv row count does not match the recorded grid")
-    values = np.array([float(line.rsplit(",", 1)[1]) for line in body])
-    stack = values.reshape(len(times), *state.shape, grids.p.npoints, grids.q.npoints)
-    fields = [ValueField(t=float(t), values=stack[k]) for k, t in enumerate(times)]
-    return SolveResult(
-        model=model,
-        grids=grids,
-        t0=float(meta["t0"]),
-        dt=float(meta["dt"]),
-        fields=fields,
-        diagnostics=meta.get("diagnostics", {}),
-    )
+    try:
+        model = model_from_config(meta["config"])
+        g = meta["grid"]
+        state = build_state_grid([tuple(b) for b in g["bounds"]], g["counts"])
+        grids = Grids(
+            state=state,
+            p=build_grid(model.u_types, int(g["p_resolution"])),
+            q=build_grid(model.v_types, int(g["q_resolution"])),
+        )
+        times = [float(t) for t in meta["times"]]
+        nx = int(np.prod(state.shape))
+        per_slice = nx * grids.p.npoints * grids.q.npoints
+        body = csv_lines[1:]
+        if len(body) != per_slice * len(times):
+            raise ConfigError("slices.csv row count does not match the recorded grid")
+        values = np.array([float(line.rsplit(",", 1)[1]) for line in body])
+        stack = values.reshape(len(times), *state.shape, grids.p.npoints, grids.q.npoints)
+        fields = [ValueField(t=t, values=stack[k]) for k, t in enumerate(times)]
+        return SolveResult(
+            model=model,
+            grids=grids,
+            t0=float(meta["t0"]),
+            dt=float(meta["dt"]),
+            fields=fields,
+            diagnostics=meta.get("diagnostics", {}),
+        )
+    except ConfigError:
+        raise
+    except (KeyError, IndexError, TypeError, ValueError, AttributeError) as exc:
+        raise ConfigError(f"malformed solve outputs: {exc!r}") from exc
 
 
 def _cmd_solve(args) -> int:
@@ -291,7 +304,7 @@ def _cmd_simulate(args) -> int:
         "combined_stderr": combined.stderr,
     }
     path = args.out if args.out.endswith(".json") else os.path.join(args.out, "simulate.json")
-    _write_atomic(path, _dump_json(payload))
+    _write_atomic(path, [_dump_json(payload)])
     print(f"simulate finished in {elapsed:.3f}s", file=sys.stderr)
     print(f"wrote {path}")
     return 0
@@ -321,7 +334,7 @@ def _cmd_check(args) -> int:
         },
     }
     out = args.out or os.path.join(args.solve, "check.json")
-    _write_atomic(out, _dump_json(payload))
+    _write_atomic(out, [_dump_json(payload)])
     print(f"check finished in {elapsed:.3f}s", file=sys.stderr)
     print(f"wrote {out}")
     ok = report.supersolution_ok and report.subsolution_ok and cross.disagreements == 0
@@ -364,7 +377,10 @@ def _read_lattice_csv(path: str):
         cells = line.split(",")
         if len(cells) != dim + 1:
             raise ConfigError(f"row has {len(cells)} cells, expected {dim + 1}")
-        rows.append([float(c) for c in cells])
+        try:
+            rows.append([float(c) for c in cells])
+        except ValueError as exc:
+            raise ConfigError(f"bad number in table: {exc}") from exc
     if not rows:
         raise ConfigError("table has no data rows")
     return header, dim, np.array(rows)
@@ -409,7 +425,7 @@ def _cmd_convexify(args) -> int:
         cells = [repr(float(v)) for v in grid.points[k]]
         cells.append(repr(float(env[k])))
         lines.append(",".join(cells))
-    _write_atomic(args.out, "\n".join(lines) + "\n")
+    _write_atomic(args.out, ["\n".join(lines) + "\n"])
     print(f"wrote {args.out}")
     return 0
 
@@ -436,7 +452,7 @@ def _cmd_oracle(args) -> int:
         "values": res.values,
     }
     path = args.out if args.out.endswith(".json") else os.path.join(args.out, "oracle.json")
-    _write_atomic(path, _dump_json(payload))
+    _write_atomic(path, [_dump_json(payload)])
     print(f"oracle finished in {elapsed:.3f}s", file=sys.stderr)
     print(f"wrote {path}")
     return 0

@@ -8,7 +8,8 @@ Two independent routes, never merged:
 
       residual = xi_t - H(t, x, -xi_x, -X, p, q)
 
-  with p running over the conjugate argmax set.  The convex-side stack
+  with p running over the conjugate argmax set and H the game-role
+  Hamiltonian (run_sign = +1, min over u of max over v).  The convex-side stack
   max_p <phat, p> - w must keep the best residual >= -tol at every
   audited node (supersolution direction); the concave-side stack
   min_q <qhat, q> - w must keep it <= tol (subsolution direction).
@@ -24,9 +25,16 @@ Both routes sample interior nodes at distance >= L*(T - t0) from the
 walls of every moving state axis: the box truncates a whole-space
 equation, so residuals closer to a wall measure the reflecting boundary
 condition, not the equation.  Audits are further capped by a
-deterministic stride so runtime stays bounded; uniform defects
-(time-affine perturbations) are visible at every node, so subsampling
-cannot hide them.
+deterministic stride over the run (opponent node, probe, t, node) so
+runtime stays bounded; uniform defects (time-affine perturbations) are
+visible at every node, so subsampling cannot hide them, and a single
+shifted slice shows at the audited nodes of its two neighbours.
+
+Jets are central differences over a whole (t, x) stack at once.  The
+conjugate route builds them once per (side, opponent node, probe) and
+evaluates every audited node of that probe, with its tie-support, in one
+`hamiltonian.pair_table` call; probes are batched one at a time to keep
+memory flat.
 """
 
 from __future__ import annotations
@@ -36,8 +44,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .hamiltonian import HamiltonianQuery, ham_bellman_inf_sup
-from .solver import SolveResult, _derivatives
+from .hamiltonian import pair_table
+from .solver import SolveResult, StateGrid, _derivatives, _hessians
 from .transform import coordinate_difference_probes, facet_slope_probes
 
 _DEFAULT_MAX_CHECKS = 10_000
@@ -145,41 +153,44 @@ def build_probes(result: SolveResult, side: str, per_slice_nodes: int = 5) -> np
     return probes[:_PROBE_CAP]
 
 
-class _JetTable:
-    """Lazy per-time-slice central-difference derivatives of a (t, x) stack."""
+def _stack_jets(grid: StateGrid, stack: np.ndarray, dt: float):
+    """Central-difference jets of a (t, *shape) stack at every interior time.
 
-    def __init__(self, result: SolveResult, stack: np.ndarray):
-        self.grid = result.grids.state
-        self.dt = result.dt
-        self.stack = stack
-        self.cache: dict[int, tuple] = {}
-
-    def at(self, ti: int, node: tuple[int, ...]):
-        if ti not in self.cache:
-            self.cache[ti] = _derivatives(self.grid, self.stack[ti])
-        grad_full, second_full, mixed_full = self.cache[ti]
-        n = self.grid.ndim
-        xi_t = float(
-            (self.stack[ti + 1][node] - self.stack[ti - 1][node]) / (2.0 * self.dt)
-        )
-        grad = np.array([grad_full[k][node] for k in range(n)])
-        hess = np.zeros((n, n))
-        for k in range(n):
-            hess[k, k] = second_full[k][node]
-        for (k, l), block in mixed_full.items():
-            hess[k, l] = hess[l, k] = block[node]
-        return xi_t, grad, hess
+    Returns xi_t over (nt - 2, *shape), grad over (nt - 2, *shape, n) and
+    hess over (nt - 2, *shape, n, n); index 0 is the slice at t index 1.
+    """
+    inner = np.moveaxis(stack[1:-1], 0, -1)  # state axes lead, as the stencils expect
+    grad, second, mixed = _derivatives(grid, inner)
+    xi_t = (stack[2:] - stack[:-2]) / (2.0 * dt)
+    grad = np.moveaxis(np.stack(grad, axis=-1), -2, 0)
+    hess = np.moveaxis(_hessians(grid, second, mixed), -3, 0)
+    return xi_t, grad, hess
 
 
-def _jets(result: SolveResult, conj: np.ndarray, ti: int, node: tuple[int, ...]):
-    """Central-difference jet of a (t, x) stack at one interior node."""
-    return _JetTable(result, conj).at(ti, node)
+def _bellman(model, t, x, grad, hess, p, q) -> np.ndarray:
+    """Batched ham_bellman_inf_sup: min over u of max over v, +sum l p q."""
+    return pair_table(model, t, x, grad, hess, p, q, run_sign=1.0).max(axis=-1).min(axis=-1)
 
 
-def _support(scores: np.ndarray, best: float, sense: int, tie: float) -> np.ndarray:
+def _support(scores: np.ndarray, best, sense: int, tie_tol: float) -> np.ndarray:
+    """Mask of the near-optimal beliefs along the last axis, ties included."""
+    tie = tie_tol * np.maximum(1.0, np.max(np.abs(scores), axis=-1))
     if sense > 0:
-        return np.flatnonzero(scores >= best - tie)
-    return np.flatnonzero(scores <= best + tie)
+        return scores >= (best - tie)[..., None]
+    return scores <= (best + tie)[..., None]
+
+
+def _sides(stack, grids, probes_p, probes_q):
+    """(own grid, opponent grid, sense, probes, stack) per side, the stack
+    viewed with the opponent's belief axis last; sense is +1 on the convex
+    p side and -1 on the concave q side."""
+    yield grids.p, grids.q, 1, np.asarray(probes_p, dtype=float), stack
+    yield grids.q, grids.p, -1, np.asarray(probes_q, dtype=float), np.swapaxes(stack, -1, -2)
+
+
+def _beliefs(sense: int, own: np.ndarray, opp: np.ndarray):
+    """(p, q) from the own side's beliefs and the opponent's."""
+    return (own, opp) if sense > 0 else (opp, own)
 
 
 def check_dual_solution(
@@ -195,82 +206,69 @@ def check_dual_solution(
     model = result.model
     stack, times = _stack(result)
     grids = result.grids
+    if max_checks < 1:
+        raise ConfigError("max_checks must be >= 1")
     if probes_p is None:
         probes_p = build_probes(result, "p")
     if probes_q is None:
         probes_q = build_probes(result, "q")
     if tol is None:
         tol = default_tolerance(result)
-    nodes = _core_nodes(result)
-    nt = stack.shape[0]
-    interior_t = range(1, nt - 1)
+    nodes = np.array(_core_nodes(result), dtype=int).reshape(-1, grids.state.ndim)
+    x_nodes = grids.state.mesh()[tuple(nodes.T)]  # (nodes, n)
+    per_block = (stack.shape[0] - 2) * len(nodes)  # (interior t, node) pairs per conjugate
 
-    def audit(side: str, probes: np.ndarray) -> tuple[float, int]:
-        own = grids.p if side == "p" else grids.q
-        opp = grids.q if side == "p" else grids.p
-        total = probes.shape[0] * opp.npoints * len(interior_t) * len(nodes)
+    worst = []
+    checked = []
+    for own, opp, sense, probes, oriented in _sides(stack, grids, probes_p, probes_q):
+        total = probes.shape[0] * opp.npoints * per_block
         stride = max(1, int(np.ceil(total / max_checks)))
-        worst = np.inf if side == "p" else -np.inf
-        counter = 0
-        checked = 0
+        side_worst = np.inf
+        side_checked = 0
         for jo in range(opp.npoints):
-            if side == "p":
-                block = stack[..., :, jo]  # (nt, *shape, NP)
-            else:
-                block = stack[..., jo, :]  # (nt, *shape, NQ)
-            for probe in probes:
+            block = oriented[..., jo]  # (nt, *shape, own npoints)
+            for r, probe in enumerate(probes):
+                # audited pairs: every stride-th (interior t, node) of the
+                # run over (opponent node, probe, t, node)
+                first = -(jo * probes.shape[0] + r) * per_block % stride
+                picks = np.arange(first, per_block, stride)
+                if picks.size == 0:
+                    continue
                 scores = np.tensordot(own.points, probe, axes=(1, 0)) - block
                 # <probe, r> - w over the own belief axis, shape (nt, *shape, K)
-                if side == "p":
-                    conj = scores.max(axis=-1)
-                else:
-                    conj = scores.min(axis=-1)
-                jets = _JetTable(result, conj)
-                for ti in interior_t:
-                    for node in nodes:
-                        counter += 1
-                        if (counter - 1) % stride:
-                            continue
-                        checked += 1
-                        xi_t, grad, hess = jets.at(ti, node)
-                        local = scores[(ti, *node)]
-                        best = conj[(ti, *node)]
-                        tie = tie_tol * max(1.0, float(np.max(np.abs(local))))
-                        cand = _support(local, best, +1 if side == "p" else -1, tie)
-                        x = np.array(
-                            [grids.state.axes[k][node[k]] for k in range(grids.state.ndim)]
-                        )
-                        residuals = []
-                        for c in cand:
-                            if side == "p":
-                                p_vec, q_vec = own.points[c], opp.points[jo]
-                            else:
-                                p_vec, q_vec = opp.points[jo], own.points[c]
-                            query = HamiltonianQuery(
-                                t=float(times[ti]),
-                                x=x,
-                                grad=-grad,
-                                hess=-hess,
-                                p=p_vec,
-                                q=q_vec,
-                            )
-                            residuals.append(xi_t - ham_bellman_inf_sup(model, query))
-                        if side == "p":
-                            worst = min(worst, max(residuals))
-                        else:
-                            worst = max(worst, min(residuals))
-        return float(worst), checked
+                conj = scores.max(axis=-1) if sense > 0 else scores.min(axis=-1)
+                xi_t, grad, hess = _stack_jets(grids.state, conj, result.dt)
+                node = picks % len(nodes)
+                jet = (picks // len(nodes), *nodes[node].T)
+                at = (jet[0] + 1, *jet[1:])
+                rows, cand = np.nonzero(_support(scores[at], conj[at], sense, tie_tol))
+                p, q = _beliefs(sense, own.points[cand], opp.points[jo])
+                residual = xi_t[jet][rows] - _bellman(
+                    model,
+                    times[at[0]][rows],
+                    x_nodes[node][rows],
+                    -grad[jet][rows],
+                    -hess[jet][rows],
+                    p,
+                    q,
+                )
+                # best residual over each node's support, worst over the nodes
+                best = np.full(picks.size, -np.inf)
+                np.maximum.at(best, rows, sense * residual)
+                side_worst = min(side_worst, float(best.min()))
+                side_checked += picks.size
+        worst.append(sense * side_worst)
+        checked.append(side_checked)
 
-    sup_res, n_sup = audit("p", np.asarray(probes_p, dtype=float))
-    sub_res, n_sub = audit("q", np.asarray(probes_q, dtype=float))
+    sup_res, sub_res = worst
     return DualCheckReport(
         tolerance=tol,
         supersolution_residual=sup_res,
         subsolution_residual=sub_res,
         supersolution_ok=bool(sup_res >= -tol),
         subsolution_ok=bool(sub_res <= tol),
-        checks_super=n_sup,
-        checks_sub=n_sub,
+        checks_super=checked[0],
+        checks_sub=checked[1],
         probes_p=np.asarray(probes_p, dtype=float),
         probes_q=np.asarray(probes_q, dtype=float),
     )
@@ -302,109 +300,49 @@ def primal_crosscheck(
     for ti in range(1, nt - 1):
         for node in nodes:
             interior_mask[(ti, *node)] = True
+    mesh = grids.state.mesh()
 
-    worst_min = -np.inf
-    worst_max = np.inf
+    worst = []
+    pairs = []
     disagreements = 0
-    pairs_min = 0
-    pairs_max = 0
-
-    def primal_jet(block: np.ndarray, ti: int, node: tuple[int, ...]):
-        xi_t = float((block[ti + 1][node] - block[ti - 1][node]) / (2.0 * result.dt))
-        grad_full, second_full, mixed_full = _derivatives(grids.state, block[ti])
-        n = grids.state.ndim
-        grad = np.array([grad_full[k][node] for k in range(n)])
-        hess = np.zeros((n, n))
-        for k in range(n):
-            hess[k, k] = second_full[k][node]
-        for (k, l), mb in mixed_full.items():
-            hess[k, l] = hess[l, k] = mb[node]
-        return xi_t, grad, hess
-
-    for jo in range(grids.q.npoints):
-        block = stack[..., :, jo]  # (nt, *shape, NP)
-        q_vec = grids.q.points[jo]
-        for probe in np.asarray(probes_p, dtype=float):
-            shifted = block - np.tensordot(grids.p.points, probe, axes=(1, 0))
-            masked = np.where(interior_mask[..., None], shifted, np.inf)
-            flat_idx = int(np.argmin(masked))
-            idx = np.unravel_index(flat_idx, masked.shape)
-            ti, node, pc = idx[0], idx[1:-1], idx[-1]
-            pairs_min += 1
-            w_slice = block[..., pc]
-            xi_t, grad, hess = primal_jet(w_slice, ti, node)
-            x = np.array([grids.state.axes[k][node[k]] for k in range(grids.state.ndim)])
-            query = HamiltonianQuery(
-                t=float(times[ti]), x=x, grad=grad, hess=hess,
-                p=grids.p.points[pc], q=q_vec,
-            )
-            primal = xi_t + ham_bellman_inf_sup(model, query)
-            worst_min = max(worst_min, primal)
-            # conjugate route at the same (t, x) node
-            scores = np.tensordot(grids.p.points, probe, axes=(1, 0)) - block
-            conj = scores.max(axis=-1)
-            c_xi_t, c_grad, c_hess = _jets(result, conj, ti, node)
-            local = scores[(ti, *node)]
-            tie = tie_tol * max(1.0, float(np.max(np.abs(local))))
-            cand = _support(local, float(conj[(ti, *node)]), +1, tie)
-            duals = [
-                c_xi_t
-                - ham_bellman_inf_sup(
-                    model,
-                    HamiltonianQuery(
-                        t=float(times[ti]), x=x, grad=-c_grad, hess=-c_hess,
-                        p=grids.p.points[c], q=q_vec,
-                    ),
+    for own, opp, sense, probes, oriented in _sides(stack, grids, probes_p, probes_q):
+        side_worst = -np.inf
+        side_pairs = 0
+        for jo in range(opp.npoints):
+            block = oriented[..., jo]  # (nt, *shape, own npoints)
+            for probe in probes:
+                lift = np.tensordot(own.points, probe, axes=(1, 0))
+                # minima of w - <probe, r> on the convex side, maxima on the concave one
+                masked = np.where(interior_mask[..., None], sense * (block - lift), np.inf)
+                ti, *node, c = np.unravel_index(int(np.argmin(masked)), masked.shape)
+                at = (ti, *node)
+                jet = (ti - 1, *node)
+                side_pairs += 1
+                xi_t, grad, hess = _stack_jets(grids.state, block[..., c], result.dt)
+                p, q = _beliefs(sense, own.points[c], opp.points[jo])
+                primal = xi_t[jet] + _bellman(
+                    model, times[ti], mesh[tuple(node)], grad[jet], hess[jet], p, q
                 )
-                for c in cand
-            ]
-            if (primal <= tol) != (max(duals) >= -tol):
-                disagreements += 1
-
-    for io in range(grids.p.npoints):
-        block = stack[..., io, :]  # (nt, *shape, NQ)
-        p_vec = grids.p.points[io]
-        for probe in np.asarray(probes_q, dtype=float):
-            shifted = block - np.tensordot(grids.q.points, probe, axes=(1, 0))
-            masked = np.where(interior_mask[..., None], shifted, -np.inf)
-            flat_idx = int(np.argmax(masked))
-            idx = np.unravel_index(flat_idx, masked.shape)
-            ti, node, qc = idx[0], idx[1:-1], idx[-1]
-            pairs_max += 1
-            w_slice = block[..., qc]
-            xi_t, grad, hess = primal_jet(w_slice, ti, node)
-            x = np.array([grids.state.axes[k][node[k]] for k in range(grids.state.ndim)])
-            query = HamiltonianQuery(
-                t=float(times[ti]), x=x, grad=grad, hess=hess,
-                p=p_vec, q=grids.q.points[qc],
-            )
-            primal = xi_t + ham_bellman_inf_sup(model, query)
-            worst_max = min(worst_max, primal)
-            scores = np.tensordot(grids.q.points, probe, axes=(1, 0)) - block
-            conj = scores.min(axis=-1)
-            c_xi_t, c_grad, c_hess = _jets(result, conj, ti, node)
-            local = scores[(ti, *node)]
-            tie = tie_tol * max(1.0, float(np.max(np.abs(local))))
-            cand = _support(local, float(conj[(ti, *node)]), -1, tie)
-            duals = [
-                c_xi_t
-                - ham_bellman_inf_sup(
-                    model,
-                    HamiltonianQuery(
-                        t=float(times[ti]), x=x, grad=-c_grad, hess=-c_hess,
-                        p=p_vec, q=grids.q.points[c],
-                    ),
+                side_worst = max(side_worst, float(sense * primal))
+                # conjugate route at the same (t, x) node
+                scores = lift - block
+                conj = scores.max(axis=-1) if sense > 0 else scores.min(axis=-1)
+                c_xi_t, c_grad, c_hess = _stack_jets(grids.state, conj, result.dt)
+                cand = np.flatnonzero(_support(scores[at], conj[at], sense, tie_tol))
+                p, q = _beliefs(sense, own.points[cand], opp.points[jo])
+                duals = c_xi_t[jet] - _bellman(
+                    model, times[ti], mesh[tuple(node)], -c_grad[jet], -c_hess[jet], p, q
                 )
-                for c in cand
-            ]
-            if (primal >= -tol) != (min(duals) <= tol):
-                disagreements += 1
+                if (sense * primal <= tol) != (np.max(sense * duals) >= -tol):
+                    disagreements += 1
+        worst.append(sense * side_worst)
+        pairs.append(side_pairs)
 
     return CrosscheckReport(
         tolerance=tol,
-        worst_min_side=float(worst_min),
-        worst_max_side=float(worst_max),
+        worst_min_side=float(worst[0]),
+        worst_max_side=float(worst[1]),
         disagreements=disagreements,
-        pairs_min_side=pairs_min,
-        pairs_max_side=pairs_max,
+        pairs_min_side=pairs[0],
+        pairs_max_side=pairs[1],
     )

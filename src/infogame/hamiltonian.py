@@ -1,21 +1,27 @@
 """Exact finite minimax Hamiltonians and Isaacs diagnostics.
 
-All evaluators scan the full control grid, so min/max values and the gap
-between the two orders are exact for the declared finite control sets.
+One kernel, `pair_table`, scans the full control grid for a whole batch
+of points and returns the table over control pairs of
 
-Two sign conventions coexist deliberately:
+    <b, grad> + tr(hess sigma sigma^T) / 2 + run_sign * sum_ij l_ij p_i q_j,
 
-* ham_inf_sup / ham_sup_inf carry the running term as -sum l_ij p_i q_j,
-  the form in which the Isaacs condition for the asymmetric-information
-  equation is stated; isaacs_gap is their difference.
-* ham_dual_minus / ham_dual_plus are the conjugate-side Hamiltonians with
-  swapped optimization roles and the running term +sum l_ij p_i q_j; they
-  satisfy the exact reflection identity
-  ham_dual_minus(xi, A) == -ham_sup_inf(-xi, -A).
-* ham_bellman_inf_sup keeps the game roles (u minimizes) with the running
-  term +sum l_ij p_i q_j; it is the form under which smooth value fields
-  satisfy the dynamic-programming equation pointwise, and is what the
-  solver and the dual residual checks evaluate.
+so min/max values and the gap between the two orders are exact for the
+declared finite control sets.  Everything else is a min/max reduction of
+that table.  The running term enters with one of two signs:
+
+* run_sign = -1 is the form in which the Isaacs condition for the
+  asymmetric-information equation is stated: ham_inf_sup, ham_sup_inf
+  and their difference isaacs_gap, plus the sampled audit
+  sample_isaacs_gap.
+* run_sign = +1 keeps the game roles (u minimizes) with the running
+  term +sum l_ij p_i q_j: the form under which smooth value fields
+  satisfy the dynamic-programming equation pointwise.  It is what
+  ham_bellman_inf_sup, the solver, the dual residual audits and the
+  feedback replay evaluate.
+
+The two are mirror images: pair_table(grad, hess, +1) equals
+-pair_table(-grad, -hess, -1) to the bit, so the min-max of one is minus
+the max-min of the other.
 """
 
 from __future__ import annotations
@@ -59,89 +65,95 @@ class HamiltonianQuery:
                 object.__setattr__(self, name, w)
 
 
-def _belief_weights(model: GameModel, query: HamiltonianQuery) -> tuple[np.ndarray, np.ndarray]:
+def _query_table(model: GameModel, query: HamiltonianQuery, run_sign: float) -> np.ndarray:
     p = query.p if query.p is not None else np.ones(model.u_types) / model.u_types
     q = query.q if query.q is not None else np.ones(model.v_types) / model.v_types
     if p.shape != (model.u_types,) or q.shape != (model.v_types,):
         raise ConfigError("belief vector shapes do not match model type counts")
-    return p, q
+    return pair_table(model, query.t, query.x, query.grad, query.hess, p, q, run_sign)
+
+
+def _belief_contraction(lmat: np.ndarray, p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """sum_ij l_ij p_i q_j over (..., I, J), (..., I) and (..., J).
+
+    Summed from zero in (i, j) row-major order as (l_ij p_i) q_j, which is
+    bitwise what einsum("...ij,ai,bj->...ab") gives on a grid of belief
+    points, whatever the layout of the batch.
+    """
+    total = 0.0
+    for i in range(lmat.shape[-2]):
+        for j in range(lmat.shape[-1]):
+            total = total + lmat[..., i, j] * p[..., i] * q[..., j]
+    return total
 
 
 def pair_table(
-    model: GameModel, query: HamiltonianQuery, run_sign: float
+    model: GameModel, t, x, grad, hess, p, q, run_sign: float
 ) -> np.ndarray:
-    """Matrix over control pairs of <b, grad> + tr(hess ss^T)/2 + run term."""
-    p, q = _belief_weights(model, query)
-    t, x = query.t, query.x
-    out = np.empty((model.u_set.count, model.v_set.count))
+    """Table over control pairs, shape (..., |U|, |V|), for a batch of points.
+
+    x, grad: (..., n); hess: (..., n, n), symmetric; p: (..., I);
+    q: (..., J); t a float or an array broadcasting against x[..., 0].
+    The batch shape is the broadcast of all leading shapes.  Each entry is
+    <b, grad> + tr(hess sigma sigma^T) / 2 + run_sign * sum_ij l_ij p_i q_j,
+    summed from zero in that order with the trace taken as diagonal terms
+    then the upper triangle, so a batch equals its points one at a time.
+    """
+    x = np.asarray(x, dtype=float)
+    grad = np.asarray(grad, dtype=float)
+    hess = np.asarray(hess, dtype=float)
+    p = np.asarray(p, dtype=float)
+    q = np.asarray(q, dtype=float)
+    n = model.state_dim
+    batch = np.broadcast_shapes(
+        np.shape(t), x.shape[:-1], grad.shape[:-1], hess.shape[:-2], p.shape[:-1], q.shape[:-1]
+    )
+    out = np.empty(batch + (model.u_set.count, model.v_set.count))
     for a, u in enumerate(model.u_set.values):
         for b, v in enumerate(model.v_set.values):
-            bvec = np.asarray(model.drift(t, x, u, v), dtype=float)
+            drift = np.asarray(model.drift(t, x, u, v), dtype=float)
             sig = np.asarray(model.diffusion(t, x, u, v), dtype=float)
-            second = 0.5 * float(np.sum(query.hess * (sig @ sig.T)))
-            run = 0.0
+            cov = np.einsum("...ik,...jk->...ij", sig, sig)
+            total = 0.0
+            for k in range(n):
+                total = total + drift[..., k] * grad[..., k]
+                total = total + 0.5 * cov[..., k, k] * hess[..., k, k]
+            for k in range(n):
+                for l in range(k + 1, n):
+                    total = total + cov[..., k, l] * hess[..., k, l]
             if run_sign != 0.0 and model.has_running:
                 lmat = running_matrix(model, t, x, u, v)
-                run = run_sign * float(p @ lmat @ q)
-            out[a, b] = float(bvec @ query.grad) + second + run
+                total = total + run_sign * _belief_contraction(lmat, p, q)
+            out[..., a, b] = total
     return out
 
 
 def ham_inf_sup(model: GameModel, query: HamiltonianQuery) -> float:
     """min over u of max over v, running term entering as -sum l p q."""
-    table = pair_table(model, query, run_sign=-1.0)
+    table = _query_table(model, query, run_sign=-1.0)
     return float(table.max(axis=1).min())
 
 
 def ham_sup_inf(model: GameModel, query: HamiltonianQuery) -> float:
     """max over v of min over u, running term entering as -sum l p q."""
-    table = pair_table(model, query, run_sign=-1.0)
+    table = _query_table(model, query, run_sign=-1.0)
     return float(table.min(axis=0).max())
+
+
+def _gaps(table: np.ndarray) -> np.ndarray:
+    gap = table.max(axis=-1).min(axis=-1) - table.min(axis=-2).max(axis=-1)
+    assert np.all(gap >= 0.0)
+    return gap
 
 
 def isaacs_gap(model: GameModel, query: HamiltonianQuery) -> float:
     """ham_inf_sup - ham_sup_inf; zero certifies order exchange."""
-    table = pair_table(model, query, run_sign=-1.0)
-    gap = float(table.max(axis=1).min() - table.min(axis=0).max())
-    assert gap >= 0.0
-    return gap
-
-
-def ham_dual_minus(
-    model: GameModel,
-    t: float,
-    x,
-    grad,
-    hess,
-    p=None,
-    q=None,
-) -> float:
-    """Conjugate-side Hamiltonian min over v of max over u, +sum l p q."""
-    query = HamiltonianQuery(t=t, x=x, grad=grad, hess=hess, p=p, q=q)
-    run = 1.0 if (p is not None and q is not None) else 0.0
-    table = pair_table(model, query, run_sign=run)
-    return float(table.max(axis=0).min())
-
-
-def ham_dual_plus(
-    model: GameModel,
-    t: float,
-    x,
-    grad,
-    hess,
-    p=None,
-    q=None,
-) -> float:
-    """Conjugate-side Hamiltonian max over u of min over v, +sum l p q."""
-    query = HamiltonianQuery(t=t, x=x, grad=grad, hess=hess, p=p, q=q)
-    run = 1.0 if (p is not None and q is not None) else 0.0
-    table = pair_table(model, query, run_sign=run)
-    return float(table.min(axis=1).max())
+    return float(_gaps(_query_table(model, query, run_sign=-1.0)))
 
 
 def ham_bellman_inf_sup(model: GameModel, query: HamiltonianQuery) -> float:
     """Game-role min over u of max over v with +sum l p q running term."""
-    table = pair_table(model, query, run_sign=1.0)
+    table = _query_table(model, query, run_sign=1.0)
     return float(table.max(axis=1).min())
 
 
@@ -157,26 +169,34 @@ def sample_isaacs_gap(
 
     The documented unit query (grad = ones, hess = 0, uniform beliefs at
     the box center and t = t_range start) is always evaluated first; the
-    report carries its gap and the max over all sampled queries.
+    report carries its gap and the max over all sampled queries.  The
+    queries are drawn one at a time in a fixed order and evaluated in one
+    batch.
     """
     if samples < 1:
         raise ConfigError("samples must be >= 1")
+    if seed < 0:
+        raise ConfigError("seed must be >= 0")
     n = model.state_dim
     t_lo, t_hi = t_range if t_range is not None else (0.0, model.horizon)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    center = np.full(n, 0.5 * (x_box[0] + x_box[1]))
-    unit = HamiltonianQuery(t=t_lo, x=center, grad=np.ones(n), hess=np.zeros((n, n)))
-    unit_gap = isaacs_gap(model, unit)
-    max_gap = unit_gap
-    for _ in range(samples - 1):
-        x = rng.uniform(x_box[0], x_box[1], size=n)
-        grad = rng.standard_normal(n)
+    t = np.full(samples, float(t_lo))
+    x = np.full((samples, n), 0.5 * (x_box[0] + x_box[1]))
+    grad = np.ones((samples, n))
+    hess = np.zeros((samples, n, n))
+    p = np.full((samples, model.u_types), 1.0 / model.u_types)
+    q = np.full((samples, model.v_types), 1.0 / model.v_types)
+    for s in range(1, samples):
+        x[s] = rng.uniform(x_box[0], x_box[1], size=n)
+        grad[s] = rng.standard_normal(n)
         raw = rng.standard_normal((n, n))
-        hess = 0.5 * (raw + raw.T)
-        p = rng.dirichlet(np.ones(model.u_types))
-        q = rng.dirichlet(np.ones(model.v_types))
-        query = HamiltonianQuery(
-            t=float(rng.uniform(t_lo, t_hi)), x=x, grad=grad, hess=hess, p=p, q=q
-        )
-        max_gap = max(max_gap, isaacs_gap(model, query))
-    return {"unit_query_gap": unit_gap, "max_sampled_gap": max_gap, "samples": samples}
+        hess[s] = 0.5 * (raw + raw.T)
+        p[s] = rng.dirichlet(np.ones(model.u_types))
+        q[s] = rng.dirichlet(np.ones(model.v_types))
+        t[s] = rng.uniform(t_lo, t_hi)
+    gaps = _gaps(pair_table(model, t, x, grad, hess, p, q, run_sign=-1.0))
+    return {
+        "unit_query_gap": float(gaps[0]),
+        "max_sampled_gap": float(gaps.max()),
+        "samples": samples,
+    }

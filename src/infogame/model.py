@@ -7,8 +7,10 @@ b(t,x,u,v) and sigma(t,x,u,v) are shared; terminal costs g_ij(x) and
 running costs l_ij(t,x,u,v) are tabulated per type pair.
 
 All model callables are vectorized over the state: x has shape (..., n),
-drift returns (..., n), diffusion (..., n, d), costs (...,).  Controls are
-always passed as 1-D arrays, one row of the owning control set.
+drift returns (..., n), diffusion (..., n, d), costs (...,).  t may be a
+float or an array that broadcasts against x[..., 0]; no preset reads it,
+so every preset accepts both.  Controls are always passed as 1-D arrays,
+one row of the owning control set.
 
 Configs are plain JSON objects with keys: preset, params, I, J, T, g, l.
 "preset" names a dynamics preset; "g" and "l" are I x J matrices of cost
@@ -20,6 +22,7 @@ Unknown keys anywhere are an error.  Declared bounds hold on the box
 from __future__ import annotations
 
 import copy
+import sys
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -87,12 +90,10 @@ class GameModel:
     has_running: bool
     decoupled: bool
     lipschitz_bound: float
-    sup_bound: float
     drift_bound: float
     diffusion_bound: float
     terminal_bound: float
     running_bound: float
-    diag_diffusion: bool = True
     config: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
@@ -170,12 +171,10 @@ def restrict_to_types(model: GameModel, i: int, j: int) -> GameModel:
         has_running=model.has_running,
         decoupled=model.decoupled,
         lipschitz_bound=model.lipschitz_bound,
-        sup_bound=model.sup_bound,
         drift_bound=model.drift_bound,
         diffusion_bound=model.diffusion_bound,
         terminal_bound=model.terminal_bound,
         running_bound=model.running_bound,
-        diag_diffusion=model.diag_diffusion,
         config=model.config,
     )
 
@@ -211,9 +210,9 @@ def _zero_drift(t, x, u, v):
 
 
 def _dyn_drift_sum(params: dict) -> _Dynamics:
-    sigma = float(params.get("sigma", 1.0))
-    controls = list(params.get("controls", [-1.0, 0.0, 1.0]))
-    cs = ControlSet(np.asarray(controls, dtype=float))
+    sigma = _number(params, "sigma", 1.0)
+    controls = _numbers(params, "controls", [-1.0, 0.0, 1.0])
+    cs = ControlSet(controls)
 
     def drift(t, x, u, v):
         x = np.asarray(x, dtype=float)
@@ -225,10 +224,10 @@ def _dyn_drift_sum(params: dict) -> _Dynamics:
 
 
 def _dyn_coupled(params: dict) -> _Dynamics:
-    coupling = float(params.get("coupling", 4.0))
-    sigma = float(params.get("sigma", 1.0))
-    controls = list(params.get("controls", [-1.0, 1.0]))
-    cs = ControlSet(np.asarray(controls, dtype=float))
+    coupling = _number(params, "coupling", 4.0)
+    sigma = _number(params, "sigma", 1.0)
+    controls = _numbers(params, "controls", [-1.0, 1.0])
+    cs = ControlSet(controls)
 
     def drift(t, x, u, v):
         x = np.asarray(x, dtype=float)
@@ -240,16 +239,16 @@ def _dyn_coupled(params: dict) -> _Dynamics:
 
 
 def _dyn_static(params: dict) -> _Dynamics:
-    cu = ControlSet(np.asarray(list(params.get("controls_u", [0.0])), dtype=float))
-    cv = ControlSet(np.asarray(list(params.get("controls_v", [0.0])), dtype=float))
+    cu = ControlSet(_numbers(params, "controls_u", [0.0]))
+    cv = ControlSet(_numbers(params, "controls_v", [0.0]))
     return _Dynamics(1, 1, _zero_drift, _const_diffusion(0.0), cu, cv,
                      0.0, 0.0, 0.0, True)
 
 
 def _dyn_controlled_drift(params: dict) -> _Dynamics:
-    cu = ControlSet(np.asarray(list(params.get("controls_u", [-1.0, 0.0, 1.0])), dtype=float))
-    cv = ControlSet(np.asarray(list(params.get("controls_v", [0.0])), dtype=float))
-    sigma = float(params.get("sigma", 0.5))
+    cu = ControlSet(_numbers(params, "controls_u", [-1.0, 0.0, 1.0]))
+    cv = ControlSet(_numbers(params, "controls_v", [0.0]))
+    sigma = _number(params, "sigma", 0.5)
 
     def drift(t, x, u, v):
         x = np.asarray(x, dtype=float)
@@ -286,12 +285,12 @@ def _terminal_cost(name: str, params: dict) -> _Cost:
         return _Cost(lambda x: np.zeros(np.asarray(x).shape[:-1]), 0.0, 0.0, True, True)
     if name == "const":
         _require_keys(params, {"c"}, "terminal preset const")
-        c = float(params.get("c", 1.0))
+        c = _number(params, "c", 1.0)
         return _Cost(lambda x: np.full(np.asarray(x).shape[:-1], c), abs(c), 0.0, True)
     if name == "linear":
         _require_keys(params, {"a", "c"}, "terminal preset linear")
-        a = float(params.get("a", 1.0))
-        c = float(params.get("c", 0.0))
+        a = _number(params, "a", 1.0)
+        c = _number(params, "c", 0.0)
         return _Cost(
             lambda x: a * np.asarray(x, dtype=float)[..., 0] + c,
             abs(a) * _BOUND_RADIUS + abs(c),
@@ -300,8 +299,8 @@ def _terminal_cost(name: str, params: dict) -> _Cost:
         )
     if name == "abs":
         _require_keys(params, {"center", "scale"}, "terminal preset abs")
-        center = float(params.get("center", 0.0))
-        scale = float(params.get("scale", 1.0))
+        center = _number(params, "center", 0.0)
+        scale = _number(params, "scale", 1.0)
         return _Cost(
             lambda x: scale * np.abs(np.asarray(x, dtype=float)[..., 0] - center),
             abs(scale) * (_BOUND_RADIUS + abs(center)),
@@ -310,9 +309,9 @@ def _terminal_cost(name: str, params: dict) -> _Cost:
         )
     if name == "tanh":
         _require_keys(params, {"center", "scale", "amp"}, "terminal preset tanh")
-        center = float(params.get("center", 0.0))
-        scale = float(params.get("scale", 1.0))
-        amp = float(params.get("amp", 1.0))
+        center = _number(params, "center", 0.0)
+        scale = _number(params, "scale", 1.0)
+        amp = _number(params, "amp", 1.0)
         return _Cost(
             lambda x: amp * np.tanh(scale * (np.asarray(x, dtype=float)[..., 0] - center)),
             abs(amp),
@@ -329,12 +328,12 @@ def _running_cost(name: str, params: dict) -> _Cost:
                      0.0, 0.0, True, True)
     if name == "const":
         _require_keys(params, {"c"}, "running preset const")
-        c = float(params.get("c", 1.0))
+        c = _number(params, "c", 1.0)
         return _Cost(lambda t, x, u, v: np.full(np.asarray(x).shape[:-1], c),
                      abs(c), 0.0, True)
     if name == "bilinear-uv":
         _require_keys(params, {"c"}, "running preset bilinear-uv")
-        c = float(params.get("c", 1.0))
+        c = _number(params, "c", 1.0)
 
         def fn(t, x, u, v):
             return np.full(np.asarray(x).shape[:-1], c * float(np.dot(u, v)))
@@ -342,9 +341,9 @@ def _running_cost(name: str, params: dict) -> _Cost:
         return _Cost(fn, abs(c) * 4.0, 0.0, False)
     if name == "separated":
         _require_keys(params, {"au", "av", "c"}, "running preset separated")
-        au = float(params.get("au", 0.0))
-        av = float(params.get("av", 0.0))
-        c = float(params.get("c", 0.0))
+        au = _number(params, "au", 0.0)
+        av = _number(params, "av", 0.0)
+        c = _number(params, "c", 0.0)
 
         def fn(t, x, u, v):
             return np.full(np.asarray(x).shape[:-1], au * float(u[0]) + av * float(v[0]) + c)
@@ -352,8 +351,8 @@ def _running_cost(name: str, params: dict) -> _Cost:
         return _Cost(fn, abs(au) * 2 + abs(av) * 2 + abs(c), 0.0, True)
     if name == "state-linear":
         _require_keys(params, {"a", "c"}, "running preset state-linear")
-        a = float(params.get("a", 1.0))
-        c = float(params.get("c", 0.0))
+        a = _number(params, "a", 1.0)
+        c = _number(params, "c", 0.0)
         return _Cost(
             lambda t, x, u, v: a * np.asarray(x, dtype=float)[..., 0] + c,
             abs(a) * _BOUND_RADIUS + abs(c),
@@ -361,6 +360,23 @@ def _running_cost(name: str, params: dict) -> _Cost:
             True,
         )
     raise ConfigError(f"unknown running cost preset {name!r}")
+
+
+def _number(params: dict, key: str, default: float | None) -> float:
+    value = params.get(key, default)
+    # the range test also refuses nan, infinities and ints too large for a float
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not (
+        -sys.float_info.max <= value <= sys.float_info.max
+    ):
+        raise ConfigError(f"{key} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _numbers(params: dict, key: str, default: list) -> np.ndarray:
+    values = params.get(key, default)
+    if not isinstance(values, (list, tuple)):
+        raise ConfigError(f"{key} must be a list of numbers, got {values!r}")
+    return np.array([_number({key: v}, key, None) for v in values], dtype=float)
 
 
 def _require_keys(params: dict, allowed: set, where: str) -> None:
@@ -378,9 +394,12 @@ def _cost_ref(ref, kind: str) -> tuple[str, dict]:
         unknown = set(ref) - {"name", "params"}
         if unknown:
             raise ConfigError(f"{kind} cost reference: unknown keys {sorted(unknown)}")
-        if "name" not in ref:
-            raise ConfigError(f"{kind} cost reference missing 'name'")
-        return str(ref["name"]), dict(ref.get("params", {}))
+        if not isinstance(ref.get("name"), str):
+            raise ConfigError(f"{kind} cost reference needs a string 'name'")
+        params = ref.get("params", {})
+        if not isinstance(params, dict):
+            raise ConfigError(f"{kind} cost reference: params must be an object")
+        return ref["name"], dict(params)
     raise ConfigError(f"{kind} cost reference must be a string or object, got {type(ref).__name__}")
 
 
@@ -400,7 +419,7 @@ def resolved_config(cfg: dict) -> dict:
     for key in ("preset", "I", "J", "T", "g"):
         if key not in cfg:
             raise ConfigError(f"config: missing required key {key!r}")
-    if cfg["preset"] not in _DYNAMICS_PRESETS:
+    if not isinstance(cfg["preset"], str) or cfg["preset"] not in _DYNAMICS_PRESETS:
         raise ConfigError(
             f"unknown dynamics preset {cfg['preset']!r}; "
             f"known: {sorted(_DYNAMICS_PRESETS)}"
@@ -410,8 +429,8 @@ def resolved_config(cfg: dict) -> dict:
     i_count, j_count = cfg["I"], cfg["J"]
     if not (isinstance(i_count, int) and isinstance(j_count, int)) or i_count < 1 or j_count < 1:
         raise ConfigError("I and J must be integers >= 1")
-    horizon = cfg["T"]
-    if not isinstance(horizon, (int, float)) or not horizon > 0:
+    horizon = _number(cfg, "T", None)
+    if not horizon > 0:
         raise ConfigError("T must be a positive number")
 
     def check_matrix(mat, kind):
@@ -430,7 +449,7 @@ def resolved_config(cfg: dict) -> dict:
         "params": copy.deepcopy(params),
         "I": i_count,
         "J": j_count,
-        "T": float(horizon),
+        "T": horizon,
         "g": copy.deepcopy(cfg["g"]),
         "l": copy.deepcopy(cfg.get("l", [["zero"] * j_count for _ in range(i_count)])),
     }
@@ -456,7 +475,6 @@ def model_from_config(cfg: dict) -> GameModel:
         + [c.lipschitz for row in terminal_costs for c in row]
         + [c.lipschitz for row in running_costs for c in row]
     )
-    sup_bound = max(dyn.drift_bound, dyn.diffusion_bound, terminal_bound, running_bound)
 
     return GameModel(
         name=cfg["preset"],
@@ -474,7 +492,6 @@ def model_from_config(cfg: dict) -> GameModel:
         has_running=has_running,
         decoupled=decoupled,
         lipschitz_bound=max(lipschitz, 1.0),
-        sup_bound=sup_bound,
         drift_bound=dyn.drift_bound,
         diffusion_bound=dyn.diffusion_bound,
         terminal_bound=terminal_bound,
@@ -588,88 +605,3 @@ def preset(name: str, **overrides) -> GameModel:
             raise ConfigError(f"unknown config key {key!r}")
         cfg[key] = val
     return model_from_config(cfg)
-
-
-# ---------------------------------------------------------------------------
-# running-cost reduction to a terminal-payoff game
-
-
-@dataclass(frozen=True)
-class ExtendedModel:
-    """Terminal-payoff reformulation carrying cost accumulators.
-
-    The state gains one accumulator per type pair with dz_ij = l_ij dt and
-    zero diffusion; terminal costs become z_ij + g_ij(x).  Values of the
-    extended game at z = 0 equal values of the base game.
-    """
-
-    base: GameModel
-    game: GameModel
-
-    def z_index(self, i: int, j: int) -> int:
-        return self.base.state_dim + i * self.base.v_types + j
-
-
-def extend_with_running_cost(model: GameModel) -> ExtendedModel:
-    n = model.state_dim
-    pairs = [(i, j) for i in range(model.u_types) for j in range(model.v_types)]
-
-    def drift(t, xz, u, v):
-        xz = np.asarray(xz, dtype=float)
-        x = xz[..., :n]
-        b = np.asarray(model.drift(t, x, u, v), dtype=float)
-        rows = [np.asarray(model.running[i][j](t, x, u, v), dtype=float)[..., None]
-                for i, j in pairs]
-        return np.concatenate([b] + rows, axis=-1)
-
-    def diffusion(t, xz, u, v):
-        xz = np.asarray(xz, dtype=float)
-        x = xz[..., :n]
-        sig = np.asarray(model.diffusion(t, x, u, v), dtype=float)
-        zeros = np.zeros(x.shape[:-1] + (len(pairs), model.noise_dim))
-        return np.concatenate([sig, zeros], axis=-2)
-
-    def make_terminal(i: int, j: int):
-        slot = n + i * model.v_types + j
-        base_g = model.terminal[i][j]
-
-        def g(xz):
-            xz = np.asarray(xz, dtype=float)
-            return xz[..., slot] + base_g(xz[..., :n])
-
-        return g
-
-    def zero_running(t, xz, u, v):
-        return np.zeros(np.asarray(xz).shape[:-1])
-
-    game = GameModel(
-        name=f"{model.name}+accumulators",
-        state_dim=n + len(pairs),
-        noise_dim=model.noise_dim,
-        drift=drift,
-        diffusion=diffusion,
-        u_set=model.u_set,
-        v_set=model.v_set,
-        u_types=model.u_types,
-        v_types=model.v_types,
-        terminal=tuple(
-            tuple(make_terminal(i, j) for j in range(model.v_types))
-            for i in range(model.u_types)
-        ),
-        running=tuple(
-            tuple(zero_running for _ in range(model.v_types))
-            for _ in range(model.u_types)
-        ),
-        horizon=model.horizon,
-        has_running=False,
-        decoupled=model.decoupled,
-        lipschitz_bound=max(model.lipschitz_bound, 1.0),
-        sup_bound=model.sup_bound + model.running_bound * model.horizon,
-        drift_bound=max(model.drift_bound, model.running_bound),
-        diffusion_bound=model.diffusion_bound,
-        terminal_bound=model.terminal_bound + model.running_bound * model.horizon,
-        running_bound=0.0,
-        diag_diffusion=model.diag_diffusion,
-        config=model.config,
-    )
-    return ExtendedModel(base=model, game=game)

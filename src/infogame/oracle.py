@@ -168,6 +168,31 @@ def _forward_states(tree: TreeGame) -> tuple[dict[bytes, np.ndarray], ...]:
     return tuple(levels)
 
 
+def _stage_table(tree: TreeGame, k: int, x: np.ndarray, level: dict, running) -> np.ndarray:
+    """Stage values over control pairs, shape (|U|, |V|, ...).
+
+    Each entry is the mean of the children's values in `level` plus
+    running(t_k, x, u, v) * h; `running` is None when there is no running
+    cost.  Level values may be floats or arrays over a belief lattice.
+    """
+    model = tree.model
+    t_k = tree.time_at(k)
+    table = []
+    for u in model.u_set.values:
+        row = []
+        for v in model.v_set.values:
+            children = tree.branch_next(k, x, u, v)
+            ev = 0.0
+            for child in children:
+                ev = ev + level[child.tobytes()]
+            ev = ev / children.shape[0]
+            if running is not None:
+                ev = ev + running(t_k, x, u, v) * tree.h
+            row.append(ev)
+        table.append(row)
+    return np.array(table)
+
+
 @dataclass(frozen=True)
 class ClassicalResult:
     value: float
@@ -193,27 +218,11 @@ def classical_backward(tree: TreeGame, i: int = 0, j: int = 0, g=None, l=None) -
     values: list[dict[bytes, float]] = [{} for _ in range(tree.steps + 1)]
     for key, x in states[tree.steps].items():
         values[tree.steps][key] = float(gfn(x))
+    running = None if lfn is None else (lambda t, x, u, v: float(lfn(t, x, u, v)))
     for k in range(tree.steps - 1, -1, -1):
-        t_k = tree.time_at(k)
-        level = values[k + 1]
         for key, x in states[k].items():
-            best_u = math.inf
-            for u in model.u_set.values:
-                best_v = -math.inf
-                for v in model.v_set.values:
-                    children = tree.branch_next(k, x, u, v)
-                    ev = 0.0
-                    for child in children:
-                        ev += level[child.tobytes()]
-                    ev /= children.shape[0]
-                    stage = ev
-                    if lfn is not None:
-                        stage += float(lfn(t_k, x, u, v)) * tree.h
-                    if stage > best_v:
-                        best_v = stage
-                if best_v < best_u:
-                    best_u = best_v
-            values[k][key] = best_u
+            table = _stage_table(tree, k, x, values[k + 1], running)
+            values[k][key] = float(table.max(axis=1).min(axis=0))
     return ClassicalResult(
         value=values[0][tree.x0.tobytes()], levels=tuple(values), states=states
     )
@@ -243,26 +252,15 @@ def one_sided_recursion(tree: TreeGame, p_grid: SimplexGrid) -> OneSidedResult:
     values: list[dict[bytes, np.ndarray]] = [{} for _ in range(tree.steps + 1)]
     for row, key in zip(gcols @ pts.T, states[tree.steps].keys()):
         values[tree.steps][key] = row
+    def running(t, x, u, v):
+        return pts @ np.array([float(model.running[i][0](t, x, u, v)) for i in range(model.u_types)])
+
     for k in range(tree.steps - 1, -1, -1):
-        t_k = tree.time_at(k)
-        level = values[k + 1]
         for key, x in states[k].items():
-            table = np.empty((model.u_set.count, model.v_set.count, p_grid.npoints))
-            for a, u in enumerate(model.u_set.values):
-                for b, v in enumerate(model.v_set.values):
-                    children = tree.branch_next(k, x, u, v)
-                    ev = np.zeros(p_grid.npoints)
-                    for child in children:
-                        ev += level[child.tobytes()]
-                    ev /= children.shape[0]
-                    if model.has_running:
-                        lvec = np.array(
-                            [float(model.running[i][0](t_k, x, u, v)) for i in range(model.u_types)]
-                        )
-                        ev = ev + (pts @ lvec) * tree.h
-                    table[a, b] = ev
-            stage = table.max(axis=1).min(axis=0)
-            values[k][key] = vex_p(p_grid, stage)
+            table = _stage_table(
+                tree, k, x, values[k + 1], running if model.has_running else None
+            )
+            values[k][key] = vex_p(p_grid, table.max(axis=1).min(axis=0))
     return OneSidedResult(
         grid=p_grid,
         values=values[0][tree.x0.tobytes()],

@@ -13,6 +13,11 @@ atom pair and type pair (common random numbers), so mixtures and belief
 combinations are exactly bilinear in the weights.  Sample streams are
 derived from (seed, sample index); reductions are fixed-tree pairwise
 sums, so results do not depend on the worker count.
+
+The feedback strategy replays a solved field: its minimax control for
+every solved (t-slice, state node) comes from one batched
+`hamiltonian.pair_table` call when the strategy is built, so each step
+of a path is a table lookup.
 """
 
 from __future__ import annotations
@@ -25,8 +30,9 @@ import numpy as np
 
 from ._util import pairwise_mean, pairwise_sum, parallel_map
 from .errors import ConfigError
-from .model import GameModel, running_matrix
-from .solver import SolveResult
+from .hamiltonian import pair_table
+from .model import GameModel
+from .solver import SolveResult, _derivatives, _hessians
 
 _DIVISIBILITY_TOL = 1e-9
 
@@ -436,45 +442,39 @@ def feedback_from_field(
 ) -> list[RandomStrategy]:
     """Markov minimax selection from a solved field at a frozen belief.
 
-    At each cell start the rule reads the nearest solved slice and state
-    node, forms the dissipation-free control table from local central
-    differences at the frozen belief pair, and plays the minimax selection
-    for its side (first index on ties).  Every own type receives the same
-    degenerate mixture.
+    The picks are computed once for every solved (t-slice, state node):
+    central-difference derivatives of the field at the frozen belief pair
+    feed the dissipation-free control table of `hamiltonian.pair_table`,
+    and each side takes its minimax selection (first index on ties).  At
+    each cell start the rule looks up the pick of the nearest solved slice
+    and state node.  Every own type receives the same degenerate mixture.
     """
     if side not in ("u", "v"):
         raise ConfigError("side must be 'u' or 'v'")
     p0 = np.asarray(p0, dtype=float)
     q0 = np.asarray(q0, dtype=float)
     grids = result.grids
+    grid = grids.state
     p_idx = int(np.argmin(np.linalg.norm(grids.p.points - p0[None, :], axis=1)))
     q_idx = int(np.argmin(np.linalg.norm(grids.q.points - q0[None, :], axis=1)))
     times = result.times
-    stack = np.stack([f.values for f in result.fields])  # (nt, *shape, NP, NQ)
-    slab = stack[..., p_idx, q_idx]  # (nt, *shape)
-    p_vec = grids.p.points[p_idx]
-    q_vec = grids.q.points[q_idx]
-    axes = grids.state.axes
-    spacing = grids.state.spacing
-    n = grids.state.ndim
+    slab = np.stack([f.values[..., p_idx, q_idx] for f in result.fields], axis=-1)
+    grad, second, mixed = _derivatives(grid, slab)  # state axes, then t
+    table = pair_table(
+        model,
+        times,
+        grid.mesh()[..., None, :],
+        np.stack(grad, axis=-1),
+        _hessians(grid, second, mixed),
+        grids.p.points[p_idx],
+        grids.q.points[q_idx],
+        run_sign=1.0,
+    )  # (*shape, nt, |U|, |V|)
+    if side == "u":
+        controls, picks = model.u_set, np.argmin(table.max(axis=-1), axis=-1)
+    else:
+        controls, picks = model.v_set, np.argmax(table.min(axis=-2), axis=-1)
     step_h = result.dt if h is None else float(h)
-
-    def local_derivatives(ti: int, node: tuple[int, ...]):
-        w = slab[ti]
-        grad = np.empty(n)
-        hess = np.zeros((n, n))
-        for k in range(n):
-            m = axes[k].size
-            if m == 1:
-                grad[k] = 0.0
-                continue
-            up = list(node)
-            dn = list(node)
-            up[k] = node[k] + 1 if node[k] + 1 < m else m - 2
-            dn[k] = node[k] - 1 if node[k] - 1 >= 0 else 1
-            grad[k] = (w[tuple(up)] - w[tuple(dn)]) / (2 * spacing[k])
-            hess[k, k] = (w[tuple(up)] - 2 * w[node] + w[tuple(dn)]) / spacing[k] ** 2
-        return grad, hess
 
     def rule(step, x_obs, opp_obs):
         cell_start = (step // delay_cells) * delay_cells
@@ -482,29 +482,12 @@ def feedback_from_field(
         ti = int(np.argmin(np.abs(times - t_c)))
         x_now = x_obs[-1]
         node = tuple(
-            int(np.clip(np.rint((x_now[k] - axes[k][0]) / spacing[k]), 0, axes[k].size - 1))
-            if axes[k].size > 1
+            int(np.clip(np.rint((x_now[k] - ax[0]) / dx), 0, ax.size - 1))
+            if ax.size > 1
             else 0
-            for k in range(n)
+            for k, (ax, dx) in enumerate(zip(grid.axes, grid.spacing))
         )
-        grad, hess = local_derivatives(ti, node)
-        t_eval = float(times[ti])
-        x_eval = np.array([axes[k][node[k]] for k in range(n)])
-        table = np.empty((model.u_set.count, model.v_set.count))
-        for a, u in enumerate(model.u_set.values):
-            for b, v in enumerate(model.v_set.values):
-                bvec = np.asarray(model.drift(t_eval, x_eval, u, v), dtype=float)
-                sig = np.asarray(model.diffusion(t_eval, x_eval, u, v), dtype=float)
-                val = float(bvec @ grad) + 0.5 * float(np.sum(hess * (sig @ sig.T)))
-                if model.has_running:
-                    lmat = running_matrix(model, t_eval, x_eval, u, v)
-                    val += float(p_vec @ lmat @ q_vec)
-                table[a, b] = val
-        if side == "u":
-            pick = int(np.argmin(table.max(axis=1)))
-            return model.u_set.values[pick]
-        pick = int(np.argmax(table.min(axis=0)))
-        return model.v_set.values[pick]
+        return controls.values[picks[node + (ti,)]]
 
     own_types = model.u_types if side == "u" else model.v_types
     pure = PureStrategy(side=side, delay_cells=delay_cells, rule=rule, label=label)

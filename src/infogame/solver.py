@@ -22,9 +22,11 @@ step runs.  Boundaries use zero-gradient mirror ghosts; assertions about
 solved values are made on interior cores away from the numerical domain
 of dependence of the boundary.
 
-The running term enters H_num as +sum_ij l_ij p_i q_j: that is the sign
-under which smooth complete-information values satisfy the scheme's
-equation pointwise and pure running cost integrates to elapsed time.
+The exact minimax is the min-max reduction of one `hamiltonian.pair_table`
+call over every (x, p, q) cell of the slice.  The running term enters
+H_num as +sum_ij l_ij p_i q_j: that is the sign under which smooth
+complete-information values satisfy the scheme's equation pointwise and
+pure running cost integrates to elapsed time.
 
 Each envelope pass hands the whole slice to `transform.vex_rows` as one
 (rows, npoints) table, and the convexity certificates are one batched
@@ -40,8 +42,8 @@ import numpy as np
 
 from . import transform
 from .errors import ConfigError, NumericsError
-from .hamiltonian import sample_isaacs_gap
-from .model import GameModel, restrict_to_types, running_matrix, terminal_matrix
+from .hamiltonian import pair_table, sample_isaacs_gap
+from .model import GameModel, restrict_to_types, terminal_matrix
 from .simplex import SimplexGrid, build_grid, convexity_violations
 
 _MEMORY_CAP_BYTES = 2 * 1024**3
@@ -226,40 +228,36 @@ def _derivatives(grid: StateGrid, values: np.ndarray):
     return grad, second, mixed
 
 
+def _hessians(grid: StateGrid, second, mixed) -> np.ndarray:
+    """Stack the stencil second derivatives into (..., n, n) matrices."""
+    n = grid.ndim
+    hess = np.empty(second[0].shape + (n, n))
+    for k in range(n):
+        hess[..., k, k] = second[k]
+    for (k, l), d2 in mixed.items():
+        hess[..., k, l] = hess[..., l, k] = d2
+    return hess
+
+
 def numerical_hamiltonian(
     model: GameModel, grids: Grids, t: float, values: np.ndarray
 ) -> np.ndarray:
     """Dissipated exact minimax over the control grid, game sign convention."""
     grid = grids.state
-    n = grid.ndim
-    mesh = grid.mesh()
     grad, second, mixed = _derivatives(grid, values)
-    p_pts, q_pts = grids.p.points, grids.q.points
-
-    best_over_u = None
-    for u in model.u_set.values:
-        best_over_v = None
-        for v in model.v_set.values:
-            b = np.asarray(model.drift(t, mesh, u, v), dtype=float)
-            sig = np.asarray(model.diffusion(t, mesh, u, v), dtype=float)
-            diff_mat = np.einsum("...ik,...jk->...ij", sig, sig)
-            total = np.zeros_like(values)
-            for k in range(n):
-                total = total + b[..., k, None, None] * grad[k]
-                total = total + 0.5 * diff_mat[..., k, k, None, None] * second[k]
-            for (k, l), d2 in mixed.items():
-                total = total + diff_mat[..., k, l, None, None] * d2
-            if model.has_running:
-                lmat = running_matrix(model, t, mesh, u, v)
-                total = total + np.einsum("...ij,ai,bj->...ab", lmat, p_pts, q_pts)
-            best_over_v = total if best_over_v is None else np.maximum(best_over_v, total)
-        best_over_u = (
-            best_over_v if best_over_u is None else np.minimum(best_over_u, best_over_v)
-        )
-
-    ham = best_over_u
+    table = pair_table(
+        model,
+        t,
+        grid.mesh()[..., None, None, :],
+        np.stack(grad, axis=-1),
+        _hessians(grid, second, mixed),
+        grids.p.points[:, None, :],
+        grids.q.points[None, :, :],
+        run_sign=1.0,
+    )
+    ham = table.max(axis=-1).min(axis=-1)
     if model.drift_bound > 0:
-        for k in range(n):
+        for k in range(grid.ndim):
             if grid.axes[k].size > 1:
                 ham = ham + (0.5 * model.drift_bound * grid.spacing[k]) * second[k]
     return ham
@@ -366,8 +364,10 @@ def solve(
     check_commutation: bool = True,
 ) -> SolveResult:
     _check_grids(model, grids)
-    if not t0 < model.horizon:
-        raise ConfigError("t0 must lie before the horizon")
+    if not (np.isfinite(t0) and t0 < model.horizon):
+        raise ConfigError("t0 must be finite and lie before the horizon")
+    if not (np.isfinite(dt) and dt > 0):
+        raise ConfigError("dt must be positive and finite")
     span = model.horizon - t0
     steps = int(round(span / dt))
     if steps < 1 or abs(steps * dt - span) > 1e-9 * max(1.0, span):

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, NumericsError
 from .simplex import SimplexGrid, convexity_violations, discrete_convexity_violation
 
 TIE_TOLERANCE = 1e-12
@@ -39,16 +39,6 @@ def _already_convex(grid: SimplexGrid, values: np.ndarray) -> bool:
 class ConjugateValue:
     value: float
     support: tuple[int, ...]  # grid indices attaining the optimum, ties included
-
-
-@dataclass(frozen=True)
-class DualField:
-    """Conjugate samples of one tabulated function over a finite probe set."""
-
-    grid: SimplexGrid
-    probes: np.ndarray  # (nprobes, dim)
-    values: np.ndarray  # (nprobes,)
-    supports: tuple[tuple[int, ...], ...]
 
 
 def _check_values(grid: SimplexGrid, values: np.ndarray) -> np.ndarray:
@@ -183,17 +173,25 @@ def _lifted_lower_facets(
     Returns (gradients, offsets, member node indices): each facet is the
     affine map q -> <g, q> + c on reduced coordinates.
     """
-    from scipy.spatial import ConvexHull
+    from scipy.spatial import ConvexHull, QhullError
 
     reduced = grid.points[:, :-1]
-    lifted = np.column_stack([reduced, values])
-    hull = ConvexHull(lifted)
+    # values far larger than the unit lattice can defeat Qhull's precision
+    # checks; the hull of the cloud with w scaled down has the same facets
+    for scale in (1.0, max(1.0, float(np.max(np.abs(values))))):
+        try:
+            hull = ConvexHull(np.column_stack([reduced, values / scale]))
+            break
+        except QhullError as exc:
+            failure = exc
+    else:
+        raise NumericsError(f"lifted hull failed: {failure}")
     eqs = hull.equations  # rows: (normal..., offset), normal . y + offset <= 0 inside
     down = eqs[:, -2] < -1e-12
     if not np.any(down):
         raise ConfigError("degenerate lifted hull: no downward facets")
-    grads = -eqs[down, :-2] / eqs[down, -2:-1]
-    offs = -eqs[down, -1] / eqs[down, -2]
+    grads = -eqs[down, :-2] * scale / eqs[down, -2:-1]
+    offs = -eqs[down, -1] * scale / eqs[down, -2]
     members = np.unique(hull.simplices[down].ravel())
     return grads, offs, members
 
@@ -309,29 +307,3 @@ def biconjugate_p(
     scores = grid.points @ probe_arr.T - values[:, None]  # (npoints, nprobes)
     conj = scores.max(axis=0)
     return np.max(grid.points @ probe_arr.T - conj[None, :], axis=1)
-
-
-def dual_field(grid: SimplexGrid, values: np.ndarray, probes: np.ndarray) -> DualField:
-    probes = np.asarray(probes, dtype=float)
-    if probes.ndim != 2 or probes.shape[1] != grid.dim:
-        raise ConfigError("probes must have shape (nprobes, dim)")
-    vals = np.empty(probes.shape[0])
-    supports = []
-    for r, probe in enumerate(probes):
-        cj = conjugate_p(grid, values, probe)
-        vals[r] = cj.value
-        supports.append(cj.support)
-    return DualField(grid=grid, probes=probes, values=vals, supports=tuple(supports))
-
-
-def subdifferential_margin(field: DualField, probe_index: int, point_index: int) -> float:
-    """Worst violation of the subgradient inequality against all probes.
-
-    Tests w*(s) + <p, s' - s> <= w*(s') for every probe s'; a result
-    <= TIE_TOLERANCE certifies that the grid point belongs to the
-    subdifferential of the conjugate at probe s (relative to the family).
-    """
-    p = field.grid.points[point_index]
-    s = field.probes[probe_index]
-    lhs = field.values[probe_index] + (field.probes - s) @ p
-    return float(np.max(lhs - field.values))

@@ -1,0 +1,259 @@
+"""Fuzzed configs, flags and input files never crash the command line.
+
+The exit-code contract is 0 on success, 2 on configuration errors and 3
+on numeric failures; 1 means an unexpected exception with a traceback.
+The examples mutate valid configs, solve outputs and lattice tables on
+tiny grids so that most of them reach past the first validation step.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import itertools
+import json
+import math
+import shutil
+import tempfile
+from pathlib import Path
+
+import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+
+from infogame.cli import main
+from infogame.model import preset_config
+
+PRESETS = (
+    "drift-sum-1d",
+    "coupled-1d",
+    "static-bilinear",
+    "running-matrix",
+    "running-matrix-informed",
+    "one-sided-drift-1d",
+    "two-sided-1d",
+)
+NAMES = (
+    "drift-sum-1d", "coupled-1d", "static-1d", "controlled-drift-1d",
+    "zero", "const", "linear", "abs", "tanh", "bilinear-uv", "separated", "state-linear",
+)
+KEYS = (
+    "preset", "params", "I", "J", "T", "g", "l", "sigma", "controls", "coupling",
+    "controls_u", "controls_v", "c", "a", "au", "av", "center", "scale", "amp", "name",
+)
+
+leaves = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 5),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.text(max_size=4),
+    st.sampled_from(NAMES),
+)
+json_values = st.recursive(
+    leaves,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(KEYS) | st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+numbers = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True), st.integers(-3, 5).map(float)
+)
+
+
+@st.composite
+def configs(draw):
+    cfg = preset_config(draw(st.sampled_from(PRESETS)))
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(("top", "drop", "param", "cost")))
+        if kind == "top":
+            cfg[draw(st.sampled_from(KEYS[:7]) | st.text(max_size=3))] = draw(json_values)
+        elif kind == "drop" and cfg:
+            cfg.pop(draw(st.sampled_from(sorted(cfg))))
+        elif kind == "param":
+            if not isinstance(cfg.get("params"), dict):
+                cfg["params"] = {}
+            cfg["params"][draw(st.sampled_from(KEYS[7:13]))] = draw(json_values)
+        elif kind == "cost":
+            matrix = cfg.get(draw(st.sampled_from(("g", "l"))))
+            if isinstance(matrix, list) and matrix and isinstance(matrix[0], list) and matrix[0]:
+                matrix[0][0] = draw(
+                    json_values
+                    | st.fixed_dictionaries(
+                        {"name": st.sampled_from(NAMES), "params": json_values}
+                    )
+                )
+    return cfg
+
+
+def exit_code(argv) -> tuple[int, str]:
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        try:
+            code = main([str(a) for a in argv])
+        except SystemExit as exc:  # argparse usage errors
+            code = exc.code
+    return code, err.getvalue()
+
+
+def assert_contract(argv):
+    code, err = exit_code(argv)
+    assert code in (0, 2, 3), f"exit {code} for {argv}:\n{err}"
+
+
+# derandomized, so every run of the suite draws the same examples
+FUZZ = settings(
+    max_examples=100,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+def usual(value, wild):
+    """Mostly a value that lets the run go on, sometimes anything."""
+    return st.one_of(st.just(value), st.just(value), wild)
+
+
+@FUZZ
+@given(
+    cfg=configs(),
+    nx=st.integers(-1, 6),
+    np_res=usual(2, st.integers(-1, 3)),
+    nq_res=usual(2, st.integers(-1, 3)),
+    bounds=st.sampled_from(((-2.0, 2.0), (-40.0, 40.0))) | st.tuples(numbers, numbers),
+    t0=usual(0.0, numbers),
+    cfl=usual(0.5, numbers),
+    seed=usual(0, st.integers(-3, 2**70)),
+    samples=usual(8, st.integers(-1, 8)),
+)
+@example(  # an infinite t0 once made the step count NaN
+    cfg=preset_config("drift-sum-1d"), nx=2, np_res=2, nq_res=2, bounds=(-2.0, 2.0),
+    t0=-math.inf, cfl=0.5, seed=0, samples=8,
+)
+@example(  # a negative seed once reached SeedSequence
+    cfg=preset_config("two-sided-1d"), nx=5, np_res=2, nq_res=2, bounds=(-40.0, 40.0),
+    t0=0.0, cfl=0.5, seed=-1, samples=8,
+)
+def test_solve_exit_codes(workdir, cfg, nx, np_res, nq_res, bounds, t0, cfl, seed, samples):
+    work = Path(tempfile.mkdtemp(dir=workdir))
+    config = work / "config.json"
+    config.write_text(json.dumps(cfg))
+    # "--flag=value" keeps argparse from reading a negative value as a flag
+    lo, hi = bounds
+    assert_contract([
+        "solve", "--config", config, "--out", work / "out", "--steps", 1,
+        f"--nx={nx}", f"--np={np_res}", f"--nq={nq_res}", "--bounds", f"{lo}", f"{hi}",
+        f"--t0={t0}", f"--cfl={cfl}", f"--seed={seed}", f"--isaacs-samples={samples}",
+    ])
+    shutil.rmtree(work)
+
+
+@pytest.fixture(scope="module")
+def solved(workdir):
+    out = workdir / "solved"
+    code, err = exit_code([
+        "solve", "--preset", "one-sided-drift-1d", "--out", out, "--nx", 15,
+        "--bounds", "-1.5", "1.5", "--np", 2, "--nq", 1, "--steps", 6,
+    ])
+    assert code == 0, err
+    return out
+
+
+@st.composite
+def file_edits(draw):
+    """(file name, edit) pairs that damage a solve directory."""
+    edits = []
+    for _ in range(draw(st.integers(0, 2))):
+        if draw(st.booleans()):
+            path = draw(st.sampled_from((
+                ("config",), ("grid",), ("grid", "counts"), ("grid", "bounds"),
+                ("grid", "p_resolution"), ("times",), ("t0",), ("dt",), ("config", "T"),
+            )))
+            edits.append(("diagnostics.json", path, draw(st.none() | json_values)))
+        else:
+            edits.append(("slices.csv", draw(st.integers(0, 40)), draw(st.text(max_size=8))))
+    return edits
+
+
+def damage(directory: Path, edits) -> None:
+    for name, where, value in edits:
+        target = directory / name
+        if name == "diagnostics.json":
+            meta = json.loads(target.read_text())
+            node = meta
+            for key in where[:-1]:
+                node = node.get(key) if isinstance(node, dict) else None
+            if isinstance(node, dict):
+                if value is None:
+                    node.pop(where[-1], None)
+                else:
+                    node[where[-1]] = value
+            target.write_text(json.dumps(meta))
+        else:
+            lines = target.read_text().splitlines()
+            lines[where % len(lines)] = value
+            target.write_text("\n".join(lines) + "\n")
+
+
+@FUZZ
+@given(
+    edits=file_edits(),
+    tol=st.none() | numbers,
+    max_checks=usual(50, st.integers(-2, 50)),
+    missing=st.integers(0, 9).map(lambda k: k == 0),
+)
+@example(edits=[], tol=None, max_checks=0, missing=False)  # once a ZeroDivisionError
+def test_check_exit_codes(workdir, solved, edits, tol, max_checks, missing):
+    work = Path(tempfile.mkdtemp(dir=workdir))
+    target = work / "solve"
+    if not missing:
+        shutil.copytree(solved, target)
+        damage(target, edits)
+    argv = ["check", "--solve", target, "--out", work / "check.json", f"--max-checks={max_checks}"]
+    if tol is not None:
+        argv.append(f"--tol={tol}")
+    assert_contract(argv)
+    shutil.rmtree(work)
+
+
+@st.composite
+def tables(draw):
+    dim = draw(st.integers(1, 4))
+    axis = draw(st.sampled_from(("p", "q", "p", "q", "x")))
+    header = [f"{axis}_{k + 1}" for k in range(dim)] + ["w"]
+    if draw(st.integers(0, 4)) == 0:
+        header = draw(st.permutations(header + ["v"]))[: dim + 1]
+    res = draw(st.integers(1, 3))
+    # mostly the whole lattice in a random order, sometimes random points
+    points = [c for c in itertools.product(range(res + 1), repeat=dim) if sum(c) == res]
+    if draw(st.integers(0, 3)) == 0:
+        points = draw(st.lists(st.sampled_from(points), max_size=8))
+    else:
+        points = draw(st.permutations(points))
+    rows = []
+    for nums in points:
+        cells = [repr(n / res) for n in nums] + [repr(draw(numbers))]
+        if draw(st.integers(0, 9)) == 0:
+            cells[draw(st.integers(0, dim))] = draw(st.text(max_size=3))
+        if draw(st.integers(0, 9)) == 0:
+            cells = cells[: draw(st.integers(0, dim))]
+        rows.append(",".join(cells))
+    return "\n".join([",".join(header)] + rows) + "\n"
+
+
+@FUZZ
+@given(table=tables(), mode=st.sampled_from(("vex", "cav", "hull")))
+@example(table="p_1,p_2,w\n1.0,0.0,x\n0.0,1.0,0.0\n", mode="vex")  # once a ValueError
+def test_convexify_exit_codes(workdir, table, mode):
+    work = Path(tempfile.mkdtemp(dir=workdir))
+    path = work / "table.csv"
+    path.write_text(table)
+    assert_contract(["convexify", "--table", path, "--out", work / "out.csv", "--mode", mode])
+    shutil.rmtree(work)

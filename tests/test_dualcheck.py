@@ -41,6 +41,17 @@ def drift_solve():
     return solve(m, grids, t0=0.0, dt=0.01)
 
 
+@pytest.fixture(scope="module")
+def two_sided_solve():
+    m = preset("two-sided-1d")
+    grids = Grids(
+        state=build_state_grid([(-2.0, 2.0)], [41]),
+        p=build_grid(2, 4),
+        q=build_grid(2, 4),
+    )
+    return solve(m, grids, t0=0.0, dt=m.horizon / 25)
+
+
 def perturbed(result, eps):
     """Add eps * (T - t) to every slice; affine in t, flat in everything else."""
     T = result.model.horizon
@@ -96,6 +107,20 @@ def test_uniform_defect_survives_heavy_subsampling(static_solve):
     report = check_dual_solution(perturbed(static_solve, eps), max_checks=7)
     assert report.checks_super <= 8 and report.checks_sub <= 8
     assert not report.subsolution_ok
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_local_slice_defect_breaks_both_inequalities(two_sided_solve, sign):
+    # one interior slice shifted by c dt: the centred time difference jumps
+    # by c / 2 with opposite signs on its two neighbours
+    result = two_sided_solve
+    k = len(result.fields) // 2
+    fields = list(result.fields)
+    fields[k] = replace(fields[k], values=fields[k].values + sign * 10.0 * result.dt)
+    assert check_dual_solution(result).supersolution_ok
+    report = check_dual_solution(replace(result, fields=fields))
+    assert not report.supersolution_ok, report.supersolution_residual
+    assert not report.subsolution_ok, report.subsolution_residual
 
 
 def test_crosscheck_agrees_with_conjugate_route(static_solve):

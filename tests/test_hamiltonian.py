@@ -2,7 +2,8 @@
 
 Reference values were computed by enumerating the control tables by
 hand; they pin both the minimax orders and the sign with which the
-running term enters each variant.
+running term enters each variant.  The batched kernel is checked bitwise
+against a scalar loop over points and control pairs.
 """
 
 from __future__ import annotations
@@ -14,15 +15,23 @@ from infogame.errors import ConfigError
 from infogame.hamiltonian import (
     HamiltonianQuery,
     ham_bellman_inf_sup,
-    ham_dual_minus,
-    ham_dual_plus,
     ham_inf_sup,
     ham_sup_inf,
     isaacs_gap,
     pair_table,
     sample_isaacs_gap,
 )
-from infogame.model import preset
+from infogame.model import preset, running_matrix
+
+PRESETS = (
+    "drift-sum-1d",
+    "coupled-1d",
+    "static-bilinear",
+    "running-matrix",
+    "running-matrix-informed",
+    "one-sided-drift-1d",
+    "two-sided-1d",
+)
 
 
 def q1(grad, hess, t=0.0, x=0.0, p=None, q=None):
@@ -69,41 +78,109 @@ def test_coupled_game_order_gap():
     assert isaacs_gap(m, q1(grad=1.0, hess=0.0)) == 8.0
 
 
+def one_point(model, grad, hess, p, q, run_sign):
+    return pair_table(
+        model, 0.0, np.zeros(1), np.atleast_1d(grad), np.atleast_2d(hess),
+        np.asarray(p, dtype=float), np.asarray(q, dtype=float), run_sign,
+    )
+
+
 def test_pair_table_shape_and_beliefs():
     m = preset("running-matrix-informed")
-    t = pair_table(m, q1(grad=0.0, hess=0.0, p=[1.0, 0.0], q=[1.0]), run_sign=1.0)
+    t = one_point(m, 0.0, 0.0, [1.0, 0.0], [1.0], run_sign=1.0)
     assert t.shape == (2, 2)
     # l_0(u, v) = u + 0.4 v at the four corners
     np.testing.assert_allclose(t, [[-1.4, -0.6], [0.6, 1.4]], atol=1e-15)
+    batch = pair_table(
+        m, np.zeros((3, 1)), np.zeros((3, 1, 1)), np.zeros((1, 4, 1)), np.zeros((1, 1, 1)),
+        np.array([1.0, 0.0]), np.array([1.0]), 1.0,
+    )
+    assert batch.shape == (3, 4, 2, 2)
+    assert np.array_equal(batch, np.broadcast_to(t, batch.shape))
+
+
+def reference_table(model, t, x, grad, hess, p, q, run_sign):
+    """One point and one control pair at a time, in the kernel's order."""
+    n = model.state_dim
+    out = np.empty((model.u_set.count, model.v_set.count))
+    for a, u in enumerate(model.u_set.values):
+        for b, v in enumerate(model.v_set.values):
+            drift = model.drift(t, x, u, v)
+            sig = model.diffusion(t, x, u, v)
+            cov = sig @ sig.T
+            total = 0.0
+            for k in range(n):
+                total = total + drift[k] * grad[k]
+                total = total + 0.5 * cov[k, k] * hess[k, k]
+            for k in range(n):
+                for l in range(k + 1, n):
+                    total = total + cov[k, l] * hess[k, l]
+            if run_sign != 0.0 and model.has_running:
+                lmat = running_matrix(model, t, x, u, v)
+                run = 0.0
+                for i in range(model.u_types):
+                    for j in range(model.v_types):
+                        run = run + lmat[i, j] * p[i] * q[j]
+                total = total + run_sign * run
+            out[a, b] = total
+    return out
+
+
+def random_batch(model, rng, size):
+    n = model.state_dim
+    raw = rng.standard_normal((size, n, n))
+    return (
+        rng.uniform(0.0, model.horizon, size),
+        rng.uniform(-2.0, 2.0, (size, n)),
+        rng.standard_normal((size, n)),
+        0.5 * (raw + np.swapaxes(raw, -1, -2)),
+        rng.dirichlet(np.ones(model.u_types), size),
+        rng.dirichlet(np.ones(model.v_types), size),
+    )
+
+
+@pytest.mark.parametrize("name", PRESETS)
+def test_pair_table_matches_a_per_pair_loop(name):
+    m = preset(name)
+    rng = np.random.default_rng(11)
+    t, x, grad, hess, p, q = random_batch(m, rng, 40)
+    for run_sign in (-1.0, 0.0, 1.0):
+        batch = pair_table(m, t, x, grad, hess, p, q, run_sign)
+        assert batch.shape == (40, m.u_set.count, m.v_set.count)
+        for s in range(40):
+            ref = reference_table(m, t[s], x[s], grad[s], hess[s], p[s], q[s], run_sign)
+            assert np.array_equal(batch[s], ref), (name, run_sign, s)
 
 
 def test_dual_variants_swap_roles():
-    m = preset("two-sided-1d")
+    """Reflection identity: negating the jet and the running sign negates
+    the table, so the +sum l p q scans with swapped optimization roles
+    are minus the literal-sign Hamiltonians at the reflected jet."""
     rng = np.random.default_rng(2)
-    for _ in range(20):
-        grad = rng.standard_normal(1)
-        hess = rng.standard_normal((1, 1))
-        p = rng.dirichlet(np.ones(2))
-        q = rng.dirichlet(np.ones(2))
-        x = rng.uniform(-2, 2, 1)
-        minus = ham_dual_minus(m, 0.1, x, grad, hess, p=p, q=q)
-        plus = ham_dual_plus(m, 0.1, x, grad, hess, p=p, q=q)
-        # reflection identity, exact to the bit: negation mirrors the scan
-        assert minus == -ham_sup_inf(m, q1(grad=-grad, hess=-hess, x=x, t=0.1, p=p, q=q))
-        assert plus == -ham_inf_sup(m, q1(grad=-grad, hess=-hess, x=x, t=0.1, p=p, q=q))
-        assert plus <= minus + 1e-12
+    for name in PRESETS:
+        m = preset(name)
+        t, x, grad, hess, p, q = random_batch(m, rng, 30)
+        plus = pair_table(m, t, x, grad, hess, p, q, 1.0)
+        assert np.array_equal(plus, -pair_table(m, t, x, -grad, -hess, p, q, -1.0)), name
+        min_v_max_u = plus.max(axis=-2).min(axis=-1)
+        max_u_min_v = plus.min(axis=-1).max(axis=-1)
+        for s in range(30):
+            reflected = HamiltonianQuery(
+                t=t[s], x=x[s], grad=-grad[s], hess=-hess[s], p=p[s], q=q[s]
+            )
+            assert min_v_max_u[s] == -ham_sup_inf(m, reflected)
+            assert max_u_min_v[s] == -ham_inf_sup(m, reflected)
+            assert max_u_min_v[s] <= min_v_max_u[s]
 
 
 def test_decoupled_dual_variants_agree():
     m = preset("two-sided-1d")
-    rng = np.random.default_rng(4)
-    for _ in range(10):
-        grad = rng.standard_normal(1)
-        p = rng.dirichlet(np.ones(2))
-        q = rng.dirichlet(np.ones(2))
-        minus = ham_dual_minus(m, 0.0, np.zeros(1), grad, np.zeros((1, 1)), p=p, q=q)
-        plus = ham_dual_plus(m, 0.0, np.zeros(1), grad, np.zeros((1, 1)), p=p, q=q)
-        assert minus == pytest.approx(plus, abs=1e-12)
+    t, x, grad, hess, p, q = random_batch(m, np.random.default_rng(4), 10)
+    table = pair_table(m, t, x, grad, np.zeros_like(hess), p, q, 1.0)
+    # separable controls: both orders of the game-role scan agree
+    np.testing.assert_allclose(
+        table.max(axis=-1).min(axis=-1), table.min(axis=-2).max(axis=-1), rtol=0, atol=1e-12
+    )
 
 
 def test_monotone_in_hessian():
@@ -118,14 +195,10 @@ def test_running_term_bilinear_in_beliefs():
     corners = {}
     for i in range(2):
         for j in range(2):
-            p = np.eye(2)[i]
-            q = np.eye(2)[j]
-            corners[(i, j)] = pair_table(
-                m, q1(grad=0.0, hess=0.0, p=p, q=q), run_sign=1.0
-            )
+            corners[(i, j)] = one_point(m, 0.0, 0.0, np.eye(2)[i], np.eye(2)[j], run_sign=1.0)
     p = np.array([0.3, 0.7])
     q = np.array([0.6, 0.4])
-    blended = pair_table(m, q1(grad=0.0, hess=0.0, p=p, q=q), run_sign=1.0)
+    blended = one_point(m, 0.0, 0.0, p, q, run_sign=1.0)
     manual = sum(
         p[i] * q[j] * corners[(i, j)] for i in range(2) for j in range(2)
     )
@@ -158,3 +231,23 @@ def test_sampled_gap_documented_unit_query():
     clean = sample_isaacs_gap(m2, samples=256, seed=0)
     assert clean["unit_query_gap"] == 0.0
     assert clean["max_sampled_gap"] <= 1e-12
+
+
+@pytest.mark.parametrize("name", PRESETS)
+def test_sampled_gap_is_the_max_over_single_queries(name):
+    m = preset(name)
+    rep = sample_isaacs_gap(m, samples=50, seed=3, x_box=(-1.0, 2.0), t_range=(0.1, 0.3))
+    # the same queries, drawn in the documented order, one at a time
+    rng = np.random.default_rng(np.random.SeedSequence(3))
+    gaps = [isaacs_gap(m, HamiltonianQuery(t=0.1, x=[0.5], grad=[1.0], hess=[[0.0]]))]
+    for _ in range(49):
+        x = rng.uniform(-1.0, 2.0, size=1)
+        grad = rng.standard_normal(1)
+        raw = rng.standard_normal((1, 1))
+        p = rng.dirichlet(np.ones(m.u_types))
+        q = rng.dirichlet(np.ones(m.v_types))
+        t = float(rng.uniform(0.1, 0.3))
+        gaps.append(isaacs_gap(m, HamiltonianQuery(t=t, x=x, grad=grad, hess=0.5 * (raw + raw.T), p=p, q=q)))
+    assert rep == {"unit_query_gap": gaps[0], "max_sampled_gap": max(gaps), "samples": 50}
+    with pytest.raises(ConfigError):
+        sample_isaacs_gap(m, samples=4, seed=-1)

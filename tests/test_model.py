@@ -7,7 +7,6 @@ from infogame.errors import ConfigError, InvalidControlError
 from infogame.model import (
     ControlSet,
     evaluate_dynamics,
-    extend_with_running_cost,
     model_from_config,
     preset,
     preset_config,
@@ -118,44 +117,3 @@ def test_horizon_and_bounds():
     assert m.diffusion_bound == 0.5
     assert m.lipschitz_bound >= 1.0
     assert m.horizon == 0.5
-
-
-def test_extended_model_reduces_running_cost():
-    """Accumulator drift carries the running cost into the terminal slot."""
-    m = preset("one-sided-drift-1d", T=0.3)
-    ext = extend_with_running_cost(m)
-    game = ext.game
-    assert game.state_dim == 1 + 2 * 1
-    assert not game.has_running
-    # one euler path computed both ways gives identical payoffs
-    rng = np.random.default_rng(5)
-    h, steps = 0.1, 3
-    x = np.array([0.2])
-    xz = np.zeros(game.state_dim)
-    xz[0] = 0.2
-    u = np.array([1.0])
-    v = np.array([0.0])
-    run = {(i, j): 0.0 for i in range(2) for j in range(1)}
-    for k in range(steps):
-        t = k * h
-        dw = rng.standard_normal(1) * np.sqrt(h)
-        for i in range(2):
-            for j in range(1):
-                run[(i, j)] += float(m.running[i][j](t, x, u, v)) * h
-        b, sig = evaluate_dynamics(m, t, x, u, v)
-        bz, sigz = evaluate_dynamics(game, t, xz, u, v)
-        x = x + b * h + sig @ dw
-        xz = xz + bz * h + sigz @ dw
-    np.testing.assert_allclose(xz[0], x[0], rtol=0, atol=1e-15)
-    for i in range(2):
-        base = run[(i, 0)] + float(m.terminal[i][0](x))
-        via_ext = float(game.terminal[i][0](xz))
-        assert via_ext == pytest.approx(base, abs=1e-14)
-
-
-def test_extended_model_z_index():
-    m = preset("two-sided-1d")
-    ext = extend_with_running_cost(m)
-    assert ext.z_index(0, 0) == 1
-    assert ext.z_index(1, 1) == 4
-    assert ext.game.state_dim == 5
