@@ -46,10 +46,10 @@ from .simulator import (
     constant_strategy,
     cycle_strategy,
     feedback_from_field,
-    payoff_ij,
     payoff_matrix,
     payoff_path,
     payoff_pq,
+    payoff_samples,
     resolve_controls,
     sample_noise,
     split_mix,

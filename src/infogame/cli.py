@@ -35,8 +35,9 @@ from .simulator import (
     constant_strategy,
     cycle_strategy,
     feedback_from_field,
-    payoff_matrix,
-    payoff_pq,
+    matrix_estimate,
+    payoff_samples,
+    pq_estimate,
 )
 from .solver import Grids, SolveResult, ValueField, build_state_grid, solve
 from .transform import cav_q, vex_p
@@ -275,14 +276,12 @@ def _cmd_simulate(args) -> int:
     strat_v = _parse_strategy(model, args.strategy_v or args.strategy, "v", args.delta, args.h, p, q)
     profile = StrategyProfile(u_strategies=tuple(strat_u), v_strategies=tuple(strat_v))
     started = time.perf_counter()
-    ests, errs = payoff_matrix(
+    table = payoff_samples(
         model, profile, x0, t0=args.t0, h=args.h, samples=args.samples,
         seed=args.seed, kind=args.noise,
     )
-    combined = payoff_pq(
-        model, profile, p, q, x0, t0=args.t0, h=args.h, samples=args.samples,
-        seed=args.seed, kind=args.noise,
-    )
+    ests, errs = matrix_estimate(table)
+    combined = pq_estimate(table, p, q)
     elapsed = time.perf_counter() - started
     payload = {
         "config": resolved,

@@ -63,8 +63,8 @@ class TreeGame:
             raise ConfigError("tree needs at least one step")
         if self.steps > _TREE_DEPTH_CAP:
             raise ConfigError(f"tree depth capped at {_TREE_DEPTH_CAP}")
-        if self.h <= 0:
-            raise ConfigError("step size must be positive")
+        if not (math.isfinite(self.h) and self.h > 0) or not math.isfinite(self.t0):
+            raise ConfigError(f"need a finite h > 0 and t0, got h = {self.h!r}, t0 = {self.t0!r}")
         fanout = self.model.u_set.count * self.model.v_set.count * 2**self.model.noise_dim
         if fanout**self.steps > _TREE_NODE_CAP:
             raise ConfigError(

@@ -8,11 +8,12 @@ pair of strategies resolves to a unique pair of control paths cell by
 cell, starting from the constant path on the first cell.
 
 Randomized strategies are finite atom lists with exact rational weights.
-Payoff estimators share one noise stream per sample index across every
-atom pair and type pair (common random numbers), so mixtures and belief
-combinations are exactly bilinear in the weights.  Sample streams are
-derived from (seed, sample index); reductions are fixed-tree pairwise
-sums, so results do not depend on the worker count.
+`payoff_samples` is the one pass over the samples: each sample draws one
+noise stream, resolves every distinct pure pair once on it and scores
+every type pair that plays the resolved path.  These common random
+numbers make mixtures and belief combinations exactly bilinear in the
+weights.  Streams derive from (seed, sample index) and reductions are
+fixed-tree pairwise sums, so results do not depend on the worker count.
 
 The feedback strategy replays a solved field: its minimax control for
 every solved (t-slice, state node) comes from one batched
@@ -22,6 +23,7 @@ of a path is a table lookup.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -32,7 +34,7 @@ from ._util import pairwise_mean, pairwise_sum, parallel_map
 from .errors import ConfigError
 from .hamiltonian import pair_table
 from .model import GameModel
-from .solver import SolveResult, _derivatives, _hessians
+from .solver import SolveResult, _check_grids, _derivatives, _hessians
 
 _DIVISIBILITY_TOL = 1e-9
 
@@ -120,8 +122,8 @@ def sample_noise(
     kind: str = "gaussian",
 ) -> NoisePath:
     """Derive the per-sample stream from (seed, sample index)."""
-    if h <= 0 or steps < 1:
-        raise ConfigError("noise needs steps >= 1 and h > 0")
+    if h <= 0 or steps < 1 or seed < 0:
+        raise ConfigError("noise needs steps >= 1, h > 0 and seed >= 0")
     rng = np.random.default_rng(
         np.random.SeedSequence(entropy=seed, spawn_key=(sample_index,))
     )
@@ -179,8 +181,8 @@ def resolve_controls(
     if strat_u.side != "u" or strat_v.side != "v":
         raise ConfigError("resolve_controls needs a u strategy and a v strategy")
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    if x0.shape != (model.state_dim,):
-        raise ConfigError("x0 shape does not match the model state dimension")
+    if x0.shape != (model.state_dim,) or not np.all(np.isfinite(x0)):
+        raise ConfigError("x0 must be finite and match the model state dimension")
     steps = noise.steps
     h = noise.h
     x = np.empty((steps + 1, model.state_dim))
@@ -216,6 +218,8 @@ class PayoffEstimate:
 
 
 def _steps_for(model: GameModel, t0: float, h: float) -> int:
+    if not (math.isfinite(h) and h > 0) or not math.isfinite(t0):
+        raise ConfigError(f"need a finite h > 0 and t0, got h = {h!r}, t0 = {t0!r}")
     span = model.horizon - t0
     steps = int(round(span / h))
     if steps < 1 or abs(steps * h - span) > _DIVISIBILITY_TOL * max(1.0, span):
@@ -223,36 +227,47 @@ def _steps_for(model: GameModel, t0: float, h: float) -> int:
     return steps
 
 
-def _mixture_samples(
+def payoff_samples(
     model: GameModel,
-    payoff_terms: Sequence[tuple[float, int, int, PureStrategy, PureStrategy]],
+    profile: StrategyProfile,
     x0,
     *,
-    t0: float,
+    t0: float = 0.0,
     h: float,
     samples: int,
-    seed: int,
-    kind: str,
+    seed: int = 0,
+    kind: str = "gaussian",
 ) -> np.ndarray:
-    """Per-sample combined payoffs for weighted pure-strategy terms.
+    """Each sample's mixture payoff for every type pair, shape (samples, |I|, |J|).
 
-    Every term sees the same noise path per sample index; distinct pure
-    pairs are resolved once per sample and shared across terms.
+    Entry [s, i, j] is 0.0 plus float(wu * wv) * payoff summed over the
+    atom pairs of types (i, j) in atom order, on sample s's noise path.
     """
+    if len(profile.u_strategies) != model.u_types or len(profile.v_strategies) != model.v_types:
+        raise ConfigError("the profile needs one strategy per type on each side")
+    if samples < 1:
+        raise ConfigError(f"samples must be >= 1, got {samples}")
     steps = _steps_for(model, t0, h)
+    terms = [
+        (i, j, float(wu * wv), au, av)
+        for i, ru in enumerate(profile.u_strategies)
+        for j, rv in enumerate(profile.v_strategies)
+        for au, wu in zip(ru.atoms, ru.weights)
+        for av, wv in zip(rv.atoms, rv.weights)
+    ]
 
-    def one_sample(s: int) -> float:
+    def one_sample(s: int) -> np.ndarray:
         noise = sample_noise(seed, s, steps, model.noise_dim, h, kind)
         cache: dict[tuple[int, int], Resolution] = {}
-        total = 0.0
-        for weight, i, j, pure_u, pure_v in payoff_terms:
+        out = np.zeros((model.u_types, model.v_types))
+        for i, j, weight, pure_u, pure_v in terms:
             key = (id(pure_u), id(pure_v))
             if key not in cache:
                 cache[key] = resolve_controls(model, pure_u, pure_v, x0, noise, t0)
-            total += weight * payoff_path(model, i, j, cache[key])
-        return total
+            out[i, j] += weight * payoff_path(model, i, j, cache[key])
+        return out
 
-    return np.array(parallel_map(one_sample, range(samples)), dtype=float)
+    return np.stack(parallel_map(one_sample, range(samples)))
 
 
 def _estimate(values: np.ndarray) -> PayoffEstimate:
@@ -266,32 +281,37 @@ def _estimate(values: np.ndarray) -> PayoffEstimate:
     return PayoffEstimate(estimate=mean, stderr=stderr, samples=m)
 
 
-def payoff_ij(
-    model: GameModel,
-    i: int,
-    j: int,
-    rand_u: RandomStrategy,
-    rand_v: RandomStrategy,
-    x0,
-    *,
-    t0: float = 0.0,
-    h: float,
-    samples: int,
-    seed: int = 0,
-    kind: str = "gaussian",
-) -> PayoffEstimate:
-    """Estimate of the type-(i, j) expected payoff under mixed strategies."""
-    if not (0 <= i < model.u_types and 0 <= j < model.v_types):
-        raise ConfigError(f"type pair ({i}, {j}) out of range")
-    terms = [
-        (float(wu * wv), i, j, au, av)
-        for au, wu in zip(rand_u.atoms, rand_u.weights)
-        for av, wv in zip(rand_v.atoms, rand_v.weights)
-    ]
-    values = _mixture_samples(
-        model, terms, x0, t0=t0, h=h, samples=samples, seed=seed, kind=kind
-    )
-    return _estimate(values)
+def matrix_estimate(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-type-pair estimates and standard errors of a `payoff_samples` table."""
+    ests = np.empty(table.shape[1:])
+    errs = np.empty_like(ests)
+    for i, j in np.ndindex(ests.shape):
+        est = _estimate(table[:, i, j])
+        ests[i, j] = est.estimate
+        errs[i, j] = est.stderr
+    return ests, errs
+
+
+def pq_estimate(table: np.ndarray, p, q) -> PayoffEstimate:
+    """Belief-weighted estimate of a `payoff_samples` table.
+
+    The estimate is the exact combination sum_ij p_i q_j estimate_ij in
+    (i, j) order; the standard error comes from the per-sample combined
+    values under common random numbers.
+    """
+    p = np.asarray(p, dtype=float)
+    q = np.asarray(q, dtype=float)
+    if p.shape != table.shape[1:2] or q.shape != table.shape[2:]:
+        raise ConfigError("belief shapes do not match the model type counts")
+    estimate = 0.0
+    combined = np.zeros(table.shape[0])
+    for i in range(p.size):
+        for j in range(q.size):
+            weight = float(p[i] * q[j])
+            estimate += weight * pairwise_mean(table[:, i, j])
+            combined = combined + weight * table[:, i, j]
+    spread = _estimate(combined)
+    return PayoffEstimate(estimate=estimate, stderr=spread.stderr, samples=spread.samples)
 
 
 def payoff_matrix(
@@ -306,16 +326,9 @@ def payoff_matrix(
     kind: str = "gaussian",
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-type-pair estimates and standard errors under one noise budget."""
-    ests = np.empty((model.u_types, model.v_types))
-    errs = np.empty_like(ests)
-    for i, ru in enumerate(profile.u_strategies):
-        for j, rv in enumerate(profile.v_strategies):
-            est = payoff_ij(
-                model, i, j, ru, rv, x0, t0=t0, h=h, samples=samples, seed=seed, kind=kind
-            )
-            ests[i, j] = est.estimate
-            errs[i, j] = est.stderr
-    return ests, errs
+    return matrix_estimate(
+        payoff_samples(model, profile, x0, t0=t0, h=h, samples=samples, seed=seed, kind=kind)
+    )
 
 
 def payoff_pq(
@@ -331,34 +344,12 @@ def payoff_pq(
     seed: int = 0,
     kind: str = "gaussian",
 ) -> PayoffEstimate:
-    """Belief-weighted payoff: exactly bilinear in (p, q) at fixed seed.
-
-    The estimate is the exact combination sum_ij p_i q_j payoff_ij; the
-    standard error comes from the per-sample combined values under common
-    random numbers.
-    """
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    if p.shape != (model.u_types,) or q.shape != (model.v_types,):
-        raise ConfigError("belief shapes do not match the model type counts")
-    estimate = 0.0
-    combined_terms = []
-    for i, ru in enumerate(profile.u_strategies):
-        for j, rv in enumerate(profile.v_strategies):
-            est = payoff_ij(
-                model, i, j, ru, rv, x0, t0=t0, h=h, samples=samples, seed=seed, kind=kind
-            )
-            estimate += float(p[i] * q[j]) * est.estimate
-            for au, wu in zip(ru.atoms, ru.weights):
-                for av, wv in zip(rv.atoms, rv.weights):
-                    combined_terms.append(
-                        (float(p[i] * q[j]) * float(wu * wv), i, j, au, av)
-                    )
-    values = _mixture_samples(
-        model, combined_terms, x0, t0=t0, h=h, samples=samples, seed=seed, kind=kind
+    """Belief-weighted payoff: exactly bilinear in (p, q) at fixed seed."""
+    return pq_estimate(
+        payoff_samples(model, profile, x0, t0=t0, h=h, samples=samples, seed=seed, kind=kind),
+        p,
+        q,
     )
-    spread = _estimate(values)
-    return PayoffEstimate(estimate=estimate, stderr=spread.stderr, samples=samples)
 
 
 def split_mix(
@@ -451,8 +442,11 @@ def feedback_from_field(
     """
     if side not in ("u", "v"):
         raise ConfigError("side must be 'u' or 'v'")
+    _check_grids(model, result.grids)
     p0 = np.asarray(p0, dtype=float)
     q0 = np.asarray(q0, dtype=float)
+    if p0.shape != (model.u_types,) or q0.shape != (model.v_types,):
+        raise ConfigError("belief shapes do not match the model type counts")
     grids = result.grids
     grid = grids.state
     p_idx = int(np.argmin(np.linalg.norm(grids.p.points - p0[None, :], axis=1)))

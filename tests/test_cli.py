@@ -7,6 +7,7 @@ import json
 import numpy as np
 import pytest
 
+from infogame import simulator
 from infogame.cli import load_solve, main
 from infogame.dualcheck import default_tolerance
 from infogame.model import preset
@@ -92,6 +93,25 @@ def test_simulate_reports_bilinear_combination(tmp_path):
     q = np.array(payload["q"])
     assert payload["combined_estimate"] == float(p @ ests @ q)
     assert np.array(payload["stderrs"]).shape == ests.shape
+
+
+def test_simulate_resolves_each_pure_pair_once_per_sample(tmp_path, monkeypatch):
+    # a 2x2 cycle profile plays one pure pair for all four type pairs
+    calls = {"resolve_controls": 0, "payoff_path": 0}
+    for name in calls:
+        inner = getattr(simulator, name)
+
+        def counted(*args, _inner=inner, _name=name, **kwargs):
+            calls[_name] += 1
+            return _inner(*args, **kwargs)
+
+        monkeypatch.setattr(simulator, name, counted)
+    rc = run(
+        "simulate", "--preset", "two-sided-1d", "--out", tmp_path / "sim.json",
+        "--h", "0.1", "--samples", 7, "--strategy", "cycle",
+    )
+    assert rc == 0
+    assert calls == {"resolve_controls": 7, "payoff_path": 4 * 7}
 
 
 def test_simulate_is_thread_count_invariant(tmp_path, monkeypatch):

@@ -257,3 +257,122 @@ def test_convexify_exit_codes(workdir, table, mode):
     path.write_text(table)
     assert_contract(["convexify", "--table", path, "--out", work / "out.csv", "--mode", mode])
     shutil.rmtree(work)
+
+
+# Simulate and oracle take presets, not fuzzed configs: a fuzzed horizon
+# sets the step count, and config parsing is fuzzed through solve above.
+STEPS_H = (0.1, 0.2, 0.25, 0.5, 0.3, 0.0, -0.1, math.nan, math.inf)
+STARTS = (0.2, 0.5, -0.1, 1.0, math.nan, math.inf, -math.inf)
+STRATEGIES = (
+    "constant", "constant:1", "constant:7", "constant:x", "cycle", "feedback:",
+    "feedback:missing", "mystery",
+)
+ONE_V_TYPE = ("drift-sum-1d", "coupled-1d", "running-matrix-informed", "one-sided-drift-1d")
+csv_numbers = st.lists(numbers, min_size=1, max_size=3).map(
+    lambda xs: ",".join(repr(x) for x in xs)
+)
+
+
+def mostly(value, wild):
+    """The value nine times in ten, so that most runs pass every check."""
+    return st.integers(0, 9).flatmap(lambda k: wild if k == 0 else st.just(value))
+
+
+def optional(flag, value):
+    return [] if value is None else [f"{flag}={value}"]
+
+
+@FUZZ
+@given(
+    name=st.sampled_from(PRESETS),
+    h=mostly(0.1, st.sampled_from(STEPS_H)),  # 0.1 divides every preset horizon
+    t0=mostly(0.0, st.sampled_from(STARTS)),
+    samples=mostly(2, st.integers(-1, 4)),
+    seed=mostly(0, st.integers(-3, 2**70)),
+    delta=mostly(1, st.integers(-1, 3)),
+    noise=st.sampled_from(("gaussian", "rademacher")),
+    strategy_u=mostly("cycle", st.sampled_from(STRATEGIES)),
+    strategy_v=st.sampled_from(("constant", "cycle", "feedback:")) | st.sampled_from(STRATEGIES),
+    p=mostly(None, csv_numbers),
+    q=mostly(None, csv_numbers),
+    x0=mostly(None, csv_numbers),
+)
+@example(  # --samples 0 and -1 once reached the mean of an empty array
+    name="two-sided-1d", h=0.1, t0=0.0, samples=0, seed=0, delta=1, noise="gaussian",
+    strategy_u="cycle", strategy_v="cycle", p=None, q=None, x0=None,
+)
+@example(
+    name="two-sided-1d", h=0.1, t0=0.0, samples=-1, seed=0, delta=1, noise="gaussian",
+    strategy_u="cycle", strategy_v="cycle", p=None, q=None, x0=None,
+)
+@example(  # --h 0 once divided by zero
+    name="drift-sum-1d", h=0.0, t0=0.0, samples=2, seed=0, delta=1, noise="gaussian",
+    strategy_u="cycle", strategy_v="cycle", p=None, q=None, x0=None,
+)
+@example(  # a NaN --h or --t0 once reached int(round(nan))
+    name="drift-sum-1d", h=math.nan, t0=0.0, samples=2, seed=0, delta=1, noise="gaussian",
+    strategy_u="cycle", strategy_v="cycle", p=None, q=None, x0=None,
+)
+@example(
+    name="drift-sum-1d", h=0.1, t0=math.nan, samples=2, seed=0, delta=1, noise="gaussian",
+    strategy_u="cycle", strategy_v="cycle", p=None, q=None, x0=None,
+)
+@example(  # a negative --seed once reached SeedSequence
+    name="drift-sum-1d", h=0.1, t0=0.0, samples=2, seed=-1, delta=1, noise="gaussian",
+    strategy_u="cycle", strategy_v="cycle", p=None, q=None, x0=None,
+)
+@example(  # a NaN start state once reached the feedback rule's node lookup
+    name="one-sided-drift-1d", h=0.1, t0=0.0, samples=2, seed=0, delta=1, noise="gaussian",
+    strategy_u="feedback:", strategy_v="constant", p=None, q=None, x0="nan",
+)
+@example(  # a solve of another game once reached the control table
+    name="running-matrix", h=0.1, t0=0.0, samples=2, seed=0, delta=1, noise="gaussian",
+    strategy_u="constant", strategy_v="feedback:", p=None, q=None, x0=None,
+)
+def test_simulate_exit_codes(
+    workdir, solved, name, h, t0, samples, seed, delta, noise, strategy_u, strategy_v, p, q, x0
+):
+    work = Path(tempfile.mkdtemp(dir=workdir))
+    specs = [
+        f"feedback:{solved}" if s == "feedback:" else s.replace("missing", str(work / "none"))
+        for s in (strategy_u, strategy_v)
+    ]
+    assert_contract([
+        "simulate", "--preset", name, "--out", work / "sim.json", f"--h={h}", f"--t0={t0}",
+        f"--samples={samples}", f"--seed={seed}", f"--delta={delta}", f"--noise={noise}",
+        f"--strategy-u={specs[0]}", f"--strategy-v={specs[1]}",
+        *optional("--p", p), *optional("--q", q), *optional("--x0", x0),
+    ])
+    shutil.rmtree(work)
+
+
+def no_constant(token):
+    raise ValueError(f"{token} is not JSON")
+
+
+@FUZZ
+@given(  # the oracle's recursion needs a single v type
+    name=st.sampled_from(ONE_V_TYPE) | st.sampled_from(PRESETS),
+    steps=mostly(2, st.integers(-1, 3)),
+    h=mostly(None, st.sampled_from(STEPS_H)),  # None: the horizon over the steps
+    t0=mostly(0.0, st.sampled_from(STARTS)),
+    np_res=mostly(2, st.integers(-1, 4)),
+    x0=mostly(None, csv_numbers),
+)
+@example(  # a NaN --t0 once got past the horizon check and into oracle.json
+    name="one-sided-drift-1d", steps=2, h=0.1, t0=math.nan, np_res=2, x0=None,
+)
+def test_oracle_exit_codes(workdir, name, steps, h, t0, np_res, x0):
+    if h is None:
+        h = preset_config(name)["T"] / max(steps, 1)
+    work = Path(tempfile.mkdtemp(dir=workdir))
+    out = work / "oracle.json"
+    argv = [
+        "oracle", "--preset", name, "--out", out, f"--steps={steps}", f"--h={h}",
+        f"--t0={t0}", f"--np={np_res}", *optional("--x0", x0),
+    ]
+    code, err = exit_code(argv)
+    assert code in (0, 2, 3), f"exit {code} for {argv}:\n{err}"
+    if code == 0:  # the artifact is strict JSON
+        json.loads(out.read_text(), parse_constant=no_constant)
+    shutil.rmtree(work)

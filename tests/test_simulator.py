@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from infogame._util import pairwise_mean, pairwise_sum
 from infogame.errors import ConfigError
 from infogame.model import preset
 from infogame.oracle import TreeGame, exact_payoff_pq
@@ -20,7 +21,6 @@ from infogame.simulator import (
     cycle_strategy,
     feedback_from_field,
     observation_window,
-    payoff_ij,
     payoff_matrix,
     payoff_path,
     payoff_pq,
@@ -173,25 +173,44 @@ def test_payoff_path_uses_left_rule():
 # ----------------------------------------------------------- estimators
 
 
-def test_payoff_ij_is_deterministic_in_the_seed():
+def test_payoff_matrix_is_deterministic_in_the_seed():
     m = preset("drift-sum-1d")
-    ru = unit_mix(constant_strategy(m, "u", index=1))
-    rv = unit_mix(cycle_strategy(m, "v"))
-    a = payoff_ij(m, 0, 0, ru, rv, np.zeros(1), h=0.1, samples=40, seed=3)
-    b = payoff_ij(m, 0, 0, ru, rv, np.zeros(1), h=0.1, samples=40, seed=3)
-    c = payoff_ij(m, 0, 0, ru, rv, np.zeros(1), h=0.1, samples=40, seed=4)
-    assert (a.estimate, a.stderr, a.samples) == (b.estimate, b.stderr, b.samples)
-    assert a.estimate != c.estimate
+    profile = StrategyProfile(
+        u_strategies=(unit_mix(constant_strategy(m, "u", index=1)),),
+        v_strategies=(unit_mix(cycle_strategy(m, "v")),),
+    )
+    a = payoff_matrix(m, profile, np.zeros(1), h=0.1, samples=40, seed=3)
+    b = payoff_matrix(m, profile, np.zeros(1), h=0.1, samples=40, seed=3)
+    c = payoff_matrix(m, profile, np.zeros(1), h=0.1, samples=40, seed=4)
+    for got, again in zip(a, b):
+        np.testing.assert_array_equal(got, again)
+    assert a[0][0, 0] != c[0][0, 0]
 
 
-def test_payoff_ij_rejects_bad_types_and_steps():
-    m = preset("drift-sum-1d")
+def test_payoff_matrix_rejects_bad_profiles_and_steps():
+    m = preset("two-sided-1d")  # two types on each side, T = 0.4
     ru = unit_mix(constant_strategy(m, "u"))
     rv = unit_mix(constant_strategy(m, "v"))
+    full = StrategyProfile(u_strategies=(ru, ru), v_strategies=(rv, rv))
+    short = StrategyProfile(u_strategies=(ru,), v_strategies=(rv, rv))
+    x0 = np.zeros(1)
     with pytest.raises(ConfigError):
-        payoff_ij(m, 1, 0, ru, rv, np.zeros(1), h=0.1, samples=2)
+        payoff_matrix(m, short, x0, h=0.1, samples=2)
     with pytest.raises(ConfigError):
-        payoff_ij(m, 0, 0, ru, rv, np.zeros(1), h=0.3, samples=2)  # T = 1 not divisible
+        payoff_pq(m, short, [1.0], [0.5, 0.5], x0, h=0.1, samples=2)
+    for bad in (
+        dict(h=0.3, samples=2),  # does not divide T
+        dict(h=0.0, samples=2),
+        dict(h=-0.1, samples=2),
+        dict(h=float("nan"), samples=2),
+        dict(h=0.1, t0=float("nan"), samples=2),
+        dict(h=0.1, samples=0),
+        dict(h=0.1, samples=2, seed=-1),
+    ):
+        with pytest.raises(ConfigError):
+            payoff_matrix(m, full, x0, **bad)
+    with pytest.raises(ConfigError):
+        payoff_matrix(m, full, np.array([np.nan]), h=0.1, samples=2)
 
 
 def test_payoff_pq_is_exactly_bilinear():
@@ -219,15 +238,95 @@ def test_payoff_pq_is_exactly_bilinear():
     assert got.stderr > 0.0
 
 
+def pairwise_stderr(values):
+    mean = pairwise_mean(values)
+    return float(np.sqrt(pairwise_sum((values - mean) ** 2) / (values.size - 1) / values.size))
+
+
+def reference_estimates(model, profile, p, q, x0, *, h, samples, seed):
+    """Per-type-pair loop: each (i, j) resolves its own atom pairs anew.
+
+    Returns the estimate and standard error matrices and the
+    belief-weighted estimate and standard error, the latter from
+    per-sample values summed term by term with weight
+    float(p_i q_j) * float(wu wv).
+    """
+    steps = int(round(model.horizon / h))
+    values = np.zeros((samples, model.u_types, model.v_types))
+    combined = np.zeros(samples)
+    for s in range(samples):
+        noise = sample_noise(seed, s, steps, model.noise_dim, h)
+        for i, ru in enumerate(profile.u_strategies):
+            for j, rv in enumerate(profile.v_strategies):
+                for au, wu in zip(ru.atoms, ru.weights):
+                    for av, wv in zip(rv.atoms, rv.weights):
+                        res = resolve_controls(model, au, av, x0, noise)
+                        payoff = payoff_path(model, i, j, res)
+                        values[s, i, j] += float(wu * wv) * payoff
+                        combined[s] += float(p[i] * q[j]) * float(wu * wv) * payoff
+    ests = np.empty(values.shape[1:])
+    errs = np.empty_like(ests)
+    estimate = 0.0
+    for i in range(len(p)):
+        for j in range(len(q)):
+            ests[i, j] = pairwise_mean(values[:, i, j])
+            errs[i, j] = pairwise_stderr(values[:, i, j])
+            estimate += float(p[i] * q[j]) * ests[i, j]
+    return ests, errs, estimate, pairwise_stderr(combined)
+
+
+def split_mix_case():
+    """The mixed profile and belief of acceptance criterion 6."""
+    m = preset("one-sided-drift-1d")
+    fam1 = [unit_mix(constant_strategy(m, "u", index=k)) for k in (0, 2)]
+    fam2 = [unit_mix(cycle_strategy(m, "u"))] * 2
+    mixed, belief = split_mix(
+        fam1, fam2, Fraction(2, 5), [Fraction(1, 4), Fraction(3, 4)], [Fraction(1, 2)] * 2
+    )
+    rv = (unit_mix(constant_strategy(m, "v", index=0)),)
+    profile = StrategyProfile(u_strategies=tuple(mixed), v_strategies=rv)
+    return m, profile, np.array([float(b) for b in belief]), np.array([1.0]), m.horizon / 3
+
+
+def pure_case():
+    m = preset("two-sided-1d")
+    profile = StrategyProfile(
+        u_strategies=(
+            unit_mix(constant_strategy(m, "u", index=0)),
+            unit_mix(cycle_strategy(m, "u")),
+        ),
+        v_strategies=(unit_mix(cycle_strategy(m, "v")), unit_mix(cycle_strategy(m, "v"))),
+    )
+    return m, profile, np.array([0.3, 0.7]), np.array([0.25, 0.75]), 0.05
+
+
+@pytest.mark.parametrize("case, stderr_rtol", [(pure_case, 0.0), (split_mix_case, 1e-13)])
+def test_one_pass_matches_a_per_type_pair_loop(case, stderr_rtol):
+    m, profile, p, q, h = case()
+    kw = dict(h=h, samples=60, seed=12)
+    x0 = np.array([0.2])
+    ests, errs, estimate, stderr = reference_estimates(m, profile, p, q, x0, **kw)
+    got_ests, got_errs = payoff_matrix(m, profile, x0, **kw)
+    got = payoff_pq(m, profile, p, q, x0, **kw)
+    np.testing.assert_array_equal(got_ests, ests)
+    np.testing.assert_array_equal(got_errs, errs)
+    assert got.estimate == estimate
+    assert got.stderr == pytest.approx(stderr, rel=stderr_rtol, abs=0.0)
+    assert got.stderr > 0.0
+
+
 def test_estimates_do_not_depend_on_thread_count(monkeypatch):
     m = preset("drift-sum-1d")
-    ru = unit_mix(cycle_strategy(m, "u"))
-    rv = unit_mix(constant_strategy(m, "v", index=1))
+    profile = StrategyProfile(
+        u_strategies=(unit_mix(cycle_strategy(m, "u")),),
+        v_strategies=(unit_mix(constant_strategy(m, "v", index=1)),),
+    )
     out = {}
     for n in ("1", "4"):
         monkeypatch.setenv("INFOGAME_THREADS", n)
-        out[n] = payoff_ij(m, 0, 0, ru, rv, np.zeros(1), h=0.1, samples=33, seed=8)
-    assert out["1"] == out["4"]
+        out[n] = payoff_matrix(m, profile, np.zeros(1), h=0.1, samples=33, seed=8)
+    for got, want in zip(out["1"], out["4"]):
+        np.testing.assert_array_equal(got, want)
 
 
 def test_mixture_weight_validation():
