@@ -14,6 +14,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 import tempfile
 import time
@@ -26,6 +27,7 @@ import numpy as np
 from ._util import sha256_hex
 from .dualcheck import check_dual_solution, default_tolerance, primal_crosscheck
 from .errors import ConfigError, NumericsError
+from .hamiltonian import is_probability_vector
 from .model import model_from_config, preset_config, resolved_config
 from .oracle import TreeGame, one_sided_recursion
 from .simplex import build_grid
@@ -106,6 +108,16 @@ def _float_list(text: str) -> list[float]:
         raise ConfigError(f"expected comma-separated floats, got {text!r}") from exc
 
 
+def _belief(text: str | None, count: int, flag: str) -> np.ndarray:
+    """The belief given on the command line, uniform when it is absent."""
+    if not text:
+        return np.ones(count) / count
+    w = np.asarray(_float_list(text), dtype=float)
+    if not is_probability_vector(w):
+        raise ConfigError(f"{flag} must be a finite probability vector, got {text!r}")
+    return w
+
+
 def _write_solve_outputs(out_dir: str, result: SolveResult, cfg_resolved: dict, cfg_sha: str) -> None:
     grids = result.grids
     header = (
@@ -160,8 +172,12 @@ def _write_solve_outputs(out_dir: str, result: SolveResult, cfg_resolved: dict, 
     _write_atomic(os.path.join(out_dir, "diagnostics.json"), [_dump_json(meta)])
 
 
-def load_solve(out_dir: str) -> SolveResult:
-    """Rebuild a solve result from an output directory."""
+def load_solve(out_dir: str, config: dict | None = None) -> SolveResult:
+    """Rebuild a solve result from an output directory.
+
+    With a resolved `config`, refuse a solve whose recorded config differs
+    from it as canonical JSON.
+    """
     meta_path = os.path.join(out_dir, "diagnostics.json")
     csv_path = os.path.join(out_dir, "slices.csv")
     try:
@@ -172,6 +188,8 @@ def load_solve(out_dir: str) -> SolveResult:
     except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read solve outputs: {exc}") from exc
     try:
+        if config is not None and _dump_json(meta["config"]) != _dump_json(config):
+            raise ConfigError(f"{out_dir} holds a solve of a different game config")
         model = model_from_config(meta["config"])
         g = meta["grid"]
         state = build_state_grid([tuple(b) for b in g["bounds"]], g["counts"])
@@ -236,8 +254,11 @@ def _cmd_solve(args) -> int:
     return 0
 
 
-def _parse_strategy(model, spec: str, side: str, delay_cells: int, h: float, p, q):
-    """Strategy families: constant[:k], cycle, feedback:<solve dir>."""
+def _parse_strategy(model, resolved: dict, spec: str, side: str, delay_cells: int, h: float, p, q):
+    """Strategy families: constant[:k], cycle, feedback:<solve dir>.
+
+    A feedback solve must record the simulated game's resolved config.
+    """
     own_types = model.u_types if side == "u" else model.v_types
     if spec.startswith("constant"):
         index = 0
@@ -258,7 +279,7 @@ def _parse_strategy(model, spec: str, side: str, delay_cells: int, h: float, p, 
         ]
     if spec.startswith("feedback:"):
         _, _, directory = spec.partition(":")
-        result = load_solve(directory)
+        result = load_solve(directory, resolved)
         return feedback_from_field(
             model, result, side, p, q, h=h, delay_cells=delay_cells
         )
@@ -269,11 +290,11 @@ def _cmd_simulate(args) -> int:
     cfg, cfg_sha = _load_config(args.config, args.preset)
     resolved = resolved_config(cfg)
     model = model_from_config(cfg)
-    p = np.asarray(_float_list(args.p), dtype=float) if args.p else np.ones(model.u_types) / model.u_types
-    q = np.asarray(_float_list(args.q), dtype=float) if args.q else np.ones(model.v_types) / model.v_types
+    p = _belief(args.p, model.u_types, "--p")
+    q = _belief(args.q, model.v_types, "--q")
     x0 = np.asarray(_float_list(args.x0), dtype=float) if args.x0 else np.zeros(model.state_dim)
-    strat_u = _parse_strategy(model, args.strategy_u or args.strategy, "u", args.delta, args.h, p, q)
-    strat_v = _parse_strategy(model, args.strategy_v or args.strategy, "v", args.delta, args.h, p, q)
+    strat_u = _parse_strategy(model, resolved, args.strategy_u or args.strategy, "u", args.delta, args.h, p, q)
+    strat_v = _parse_strategy(model, resolved, args.strategy_v or args.strategy, "v", args.delta, args.h, p, q)
     profile = StrategyProfile(u_strategies=tuple(strat_u), v_strategies=tuple(strat_v))
     started = time.perf_counter()
     table = payoff_samples(
@@ -283,6 +304,8 @@ def _cmd_simulate(args) -> int:
     ests, errs = matrix_estimate(table)
     combined = pq_estimate(table, p, q)
     elapsed = time.perf_counter() - started
+    if not np.all(np.isfinite([*ests.ravel(), *errs.ravel(), combined.estimate, combined.stderr])):
+        raise NumericsError("the simulated payoffs are not finite; the paths overflowed")
     payload = {
         "config": resolved,
         "config_sha256": cfg_sha,
@@ -457,6 +480,13 @@ def _cmd_oracle(args) -> int:
     return 0
 
 
+# argparse reads an argument that starts with "-" as an option unless it
+# looks like a negative number, and its own pattern misses exponents,
+# inf and nan; with this one every negative literal float() reads, such
+# as "--bounds -1e-05 1", is a value
+_NEGATIVE_NUMBER = re.compile(r"^-(\d|\.\d|inf|nan)", re.IGNORECASE)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="infogame",
@@ -523,6 +553,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_oracle.add_argument("--x0", help="comma-separated start state")
     p_oracle.add_argument("--t0", type=float, default=0.0)
     p_oracle.set_defaults(func=_cmd_oracle)
+    for command in sub.choices.values():
+        command._negative_number_matcher = _NEGATIVE_NUMBER
     return parser
 
 

@@ -60,9 +60,14 @@ class HamiltonianQuery:
             w = getattr(self, name)
             if w is not None:
                 w = np.asarray(w, dtype=float)
-                if np.any(w < -1e-12) or abs(w.sum() - 1.0) > 1e-9:
+                if not is_probability_vector(w):
                     raise ConfigError(f"{name} must be a probability vector")
                 object.__setattr__(self, name, w)
+
+
+def is_probability_vector(w: np.ndarray) -> bool:
+    """Entries >= -1e-12 that sum to 1 within 1e-9; NaN and inf fail."""
+    return bool(np.all(w >= -1e-12) and abs(w.sum() - 1.0) <= 1e-9)
 
 
 def _query_table(model: GameModel, query: HamiltonianQuery, run_sign: float) -> np.ndarray:

@@ -34,7 +34,7 @@ from ._util import pairwise_mean, pairwise_sum, parallel_map
 from .errors import ConfigError
 from .hamiltonian import pair_table
 from .model import GameModel
-from .solver import SolveResult, _check_grids, _derivatives, _hessians
+from .solver import _MEMORY_CAP_BYTES, SolveResult, _check_grids, _derivatives, _hessians
 
 _DIVISIBILITY_TOL = 1e-9
 
@@ -221,6 +221,11 @@ def _steps_for(model: GameModel, t0: float, h: float) -> int:
     if not (math.isfinite(h) and h > 0) or not math.isfinite(t0):
         raise ConfigError(f"need a finite h > 0 and t0, got h = {h!r}, t0 = {t0!r}")
     span = model.horizon - t0
+    # one sample's noise array holds steps x noise_dim doubles
+    if not span / h * model.noise_dim * 8 <= _MEMORY_CAP_BYTES:
+        raise ConfigError(
+            f"h = {h:g} over the span {span:g} needs a noise array above the 2 GiB cap"
+        )
     steps = int(round(span / h))
     if steps < 1 or abs(steps * h - span) > _DIVISIBILITY_TOL * max(1.0, span):
         raise ConfigError(f"h = {h:g} does not divide the span {span:g} into whole steps")

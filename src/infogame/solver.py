@@ -86,6 +86,8 @@ def build_state_grid(bounds, counts) -> StateGrid:
         m = int(m)
         if m < 1:
             raise ConfigError("state grid needs at least one node per axis")
+        if not (np.isfinite(lo) and np.isfinite(hi) and np.isfinite(hi - lo)):
+            raise ConfigError(f"state bounds must be finite, got ({lo!r}, {hi!r})")
         if m == 1:
             axes.append(np.array([0.5 * (lo + hi)]))
             spacing.append(1.0)  # placeholder, no derivatives on this axis

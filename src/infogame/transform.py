@@ -7,7 +7,10 @@ grid.  Lower convex envelopes (vex) are geometric: a monotone-chain lower
 hull for two-component simplices and a lifted convex hull for more
 components.  The upper concave envelope (cav) is -vex(-w).  `vex_rows`
 envelopes a whole (rows, npoints) table at once and agrees bitwise with
-`vex_p` applied row by row.
+`vex_p` applied row by row: rows that are already convex or affine are
+screened out in batch, and on three or more components each remaining
+row costs one Qhull call.  Both routes build their lifted hulls through
+`_LowerHull`, which imports scipy.spatial only when a hull is needed.
 
 Envelope values at the simplex vertices never change, envelopes are
 idempotent, and the biconjugate computed from facet-slope probes
@@ -25,6 +28,9 @@ from .simplex import SimplexGrid, convexity_violations, discrete_convexity_viola
 
 TIE_TOLERANCE = 1e-12
 _AFFINE_RTOL = 1e-11
+# rows whose batched affine residual is within this factor of the tolerance
+# get the exact per-row fit
+_AFFINE_GUARD = 100.0
 _FIXED_POINT_TOL = 1e-12
 
 
@@ -165,35 +171,79 @@ def _affine_fit(grid: SimplexGrid, values: np.ndarray) -> np.ndarray | None:
     return None
 
 
-def _lifted_lower_facets(
-    grid: SimplexGrid, values: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Lower-hull facets of the lifted point cloud (reduced coords, w).
+def _affine_rows(grid: SimplexGrid, rows: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """Boolean mask of the rows that `_affine_fit` accepts.
 
-    Returns (gradients, offsets, member node indices): each facet is the
-    affine map q -> <g, q> + c on reduced coordinates.
+    One batched least-squares residual of the rows divided by their scale
+    clears every row whose residual exceeds the tolerance by more than
+    the guard factor; the rows left run `_affine_fit` itself, so the
+    decision is exactly its own.  The products are elementwise einsum
+    loops, not a BLAS call that grows with the row count.
     """
-    from scipy.spatial import ConvexHull, QhullError
+    design = np.column_stack([grid.points[:, :-1], np.ones(grid.npoints)])
+    unit = rows / scale[:, None]
+    coef = np.einsum("kj,rj->rk", np.linalg.pinv(design), unit)
+    resid = np.max(np.abs(np.einsum("jk,rk->rj", design, coef) - unit), axis=1)
+    near = np.flatnonzero(~(resid > _AFFINE_GUARD * _AFFINE_RTOL))
+    affine = np.zeros(rows.shape[0], dtype=bool)
+    affine[near] = [_affine_fit(grid, rows[k]) is not None for k in near]
+    return affine
 
-    reduced = grid.points[:, :-1]
-    # values far larger than the unit lattice can defeat Qhull's precision
-    # checks; the hull of the cloud with w scaled down has the same facets
-    for scale in (1.0, max(1.0, float(np.max(np.abs(values))))):
+
+class _LowerHull:
+    """Lower hull of lifted point clouds (reduced coordinates, w) on one grid.
+
+    scipy.spatial is imported when the object is built, never at module
+    import, and the reduced coordinates of the cloud are written once, so
+    each further table costs one Qhull call and the plane arithmetic.
+    """
+
+    def __init__(self, grid: SimplexGrid):
+        from scipy.spatial import ConvexHull, QhullError
+
+        self._convex_hull, self._qhull_error = ConvexHull, QhullError
+        self.reduced = grid.points[:, :-1]
+        self._cloud = np.empty((grid.npoints, grid.dim))
+        self._cloud[:, :-1] = self.reduced
+
+    def facets(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(gradients, offsets, member mask) of the lower facets.
+
+        Each facet is the affine map q -> <g, q> + c on reduced
+        coordinates; the mask marks the nodes that span some facet.
+        """
+        cloud = self._cloud
+        cloud[:, -1] = values
+        scale = 1.0
         try:
-            hull = ConvexHull(np.column_stack([reduced, values / scale]))
-            break
-        except QhullError as exc:
-            failure = exc
-    else:
-        raise NumericsError(f"lifted hull failed: {failure}")
-    eqs = hull.equations  # rows: (normal..., offset), normal . y + offset <= 0 inside
-    down = eqs[:, -2] < -1e-12
-    if not np.any(down):
-        raise ConfigError("degenerate lifted hull: no downward facets")
-    grads = -eqs[down, :-2] * scale / eqs[down, -2:-1]
-    offs = -eqs[down, -1] * scale / eqs[down, -2]
-    members = np.unique(hull.simplices[down].ravel())
-    return grads, offs, members
+            hull = self._convex_hull(cloud)
+        except self._qhull_error:
+            # values far larger than the unit lattice can defeat Qhull's
+            # precision checks; the cloud with w scaled down has the same facets
+            scale = max(1.0, float(np.max(np.abs(values))))
+            cloud[:, -1] = values / scale
+            try:
+                hull = self._convex_hull(cloud)
+            except self._qhull_error as exc:
+                raise NumericsError(f"lifted hull failed: {exc}") from exc
+        eqs = hull.equations  # rows: (normal..., offset), normal . y + offset <= 0 inside
+        down = eqs[:, -2] < -1e-12
+        if not down.any():
+            raise ConfigError("degenerate lifted hull: no downward facets")
+        low = eqs[down]
+        grads = -low[:, :-2] * scale / low[:, -2:-1]
+        offs = -low[:, -1] * scale / low[:, -2]
+        members = np.zeros(cloud.shape[0], dtype=bool)
+        members[hull.simplices[down]] = True
+        return grads, offs, members
+
+    def envelope(self, values: np.ndarray) -> np.ndarray:
+        """Lower convex envelope of one table that is not affine."""
+        grads, offs, members = self.facets(values)
+        planes = self.reduced @ grads.T + offs  # (npoints, nfacets)
+        out = np.minimum(planes.max(axis=1), values)
+        out[members] = values[members]  # hull nodes keep their exact input values
+        return out
 
 
 def vex_p(grid: SimplexGrid, values: np.ndarray) -> np.ndarray:
@@ -205,24 +255,20 @@ def vex_p(grid: SimplexGrid, values: np.ndarray) -> np.ndarray:
         return values.copy()
     if grid.dim == 2:
         return _vex_dim2(grid, values)
-    coef = _affine_fit(grid, values)
-    if coef is not None:
+    if _affine_fit(grid, values) is not None:
         return values.copy()
-    grads, offs, members = _lifted_lower_facets(grid, values)
-    reduced = grid.points[:, :-1]
-    planes = reduced @ grads.T + offs  # (npoints, nfacets)
-    out = np.min(np.stack([planes.max(axis=1), values]), axis=0)
-    out[members] = values[members]  # hull nodes keep their exact input values
-    return out
+    return _LowerHull(grid).envelope(values)
 
 
 def vex_rows(grid: SimplexGrid, rows: np.ndarray) -> np.ndarray:
     """Lower convex envelope of every row of a (rows, npoints) table.
 
     Bitwise equal to `vex_p` on each row.  The fixed-point screen runs on
-    all rows with one gather; on two-component simplices the remaining
-    rows share one vectorised hull, on larger ones each goes through
-    `vex_p`.  The concave form is -vex_rows(grid, -rows).
+    all rows with one gather.  On two-component simplices the remaining
+    rows share one vectorised hull; on larger ones a batched affine
+    screen drops the affine rows, and every row left costs one Qhull
+    call through a shared `_LowerHull`.  The concave form is
+    -vex_rows(grid, -rows).
     """
     rows = np.asarray(rows, dtype=float)
     if rows.ndim != 2 or rows.shape[1] != grid.npoints:
@@ -238,9 +284,12 @@ def vex_rows(grid: SimplexGrid, rows: np.ndarray) -> np.ndarray:
     todo = np.flatnonzero(convexity_violations(grid, rows) > _FIXED_POINT_TOL * scale)
     if grid.dim == 2:
         out[todo] = _vex_dim2_rows(grid, rows[todo])
-    else:
-        for r in todo:
-            out[r] = vex_p(grid, rows[r])
+    elif todo.size:
+        todo = todo[~_affine_rows(grid, rows[todo], scale[todo])]
+        if todo.size:
+            hull = _LowerHull(grid)
+            for r in todo:
+                out[r] = hull.envelope(rows[r])
     return out
 
 
@@ -273,7 +322,7 @@ def facet_slope_probes(grid: SimplexGrid, values: np.ndarray) -> np.ndarray:
     coef = _affine_fit(grid, values)
     if coef is not None:
         return np.concatenate([coef[:-1], [0.0]])[None, :]
-    grads, _, _ = _lifted_lower_facets(grid, values)
+    grads, _, _ = _LowerHull(grid).facets(values)
     probes = np.column_stack([grads, np.zeros(grads.shape[0])])
     return np.unique(np.round(probes, 12), axis=0)
 

@@ -10,6 +10,7 @@ import pytest
 from infogame import simulator
 from infogame.cli import load_solve, main
 from infogame.dualcheck import default_tolerance
+from infogame.errors import ConfigError
 from infogame.model import preset
 from infogame.oracle import TreeGame, one_sided_recursion
 from infogame.simplex import build_grid
@@ -66,6 +67,27 @@ def test_solve_records_projection_diagnostics(tmp_path):
     assert len(per["projection_residual"]) == len(meta["times"])
     assert max(abs(v) for v in per["convexity_violation_p"]) <= 1e-10
     assert meta["grid"]["p_resolution"] == 4
+
+
+def test_solve_bounds_take_every_float_literal(tmp_path, capsys):
+    out = tmp_path / "neg"
+    rc = run(
+        "solve", "--preset", "two-sided-1d", "--out", out, "--nx", 3, "--bounds", "-1e-05", "1",
+        "--np", 2, "--nq", 2, "--steps", 1, "--t0", "0.35",
+    )
+    assert rc == 0
+    meta = json.loads((out / "diagnostics.json").read_text())
+    assert meta["grid"]["bounds"] == [[-1e-05, 1.0]]
+    # parsed as values and refused as a configuration error; an argparse
+    # usage error would raise SystemExit instead
+    for lo in ("-inf", "-nan"):
+        capsys.readouterr()
+        assert run("solve", "--preset", "two-sided-1d", "--out", tmp_path / "x",
+                   "--bounds", lo, "1", "--np", 2, "--nq", 2, "--steps", 1) == 2
+        assert "configuration error: state bounds must be finite" in capsys.readouterr().err
+    for bounds in ([(-np.inf, 1.0)], [(0.0, np.nan)], [(-1e308, 1e308)]):
+        with pytest.raises(ConfigError):
+            build_state_grid(bounds, [5])
 
 
 def test_solve_refuses_coupled_controls(tmp_path):
@@ -159,6 +181,41 @@ def test_simulate_feedback_extracts_at_the_requested_belief(tmp_path):
     value = float(result.fields[0].values[k, vertex, 0])
     gap = abs(payload["combined_estimate"] - value)
     assert gap < 0.15 + 3.0 * payload["combined_stderr"], (gap, value)
+
+
+def test_simulate_feedback_refuses_a_solve_of_another_game(tmp_path):
+    # the two games share the state dimension and the type counts, so only
+    # the recorded config tells them apart
+    field = tmp_path / "field"
+    assert run(
+        "solve", "--preset", "two-sided-1d", "--out", field, "--nx", 11, "--np", 2,
+        "--nq", 2, "--steps", 1, "--t0", "0.35",
+    ) == 0
+    out = tmp_path / "sim.json"
+    for game, code in (("running-matrix", 2), ("two-sided-1d", 0)):
+        rc = run(
+            "simulate", "--preset", game, "--out", out, "--h", "0.1", "--samples", 2,
+            "--strategy-u", f"feedback:{field}", "--strategy-v", "constant:0",
+        )
+        assert rc == code, game
+        assert out.exists() == (code == 0)
+
+
+def test_simulate_refuses_beliefs_and_payoffs_that_are_not_finite(tmp_path):
+    out = tmp_path / "sim.json"
+    base = ("simulate", "--preset", "two-sided-1d", "--out", out, "--samples", 2)
+    for flags in (
+        ("--h", "0.1", "--p", "nan,nan"),
+        ("--h", "0.1", "--p", "2,-1"),
+        ("--h", "0.1", "--q", "inf,0"),
+        ("--h", "0.1", "--q", "0.5,0.4"),
+        ("--h", "1e-300"),  # its noise array would pass the memory cap
+    ):
+        assert run(*base, *flags) == 2, flags
+    assert run(*base, "--h", "0.1", "--x0", "1e308") == 3  # the paths overflow
+    assert not out.exists()
+    assert run(*base, "--h", "0.1", "--p", "0.25,0.75") == 0
+    json.loads(out.read_text(), parse_constant=lambda token: pytest.fail(token))
 
 
 # ------------------------------------------------------------------ check

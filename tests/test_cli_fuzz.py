@@ -259,8 +259,9 @@ def test_convexify_exit_codes(workdir, table, mode):
     shutil.rmtree(work)
 
 
-# Simulate and oracle take presets, not fuzzed configs: a fuzzed horizon
-# sets the step count, and config parsing is fuzzed through solve above.
+# Oracle takes presets, not fuzzed configs: a fuzzed horizon sets its tree
+# depth.  Simulate also takes fuzzed configs, since it refuses a step count
+# whose noise array would pass the memory cap.
 STEPS_H = (0.1, 0.2, 0.25, 0.5, 0.3, 0.0, -0.1, math.nan, math.inf)
 STARTS = (0.2, 0.5, -0.1, 1.0, math.nan, math.inf, -math.inf)
 STRATEGIES = (
@@ -285,6 +286,7 @@ def optional(flag, value):
 @FUZZ
 @given(
     name=st.sampled_from(PRESETS),
+    cfg=mostly(None, configs()),  # None: run the named preset
     h=mostly(0.1, st.sampled_from(STEPS_H)),  # 0.1 divides every preset horizon
     t0=mostly(0.0, st.sampled_from(STARTS)),
     samples=mostly(2, st.integers(-1, 4)),
@@ -299,50 +301,64 @@ def optional(flag, value):
 )
 @example(  # --samples 0 and -1 once reached the mean of an empty array
     name="two-sided-1d", h=0.1, t0=0.0, samples=0, seed=0, delta=1, noise="gaussian",
-    strategy_u="cycle", strategy_v="cycle", p=None, q=None, x0=None,
+    cfg=None, strategy_u="cycle", strategy_v="cycle", p=None, q=None, x0=None,
 )
 @example(
     name="two-sided-1d", h=0.1, t0=0.0, samples=-1, seed=0, delta=1, noise="gaussian",
-    strategy_u="cycle", strategy_v="cycle", p=None, q=None, x0=None,
+    cfg=None, strategy_u="cycle", strategy_v="cycle", p=None, q=None, x0=None,
 )
 @example(  # --h 0 once divided by zero
     name="drift-sum-1d", h=0.0, t0=0.0, samples=2, seed=0, delta=1, noise="gaussian",
-    strategy_u="cycle", strategy_v="cycle", p=None, q=None, x0=None,
+    cfg=None, strategy_u="cycle", strategy_v="cycle", p=None, q=None, x0=None,
 )
 @example(  # a NaN --h or --t0 once reached int(round(nan))
     name="drift-sum-1d", h=math.nan, t0=0.0, samples=2, seed=0, delta=1, noise="gaussian",
-    strategy_u="cycle", strategy_v="cycle", p=None, q=None, x0=None,
+    cfg=None, strategy_u="cycle", strategy_v="cycle", p=None, q=None, x0=None,
 )
 @example(
     name="drift-sum-1d", h=0.1, t0=math.nan, samples=2, seed=0, delta=1, noise="gaussian",
-    strategy_u="cycle", strategy_v="cycle", p=None, q=None, x0=None,
+    cfg=None, strategy_u="cycle", strategy_v="cycle", p=None, q=None, x0=None,
 )
 @example(  # a negative --seed once reached SeedSequence
     name="drift-sum-1d", h=0.1, t0=0.0, samples=2, seed=-1, delta=1, noise="gaussian",
-    strategy_u="cycle", strategy_v="cycle", p=None, q=None, x0=None,
+    cfg=None, strategy_u="cycle", strategy_v="cycle", p=None, q=None, x0=None,
 )
 @example(  # a NaN start state once reached the feedback rule's node lookup
     name="one-sided-drift-1d", h=0.1, t0=0.0, samples=2, seed=0, delta=1, noise="gaussian",
-    strategy_u="feedback:", strategy_v="constant", p=None, q=None, x0="nan",
+    cfg=None, strategy_u="feedback:", strategy_v="constant", p=None, q=None, x0="nan",
 )
 @example(  # a solve of another game once reached the control table
     name="running-matrix", h=0.1, t0=0.0, samples=2, seed=0, delta=1, noise="gaussian",
-    strategy_u="constant", strategy_v="feedback:", p=None, q=None, x0=None,
+    cfg=None, strategy_u="constant", strategy_v="feedback:", p=None, q=None, x0=None,
+)
+@example(  # a tiny --h once asked for a noise array numpy cannot allocate
+    name="two-sided-1d", cfg=None, h=1e-300, t0=0.0, samples=2, seed=0, delta=1,
+    noise="gaussian", strategy_u="cycle", strategy_v="cycle", p=None, q=None, x0=None,
 )
 def test_simulate_exit_codes(
-    workdir, solved, name, h, t0, samples, seed, delta, noise, strategy_u, strategy_v, p, q, x0
+    workdir, solved, name, cfg, h, t0, samples, seed, delta, noise, strategy_u, strategy_v,
+    p, q, x0,
 ):
     work = Path(tempfile.mkdtemp(dir=workdir))
+    game = ["--preset", name]
+    if cfg is not None:
+        game = ["--config", work / "config.json"]
+        game[1].write_text(json.dumps(cfg))
     specs = [
         f"feedback:{solved}" if s == "feedback:" else s.replace("missing", str(work / "none"))
         for s in (strategy_u, strategy_v)
     ]
-    assert_contract([
-        "simulate", "--preset", name, "--out", work / "sim.json", f"--h={h}", f"--t0={t0}",
+    out = work / "sim.json"
+    argv = [
+        "simulate", *game, "--out", out, f"--h={h}", f"--t0={t0}",
         f"--samples={samples}", f"--seed={seed}", f"--delta={delta}", f"--noise={noise}",
         f"--strategy-u={specs[0]}", f"--strategy-v={specs[1]}",
         *optional("--p", p), *optional("--q", q), *optional("--x0", x0),
-    ])
+    ]
+    code, err = exit_code(argv)
+    assert code in (0, 2, 3), f"exit {code} for {argv}:\n{err}"
+    if code == 0:  # the artifact is strict JSON
+        json.loads(out.read_text(), parse_constant=no_constant)
     shutil.rmtree(work)
 
 

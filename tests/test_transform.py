@@ -8,12 +8,17 @@ code with the hull construction under test.
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
+from infogame import transform
 from infogame.errors import ConfigError
 from infogame.simplex import build_grid, convexity_violations, discrete_convexity_violation
 from infogame.transform import (
@@ -26,6 +31,9 @@ from infogame.transform import (
     vex_p,
     vex_rows,
 )
+
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def lp_envelope(grid, values):
@@ -255,3 +263,86 @@ def test_badly_scaled_table_keeps_its_envelope():
     values = np.zeros(grid.npoints)
     values[grid.index_of((1, 1, 0, 0))] = 103180732427961.0
     np.testing.assert_array_equal(vex_p(grid, values), np.zeros(grid.npoints))
+
+
+def _guard_band_row(grid):
+    """An exact affine row plus a midpoint bump of 3e-12 x scale: it fails
+    the 1e-12 fixed-point screen, but `_affine_fit` accepts it."""
+    row = grid.numerators @ np.arange(1.0, grid.dim + 1.0) - 2.0
+    scale = max(1.0, float(np.max(np.abs(row))))
+    row[grid.triples[0, 1]] += 3e-12 * scale
+    assert discrete_convexity_violation(grid, row) > 1e-12 * scale
+    assert transform._affine_fit(grid, row) is not None
+    return row
+
+
+def test_vex_rows_keeps_guard_band_rows_bitwise():
+    for dim, resolution in ((3, 6), (4, 3)):
+        grid = build_grid(dim, resolution)
+        row = _guard_band_row(grid)
+        assert np.array_equal(vex_p(grid, row), row)
+        rows = np.array([row, -row, 2.0 * row])
+        assert np.array_equal(vex_rows(grid, rows), np.array([vex_p(grid, r) for r in rows]))
+
+
+def test_vex_rows_matches_vex_p_on_four_types():
+    grid = build_grid(4, 3)
+    rng = np.random.default_rng(23)
+    spike = np.zeros(grid.npoints)
+    spike[grid.index_of((1, 1, 1, 0))] = 1e14  # takes the scaled Qhull retry
+    rows = np.vstack([rng.uniform(-3, 3, (20, grid.npoints)), spike, -spike])
+    expected = np.array([vex_p(grid, r) for r in rows])
+    assert np.array_equal(vex_rows(grid, rows), expected)
+    assert np.array_equal(-vex_rows(grid, -rows), np.array([cav_q(grid, r) for r in rows]))
+
+
+def test_vex_rows_builds_one_hull_per_remaining_row(monkeypatch):
+    import scipy.spatial
+
+    grid = build_grid(3, 6)
+    rng = np.random.default_rng(29)
+    hulls = []
+    fits = []
+
+    class CountingHull(scipy.spatial.ConvexHull):
+        def __init__(self, points, *args, **kwargs):
+            hulls.append(1)
+            super().__init__(points, *args, **kwargs)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("vex_rows must not run a per-row helper")
+
+    exact_fit = transform._affine_fit
+
+    def counting_fit(grid, values):
+        fits.append(1)
+        return exact_fit(grid, values)
+
+    monkeypatch.setattr(scipy.spatial, "ConvexHull", CountingHull)
+    monkeypatch.setattr(transform, "_affine_fit", counting_fit)
+    for name in ("vex_p", "_already_convex", "_check_values"):
+        monkeypatch.setattr(transform, name, refuse)
+    random_rows = rng.uniform(-3, 3, (7, grid.npoints))
+    convex = np.sum(grid.points**2, axis=1)  # screened as a fixed point
+    rows = np.vstack([random_rows, convex, _guard_band_row(grid)])
+    fits.clear()
+    out = vex_rows(grid, rows)
+    assert len(hulls) == 7  # the random rows; none is convex or affine
+    assert len(fits) == 1  # only the guard-band row gets the exact fit
+    assert np.array_equal(out[7:], rows[7:])
+
+
+def test_cli_solve_does_not_import_scipy_spatial(tmp_path):
+    script = (
+        "import sys\n"
+        "import infogame.cli\n"
+        "assert 'scipy.spatial' not in sys.modules\n"
+        "code = infogame.cli.main(['solve', '--preset', 'two-sided-1d', '--nx', '11',\n"
+        "    '--np', '3', '--nq', '3', '--steps', '1', '--t0', '0.35', '--out', sys.argv[1]])\n"
+        "assert code == 0, code\n"
+        "assert 'scipy.spatial' not in sys.modules\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", script, str(tmp_path / "out")], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
