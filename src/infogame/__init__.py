@@ -4,15 +4,7 @@ primal value, exact tree oracles, Monte Carlo play of delayed strategies,
 and dual-solution residual audits."""
 
 from .errors import ConfigError, InvalidControlError, NumericsError
-from .hamiltonian import (
-    HamiltonianQuery,
-    ham_bellman_inf_sup,
-    ham_inf_sup,
-    ham_sup_inf,
-    isaacs_gap,
-    pair_table,
-    sample_isaacs_gap,
-)
+from .hamiltonian import ham_bellman_inf_sup, pair_table, sample_isaacs_gap
 from .model import (
     ControlSet,
     GameModel,
@@ -30,7 +22,6 @@ from .oracle import (
     TreeGame,
     classical_backward,
     exact_payoff_pq,
-    exact_payoff_random,
     exact_payoff_tree,
     noise_branches,
     one_sided_recursion,
@@ -72,8 +63,6 @@ from .solver import (
 from .transform import (
     biconjugate_p,
     cav_q,
-    concave_conjugate_q,
-    conjugate_p,
     coordinate_difference_probes,
     facet_slope_probes,
     vex_p,

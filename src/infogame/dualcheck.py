@@ -9,10 +9,11 @@ Two independent routes, never merged:
       residual = xi_t - H(t, x, -xi_x, -X, p, q)
 
   with p running over the conjugate argmax set and H the game-role
-  Hamiltonian (run_sign = +1, min over u of max over v).  The convex-side stack
-  max_p <phat, p> - w must keep the best residual >= -tol at every
-  audited node (supersolution direction); the concave-side stack
-  min_q <qhat, q> - w must keep it <= tol (subsolution direction).
+  Hamiltonian `hamiltonian.ham_bellman_inf_sup` (run_sign = +1, min over
+  u of max over v).  The convex-side stack max_p <phat, p> - w must keep
+  the best residual >= -tol at every audited node (supersolution
+  direction); the concave-side stack min_q <qhat, q> - w must keep it
+  <= tol (subsolution direction).
 
 * Primal route.  For each probe pair the best interior node of
   w - <phat, p> over (t, x, p) is located on the raw field and the jet
@@ -30,11 +31,13 @@ runtime stays bounded; uniform defects (time-affine perturbations) are
 visible at every node, so subsampling cannot hide them, and a single
 shifted slice shows at the audited nodes of its two neighbours.
 
-Jets are central differences over a whole (t, x) stack at once.  The
-conjugate route builds them once per (side, opponent node, probe) and
-evaluates every audited node of that probe, with its tie-support, in one
-`hamiltonian.pair_table` call; probes are batched one at a time to keep
-memory flat.
+Jets are central differences over a whole (t, x) stack at once.  One
+helper, `_conjugate_residuals`, runs the conjugate route for one (side,
+opponent node, probe): it builds the stack's jets once and evaluates
+every requested (t, node), with its tie-support, in one batched
+`ham_bellman_inf_sup` call.  The audit hands it the strided picks of a
+probe, one probe at a time to keep memory flat; the crosscheck hands it
+its one extremal node.
 """
 
 from __future__ import annotations
@@ -44,12 +47,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .hamiltonian import pair_table
+from .hamiltonian import ham_bellman_inf_sup
 from .solver import SolveResult, StateGrid, _derivatives, _hessians
 from .transform import coordinate_difference_probes, facet_slope_probes
 
 _DEFAULT_MAX_CHECKS = 10_000
-_DEFAULT_TIE_TOL = 1e-9
+_TIE_TOL = 1e-9
+# state nodes per slice whose envelope facets seed the probes
+_PROBE_SLICE_NODES = 5
 _PROBE_CAP = 64
 
 
@@ -126,7 +131,7 @@ def _core_nodes(result: SolveResult) -> list[tuple[int, ...]]:
     return out
 
 
-def build_probes(result: SolveResult, side: str, per_slice_nodes: int = 5) -> np.ndarray:
+def build_probes(result: SolveResult, side: str) -> np.ndarray:
     """Envelope facet slopes of the terminal and earliest slices, plus
     coordinate differences; deterministic and capped."""
     stack, _ = _stack(result)
@@ -139,7 +144,7 @@ def build_probes(result: SolveResult, side: str, per_slice_nodes: int = 5) -> np
         raise ConfigError("side must be 'p' or 'q'")
     flat = stack.reshape(stack.shape[0], -1, grids.p.npoints, grids.q.npoints)
     nx = flat.shape[1]
-    picks = np.unique(np.linspace(0, nx - 1, num=min(per_slice_nodes, nx)).astype(int))
+    picks = np.unique(np.linspace(0, nx - 1, num=min(_PROBE_SLICE_NODES, nx)).astype(int))
     rows = [coordinate_difference_probes(grid.dim)]
     for ti in (flat.shape[0] - 1, 0):
         for xi in picks:
@@ -167,14 +172,9 @@ def _stack_jets(grid: StateGrid, stack: np.ndarray, dt: float):
     return xi_t, grad, hess
 
 
-def _bellman(model, t, x, grad, hess, p, q) -> np.ndarray:
-    """Batched ham_bellman_inf_sup: min over u of max over v, +sum l p q."""
-    return pair_table(model, t, x, grad, hess, p, q, run_sign=1.0).max(axis=-1).min(axis=-1)
-
-
-def _support(scores: np.ndarray, best, sense: int, tie_tol: float) -> np.ndarray:
+def _support(scores: np.ndarray, best, sense: int) -> np.ndarray:
     """Mask of the near-optimal beliefs along the last axis, ties included."""
-    tie = tie_tol * np.maximum(1.0, np.max(np.abs(scores), axis=-1))
+    tie = _TIE_TOL * np.maximum(1.0, np.max(np.abs(scores), axis=-1))
     if sense > 0:
         return scores >= (best - tie)[..., None]
     return scores <= (best + tie)[..., None]
@@ -193,6 +193,32 @@ def _beliefs(sense: int, own: np.ndarray, opp: np.ndarray):
     return (own, opp) if sense > 0 else (opp, own)
 
 
+def _conjugate_residuals(result, own, opp_point, scores, sense, ti, nodes) -> np.ndarray:
+    """Conjugate-route residual of one probe at the given (t, node) pairs.
+
+    scores is <probe, r> - w at one opponent belief opp_point, shape
+    (nt, *shape, own npoints); ti holds interior time indices and nodes
+    the matching (k, n) state indices.  The conjugate stack is the max of
+    scores over the own beliefs r on the convex side (sense +1) and the
+    min on the concave one; at each pair, sense * (xi_t - H(t, x, -xi_x,
+    -X, p, q)) is maximized over the near-optimal beliefs.
+    """
+    conj = scores.max(axis=-1) if sense > 0 else scores.min(axis=-1)
+    grid = result.grids.state
+    xi_t, grad, hess = _stack_jets(grid, conj, result.dt)
+    at = (ti, *nodes.T)
+    jet = (ti - 1, *nodes.T)
+    rows, cand = np.nonzero(_support(scores[at], conj[at], sense))
+    p, q = _beliefs(sense, own.points[cand], opp_point)
+    x = np.stack([ax[i] for ax, i in zip(grid.axes, nodes.T)], axis=-1)
+    residual = xi_t[jet][rows] - ham_bellman_inf_sup(
+        result.model, result.times[ti][rows], x[rows], -grad[jet][rows], -hess[jet][rows], p, q
+    )
+    best = np.full(ti.size, -np.inf)
+    np.maximum.at(best, rows, sense * residual)
+    return best
+
+
 def check_dual_solution(
     result: SolveResult,
     *,
@@ -200,11 +226,9 @@ def check_dual_solution(
     probes_q: np.ndarray | None = None,
     tol: float | None = None,
     max_checks: int = _DEFAULT_MAX_CHECKS,
-    tie_tol: float = _DEFAULT_TIE_TOL,
 ) -> DualCheckReport:
     """Conjugate-route residual audit of both dual inequalities."""
-    model = result.model
-    stack, times = _stack(result)
+    stack, _ = _stack(result)
     grids = result.grids
     if max_checks < 1:
         raise ConfigError("max_checks must be >= 1")
@@ -215,7 +239,6 @@ def check_dual_solution(
     if tol is None:
         tol = default_tolerance(result)
     nodes = np.array(_core_nodes(result), dtype=int).reshape(-1, grids.state.ndim)
-    x_nodes = grids.state.mesh()[tuple(nodes.T)]  # (nodes, n)
     per_block = (stack.shape[0] - 2) * len(nodes)  # (interior t, node) pairs per conjugate
 
     worst = []
@@ -234,27 +257,12 @@ def check_dual_solution(
                 picks = np.arange(first, per_block, stride)
                 if picks.size == 0:
                     continue
-                scores = np.tensordot(own.points, probe, axes=(1, 0)) - block
                 # <probe, r> - w over the own belief axis, shape (nt, *shape, K)
-                conj = scores.max(axis=-1) if sense > 0 else scores.min(axis=-1)
-                xi_t, grad, hess = _stack_jets(grids.state, conj, result.dt)
-                node = picks % len(nodes)
-                jet = (picks // len(nodes), *nodes[node].T)
-                at = (jet[0] + 1, *jet[1:])
-                rows, cand = np.nonzero(_support(scores[at], conj[at], sense, tie_tol))
-                p, q = _beliefs(sense, own.points[cand], opp.points[jo])
-                residual = xi_t[jet][rows] - _bellman(
-                    model,
-                    times[at[0]][rows],
-                    x_nodes[node][rows],
-                    -grad[jet][rows],
-                    -hess[jet][rows],
-                    p,
-                    q,
+                scores = np.tensordot(own.points, probe, axes=(1, 0)) - block
+                best = _conjugate_residuals(
+                    result, own, opp.points[jo], scores, sense,
+                    picks // len(nodes) + 1, nodes[picks % len(nodes)],
                 )
-                # best residual over each node's support, worst over the nodes
-                best = np.full(picks.size, -np.inf)
-                np.maximum.at(best, rows, sense * residual)
                 side_worst = min(side_worst, float(best.min()))
                 side_checked += picks.size
         worst.append(sense * side_worst)
@@ -280,7 +288,6 @@ def primal_crosscheck(
     probes_p: np.ndarray | None = None,
     probes_q: np.ndarray | None = None,
     tol: float | None = None,
-    tie_tol: float = _DEFAULT_TIE_TOL,
 ) -> CrosscheckReport:
     """Primal-route audit at extremal interior nodes, compared with the
     conjugate route at the same nodes."""
@@ -315,25 +322,20 @@ def primal_crosscheck(
                 # minima of w - <probe, r> on the convex side, maxima on the concave one
                 masked = np.where(interior_mask[..., None], sense * (block - lift), np.inf)
                 ti, *node, c = np.unravel_index(int(np.argmin(masked)), masked.shape)
-                at = (ti, *node)
                 jet = (ti - 1, *node)
                 side_pairs += 1
                 xi_t, grad, hess = _stack_jets(grids.state, block[..., c], result.dt)
                 p, q = _beliefs(sense, own.points[c], opp.points[jo])
-                primal = xi_t[jet] + _bellman(
+                primal = xi_t[jet] + ham_bellman_inf_sup(
                     model, times[ti], mesh[tuple(node)], grad[jet], hess[jet], p, q
                 )
                 side_worst = max(side_worst, float(sense * primal))
                 # conjugate route at the same (t, x) node
-                scores = lift - block
-                conj = scores.max(axis=-1) if sense > 0 else scores.min(axis=-1)
-                c_xi_t, c_grad, c_hess = _stack_jets(grids.state, conj, result.dt)
-                cand = np.flatnonzero(_support(scores[at], conj[at], sense, tie_tol))
-                p, q = _beliefs(sense, own.points[cand], opp.points[jo])
-                duals = c_xi_t[jet] - _bellman(
-                    model, times[ti], mesh[tuple(node)], -c_grad[jet], -c_hess[jet], p, q
+                dual = _conjugate_residuals(
+                    result, own, opp.points[jo], lift - block, sense,
+                    np.array([ti]), np.array([node]),
                 )
-                if (sense * primal <= tol) != (np.max(sense * duals) >= -tol):
+                if (sense * primal <= tol) != (dual[0] >= -tol):
                     disagreements += 1
         worst.append(sense * side_worst)
         pairs.append(side_pairs)

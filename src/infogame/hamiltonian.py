@@ -10,14 +10,14 @@ declared finite control sets.  Everything else is a min/max reduction of
 that table.  The running term enters with one of two signs:
 
 * run_sign = -1 is the form in which the Isaacs condition for the
-  asymmetric-information equation is stated: ham_inf_sup, ham_sup_inf
-  and their difference isaacs_gap, plus the sampled audit
-  sample_isaacs_gap.
+  asymmetric-information equation is stated.  The sampled audit
+  `sample_isaacs_gap` reduces it both ways: the gap is the min over u of
+  the max over v minus the max over v of the min over u.
 * run_sign = +1 keeps the game roles (u minimizes) with the running
   term +sum l_ij p_i q_j: the form under which smooth value fields
-  satisfy the dynamic-programming equation pointwise.  It is what
-  ham_bellman_inf_sup, the solver, the dual residual audits and the
-  feedback replay evaluate.
+  satisfy the dynamic-programming equation pointwise.  Its min-max
+  reduction, `ham_bellman_inf_sup`, is what the solver step and both
+  dual residual audits evaluate; the feedback replay reads the table.
 
 The two are mirror images: pair_table(grad, hess, +1) equals
 -pair_table(-grad, -hess, -1) to the bit, so the min-max of one is minus
@@ -26,56 +26,15 @@ the max-min of the other.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ConfigError
 from .model import GameModel, running_matrix
 
-_SYM_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class HamiltonianQuery:
-    t: float
-    x: np.ndarray  # (n,)
-    grad: np.ndarray  # (n,)
-    hess: np.ndarray  # (n, n), symmetric
-    p: np.ndarray | None = None  # (I,)
-    q: np.ndarray | None = None  # (J,)
-
-    def __post_init__(self):
-        x = np.atleast_1d(np.asarray(self.x, dtype=float))
-        grad = np.atleast_1d(np.asarray(self.grad, dtype=float))
-        hess = np.atleast_2d(np.asarray(self.hess, dtype=float))
-        if hess.shape != (x.size, x.size) or grad.shape != x.shape:
-            raise ConfigError("query shapes inconsistent with state dimension")
-        if np.max(np.abs(hess - hess.T), initial=0.0) > _SYM_TOL:
-            raise ConfigError("hessian argument must be symmetric")
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "grad", grad)
-        object.__setattr__(self, "hess", 0.5 * (hess + hess.T))
-        for name in ("p", "q"):
-            w = getattr(self, name)
-            if w is not None:
-                w = np.asarray(w, dtype=float)
-                if not is_probability_vector(w):
-                    raise ConfigError(f"{name} must be a probability vector")
-                object.__setattr__(self, name, w)
-
 
 def is_probability_vector(w: np.ndarray) -> bool:
     """Entries >= -1e-12 that sum to 1 within 1e-9; NaN and inf fail."""
     return bool(np.all(w >= -1e-12) and abs(w.sum() - 1.0) <= 1e-9)
-
-
-def _query_table(model: GameModel, query: HamiltonianQuery, run_sign: float) -> np.ndarray:
-    p = query.p if query.p is not None else np.ones(model.u_types) / model.u_types
-    q = query.q if query.q is not None else np.ones(model.v_types) / model.v_types
-    if p.shape != (model.u_types,) or q.shape != (model.v_types,):
-        raise ConfigError("belief vector shapes do not match model type counts")
-    return pair_table(model, query.t, query.x, query.grad, query.hess, p, q, run_sign)
 
 
 def _belief_contraction(lmat: np.ndarray, p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -133,33 +92,15 @@ def pair_table(
     return out
 
 
-def ham_inf_sup(model: GameModel, query: HamiltonianQuery) -> float:
-    """min over u of max over v, running term entering as -sum l p q."""
-    table = _query_table(model, query, run_sign=-1.0)
-    return float(table.max(axis=1).min())
-
-
-def ham_sup_inf(model: GameModel, query: HamiltonianQuery) -> float:
-    """max over v of min over u, running term entering as -sum l p q."""
-    table = _query_table(model, query, run_sign=-1.0)
-    return float(table.min(axis=0).max())
-
-
 def _gaps(table: np.ndarray) -> np.ndarray:
     gap = table.max(axis=-1).min(axis=-1) - table.min(axis=-2).max(axis=-1)
     assert np.all(gap >= 0.0)
     return gap
 
 
-def isaacs_gap(model: GameModel, query: HamiltonianQuery) -> float:
-    """ham_inf_sup - ham_sup_inf; zero certifies order exchange."""
-    return float(_gaps(_query_table(model, query, run_sign=-1.0)))
-
-
-def ham_bellman_inf_sup(model: GameModel, query: HamiltonianQuery) -> float:
-    """Game-role min over u of max over v with +sum l p q running term."""
-    table = _query_table(model, query, run_sign=1.0)
-    return float(table.max(axis=1).min())
+def ham_bellman_inf_sup(model: GameModel, t, x, grad, hess, p, q) -> np.ndarray:
+    """Game-role min over u of max over v with +sum l p q, per batch point."""
+    return pair_table(model, t, x, grad, hess, p, q, run_sign=1.0).max(axis=-1).min(axis=-1)
 
 
 def sample_isaacs_gap(

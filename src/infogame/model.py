@@ -111,26 +111,6 @@ class GameModel:
             raise ConfigError("running cost matrix shape must be (I, J)")
 
 
-def evaluate_dynamics(model: GameModel, t: float, x, u, v):
-    """Validated drift/diffusion evaluation at one control pair."""
-    x = np.asarray(x, dtype=float)
-    if x.shape[-1] != model.state_dim:
-        raise ConfigError(
-            f"state shape {x.shape} does not end in state_dim {model.state_dim}"
-        )
-    u = model.u_set.values[model.u_set.index_of(u)]
-    v = model.v_set.values[model.v_set.index_of(v)]
-    b = np.asarray(model.drift(t, x, u, v), dtype=float)
-    sig = np.asarray(model.diffusion(t, x, u, v), dtype=float)
-    if b.shape != x.shape:
-        raise ConfigError(f"drift shape {b.shape} does not match state {x.shape}")
-    if sig.shape != x.shape + (model.noise_dim,):
-        raise ConfigError(f"diffusion shape {sig.shape} invalid")
-    if not (np.all(np.isfinite(b)) and np.all(np.isfinite(sig))):
-        raise ConfigError("dynamics produced non-finite values")
-    return b, sig
-
-
 def terminal_matrix(model: GameModel, x) -> np.ndarray:
     """Stack of terminal costs, shape (..., I, J)."""
     x = np.asarray(x, dtype=float)

@@ -31,7 +31,7 @@ import numpy as np
 from .errors import ConfigError
 from .model import GameModel
 from .simplex import SimplexGrid
-from .simulator import PureStrategy, RandomStrategy, StrategyProfile, strategy_control
+from .simulator import PureStrategy, StrategyProfile, strategy_control
 from .transform import vex_p
 
 _TREE_NODE_CAP = 1e7
@@ -124,17 +124,6 @@ def exact_payoff_tree(
     return recurse(0, x_path, u_rows, v_rows, 0.0)
 
 
-def exact_payoff_random(
-    tree: TreeGame, i: int, j: int, rand_u: RandomStrategy, rand_v: RandomStrategy
-) -> float:
-    """Weighted sum of pure-pair tree payoffs, weights multiplied exactly."""
-    total = 0.0
-    for au, wu in zip(rand_u.atoms, rand_u.weights):
-        for av, wv in zip(rand_v.atoms, rand_v.weights):
-            total += float(wu * wv) * exact_payoff_tree(tree, i, j, au, av)
-    return total
-
-
 def exact_payoff_pq(tree: TreeGame, profile: StrategyProfile, p, q) -> float:
     """Belief-weighted exact payoff of a full profile."""
     model = tree.model
@@ -149,7 +138,12 @@ def exact_payoff_pq(tree: TreeGame, profile: StrategyProfile, p, q) -> float:
         for j, rv in enumerate(profile.v_strategies):
             if p[i] == 0.0 or q[j] == 0.0:
                 continue
-            total += float(p[i] * q[j]) * exact_payoff_random(tree, i, j, ru, rv)
+            # weighted sum of pure-pair tree payoffs, weights multiplied exactly
+            mixed = 0.0
+            for au, wu in zip(ru.atoms, ru.weights):
+                for av, wv in zip(rv.atoms, rv.weights):
+                    mixed += float(wu * wv) * exact_payoff_tree(tree, i, j, au, av)
+            total += float(p[i] * q[j]) * mixed
     return total
 
 

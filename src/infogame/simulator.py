@@ -434,7 +434,6 @@ def feedback_from_field(
     *,
     h: float | None = None,
     delay_cells: int = 1,
-    label: str = "field-feedback",
 ) -> list[RandomStrategy]:
     """Markov minimax selection from a solved field at a frozen belief.
 
@@ -489,5 +488,5 @@ def feedback_from_field(
         return controls.values[picks[node + (ti,)]]
 
     own_types = model.u_types if side == "u" else model.v_types
-    pure = PureStrategy(side=side, delay_cells=delay_cells, rule=rule, label=label)
+    pure = PureStrategy(side=side, delay_cells=delay_cells, rule=rule, label="field-feedback")
     return [RandomStrategy(atoms=(pure,), weights=(Fraction(1),)) for _ in range(own_types)]

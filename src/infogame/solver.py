@@ -22,9 +22,10 @@ step runs.  Boundaries use zero-gradient mirror ghosts; assertions about
 solved values are made on interior cores away from the numerical domain
 of dependence of the boundary.
 
-The exact minimax is the min-max reduction of one `hamiltonian.pair_table`
-call over every (x, p, q) cell of the slice.  The running term enters
-H_num as +sum_ij l_ij p_i q_j: that is the sign under which smooth
+The exact minimax is one `hamiltonian.ham_bellman_inf_sup` call over
+every (x, p, q) cell of the slice: the min-max reduction of the
+control-pair table.  The running term enters H_num as
++sum_ij l_ij p_i q_j: that is the sign under which smooth
 complete-information values satisfy the scheme's equation pointwise and
 pure running cost integrates to elapsed time.
 
@@ -42,11 +43,13 @@ import numpy as np
 
 from . import transform
 from .errors import ConfigError, NumericsError
-from .hamiltonian import pair_table, sample_isaacs_gap
+from .hamiltonian import ham_bellman_inf_sup, sample_isaacs_gap
 from .model import GameModel, restrict_to_types, terminal_matrix
 from .simplex import SimplexGrid, build_grid, convexity_violations
 
 _MEMORY_CAP_BYTES = 2 * 1024**3
+# largest sampled Isaacs gap a solve accepts
+_ISAACS_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -247,7 +250,7 @@ def numerical_hamiltonian(
     """Dissipated exact minimax over the control grid, game sign convention."""
     grid = grids.state
     grad, second, mixed = _derivatives(grid, values)
-    table = pair_table(
+    ham = ham_bellman_inf_sup(
         model,
         t,
         grid.mesh()[..., None, None, :],
@@ -255,9 +258,7 @@ def numerical_hamiltonian(
         _hessians(grid, second, mixed),
         grids.p.points[:, None, :],
         grids.q.points[None, :, :],
-        run_sign=1.0,
     )
-    ham = table.max(axis=-1).min(axis=-1)
     if model.drift_bound > 0:
         for k in range(grid.ndim):
             if grid.axes[k].size > 1:
@@ -326,9 +327,7 @@ def _certificates(grids: Grids, values: np.ndarray) -> tuple[float, float]:
     return max(0.0, float(worst_p)), max(0.0, float(worst_q))
 
 
-def dual_project(
-    grids: Grids, values: np.ndarray, *, check_commutation: bool = True
-) -> ProjectionResult:
+def dual_project(grids: Grids, values: np.ndarray) -> ProjectionResult:
     """Lower convex envelope in p then upper concave envelope in q.
 
     The second envelope is a supremum of p-convex candidates over a
@@ -339,7 +338,7 @@ def dual_project(
     projected = _apply_envelopes(grids, values, "vex-cav")
     residual = float(np.max(np.abs(projected - values), initial=0.0))
     commutation = 0.0
-    if check_commutation and grids.p.npoints > 1 and grids.q.npoints > 1:
+    if grids.p.npoints > 1 and grids.q.npoints > 1:
         other = _apply_envelopes(grids, values, "cav-vex")
         commutation = float(np.max(np.abs(projected - other), initial=0.0))
     worst_p, worst_q = _certificates(grids, projected)
@@ -360,10 +359,8 @@ def solve(
     dt: float,
     seed: int = 0,
     isaacs_samples: int = 1000,
-    isaacs_tol: float = 1e-10,
     cfl_factor: float = 0.5,
     project: bool = True,
-    check_commutation: bool = True,
 ) -> SolveResult:
     _check_grids(model, grids)
     if not (np.isfinite(t0) and t0 < model.horizon):
@@ -390,11 +387,11 @@ def solve(
         ),
         t_range=(t0, model.horizon),
     )
-    if gap_report["max_sampled_gap"] > isaacs_tol:
+    if gap_report["max_sampled_gap"] > _ISAACS_TOL:
         raise ConfigError(
             f"Isaacs gap {gap_report['unit_query_gap']:g} at the unit query "
             f"(max sampled {gap_report['max_sampled_gap']:g}) exceeds tolerance "
-            f"{isaacs_tol:g}; min-max and max-min orders disagree"
+            f"{_ISAACS_TOL:g}; min-max and max-min orders disagree"
         )
 
     fields = [terminal_field(model, grids)]
@@ -406,9 +403,7 @@ def solve(
         stepped = hjb_step(model, grids, fields[-1], dt, cfl_factor=cfl_factor,
                            validate=False)
         if project:
-            proj = dual_project(
-                grids, stepped.values, check_commutation=check_commutation
-            )
+            proj = dual_project(grids, stepped.values)
             stepped = ValueField(
                 t=stepped.t,
                 values=proj.values,
@@ -456,7 +451,6 @@ def classical_solve(
     dt: float,
     seed: int = 0,
     isaacs_samples: int = 1000,
-    isaacs_tol: float = 1e-10,
     cfl_factor: float = 0.5,
 ) -> SolveResult:
     """Complete-information solve for one type pair on singleton simplices."""
@@ -469,7 +463,6 @@ def classical_solve(
         dt=dt,
         seed=seed,
         isaacs_samples=isaacs_samples,
-        isaacs_tol=isaacs_tol,
         cfl_factor=cfl_factor,
         project=False,
     )

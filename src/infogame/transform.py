@@ -19,14 +19,11 @@ reproduces vex exactly up to roundoff.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ConfigError, NumericsError
 from .simplex import SimplexGrid, convexity_violations, discrete_convexity_violation
 
-TIE_TOLERANCE = 1e-12
 _AFFINE_RTOL = 1e-11
 # rows whose batched affine residual is within this factor of the tolerance
 # get the exact per-row fit
@@ -41,12 +38,6 @@ def _already_convex(grid: SimplexGrid, values: np.ndarray) -> bool:
     return discrete_convexity_violation(grid, values) <= _FIXED_POINT_TOL * scale
 
 
-@dataclass(frozen=True)
-class ConjugateValue:
-    value: float
-    support: tuple[int, ...]  # grid indices attaining the optimum, ties included
-
-
 def _check_values(grid: SimplexGrid, values: np.ndarray) -> np.ndarray:
     values = np.asarray(values, dtype=float)
     if values.shape != (grid.npoints,):
@@ -56,32 +47,6 @@ def _check_values(grid: SimplexGrid, values: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(values)):
         raise ConfigError("tabulated values must be finite")
     return values
-
-
-def conjugate_p(grid: SimplexGrid, values: np.ndarray, slope: np.ndarray) -> ConjugateValue:
-    """Convex conjugate max_p <slope, p> - w(p) with its argmax set."""
-    values = _check_values(grid, values)
-    slope = np.asarray(slope, dtype=float)
-    if slope.shape != (grid.dim,):
-        raise ConfigError(f"slope shape {slope.shape} does not match dim {grid.dim}")
-    scores = grid.points @ slope - values
-    best = float(np.max(scores))
-    support = tuple(int(i) for i in np.flatnonzero(scores >= best - TIE_TOLERANCE))
-    return ConjugateValue(value=best, support=support)
-
-
-def concave_conjugate_q(
-    grid: SimplexGrid, values: np.ndarray, slope: np.ndarray
-) -> ConjugateValue:
-    """Concave conjugate min_q <slope, q> - w(q) with its argmin set."""
-    values = _check_values(grid, values)
-    slope = np.asarray(slope, dtype=float)
-    if slope.shape != (grid.dim,):
-        raise ConfigError(f"slope shape {slope.shape} does not match dim {grid.dim}")
-    scores = grid.points @ slope - values
-    best = float(np.min(scores))
-    support = tuple(int(i) for i in np.flatnonzero(scores <= best + TIE_TOLERANCE))
-    return ConjugateValue(value=best, support=support)
 
 
 def _chain_lower_hull(xs: np.ndarray, ys: np.ndarray) -> list[int]:
@@ -206,34 +171,41 @@ class _LowerHull:
         self._cloud = np.empty((grid.npoints, grid.dim))
         self._cloud[:, :-1] = self.reduced
 
+    def _hull(self, values: np.ndarray, scale: float):
+        """Qhull of the cloud with w divided by scale, and the mask of its
+        downward facets."""
+        self._cloud[:, -1] = values / scale
+        hull = self._convex_hull(self._cloud)
+        # rows: (normal..., offset), normal . y + offset <= 0 inside
+        return hull, hull.equations[:, -2] < -1e-12
+
     def facets(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(gradients, offsets, member mask) of the lower facets.
 
         Each facet is the affine map q -> <g, q> + c on reduced
         coordinates; the mask marks the nodes that span some facet.
         """
-        cloud = self._cloud
-        cloud[:, -1] = values
-        scale = 1.0
         try:
-            hull = self._convex_hull(cloud)
+            hull, down = self._hull(values, 1.0)
         except self._qhull_error:
+            down = None
+        scale = 1.0
+        if down is None or not down.any():
             # values far larger than the unit lattice can defeat Qhull's
-            # precision checks; the cloud with w scaled down has the same facets
+            # precision checks, or leave every lower facet's unit normal too
+            # close to horizontal to pass the test; the cloud with w scaled
+            # down has the same facets
             scale = max(1.0, float(np.max(np.abs(values))))
-            cloud[:, -1] = values / scale
             try:
-                hull = self._convex_hull(cloud)
+                hull, down = self._hull(values, scale)
             except self._qhull_error as exc:
                 raise NumericsError(f"lifted hull failed: {exc}") from exc
-        eqs = hull.equations  # rows: (normal..., offset), normal . y + offset <= 0 inside
-        down = eqs[:, -2] < -1e-12
-        if not down.any():
-            raise ConfigError("degenerate lifted hull: no downward facets")
-        low = eqs[down]
+            if not down.any():
+                raise ConfigError("degenerate lifted hull: no downward facets")
+        low = hull.equations[down]
         grads = -low[:, :-2] * scale / low[:, -2:-1]
         offs = -low[:, -1] * scale / low[:, -2]
-        members = np.zeros(cloud.shape[0], dtype=bool)
+        members = np.zeros(values.shape, dtype=bool)
         members[hull.simplices[down]] = True
         return grads, offs, members
 
@@ -339,20 +311,12 @@ def coordinate_difference_probes(dim: int) -> np.ndarray:
     return np.array(probes)
 
 
-def biconjugate_p(
-    grid: SimplexGrid, values: np.ndarray, extra_probes: np.ndarray | None = None
-) -> np.ndarray:
+def biconjugate_p(grid: SimplexGrid, values: np.ndarray) -> np.ndarray:
     """Biconjugate from facet-slope probes; equals vex_p up to roundoff."""
     values = _check_values(grid, values)
-    if extra_probes is None and _already_convex(grid, values):
+    if _already_convex(grid, values):
         return values.copy()
-    probes = [facet_slope_probes(grid, values), coordinate_difference_probes(grid.dim)]
-    if extra_probes is not None:
-        extra = np.asarray(extra_probes, dtype=float)
-        if extra.ndim != 2 or extra.shape[1] != grid.dim:
-            raise ConfigError("extra probes must have shape (m, dim)")
-        probes.append(extra)
-    probe_arr = np.vstack(probes)
-    scores = grid.points @ probe_arr.T - values[:, None]  # (npoints, nprobes)
+    probes = np.vstack([facet_slope_probes(grid, values), coordinate_difference_probes(grid.dim)])
+    scores = grid.points @ probes.T - values[:, None]  # (npoints, nprobes)
     conj = scores.max(axis=0)
-    return np.max(grid.points @ probe_arr.T - conj[None, :], axis=1)
+    return np.max(grid.points @ probes.T - conj[None, :], axis=1)

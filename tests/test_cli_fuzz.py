@@ -369,6 +369,7 @@ def no_constant(token):
 @FUZZ
 @given(  # the oracle's recursion needs a single v type
     name=st.sampled_from(ONE_V_TYPE) | st.sampled_from(PRESETS),
+    cfg=mostly(None, configs()),  # None: run the named preset
     steps=mostly(2, st.integers(-1, 3)),
     h=mostly(None, st.sampled_from(STEPS_H)),  # None: the horizon over the steps
     t0=mostly(0.0, st.sampled_from(STARTS)),
@@ -376,15 +377,19 @@ def no_constant(token):
     x0=mostly(None, csv_numbers),
 )
 @example(  # a NaN --t0 once got past the horizon check and into oracle.json
-    name="one-sided-drift-1d", steps=2, h=0.1, t0=math.nan, np_res=2, x0=None,
+    name="one-sided-drift-1d", cfg=None, steps=2, h=0.1, t0=math.nan, np_res=2, x0=None,
 )
-def test_oracle_exit_codes(workdir, name, steps, h, t0, np_res, x0):
+def test_oracle_exit_codes(workdir, name, cfg, steps, h, t0, np_res, x0):
     if h is None:
         h = preset_config(name)["T"] / max(steps, 1)
     work = Path(tempfile.mkdtemp(dir=workdir))
+    game = ["--preset", name]
+    if cfg is not None:
+        game = ["--config", work / "config.json"]
+        game[1].write_text(json.dumps(cfg))
     out = work / "oracle.json"
     argv = [
-        "oracle", "--preset", name, "--out", out, f"--steps={steps}", f"--h={h}",
+        "oracle", *game, "--out", out, f"--steps={steps}", f"--h={h}",
         f"--t0={t0}", f"--np={np_res}", *optional("--x0", x0),
     ]
     code, err = exit_code(argv)

@@ -8,12 +8,14 @@ import numpy as np
 import pytest
 
 from infogame.dualcheck import (
+    _core_nodes,
     build_probes,
     check_dual_solution,
     default_tolerance,
     primal_crosscheck,
 )
 from infogame.errors import ConfigError
+from infogame.hamiltonian import pair_table
 from infogame.model import preset
 from infogame.simplex import build_grid
 from infogame.solver import Grids, build_state_grid, solve
@@ -121,6 +123,53 @@ def test_local_slice_defect_breaks_both_inequalities(two_sided_solve, sign):
     report = check_dual_solution(replace(result, fields=fields))
     assert not report.supersolution_ok, report.supersolution_residual
     assert not report.subsolution_ok, report.subsolution_residual
+
+
+def conjugate_route_by_hand(result, probe_p, probe_q):
+    """Both residuals of the conjugate route, one (opponent node, t, node)
+    at a time on a 1-d state: explicit stencils, the tie-support by hand
+    and one single-point control table per supporting belief."""
+    grids, model, dt = result.grids, result.model, result.dt
+    stack = np.stack([f.values for f in result.fields])  # (nt, nx, P, Q)
+    dx, x, times = grids.state.spacing[0], grids.state.axes[0], result.times
+    nodes = [i for (i,) in _core_nodes(result)]
+    worst = []
+    for sense, own, opp, probe in ((1, grids.p, grids.q, probe_p), (-1, grids.q, grids.p, probe_q)):
+        side = np.inf
+        for jo in range(opp.npoints):
+            block = stack[..., jo] if sense > 0 else stack[..., jo, :]
+            scores = own.points @ probe - block
+            conj = scores.max(axis=-1) if sense > 0 else scores.min(axis=-1)
+            for ti in range(1, len(times) - 1):
+                for i in nodes:
+                    xi_t = (conj[ti + 1, i] - conj[ti - 1, i]) / (2.0 * dt)
+                    grad = (conj[ti, i + 1] - conj[ti, i - 1]) / (2.0 * dx)
+                    hess = (conj[ti, i + 1] - 2.0 * conj[ti, i] + conj[ti, i - 1]) / (dx * dx)
+                    row = scores[ti, i]
+                    tie = 1e-9 * max(1.0, np.max(np.abs(row)))
+                    if sense > 0:
+                        support = np.flatnonzero(row >= conj[ti, i] - tie)
+                    else:
+                        support = np.flatnonzero(row <= conj[ti, i] + tie)
+                    best = -np.inf
+                    for k in support:
+                        p, q = (own.points[k], opp.points[jo])[::sense]
+                        table = pair_table(model, times[ti], x[i : i + 1], [-grad], [[-hess]], p, q, 1.0)
+                        best = max(best, sense * (xi_t - table.max(-1).min(-1)))
+                    side = min(side, best)
+        worst.append(sense * side)
+    return worst
+
+
+def test_conjugate_route_matches_a_per_node_loop(two_sided_solve):
+    result = two_sided_solve
+    probe_p, probe_q = np.array([0.3, -0.4]), np.array([-0.2, 0.5])
+    report = check_dual_solution(
+        result, probes_p=probe_p[None, :], probes_q=probe_q[None, :], max_checks=10**9
+    )
+    sup_res, sub_res = conjugate_route_by_hand(result, probe_p, probe_q)
+    assert report.supersolution_residual == pytest.approx(sup_res, rel=1e-12, abs=1e-12)
+    assert report.subsolution_residual == pytest.approx(sub_res, rel=1e-12, abs=1e-12)
 
 
 def test_crosscheck_agrees_with_conjugate_route(static_solve):

@@ -12,15 +12,7 @@ import numpy as np
 import pytest
 
 from infogame.errors import ConfigError
-from infogame.hamiltonian import (
-    HamiltonianQuery,
-    ham_bellman_inf_sup,
-    ham_inf_sup,
-    ham_sup_inf,
-    isaacs_gap,
-    pair_table,
-    sample_isaacs_gap,
-)
+from infogame.hamiltonian import ham_bellman_inf_sup, pair_table, sample_isaacs_gap
 from infogame.model import preset, running_matrix
 
 PRESETS = (
@@ -34,29 +26,39 @@ PRESETS = (
 )
 
 
-def q1(grad, hess, t=0.0, x=0.0, p=None, q=None):
-    return HamiltonianQuery(
-        t=t,
-        x=np.atleast_1d(np.asarray(x, dtype=float)),
-        grad=np.atleast_1d(np.asarray(grad, dtype=float)),
-        hess=np.atleast_2d(np.asarray(hess, dtype=float)),
-        p=None if p is None else np.asarray(p, dtype=float),
-        q=None if q is None else np.asarray(q, dtype=float),
+def one_point(model, grad, hess, p=None, q=None, run_sign=-1.0):
+    """Control-pair table at x = 0 for a 1-d state; beliefs default to uniform."""
+    p = np.full(model.u_types, 1.0 / model.u_types) if p is None else np.asarray(p, dtype=float)
+    q = np.full(model.v_types, 1.0 / model.v_types) if q is None else np.asarray(q, dtype=float)
+    return pair_table(
+        model, 0.0, np.zeros(1), np.atleast_1d(np.asarray(grad, dtype=float)),
+        np.atleast_2d(np.asarray(hess, dtype=float)), p, q, run_sign,
     )
+
+
+def inf_sup(table):
+    """min over u of max over v."""
+    return float(table.max(axis=-1).min(axis=-1))
+
+
+def sup_inf(table):
+    """max over v of min over u."""
+    return float(table.min(axis=-2).max(axis=-1))
 
 
 def test_drift_sum_saddle_cancels():
     m = preset("drift-sum-1d")
     # b = u + v over {-1,0,1}^2: minimax of (u+v) grad is 0 for any grad
-    assert ham_inf_sup(m, q1(grad=2.0, hess=0.0)) == 0.0
-    assert ham_sup_inf(m, q1(grad=2.0, hess=0.0)) == 0.0
-    assert isaacs_gap(m, q1(grad=-3.7, hess=0.0)) == 0.0
+    assert inf_sup(one_point(m, 2.0, 0.0)) == 0.0
+    assert sup_inf(one_point(m, 2.0, 0.0)) == 0.0
+    table = one_point(m, -3.7, 0.0)
+    assert inf_sup(table) - sup_inf(table) == 0.0
 
 
 def test_diffusion_term_is_half_trace():
     m = preset("drift-sum-1d")  # sigma = 1
-    assert ham_inf_sup(m, q1(grad=0.0, hess=2.0)) == 1.0
-    assert ham_inf_sup(m, q1(grad=0.0, hess=-4.0)) == -2.0
+    assert inf_sup(one_point(m, 0.0, 2.0)) == 1.0
+    assert inf_sup(one_point(m, 0.0, -4.0)) == -2.0
 
 
 def test_constant_running_enters_negatively():
@@ -65,24 +67,20 @@ def test_constant_running_enters_negatively():
         l=[[{"name": "const", "params": {"c": 1.0}}] * 2] * 2,
     )
     # literal convention: H carries -sum l p q, so l = c gives -c
-    assert ham_inf_sup(m, q1(grad=0.0, hess=0.0)) == -1.0
-    assert ham_sup_inf(m, q1(grad=0.0, hess=0.0)) == -1.0
+    assert inf_sup(one_point(m, 0.0, 0.0)) == -1.0
+    assert sup_inf(one_point(m, 0.0, 0.0)) == -1.0
     # game-role variant carries +sum l p q
-    assert ham_bellman_inf_sup(m, q1(grad=0.0, hess=0.0)) == 1.0
+    uniform = np.full(2, 0.5)
+    assert ham_bellman_inf_sup(m, 0.0, np.zeros(1), np.zeros(1), np.zeros((1, 1)), uniform, uniform) == 1.0
 
 
 def test_coupled_game_order_gap():
     m = preset("coupled-1d")  # b = 4 u v over {-1,1}^2
-    assert ham_inf_sup(m, q1(grad=1.0, hess=0.0)) == 4.0
-    assert ham_sup_inf(m, q1(grad=1.0, hess=0.0)) == -4.0
-    assert isaacs_gap(m, q1(grad=1.0, hess=0.0)) == 8.0
-
-
-def one_point(model, grad, hess, p, q, run_sign):
-    return pair_table(
-        model, 0.0, np.zeros(1), np.atleast_1d(grad), np.atleast_2d(hess),
-        np.asarray(p, dtype=float), np.asarray(q, dtype=float), run_sign,
-    )
+    table = one_point(m, 1.0, 0.0)
+    assert inf_sup(table) == 4.0
+    assert sup_inf(table) == -4.0
+    # the Isaacs gap is inf-sup minus sup-inf of one table
+    assert inf_sup(table) - sup_inf(table) == 8.0
 
 
 def test_pair_table_shape_and_beliefs():
@@ -152,6 +150,15 @@ def test_pair_table_matches_a_per_pair_loop(name):
             assert np.array_equal(batch[s], ref), (name, run_sign, s)
 
 
+@pytest.mark.parametrize("name", PRESETS)
+def test_bellman_reduction_is_the_batched_min_max(name):
+    m = preset(name)
+    t, x, grad, hess, p, q = random_batch(m, np.random.default_rng(5), 40)
+    got = ham_bellman_inf_sup(m, t, x, grad, hess, p, q)
+    assert got.shape == (40,)
+    assert np.array_equal(got, pair_table(m, t, x, grad, hess, p, q, 1.0).max(-1).min(-1))
+
+
 def test_dual_variants_swap_roles():
     """Reflection identity: negating the jet and the running sign negates
     the table, so the +sum l p q scans with swapped optimization roles
@@ -164,12 +171,10 @@ def test_dual_variants_swap_roles():
         assert np.array_equal(plus, -pair_table(m, t, x, -grad, -hess, p, q, -1.0)), name
         min_v_max_u = plus.max(axis=-2).min(axis=-1)
         max_u_min_v = plus.min(axis=-1).max(axis=-1)
+        reflected = pair_table(m, t, x, -grad, -hess, p, q, -1.0)
         for s in range(30):
-            reflected = HamiltonianQuery(
-                t=t[s], x=x[s], grad=-grad[s], hess=-hess[s], p=p[s], q=q[s]
-            )
-            assert min_v_max_u[s] == -ham_sup_inf(m, reflected)
-            assert max_u_min_v[s] == -ham_inf_sup(m, reflected)
+            assert min_v_max_u[s] == -sup_inf(reflected[s])
+            assert max_u_min_v[s] == -inf_sup(reflected[s])
             assert max_u_min_v[s] <= min_v_max_u[s]
 
 
@@ -185,8 +190,10 @@ def test_decoupled_dual_variants_agree():
 
 def test_monotone_in_hessian():
     m = preset("one-sided-drift-1d")
-    low = ham_bellman_inf_sup(m, q1(grad=0.3, hess=-1.0, p=[0.5, 0.5], q=[1.0]))
-    high = ham_bellman_inf_sup(m, q1(grad=0.3, hess=2.0, p=[0.5, 0.5], q=[1.0]))
+    low, high = ham_bellman_inf_sup(
+        m, 0.0, np.zeros(1), np.full(1, 0.3), np.array([[[-1.0]], [[2.0]]]),
+        np.array([0.5, 0.5]), np.array([1.0]),
+    )
     assert low <= high
 
 
@@ -205,20 +212,6 @@ def test_running_term_bilinear_in_beliefs():
     np.testing.assert_allclose(blended, manual, atol=1e-14)
 
 
-def test_query_validation():
-    with pytest.raises(ConfigError):
-        q1(grad=[1.0, 2.0], hess=0.0)  # mismatched shapes
-    with pytest.raises(ConfigError):
-        HamiltonianQuery(
-            t=0.0,
-            x=np.zeros(1),
-            grad=np.zeros(1),
-            hess=np.array([[0.0, 1.0], [0.5, 0.0]]),
-        )
-    with pytest.raises(ConfigError):
-        q1(grad=0.0, hess=0.0, p=[0.5, 0.6])
-
-
 def test_sampled_gap_documented_unit_query():
     m = preset("coupled-1d")
     rep = sample_isaacs_gap(m, samples=64, seed=0)
@@ -233,13 +226,24 @@ def test_sampled_gap_documented_unit_query():
     assert clean["max_sampled_gap"] <= 1e-12
 
 
+def uniform(k):
+    return np.full(k, 1.0 / k)
+
+
+def gap(model, t, x, grad, hess, p, q):
+    """Isaacs gap of one query, from a single-point pair_table."""
+    table = pair_table(model, t, np.asarray(x, dtype=float), np.asarray(grad, dtype=float),
+                       np.asarray(hess, dtype=float), p, q, -1.0)
+    return inf_sup(table) - sup_inf(table)
+
+
 @pytest.mark.parametrize("name", PRESETS)
 def test_sampled_gap_is_the_max_over_single_queries(name):
     m = preset(name)
     rep = sample_isaacs_gap(m, samples=50, seed=3, x_box=(-1.0, 2.0), t_range=(0.1, 0.3))
     # the same queries, drawn in the documented order, one at a time
     rng = np.random.default_rng(np.random.SeedSequence(3))
-    gaps = [isaacs_gap(m, HamiltonianQuery(t=0.1, x=[0.5], grad=[1.0], hess=[[0.0]]))]
+    gaps = [gap(m, 0.1, [0.5], [1.0], [[0.0]], uniform(m.u_types), uniform(m.v_types))]
     for _ in range(49):
         x = rng.uniform(-1.0, 2.0, size=1)
         grad = rng.standard_normal(1)
@@ -247,7 +251,7 @@ def test_sampled_gap_is_the_max_over_single_queries(name):
         p = rng.dirichlet(np.ones(m.u_types))
         q = rng.dirichlet(np.ones(m.v_types))
         t = float(rng.uniform(0.1, 0.3))
-        gaps.append(isaacs_gap(m, HamiltonianQuery(t=t, x=x, grad=grad, hess=0.5 * (raw + raw.T), p=p, q=q)))
+        gaps.append(gap(m, t, x, grad, 0.5 * (raw + raw.T), p, q))
     assert rep == {"unit_query_gap": gaps[0], "max_sampled_gap": max(gaps), "samples": 50}
     with pytest.raises(ConfigError):
         sample_isaacs_gap(m, samples=4, seed=-1)

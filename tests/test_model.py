@@ -6,7 +6,6 @@ import pytest
 from infogame.errors import ConfigError, InvalidControlError
 from infogame.model import (
     ControlSet,
-    evaluate_dynamics,
     model_from_config,
     preset,
     preset_config,
@@ -74,11 +73,13 @@ def test_preset_catalog_builds():
 def test_drift_sum_dynamics_vectorized():
     m = preset("drift-sum-1d")
     x = np.linspace(-1, 1, 7)[:, None]
-    b, sig = evaluate_dynamics(m, 0.0, x, [1.0], [-1.0])
-    np.testing.assert_array_equal(b, np.zeros_like(x))
-    np.testing.assert_array_equal(sig, np.ones(x.shape + (1,)))
-    with pytest.raises(InvalidControlError):
-        evaluate_dynamics(m, 0.0, x, [0.7], [1.0])
+    u, v = m.u_set.values[m.u_set.index_of([1.0])], m.v_set.values[m.v_set.index_of([-1.0])]
+    # a float t and an array t over the batch give the same values
+    for t in (0.0, np.linspace(0.0, m.horizon, 7)):
+        b = np.asarray(m.drift(t, x, u, v), dtype=float)
+        sig = np.asarray(m.diffusion(t, x, u, v), dtype=float)
+        np.testing.assert_array_equal(b, np.zeros_like(x))
+        np.testing.assert_array_equal(sig, np.ones(x.shape + (m.noise_dim,)))
 
 
 def test_cost_matrices():

@@ -14,7 +14,6 @@ from infogame.oracle import (
     TreeGame,
     classical_backward,
     exact_payoff_pq,
-    exact_payoff_random,
     exact_payoff_tree,
     noise_branches,
     one_sided_recursion,
@@ -94,7 +93,9 @@ def test_random_strategy_payoff_is_weighted_sum():
         float(w) * exact_payoff_tree(tree, 0, 0, a, rv.atoms[0])
         for a, w in zip(ru.atoms, ru.weights)
     )
-    assert exact_payoff_random(tree, 0, 0, ru, rv) == pytest.approx(want, abs=1e-15)
+    # a one-hot belief picks the type pair's mixture payoff
+    prof = StrategyProfile(u_strategies=(ru, unit_mix(atoms[0])), v_strategies=(rv,))
+    assert exact_payoff_pq(tree, prof, [1.0, 0.0], [1.0]) == pytest.approx(want, abs=1e-15)
 
 
 def test_classical_backward_requires_decoupled():
@@ -213,8 +214,8 @@ def test_exact_payoff_pq_bilinear():
     prof = StrategyProfile(u_strategies=(ru0, ru1), v_strategies=(rv,))
     p = [0.25, 0.75]
     lhs = exact_payoff_pq(tree, prof, p, [1.0])
-    rhs = 0.25 * exact_payoff_random(tree, 0, 0, ru0, rv) + 0.75 * exact_payoff_random(
-        tree, 1, 0, ru1, rv
+    rhs = 0.25 * exact_payoff_pq(tree, prof, [1.0, 0.0], [1.0]) + 0.75 * exact_payoff_pq(
+        tree, prof, [0.0, 1.0], [1.0]
     )
     assert lhs == pytest.approx(rhs, abs=1e-15)
 

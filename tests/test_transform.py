@@ -24,8 +24,6 @@ from infogame.simplex import build_grid, convexity_violations, discrete_convexit
 from infogame.transform import (
     biconjugate_p,
     cav_q,
-    concave_conjugate_q,
-    conjugate_p,
     coordinate_difference_probes,
     facet_slope_probes,
     vex_p,
@@ -59,19 +57,6 @@ def test_hand_hull_interval():
     # hull nodes keep their exact input floats
     assert env[0] == values[0] and env[1] == values[1]
     assert env[3] == values[3] and env[4] == values[4]
-
-
-def test_conjugate_is_exhaustive_scan():
-    grid = build_grid(2, 6)
-    rng = np.random.default_rng(3)
-    values = rng.standard_normal(grid.npoints)
-    slope = np.array([0.7, -0.2])
-    cj = conjugate_p(grid, values, slope)
-    scores = [float(slope @ p) - w for p, w in zip(grid.points, values)]
-    assert cj.value == max(scores)
-    assert int(np.argmax(scores)) in cj.support
-    cc = concave_conjugate_q(grid, values, slope)
-    assert cc.value == min(scores)
 
 
 def test_vertex_values_always_survive():
@@ -165,11 +150,11 @@ def test_subdifferential_certificates():
     rng = np.random.default_rng(21)
     values = vex_p(grid, rng.standard_normal(grid.npoints))
     probes = facet_slope_probes(grid, values)
-    conj = [conjugate_p(grid, values, s) for s in probes]
-    conj_values = np.array([cj.value for cj in conj])
-    for s, cj in zip(probes, conj):
-        for k in cj.support:
-            margin = cj.value + (probes - s) @ grid.points[k] - conj_values
+    scores = grid.points @ probes.T - values[:, None]  # (npoints, nprobes)
+    conj = scores.max(axis=0)
+    for r, s in enumerate(probes):
+        for k in np.flatnonzero(scores[:, r] >= conj[r] - 1e-12):
+            margin = conj[r] + (probes - s) @ grid.points[k] - conj
             assert np.max(margin) <= 1e-10
 
 
@@ -263,6 +248,41 @@ def test_badly_scaled_table_keeps_its_envelope():
     values = np.zeros(grid.npoints)
     values[grid.index_of((1, 1, 0, 0))] = 103180732427961.0
     np.testing.assert_array_equal(vex_p(grid, values), np.zeros(grid.npoints))
+
+
+def _tall_rows():
+    """Gaussian rows on a 3-type resolution-4 lattice scaled by 10^U(12, 14):
+    most of their lifted clouds are so tall that every lower facet's unit
+    normal is nearly horizontal."""
+    grid = build_grid(3, 4)
+    rng = np.random.default_rng(0)
+    rows = rng.standard_normal((500, grid.npoints)) * 10.0 ** rng.uniform(12, 14, (500, 1))
+    return grid, rows
+
+
+def test_tall_tables_are_not_refused():
+    grid, rows = _tall_rows()
+    envs = np.array([vex_p(grid, r) for r in rows])
+    assert np.all(envs <= rows)
+    scale = np.max(np.abs(rows), axis=1)
+    assert np.max(convexity_violations(grid, envs) / scale) <= 1e-13
+    assert np.array_equal(vex_rows(grid, rows), envs)
+
+
+def test_convexify_takes_a_tall_table(tmp_path):
+    from infogame.cli import main
+
+    grid, rows = _tall_rows()
+    w = rows[0]
+    table = tmp_path / "table.csv"
+    lines = ["p_1,p_2,p_3,w"] + [
+        ",".join(repr(float(v)) for v in (*grid.points[k], w[k])) for k in range(grid.npoints)
+    ]
+    table.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "env.csv"
+    assert main(["convexify", "--table", str(table), "--out", str(out), "--mode", "vex"]) == 0
+    got = np.array([float(line.rsplit(",", 1)[1]) for line in out.read_text().splitlines()[1:]])
+    np.testing.assert_array_equal(got, vex_p(grid, w))
 
 
 def _guard_band_row(grid):
