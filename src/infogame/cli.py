@@ -25,7 +25,12 @@ from typing import Iterable
 import numpy as np
 
 from ._util import sha256_hex
-from .dualcheck import check_dual_solution, default_tolerance, primal_crosscheck
+from .dualcheck import (
+    _check_tolerance,
+    check_dual_solution,
+    default_tolerance,
+    primal_crosscheck,
+)
 from .errors import ConfigError, NumericsError
 from .hamiltonian import is_probability_vector
 from .model import model_from_config, preset_config, resolved_config
@@ -333,6 +338,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    if args.tol is not None:
+        _check_tolerance(args.tol)
     result = load_solve(args.solve)
     tol = args.tol if args.tol is not None else default_tolerance(result)
     started = time.perf_counter()
@@ -534,7 +541,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_check = sub.add_parser("check", help="dual residual audit of a solve directory")
     p_check.add_argument("--solve", required=True, help="directory written by solve")
     p_check.add_argument("--out", default=None, help="report path (default: check.json in the solve dir)")
-    p_check.add_argument("--tol", type=float, default=None)
+    p_check.add_argument(
+        "--tol", type=float, default=None,
+        help="residual tolerance, finite and >= 0 (default: from grid spacing)",
+    )
     p_check.add_argument("--max-checks", type=int, default=10_000)
     p_check.set_defaults(func=_cmd_check)
 

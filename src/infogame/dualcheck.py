@@ -31,13 +31,18 @@ runtime stays bounded; uniform defects (time-affine perturbations) are
 visible at every node, so subsampling cannot hide them, and a single
 shifted slice shows at the audited nodes of its two neighbours.
 
-Jets are central differences over a whole (t, x) stack at once.  One
-helper, `_conjugate_residuals`, runs the conjugate route for one (side,
-opponent node, probe): it builds the stack's jets once and evaluates
-every requested (t, node), with its tie-support, in one batched
-`ham_bellman_inf_sup` call.  The audit hands it the strided picks of a
-probe, one probe at a time to keep memory flat; the crosscheck hands it
-its one extremal node.
+Both audits work a side at a time, one opponent belief node at a time.
+`_score_chunks` forms <probe, r> - w for a chunk of probes as one block,
+and the jets of the chunk's conjugate stacks come from one central-
+difference pass over that block; the crosscheck builds w's own jets
+once per opponent node and picks every probe's extremal node with one
+argmin.  The audited rows of a side queue in `_Rows` and reach
+`ham_bellman_inf_sup` in a few batched calls.  One constant,
+_BLOCK_FLOATS, caps both the floats of a score block and the kernel
+table of one call, so the working set does not grow with the number
+of probes or checks.  The reductions keep the per-probe order
+(opponent node, probe, t, node), so the reports do not depend on the
+chunking.
 """
 
 from __future__ import annotations
@@ -56,6 +61,9 @@ _TIE_TOL = 1e-9
 # state nodes per slice whose envelope facets seed the probes
 _PROBE_SLICE_NODES = 5
 _PROBE_CAP = 64
+# floats per score block (nt, *shape, probes, K) and per kernel table
+# (rows, |U|, |V|): bounds the audits' working set
+_BLOCK_FLOATS = 2**14
 
 
 @dataclass(frozen=True)
@@ -193,30 +201,112 @@ def _beliefs(sense: int, own: np.ndarray, opp: np.ndarray):
     return (own, opp) if sense > 0 else (opp, own)
 
 
-def _conjugate_residuals(result, own, opp_point, scores, sense, ti, nodes) -> np.ndarray:
-    """Conjugate-route residual of one probe at the given (t, node) pairs.
+def _score_chunks(block: np.ndarray, own, probes: np.ndarray, order):
+    """(chunk, scores) over consecutive chunks of the probes listed in order.
 
-    scores is <probe, r> - w at one opponent belief opp_point, shape
-    (nt, *shape, own npoints); ti holds interior time indices and nodes
-    the matching (k, n) state indices.  The conjugate stack is the max of
-    scores over the own beliefs r on the convex side (sense +1) and the
-    min on the concave one; at each pair, sense * (xi_t - H(t, x, -xi_x,
-    -X, p, q)) is maximized over the near-optimal beliefs.
+    block is w at one opponent belief, shape (nt, *shape, K); scores is
+    <probe, r> - w over the own beliefs r, shape (nt, *shape, chunk, K),
+    at most _BLOCK_FLOATS floats unless one probe alone needs more.  Each
+    probe is lifted by its own tensordot, as one matrix product over all
+    probes may round differently.
     """
-    conj = scores.max(axis=-1) if sense > 0 else scores.min(axis=-1)
-    grid = result.grids.state
-    xi_t, grad, hess = _stack_jets(grid, conj, result.dt)
-    at = (ti, *nodes.T)
-    jet = (ti - 1, *nodes.T)
-    rows, cand = np.nonzero(_support(scores[at], conj[at], sense))
-    p, q = _beliefs(sense, own.points[cand], opp_point)
-    x = np.stack([ax[i] for ax, i in zip(grid.axes, nodes.T)], axis=-1)
-    residual = xi_t[jet][rows] - ham_bellman_inf_sup(
-        result.model, result.times[ti][rows], x[rows], -grad[jet][rows], -hess[jet][rows], p, q
+    size = max(1, _BLOCK_FLOATS // block.size)
+    for lo in range(0, len(order), size):
+        chunk = np.asarray(order[lo : lo + size], dtype=int)
+        lifts = np.stack([np.tensordot(own.points, probes[r], axes=(1, 0)) for r in chunk])
+        yield chunk, lifts - block[..., None, :]
+
+
+class _Rows:
+    """Kernel rows of one audit route, evaluated in capped batches.
+
+    Rows are queued in blocks.  Each row folds sense * combine(xi, H) by
+    maximum into out[target] of its block, H the game-role Hamiltonian
+    `ham_bellman_inf_sup` at the row's (t, x, grad, hess, p, q).  A call
+    takes at most _BLOCK_FLOATS // (|U| |V|) rows, so a block may span
+    two calls; a block's done(out) runs once all its rows are in, blocks
+    in the order they were queued.  The kernel is pointwise, so the
+    batching changes no bit.
+    """
+
+    def __init__(self, result: SolveResult, sense: int, combine):
+        self.result, self.sense, self.combine = result, sense, combine
+        model = result.model
+        self.cap = max(1, _BLOCK_FLOATS // (model.u_set.count * model.v_set.count))
+        self.blocks: list[tuple] = []  # (out, done, (target, t, x, grad, hess, p, q, xi))
+        self.count = 0
+
+    def add(self, out, target, ti, nodes, grad, hess, own_points, opp_point, xi, done=None):
+        """Queue rows at time indices ti and (rows, ndim) state indices nodes."""
+        grid = self.result.grids.state
+        x = np.stack([ax[i] for ax, i in zip(grid.axes, nodes.T)], axis=-1)
+        opp = np.broadcast_to(opp_point, (len(target), opp_point.size))
+        p, q = _beliefs(self.sense, own_points, opp)
+        self.blocks.append((out, done, (target, self.result.times[ti], x, grad, hess, p, q, xi)))
+        self.count += len(target)
+        while self.count >= self.cap:
+            self._call()
+
+    def flush(self) -> None:
+        while self.count:
+            self._call()
+
+    def _call(self) -> None:
+        """Evaluate the first min(cap, count) queued rows in one kernel call."""
+        take = min(self.cap, self.count)
+        parts = []
+        size = 0
+        while size < take:
+            out, done, cols = self.blocks[0]
+            n = len(cols[0])
+            if size + n > take:  # split the block; its done waits for the rest
+                n = take - size
+                self.blocks[0] = (out, done, tuple(col[n:] for col in cols))
+                done, cols = None, tuple(col[:n] for col in cols)
+            else:
+                self.blocks.pop(0)
+            parts.append((out, done, cols))
+            size += n
+        columns = list(zip(*(cols for _, _, cols in parts)))
+        t, x, grad, hess, p, q, xi = (np.concatenate(col) for col in columns[1:])
+        ham = ham_bellman_inf_sup(self.result.model, t, x, grad, hess, p, q)
+        value = self.sense * self.combine(xi, ham)
+        lo = 0
+        for out, done, cols in parts:
+            hi = lo + len(cols[0])
+            np.maximum.at(out, cols[0], value[lo:hi])
+            if done is not None:
+                done(out)
+            lo = hi
+        self.count -= take
+
+
+def _queue_conjugate(
+    rows: _Rows, own, opp_point, scores, chunk_probe, ti, nodes, out, target, done=None
+) -> None:
+    """Queue the conjugate-route rows of a chunk's audited picks.
+
+    scores is one `_score_chunks` block; pick k is the (t, node) pair
+    (ti[k], nodes[k]) of the block's probe chunk_probe[k], and its residual
+    folds into out[target[k]].  The conjugate stack is the max of scores
+    over the own beliefs r on the convex side (sense +1) and the min on
+    the concave one; at each pick, sense * (xi_t - H(t, x, -xi_x, -X, p, q))
+    is maximized over the near-optimal beliefs.
+    """
+    conj = scores.max(axis=-1) if rows.sense > 0 else scores.min(axis=-1)
+    xi_t, grad, hess = _stack_jets(rows.result.grids.state, conj, rows.result.dt)
+    at = (ti, *nodes.T, chunk_probe)
+    jet = (ti - 1, *nodes.T, chunk_probe)
+    sel, cand = np.nonzero(_support(scores[at], conj[at], rows.sense))
+    rows.add(
+        out, target[sel], ti[sel], nodes[sel], -grad[jet][sel], -hess[jet][sel],
+        own.points[cand], opp_point, xi_t[jet][sel], done,
     )
-    best = np.full(ti.size, -np.inf)
-    np.maximum.at(best, rows, sense * residual)
-    return best
+
+
+def _check_tolerance(tol: float) -> None:
+    if not (np.isfinite(tol) and tol >= 0.0):
+        raise ConfigError(f"tolerance must be finite and >= 0, got {tol!r}")
 
 
 def check_dual_solution(
@@ -238,6 +328,7 @@ def check_dual_solution(
         probes_q = build_probes(result, "q")
     if tol is None:
         tol = default_tolerance(result)
+    _check_tolerance(tol)
     nodes = np.array(_core_nodes(result), dtype=int).reshape(-1, grids.state.ndim)
     per_block = (stack.shape[0] - 2) * len(nodes)  # (interior t, node) pairs per conjugate
 
@@ -246,25 +337,35 @@ def check_dual_solution(
     for own, opp, sense, probes, oriented in _sides(stack, grids, probes_p, probes_q):
         total = probes.shape[0] * opp.npoints * per_block
         stride = max(1, int(np.ceil(total / max_checks)))
-        side_worst = np.inf
+        npr = probes.shape[0]
+        mins: list[float] = []  # per audited (opponent node, probe), in that order
+        rows = _Rows(result, sense, np.subtract)
         side_checked = 0
         for jo in range(opp.npoints):
-            block = oriented[..., jo]  # (nt, *shape, own npoints)
-            for r, probe in enumerate(probes):
-                # audited pairs: every stride-th (interior t, node) of the
-                # run over (opponent node, probe, t, node)
-                first = -(jo * probes.shape[0] + r) * per_block % stride
-                picks = np.arange(first, per_block, stride)
-                if picks.size == 0:
-                    continue
-                # <probe, r> - w over the own belief axis, shape (nt, *shape, K)
-                scores = np.tensordot(own.points, probe, axes=(1, 0)) - block
-                best = _conjugate_residuals(
-                    result, own, opp.points[jo], scores, sense,
-                    picks // len(nodes) + 1, nodes[picks % len(nodes)],
+            # audited pairs: every stride-th (interior t, node) of the run
+            # over (opponent node, probe, t, node)
+            picks = [
+                np.arange(-(jo * npr + r) * per_block % stride, per_block, stride)
+                for r in range(npr)
+            ]
+            audited = [r for r in range(npr) if picks[r].size]
+            for chunk, scores in _score_chunks(oriented[..., jo], own, probes, audited):
+                sizes = [picks[r].size for r in chunk]
+                run = np.concatenate([picks[r] for r in chunk])
+
+                def fold(best, ends=np.cumsum(sizes)[:-1]):
+                    mins.extend(float(b.min()) for b in np.split(best, ends))
+
+                _queue_conjugate(
+                    rows, own, opp.points[jo], scores, np.repeat(np.arange(chunk.size), sizes),
+                    run // len(nodes) + 1, nodes[run % len(nodes)],
+                    np.full(run.size, -np.inf), np.arange(run.size), fold,
                 )
-                side_worst = min(side_worst, float(best.min()))
-                side_checked += picks.size
+                side_checked += run.size
+        rows.flush()
+        side_worst = np.inf
+        for m in mins:
+            side_worst = min(side_worst, m)
         worst.append(sense * side_worst)
         checked.append(side_checked)
 
@@ -291,8 +392,7 @@ def primal_crosscheck(
 ) -> CrosscheckReport:
     """Primal-route audit at extremal interior nodes, compared with the
     conjugate route at the same nodes."""
-    model = result.model
-    stack, times = _stack(result)
+    stack, _ = _stack(result)
     grids = result.grids
     if probes_p is None:
         probes_p = build_probes(result, "p")
@@ -300,45 +400,51 @@ def primal_crosscheck(
         probes_q = build_probes(result, "q")
     if tol is None:
         tol = default_tolerance(result)
-    nodes = _core_nodes(result)
-    nt = stack.shape[0]
-    shape = stack.shape[1:-2]
-    interior_mask = np.zeros((nt,) + shape, dtype=bool)
-    for ti in range(1, nt - 1):
-        for node in nodes:
-            interior_mask[(ti, *node)] = True
-    mesh = grids.state.mesh()
+    _check_tolerance(tol)
+    nodes = np.array(_core_nodes(result), dtype=int).reshape(-1, grids.state.ndim)
+    interior = np.zeros(stack.shape[:-2], dtype=bool)
+    interior[(slice(1, -1), *nodes.T)] = True
 
     worst = []
     pairs = []
     disagreements = 0
     for own, opp, sense, probes, oriented in _sides(stack, grids, probes_p, probes_q):
-        side_worst = -np.inf
-        side_pairs = 0
+        # per (opponent node, probe) pair, in that order: sense times the
+        # primal residual, and the conjugate route's best at the same node
+        primal = np.full(opp.npoints * probes.shape[0], -np.inf)
+        dual = np.full(primal.size, -np.inf)
+        primal_rows = _Rows(result, sense, np.add)
+        dual_rows = _Rows(result, sense, np.subtract)
         for jo in range(opp.npoints):
             block = oriented[..., jo]  # (nt, *shape, own npoints)
-            for probe in probes:
-                lift = np.tensordot(own.points, probe, axes=(1, 0))
-                # minima of w - <probe, r> on the convex side, maxima on the concave one
-                masked = np.where(interior_mask[..., None], sense * (block - lift), np.inf)
-                ti, *node, c = np.unravel_index(int(np.argmin(masked)), masked.shape)
-                jet = (ti - 1, *node)
-                side_pairs += 1
-                xi_t, grad, hess = _stack_jets(grids.state, block[..., c], result.dt)
-                p, q = _beliefs(sense, own.points[c], opp.points[jo])
-                primal = xi_t[jet] + ham_bellman_inf_sup(
-                    model, times[ti], mesh[tuple(node)], grad[jet], hess[jet], p, q
+            xi_t, grad, hess = _stack_jets(grids.state, block, result.dt)
+            for chunk, scores in _score_chunks(block, own, probes, range(probes.shape[0])):
+                # minima of w - <probe, r> on the convex side, maxima on the
+                # concave one: the first minimum of -sense * scores over the
+                # flattened (t, node, own belief) axes of each probe
+                masked = np.where(interior[..., None, None], -sense * scores, np.inf)
+                flat = np.moveaxis(masked, -2, 0).reshape(chunk.size, -1)
+                ti, *node, c = np.unravel_index(flat.argmin(axis=1), block.shape)
+                node = np.stack(node, axis=-1)
+                jet = (ti - 1, *node.T, c)
+                target = jo * probes.shape[0] + chunk
+                primal_rows.add(
+                    primal, target, ti, node, grad[jet], hess[jet], own.points[c], opp.points[jo],
+                    xi_t[jet],
                 )
-                side_worst = max(side_worst, float(sense * primal))
-                # conjugate route at the same (t, x) node
-                dual = _conjugate_residuals(
-                    result, own, opp.points[jo], lift - block, sense,
-                    np.array([ti]), np.array([node]),
+                _queue_conjugate(
+                    dual_rows, own, opp.points[jo], scores, np.arange(chunk.size), ti, node,
+                    dual, target,
                 )
-                if (sense * primal <= tol) != (dual[0] >= -tol):
-                    disagreements += 1
+        primal_rows.flush()
+        dual_rows.flush()
+        side_worst = -np.inf
+        for residual, best in zip(primal.tolist(), dual.tolist()):
+            side_worst = max(side_worst, residual)
+            if (residual <= tol) != (best >= -tol):
+                disagreements += 1
         worst.append(sense * side_worst)
-        pairs.append(side_pairs)
+        pairs.append(primal.size)
 
     return CrosscheckReport(
         tolerance=tol,

@@ -7,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from infogame import simulator
+from infogame import dualcheck, simulator
 from infogame.cli import load_solve, main
 from infogame.dualcheck import default_tolerance
 from infogame.errors import ConfigError
@@ -228,6 +228,23 @@ def test_check_passes_and_writes_report(tmp_path):
     report = json.loads((out / "check.json").read_text())
     assert report["supersolution_ok"] and report["subsolution_ok"]
     assert report["crosscheck"]["disagreements"] == 0
+
+
+def test_check_batches_its_kernel_calls(tmp_path, monkeypatch):
+    # each of the three routes (audit, primal, conjugate at the primal's
+    # node) makes one call per side while its rows fit one kernel table;
+    # one call per (probe, opponent node) would make hundreds
+    out = solve_dir(tmp_path)
+    calls = {"ham_bellman_inf_sup": 0}
+    inner = dualcheck.ham_bellman_inf_sup
+
+    def counted(*args, **kwargs):
+        calls["ham_bellman_inf_sup"] += 1
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(dualcheck, "ham_bellman_inf_sup", counted)
+    assert run("check", "--solve", out) == 0
+    assert 0 < calls["ham_bellman_inf_sup"] <= 6, calls
 
 
 def test_check_fails_with_exit_three_on_a_drifted_field(tmp_path):

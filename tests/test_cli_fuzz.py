@@ -210,16 +210,25 @@ def damage(directory: Path, edits) -> None:
     missing=st.integers(0, 9).map(lambda k: k == 0),
 )
 @example(edits=[], tol=None, max_checks=0, missing=False)  # once a ZeroDivisionError
+@example(edits=[], tol=math.inf, max_checks=50, missing=False)  # once passed, writing Infinity
+@example(edits=[], tol=math.nan, max_checks=50, missing=False)  # once wrote NaN
+@example(edits=[], tol=-1.0, max_checks=50, missing=False)  # once failed every audit
 def test_check_exit_codes(workdir, solved, edits, tol, max_checks, missing):
     work = Path(tempfile.mkdtemp(dir=workdir))
     target = work / "solve"
     if not missing:
         shutil.copytree(solved, target)
         damage(target, edits)
-    argv = ["check", "--solve", target, "--out", work / "check.json", f"--max-checks={max_checks}"]
+    out = work / "check.json"
+    argv = ["check", "--solve", target, "--out", out, f"--max-checks={max_checks}"]
     if tol is not None:
         argv.append(f"--tol={tol}")
-    assert_contract(argv)
+    code, err = exit_code(argv)
+    assert code in (0, 2, 3), f"exit {code} for {argv}:\n{err}"
+    if tol is not None and not (math.isfinite(tol) and tol >= 0.0):
+        assert code == 2, f"exit {code} for {argv}:\n{err}"
+    if out.exists():  # the report, written also when the audit fails, is strict JSON
+        json.loads(out.read_text(), parse_constant=no_constant)
     shutil.rmtree(work)
 
 

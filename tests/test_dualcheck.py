@@ -2,21 +2,24 @@
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from infogame import dualcheck
 from infogame.dualcheck import (
     _core_nodes,
+    _stack_jets,
     build_probes,
     check_dual_solution,
     default_tolerance,
     primal_crosscheck,
 )
 from infogame.errors import ConfigError
-from infogame.hamiltonian import pair_table
-from infogame.model import preset
+from infogame.hamiltonian import ham_bellman_inf_sup, pair_table
+from infogame.model import model_from_config, preset, preset_config
 from infogame.simplex import build_grid
 from infogame.solver import Grids, build_state_grid, solve
 
@@ -52,6 +55,25 @@ def two_sided_solve():
         q=build_grid(2, 4),
     )
     return solve(m, grids, t0=0.0, dt=m.horizon / 25)
+
+
+@pytest.fixture(scope="module")
+def flat_solve(drift_solve):
+    """A field flat in x and rising in t, audited on a model whose running
+    cost is neither even nor odd in x.
+
+    Every probe's extremal node is tied over the state core, so the
+    tie-break picks it, and the residual there tells the picks apart.
+    """
+    cfg = preset_config("one-sided-drift-1d")
+    for costs, c in zip(cfg["l"], (0.2, 0.1)):
+        costs[0]["params"]["c"] = c
+    row = drift_solve.fields[0].values[18]
+    fields = [
+        replace(f, values=np.broadcast_to(row + f.t**2, f.values.shape).copy())
+        for f in drift_solve.fields
+    ]
+    return replace(drift_solve, model=model_from_config(cfg), fields=fields)
 
 
 def perturbed(result, eps):
@@ -185,6 +207,105 @@ def test_crosscheck_on_moving_state(drift_solve):
     assert report.disagreements == 0
     assert report.worst_min_side <= report.tolerance
     assert report.worst_max_side >= -report.tolerance
+
+
+def same_bits(a, b) -> bool:
+    """Bitwise equality of two report field values; -0.0 differs from 0.0."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def assert_same_report(got, want):
+    for field in dataclasses.fields(want):
+        name = field.name
+        assert same_bits(getattr(got, name), getattr(want, name)), name
+
+
+def crosscheck_by_pairs(result):
+    """`primal_crosscheck` one (side, opponent node, probe) at a time: the
+    first argmin of each masked block, the jets of its one own-belief
+    stack and of its conjugate stack, and a one-point kernel call per
+    primal residual and per supporting belief."""
+    grids, model, dt, times = result.grids, result.model, result.dt, result.times
+    grid = grids.state
+    tol = default_tolerance(result)
+    stack = np.stack([f.values for f in result.fields])
+    interior = np.zeros(stack.shape[:-2], dtype=bool)
+    for ti in range(1, len(times) - 1):
+        for node in _core_nodes(result):
+            interior[(ti, *node)] = True
+    mesh = grid.mesh()
+    sides = (
+        (1, grids.p, grids.q, build_probes(result, "p"), stack),
+        (-1, grids.q, grids.p, build_probes(result, "q"), np.swapaxes(stack, -1, -2)),
+    )
+    worst, pairs, disagreements = [], [], 0
+    for sense, own, opp, probes, oriented in sides:
+        side = -np.inf
+        for jo in range(opp.npoints):
+            block = oriented[..., jo]
+            for probe in probes:
+                lift = np.tensordot(own.points, probe, axes=(1, 0))
+                masked = np.where(interior[..., None], sense * (block - lift), np.inf)
+                ti, *node, c = np.unravel_index(int(np.argmin(masked)), masked.shape)
+                at, jet, x = (ti, *node), (ti - 1, *node), mesh[tuple(node)]
+                xi_t, grad, hess = _stack_jets(grid, block[..., c], dt)
+                p, q = (own.points[c], opp.points[jo])[::sense]
+                primal = sense * (
+                    xi_t[jet] + ham_bellman_inf_sup(model, times[ti], x, grad[jet], hess[jet], p, q)
+                )
+                side = max(side, float(primal))
+                scores = lift - block
+                conj = scores.max(axis=-1) if sense > 0 else scores.min(axis=-1)
+                xi_t, grad, hess = _stack_jets(grid, conj, dt)
+                row = scores[at]
+                tie = 1e-9 * max(1.0, np.max(np.abs(row)))
+                near = row >= conj[at] - tie if sense > 0 else row <= conj[at] + tie
+                dual = -np.inf
+                for k in np.flatnonzero(near):
+                    p, q = (own.points[k], opp.points[jo])[::sense]
+                    ham = ham_bellman_inf_sup(model, times[ti], x, -grad[jet], -hess[jet], p, q)
+                    dual = max(dual, float(sense * (xi_t[jet] - ham)))
+                disagreements += (primal <= tol) != (dual >= -tol)
+        worst.append(float(sense * side))
+        pairs.append(opp.npoints * probes.shape[0])
+    return dualcheck.CrosscheckReport(
+        tolerance=tol,
+        worst_min_side=worst[0],
+        worst_max_side=worst[1],
+        disagreements=disagreements,
+        pairs_min_side=pairs[0],
+        pairs_max_side=pairs[1],
+    )
+
+
+@pytest.mark.parametrize("name", ["two_sided_solve", "static_solve", "flat_solve"])
+def test_batched_crosscheck_matches_a_per_pair_loop(request, name):
+    # static-bilinear's w is constant in (t, x) and the flat field's in x,
+    # so the first occurrence decides every probe's extremal node
+    result = request.getfixturevalue(name)
+    assert_same_report(primal_crosscheck(result), crosscheck_by_pairs(result))
+
+
+@pytest.mark.parametrize("name", ["two_sided_solve", "static_solve", "flat_solve"])
+def test_chunk_size_does_not_change_the_reports(request, monkeypatch, name):
+    result = request.getfixturevalue(name)
+    want = (check_dual_solution(result), primal_crosscheck(result))
+    block = result.fields[0].values[..., 0].size * len(result.fields)  # (nt, *shape, K)
+    probes = max(len(build_probes(result, "p")), len(build_probes(result, "q")))
+    # one probe per chunk, then every probe of an opponent node in one chunk
+    for cap in (block, block * probes):
+        monkeypatch.setattr(dualcheck, "_BLOCK_FLOATS", cap)
+        assert_same_report(check_dual_solution(result), want[0])
+        assert_same_report(primal_crosscheck(result), want[1])
+
+
+@pytest.mark.parametrize("tol", [np.inf, -np.inf, np.nan, -1.0])
+def test_audits_refuse_bad_tolerances(static_solve, tol):
+    with pytest.raises(ConfigError):
+        check_dual_solution(static_solve, tol=tol)
+    with pytest.raises(ConfigError):
+        primal_crosscheck(static_solve, tol=tol)
 
 
 def test_probe_sets_are_deterministic_and_capped(static_solve):
