@@ -25,12 +25,7 @@ from typing import Iterable
 import numpy as np
 
 from ._util import sha256_hex
-from .dualcheck import (
-    _check_tolerance,
-    check_dual_solution,
-    default_tolerance,
-    primal_crosscheck,
-)
+from .dualcheck import check_dual_solution, default_tolerance, primal_crosscheck
 from .errors import ConfigError, NumericsError
 from .hamiltonian import is_probability_vector
 from .model import model_from_config, preset_config, resolved_config
@@ -338,14 +333,18 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    if args.tol is not None:
-        _check_tolerance(args.tol)
     result = load_solve(args.solve)
     tol = args.tol if args.tol is not None else default_tolerance(result)
     started = time.perf_counter()
     report = check_dual_solution(result, tol=tol, max_checks=args.max_checks)
     cross = primal_crosscheck(result, tol=tol)
     elapsed = time.perf_counter() - started
+    residuals = [
+        report.supersolution_residual, report.subsolution_residual,
+        cross.worst_min_side, cross.worst_max_side,
+    ]
+    if not np.all(np.isfinite(residuals)):
+        raise NumericsError("the audit residuals are not finite; the field's jets overflowed")
     payload = {
         "tolerance": tol,
         "supersolution_residual": report.supersolution_residual,

@@ -103,6 +103,8 @@ def _stack(result: SolveResult) -> tuple[np.ndarray, np.ndarray]:
     if len(result.fields) < 3:
         raise ConfigError("residual audits need at least three time slices")
     stack = np.stack([f.values for f in result.fields])
+    if not np.all(np.isfinite(stack)):
+        raise ConfigError("residual audits need a finite value field")
     return stack, result.times
 
 
@@ -225,8 +227,8 @@ class _Rows:
     `ham_bellman_inf_sup` at the row's (t, x, grad, hess, p, q).  A call
     takes at most _BLOCK_FLOATS // (|U| |V|) rows, so a block may span
     two calls; a block's done(out) runs once all its rows are in, blocks
-    in the order they were queued.  The kernel is pointwise, so the
-    batching changes no bit.
+    in the order they were queued, a block without rows included.  The
+    kernel is pointwise, so the batching changes no bit.
     """
 
     def __init__(self, result: SolveResult, sense: int, combine):
@@ -248,15 +250,16 @@ class _Rows:
             self._call()
 
     def flush(self) -> None:
-        while self.count:
+        while self.blocks:
             self._call()
 
     def _call(self) -> None:
-        """Evaluate the first min(cap, count) queued rows in one kernel call."""
+        """Evaluate the first min(cap, count) queued rows in one kernel call;
+        blocks without rows that follow them are settled with them."""
         take = min(self.cap, self.count)
         parts = []
         size = 0
-        while size < take:
+        while self.blocks and (size < take or not len(self.blocks[0][2][0])):
             out, done, cols = self.blocks[0]
             n = len(cols[0])
             if size + n > take:  # split the block; its done waits for the rest
@@ -267,10 +270,12 @@ class _Rows:
                 self.blocks.pop(0)
             parts.append((out, done, cols))
             size += n
-        columns = list(zip(*(cols for _, _, cols in parts)))
-        t, x, grad, hess, p, q, xi = (np.concatenate(col) for col in columns[1:])
-        ham = ham_bellman_inf_sup(self.result.model, t, x, grad, hess, p, q)
-        value = self.sense * self.combine(xi, ham)
+        value = np.empty(0)
+        if take:
+            columns = list(zip(*(cols for _, _, cols in parts)))
+            t, x, grad, hess, p, q, xi = (np.concatenate(col) for col in columns[1:])
+            ham = ham_bellman_inf_sup(self.result.model, t, x, grad, hess, p, q)
+            value = self.sense * self.combine(xi, ham)
         lo = 0
         for out, done, cols in parts:
             hi = lo + len(cols[0])

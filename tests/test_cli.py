@@ -265,6 +265,31 @@ def test_check_fails_with_exit_three_on_a_drifted_field(tmp_path):
     assert not report["subsolution_ok"]
 
 
+@pytest.mark.parametrize("bad", ["nan", "-inf"])
+def test_check_refuses_a_non_finite_field(tmp_path, bad):
+    out = solve_dir(tmp_path)
+    lines = (out / "slices.csv").read_text().splitlines()
+    k = len(lines) // 2  # a middle slice, which no probe is built from
+    lines[k] = lines[k].rsplit(",", 1)[0] + "," + bad
+    (out / "slices.csv").write_text("\n".join(lines) + "\n")
+    assert run("check", "--solve", out) == 2
+    assert not (out / "check.json").exists()
+
+
+def test_check_writes_no_report_when_the_residuals_overflow(tmp_path):
+    # finite values of alternating sign near the float limit overflow
+    # the jets; the report would hold Infinity or NaN, which is not JSON
+    out = solve_dir(tmp_path)
+    lines = (out / "slices.csv").read_text().splitlines()
+    k = len(lines) // 2
+    for i in range(k, k + 60):
+        lines[i] = lines[i].rsplit(",", 1)[0] + "," + ("1e308" if i % 2 else "-1e308")
+    (out / "slices.csv").write_text("\n".join(lines) + "\n")
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert run("check", "--solve", out) == 3
+    assert not (out / "check.json").exists()
+
+
 def test_check_missing_directory_is_a_config_error(tmp_path):
     assert run("check", "--solve", tmp_path / "nope") == 2
 

@@ -308,6 +308,52 @@ def test_audits_refuse_bad_tolerances(static_solve, tol):
         primal_crosscheck(static_solve, tol=tol)
 
 
+@pytest.mark.parametrize("bad", [np.nan, -np.inf])
+def test_audits_refuse_a_non_finite_field(two_sided_solve, bad):
+    # a non-finite last q-belief column empties every tie support there;
+    # the audits must not read the missing residuals as passing.  A middle
+    # slice, which no probe is built from
+    fields = list(two_sided_solve.fields)
+    k = len(fields) // 2
+    values = fields[k].values.copy()
+    values[..., -1] = bad
+    fields[k] = replace(fields[k], values=values)
+    stub = replace(two_sided_solve, fields=fields)
+    probes = {side: build_probes(two_sided_solve, side) for side in "pq"}
+    for audit in (check_dual_solution, primal_crosscheck):
+        with pytest.raises(ConfigError, match="finite value field"):
+            audit(stub, probes_p=probes["p"], probes_q=probes["q"])
+
+
+def test_queued_blocks_without_rows_are_settled_in_order(two_sided_solve):
+    rows = dualcheck._Rows(two_sided_solve, 1, np.subtract)
+    settled = []
+    nodes = np.array(_core_nodes(two_sided_solve), dtype=int)
+    own, opp = two_sided_solve.grids.p, two_sided_solve.grids.q
+    ndim = nodes.shape[1]
+
+    def queue(name, n):
+        pick = np.arange(n)
+        rows.add(
+            np.full(max(n, 1), -np.inf), pick, np.ones(n, dtype=int), nodes[pick % len(nodes)],
+            np.zeros((n, ndim)), np.zeros((n, ndim, ndim)), own.points[pick % own.npoints],
+            opp.points[0], np.zeros(n), lambda out: settled.append((name, out[:n].copy())),
+        )
+
+    # the last two blocks fill no kernel row: one after a full call, one at the end
+    queue("empty first", 0)
+    queue("full", rows.cap)
+    queue("empty after a call", 0)
+    queue("partial", 3)
+    queue("empty last", 0)
+    rows.flush()
+    assert [name for name, _ in settled] == [
+        "empty first", "full", "empty after a call", "partial", "empty last",
+    ]
+    assert all(np.isfinite(out).all() for _, out in settled)
+    assert not rows.blocks and rows.count == 0
+
+
 def test_probe_sets_are_deterministic_and_capped(static_solve):
     pp = build_probes(static_solve, "p")
     qq = build_probes(static_solve, "q")
