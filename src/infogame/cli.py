@@ -172,6 +172,21 @@ def _write_solve_outputs(out_dir: str, result: SolveResult, cfg_resolved: dict, 
     _write_atomic(os.path.join(out_dir, "diagnostics.json"), [_dump_json(meta)])
 
 
+def _check_time_grid(times: list[float], t0: float, dt: float) -> None:
+    """Refuse recorded times that no solve can have written: dt finite and
+    > 0, finite times strictly increasing in steps of dt and starting at
+    t0, both within the solver's 1e-9 relative divisibility tolerance."""
+    if not (math.isfinite(dt) and dt > 0):
+        raise ConfigError(f"the recorded dt must be finite and > 0, got {dt!r}")
+    span = times[-1] - times[0]
+    steps = np.diff(times)
+    tol = 1e-9 * max(1.0, span)
+    if not (math.isfinite(span) and np.all(steps > 0) and np.all(np.abs(steps - dt) <= tol)):
+        raise ConfigError(f"the recorded times do not advance in finite steps of dt = {dt!r}")
+    if not abs(t0 - times[0]) <= tol:
+        raise ConfigError(f"the recorded t0 = {t0!r} is not the first time {times[0]!r}")
+
+
 def load_solve(out_dir: str, config: dict | None = None) -> SolveResult:
     """Rebuild a solve result from an output directory.
 
@@ -199,6 +214,8 @@ def load_solve(out_dir: str, config: dict | None = None) -> SolveResult:
             q=build_grid(model.v_types, int(g["q_resolution"])),
         )
         times = [float(t) for t in meta["times"]]
+        t0, dt = float(meta["t0"]), float(meta["dt"])
+        _check_time_grid(times, t0, dt)
         nx = int(np.prod(state.shape))
         per_slice = nx * grids.p.npoints * grids.q.npoints
         body = csv_lines[1:]
@@ -210,8 +227,8 @@ def load_solve(out_dir: str, config: dict | None = None) -> SolveResult:
         return SolveResult(
             model=model,
             grids=grids,
-            t0=float(meta["t0"]),
-            dt=float(meta["dt"]),
+            t0=t0,
+            dt=dt,
             fields=fields,
             diagnostics=meta.get("diagnostics", {}),
         )

@@ -32,17 +32,22 @@ visible at every node, so subsampling cannot hide them, and a single
 shifted slice shows at the audited nodes of its two neighbours.
 
 Both audits work a side at a time, one opponent belief node at a time.
-`_score_chunks` forms <probe, r> - w for a chunk of probes as one block,
-and the jets of the chunk's conjugate stacks come from one central-
-difference pass over that block; the crosscheck builds w's own jets
-once per opponent node and picks every probe's extremal node with one
-argmin.  The audited rows of a side queue in `_Rows` and reach
+The conjugate route never forms a whole (t, x) conjugate stack: at each
+audited pick `_queue_conjugate` gathers w on the pick's jet stencil only
+(the centre, t +- 1 and the state neighbours of `_stencil`), scores
+<probe, r> - w there, takes the max over the own beliefs (min on the q
+side) and forms the jets with the expressions of `_stack_jets`.  Every
+step is pointwise in (t, x), so the residuals are those of the whole
+stack bit for bit.  The crosscheck still scores a whole block per probe
+in `_extremal_nodes`, because its first-occurrence argmin over
+(t, node, belief) needs every score; it builds w's own jets once per
+opponent node.  The audited rows of a side queue in `_Rows` and reach
 `ham_bellman_inf_sup` in a few batched calls.  One constant,
-_BLOCK_FLOATS, caps both the floats of a score block and the kernel
-table of one call, so the working set does not grow with the number
-of probes or checks.  The reductions keep the per-probe order
-(opponent node, probe, t, node), so the reports do not depend on the
-chunking.
+_BLOCK_FLOATS, caps the floats of a score block, of a chunk's stencil
+gather and of the kernel table of one call, so the working set does not
+grow with the number of probes or checks.  The reductions keep the
+per-probe order (opponent node, probe, t, node), so the reports do not
+depend on the chunking.
 """
 
 from __future__ import annotations
@@ -61,8 +66,9 @@ _TIE_TOL = 1e-9
 # state nodes per slice whose envelope facets seed the probes
 _PROBE_SLICE_NODES = 5
 _PROBE_CAP = 64
-# floats per score block (nt, *shape, probes, K) and per kernel table
-# (rows, |U|, |V|): bounds the audits' working set
+# floats per score block (probes, nt, *shape, K), per stencil gather
+# (picks, stencil, K) and per kernel table (rows, |U|, |V|): bounds the
+# audits' working set
 _BLOCK_FLOATS = 2**14
 
 
@@ -182,6 +188,56 @@ def _stack_jets(grid: StateGrid, stack: np.ndarray, dt: float):
     return xi_t, grad, hess
 
 
+def _stencil(grid: StateGrid) -> tuple[np.ndarray, np.ndarray]:
+    """Time shifts (S,) and state offsets (S, n) of a jet stencil.
+
+    The points are the centre, t + 1 and t - 1, then x + e_k and x - e_k
+    for each axis k, then x + e_k + e_l, x + e_k - e_l, x - e_k + e_l and
+    x - e_k - e_l for each axis pair k < l.  A frozen axis takes the
+    centre's index, as `solver._shift` does.
+    """
+    n = grid.ndim
+    e = np.diag([int(ax.size > 1) for ax in grid.axes])  # e_k, zero on a frozen axis
+    offsets = [np.zeros(n, dtype=int)] * 3
+    for k in range(n):
+        offsets += [e[k], -e[k]]
+    for k in range(n):
+        for l in range(k + 1, n):
+            offsets += [e[k] + e[l], e[k] - e[l], -e[k] + e[l], -e[k] - e[l]]
+    shifts = np.zeros(len(offsets), dtype=int)
+    shifts[1:3] = 1, -1
+    return shifts, np.array(offsets)
+
+
+def _stencil_jets(grid: StateGrid, values: np.ndarray, dt: float):
+    """xi_t (m,), grad (m, n) and hess (m, n, n) from the (m, S) values of
+    m picks' `_stencil` points.
+
+    The expressions and their operand order are those of `_stack_jets`,
+    so at a node off every moving wall, where `solver._shift` takes no
+    mirror ghost, each jet is bitwise the whole stack's.
+    """
+    n = grid.ndim
+    centre = values[:, 0]
+    xi_t = (values[:, 1] - values[:, 2]) / (2.0 * dt)
+    grad = np.empty((len(values), n))
+    hess = np.empty((len(values), n, n))
+    for k in range(n):
+        dx = grid.spacing[k]
+        up, down = values[:, 3 + 2 * k], values[:, 4 + 2 * k]
+        grad[:, k] = (up - down) / (2.0 * dx)
+        hess[:, k, k] = (up - 2.0 * centre + down) / (dx * dx)
+    col = 3 + 2 * n
+    for k in range(n):
+        for l in range(k + 1, n):
+            pp, pm, mp, mm = values[:, col : col + 4].T
+            hess[:, k, l] = hess[:, l, k] = (pp - pm - mp + mm) / (
+                4.0 * grid.spacing[k] * grid.spacing[l]
+            )
+            col += 4
+    return xi_t, grad, hess
+
+
 def _support(scores: np.ndarray, best, sense: int) -> np.ndarray:
     """Mask of the near-optimal beliefs along the last axis, ties included."""
     tie = _TIE_TOL * np.maximum(1.0, np.max(np.abs(scores), axis=-1))
@@ -203,20 +259,32 @@ def _beliefs(sense: int, own: np.ndarray, opp: np.ndarray):
     return (own, opp) if sense > 0 else (opp, own)
 
 
-def _score_chunks(block: np.ndarray, own, probes: np.ndarray, order):
-    """(chunk, scores) over consecutive chunks of the probes listed in order.
+def _lifts(own, probes: np.ndarray) -> np.ndarray:
+    """<probe, r> over the own beliefs r, shape (probes, K).  Each probe is
+    lifted by its own tensordot, as one matrix product over all probes may
+    round differently."""
+    return np.stack([np.tensordot(own.points, probe, axes=(1, 0)) for probe in probes])
 
-    block is w at one opponent belief, shape (nt, *shape, K); scores is
-    <probe, r> - w over the own beliefs r, shape (nt, *shape, chunk, K),
-    at most _BLOCK_FLOATS floats unless one probe alone needs more.  Each
-    probe is lifted by its own tensordot, as one matrix product over all
-    probes may round differently.
+
+def _extremal_nodes(block: np.ndarray, lifts: np.ndarray, sense: int, interior):
+    """(chunk, flat index) over consecutive chunks of the probes.
+
+    block is w at one opponent belief, shape (nt, *shape, K).  Per probe,
+    the index is the first minimum of sense * (w - <probe, r>) over the
+    flattened (t, node, own belief r) axes, interior (t, node) pairs only:
+    the minima of w - <probe, r> on the convex side (sense +1), the maxima
+    on the concave one.  A chunk's block holds at most _BLOCK_FLOATS floats
+    unless one probe alone needs more.
     """
     size = max(1, _BLOCK_FLOATS // block.size)
-    for lo in range(0, len(order), size):
-        chunk = np.asarray(order[lo : lo + size], dtype=int)
-        lifts = np.stack([np.tensordot(own.points, probes[r], axes=(1, 0)) for r in chunk])
-        yield chunk, lifts - block[..., None, :]
+    outside = ~interior[..., None]
+    for lo in range(0, len(lifts), size):
+        chunk = np.arange(lo, min(lo + size, len(lifts)))
+        lift = lifts[chunk].reshape(chunk.size, *(1,) * (block.ndim - 1), -1)
+        # -(a - b) is b - a exactly, so these are -sense * (<probe, r> - w)
+        obj = block - lift if sense > 0 else lift - block
+        np.copyto(obj, np.inf, where=outside)
+        yield chunk, obj.reshape(chunk.size, -1).argmin(axis=1)
 
 
 class _Rows:
@@ -233,6 +301,7 @@ class _Rows:
 
     def __init__(self, result: SolveResult, sense: int, combine):
         self.result, self.sense, self.combine = result, sense, combine
+        self.times = result.times  # a property that stacks every field's t
         model = result.model
         self.cap = max(1, _BLOCK_FLOATS // (model.u_set.count * model.v_set.count))
         self.blocks: list[tuple] = []  # (out, done, (target, t, x, grad, hess, p, q, xi))
@@ -244,7 +313,7 @@ class _Rows:
         x = np.stack([ax[i] for ax, i in zip(grid.axes, nodes.T)], axis=-1)
         opp = np.broadcast_to(opp_point, (len(target), opp_point.size))
         p, q = _beliefs(self.sense, own_points, opp)
-        self.blocks.append((out, done, (target, self.result.times[ti], x, grad, hess, p, q, xi)))
+        self.blocks.append((out, done, (target, self.times[ti], x, grad, hess, p, q, xi)))
         self.count += len(target)
         while self.count >= self.cap:
             self._call()
@@ -287,25 +356,29 @@ class _Rows:
 
 
 def _queue_conjugate(
-    rows: _Rows, own, opp_point, scores, chunk_probe, ti, nodes, out, target, done=None
+    rows: _Rows, own, opp_point, block, lifts, ti, nodes, out, target, done=None
 ) -> None:
-    """Queue the conjugate-route rows of a chunk's audited picks.
+    """Queue the conjugate-route rows of audited picks.
 
-    scores is one `_score_chunks` block; pick k is the (t, node) pair
-    (ti[k], nodes[k]) of the block's probe chunk_probe[k], and its residual
-    folds into out[target[k]].  The conjugate stack is the max of scores
-    over the own beliefs r on the convex side (sense +1) and the min on
-    the concave one; at each pick, sense * (xi_t - H(t, x, -xi_x, -X, p, q))
-    is maximized over the near-optimal beliefs.
+    block is w at one opponent belief, shape (nt, *shape, K); pick k is
+    the core (t, node) pair (ti[k], nodes[k]) of the probe whose lift
+    <probe, r> is lifts[k], and its residual folds into out[target[k]].
+    Only the pick's `_stencil` is scored: the conjugate is the max of
+    <probe, r> - w over the own beliefs r on the convex side (sense +1)
+    and the min on the concave one, and at the centre
+    sense * (xi_t - H(t, x, -xi_x, -X, p, q)) is maximized over the
+    near-optimal beliefs.
     """
+    grid = rows.result.grids.state
+    shifts, offsets = _stencil(grid)
+    at = (ti[:, None] + shifts, *np.moveaxis(nodes[:, None, :] + offsets, -1, 0))
+    scores = lifts[:, None, :] - block[at]  # (picks, S, K)
     conj = scores.max(axis=-1) if rows.sense > 0 else scores.min(axis=-1)
-    xi_t, grad, hess = _stack_jets(rows.result.grids.state, conj, rows.result.dt)
-    at = (ti, *nodes.T, chunk_probe)
-    jet = (ti - 1, *nodes.T, chunk_probe)
-    sel, cand = np.nonzero(_support(scores[at], conj[at], rows.sense))
+    xi_t, grad, hess = _stencil_jets(grid, conj, rows.result.dt)
+    sel, cand = np.nonzero(_support(scores[:, 0], conj[:, 0], rows.sense))
     rows.add(
-        out, target[sel], ti[sel], nodes[sel], -grad[jet][sel], -hess[jet][sel],
-        own.points[cand], opp_point, xi_t[jet][sel], done,
+        out, target[sel], ti[sel], nodes[sel], -grad[sel], -hess[sel],
+        own.points[cand], opp_point, xi_t[sel], done,
     )
 
 
@@ -343,6 +416,11 @@ def check_dual_solution(
         total = probes.shape[0] * opp.npoints * per_block
         stride = max(1, int(np.ceil(total / max_checks)))
         npr = probes.shape[0]
+        lifts = _lifts(own, probes)
+        # probes per chunk: each audits at most ceil(per_block / stride)
+        # picks, and each pick gathers its stencil's own-belief rows
+        gather = -(-per_block // stride) * len(_stencil(grids.state)[0]) * own.npoints
+        size = max(1, _BLOCK_FLOATS // gather)
         mins: list[float] = []  # per audited (opponent node, probe), in that order
         rows = _Rows(result, sense, np.subtract)
         side_checked = 0
@@ -354,7 +432,8 @@ def check_dual_solution(
                 for r in range(npr)
             ]
             audited = [r for r in range(npr) if picks[r].size]
-            for chunk, scores in _score_chunks(oriented[..., jo], own, probes, audited):
+            for lo in range(0, len(audited), size):
+                chunk = audited[lo : lo + size]
                 sizes = [picks[r].size for r in chunk]
                 run = np.concatenate([picks[r] for r in chunk])
 
@@ -362,7 +441,8 @@ def check_dual_solution(
                     mins.extend(float(b.min()) for b in np.split(best, ends))
 
                 _queue_conjugate(
-                    rows, own, opp.points[jo], scores, np.repeat(np.arange(chunk.size), sizes),
+                    rows, own, opp.points[jo], oriented[..., jo],
+                    np.repeat(lifts[chunk], sizes, axis=0),
                     run // len(nodes) + 1, nodes[run % len(nodes)],
                     np.full(run.size, -np.inf), np.arange(run.size), fold,
                 )
@@ -420,16 +500,12 @@ def primal_crosscheck(
         dual = np.full(primal.size, -np.inf)
         primal_rows = _Rows(result, sense, np.add)
         dual_rows = _Rows(result, sense, np.subtract)
+        lifts = _lifts(own, probes)
         for jo in range(opp.npoints):
             block = oriented[..., jo]  # (nt, *shape, own npoints)
             xi_t, grad, hess = _stack_jets(grids.state, block, result.dt)
-            for chunk, scores in _score_chunks(block, own, probes, range(probes.shape[0])):
-                # minima of w - <probe, r> on the convex side, maxima on the
-                # concave one: the first minimum of -sense * scores over the
-                # flattened (t, node, own belief) axes of each probe
-                masked = np.where(interior[..., None, None], -sense * scores, np.inf)
-                flat = np.moveaxis(masked, -2, 0).reshape(chunk.size, -1)
-                ti, *node, c = np.unravel_index(flat.argmin(axis=1), block.shape)
+            for chunk, first in _extremal_nodes(block, lifts, sense, interior):
+                ti, *node, c = np.unravel_index(first, block.shape)
                 node = np.stack(node, axis=-1)
                 jet = (ti - 1, *node.T, c)
                 target = jo * probes.shape[0] + chunk
@@ -438,8 +514,7 @@ def primal_crosscheck(
                     xi_t[jet],
                 )
                 _queue_conjugate(
-                    dual_rows, own, opp.points[jo], scores, np.arange(chunk.size), ti, node,
-                    dual, target,
+                    dual_rows, own, opp.points[jo], block, lifts[chunk], ti, node, dual, target,
                 )
         primal_rows.flush()
         dual_rows.flush()

@@ -290,6 +290,50 @@ def test_check_writes_no_report_when_the_residuals_overflow(tmp_path):
     assert not (out / "check.json").exists()
 
 
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_check_fails_with_exit_three_on_a_shifted_slice(tmp_path, sign):
+    # one interior slice of a two-sided solve shifted by 10 dt: the centred
+    # time differences of its two neighbours jump by 5 with opposite signs,
+    # against a default tolerance of 1.16
+    out = tmp_path / "shifted"
+    assert run(
+        "solve", "--preset", "two-sided-1d", "--out", out, "--nx", 41, "--np", 4, "--nq", 4,
+        "--steps", 25,
+    ) == 0
+    dt = json.loads((out / "diagnostics.json").read_text())["dt"]
+    lines = (out / "slices.csv").read_text().splitlines()
+    times = sorted({line.split(",", 1)[0] for line in lines[1:]}, key=float)
+    middle = times[len(times) // 2]
+    for i, line in enumerate(lines[1:], start=1):
+        if line.split(",", 1)[0] == middle:
+            head, w = line.rsplit(",", 1)
+            lines[i] = f"{head},{float(w) + sign * 10.0 * dt!r}"
+    (out / "slices.csv").write_text("\n".join(lines) + "\n")
+    assert run("check", "--solve", out) == 3
+    report = json.loads((out / "check.json").read_text())
+    assert not report["supersolution_ok"] and not report["subsolution_ok"], report
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("dt", 0),  # once exited 3: the jets overflowed
+        ("dt", -0.04),  # once ran the audit with flipped time derivatives
+        ("t0", 0.1),
+        ("times", "gap"),
+    ],
+)
+def test_check_refuses_times_that_contradict_dt(tmp_path, key, value):
+    out = solve_dir(tmp_path)
+    meta = json.loads((out / "diagnostics.json").read_text())
+    if value == "gap":  # one step twice as long
+        value = meta["times"][:-1] + [meta["times"][-1] + meta["dt"]]
+    meta[key] = value
+    (out / "diagnostics.json").write_text(json.dumps(meta))
+    assert run("check", "--solve", out) == 2
+    assert not (out / "check.json").exists()
+
+
 def test_check_missing_directory_is_a_config_error(tmp_path):
     assert run("check", "--solve", tmp_path / "nope") == 2
 

@@ -213,6 +213,12 @@ def damage(directory: Path, edits) -> None:
 @example(edits=[], tol=math.inf, max_checks=50, missing=False)  # once passed, writing Infinity
 @example(edits=[], tol=math.nan, max_checks=50, missing=False)  # once wrote NaN
 @example(edits=[], tol=-1.0, max_checks=50, missing=False)  # once failed every audit
+@example(  # once exited 3, the jets overflowing
+    edits=[("diagnostics.json", ("dt",), 0)], tol=None, max_checks=50, missing=False
+)
+@example(  # once ran the audit with flipped time derivatives
+    edits=[("diagnostics.json", ("dt",), -0.04)], tol=None, max_checks=50, missing=False
+)
 def test_check_exit_codes(workdir, solved, edits, tol, max_checks, missing):
     work = Path(tempfile.mkdtemp(dir=workdir))
     target = work / "solve"

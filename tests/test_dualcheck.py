@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import itertools
 from dataclasses import replace
 
 import numpy as np
@@ -12,6 +13,8 @@ from infogame import dualcheck
 from infogame.dualcheck import (
     _core_nodes,
     _stack_jets,
+    _stencil,
+    _stencil_jets,
     build_probes,
     check_dual_solution,
     default_tolerance,
@@ -298,6 +301,56 @@ def test_chunk_size_does_not_change_the_reports(request, monkeypatch, name):
         monkeypatch.setattr(dualcheck, "_BLOCK_FLOATS", cap)
         assert_same_report(check_dual_solution(result), want[0])
         assert_same_report(primal_crosscheck(result), want[1])
+
+
+@pytest.mark.parametrize(
+    "bounds, counts",
+    [
+        ([(-1.0, 1.0)], [7]),
+        ([(-1.0, 1.0), (0.0, 3.0)], [5, 6]),  # mixed terms, two spacings
+        ([(-1.0, 1.0), (0.5, 0.5), (0.0, 3.0)], [5, 1, 4]),  # a frozen middle axis
+    ],
+)
+def test_stencil_jets_match_the_whole_stack(bounds, counts):
+    # at every interior time and every node off the moving walls, the
+    # jets from a pick's stencil alone are the whole stack's, bit for bit
+    grid = build_state_grid(bounds, counts)
+    dt = 0.037
+    rng = np.random.default_rng(3)
+    shape = (6, *grid.shape)
+    stack = rng.standard_normal(shape) * 10.0 ** rng.integers(-3, 4, shape)
+    want = _stack_jets(grid, stack, dt)
+    inner = [range(1, m - 1) if m > 1 else range(1) for m in grid.shape]
+    picks = np.array([(t, *node) for t in range(1, shape[0] - 1) for node in itertools.product(*inner)])
+    ti, nodes = picks[:, 0], picks[:, 1:]
+    shifts, offsets = _stencil(grid)
+    at = (ti[:, None] + shifts, *np.moveaxis(nodes[:, None, :] + offsets, -1, 0))
+    got = _stencil_jets(grid, stack[at], dt)
+    jet = (ti - 1, *nodes.T)
+    for g, w in zip(got, want):
+        assert same_bits(g, w[jet])
+
+
+def test_only_the_crosscheck_builds_whole_stack_jets(two_sided_solve, monkeypatch):
+    # the conjugate route reads each pick's stencil; the crosscheck builds
+    # w's own jets once per (side, opponent node)
+    stacks = []
+    inner = dualcheck._stack_jets
+
+    def counted(grid, stack, dt):
+        stacks.append(stack)
+        return inner(grid, stack, dt)
+
+    monkeypatch.setattr(dualcheck, "_stack_jets", counted)
+    check_dual_solution(two_sided_solve)
+    assert stacks == []
+    primal_crosscheck(two_sided_solve)
+    w = np.stack([f.values for f in two_sided_solve.fields])
+    blocks = [w[..., jo] for jo in range(w.shape[-1])]
+    blocks += [w[..., jo, :] for jo in range(w.shape[-2])]
+    assert len(stacks) == len(blocks)
+    for got, want in zip(stacks, blocks):
+        assert same_bits(got, want)
 
 
 @pytest.mark.parametrize("tol", [np.inf, -np.inf, np.nan, -1.0])
