@@ -175,15 +175,23 @@ def _write_solve_outputs(out_dir: str, result: SolveResult, cfg_resolved: dict, 
 def _check_time_grid(times: list[float], t0: float, dt: float) -> None:
     """Refuse recorded times that no solve can have written: dt finite and
     > 0, finite times strictly increasing in steps of dt and starting at
-    t0, both within the solver's 1e-9 relative divisibility tolerance."""
+    t0, both within the solver's 1e-9 relative divisibility tolerance.
+
+    The solver steps t down from the horizon by dt, rounding once per
+    step, so each step may be off by about one ulp of the largest time,
+    and times[0] by up to one ulp per step.
+    """
     if not (math.isfinite(dt) and dt > 0):
         raise ConfigError(f"the recorded dt must be finite and > 0, got {dt!r}")
     span = times[-1] - times[0]
-    steps = np.diff(times)
     tol = 1e-9 * max(1.0, span)
-    if not (math.isfinite(span) and np.all(steps > 0) and np.all(np.abs(steps - dt) <= tol)):
+    ulp = float(np.spacing(max(abs(times[0]), abs(times[-1]))))
+    steps = np.diff(times)
+    if not (
+        math.isfinite(span) and np.all(steps > 0) and np.all(np.abs(steps - dt) <= tol + 4 * ulp)
+    ):
         raise ConfigError(f"the recorded times do not advance in finite steps of dt = {dt!r}")
-    if not abs(t0 - times[0]) <= tol:
+    if not abs(t0 - times[0]) <= tol + len(times) * ulp:
         raise ConfigError(f"the recorded t0 = {t0!r} is not the first time {times[0]!r}")
 
 

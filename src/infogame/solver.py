@@ -373,6 +373,11 @@ def solve(
         raise ConfigError(
             f"dt = {dt:g} does not divide the time span {span:g} into whole steps"
         )
+    if not (model.horizon - dt < model.horizon and t0 + dt > t0):
+        # the steps would leave t unchanged, and the slices share one time
+        raise ConfigError(
+            f"dt = {dt:g} is below the float resolution of the times in [{t0:g}, {model.horizon:g}]"
+        )
     cells = int(np.prod(grids.state.shape)) * grids.p.npoints * grids.q.npoints
     if (steps + 1) * cells * 8 > _MEMORY_CAP_BYTES:
         raise ConfigError("value-field memory above the 2 GiB cap; coarsen the grids")

@@ -11,7 +11,7 @@ from infogame import dualcheck, simulator
 from infogame.cli import load_solve, main
 from infogame.dualcheck import default_tolerance
 from infogame.errors import ConfigError
-from infogame.model import preset
+from infogame.model import preset, preset_config
 from infogame.oracle import TreeGame, one_sided_recursion
 from infogame.simplex import build_grid
 from infogame.solver import Grids, build_state_grid, solve
@@ -332,6 +332,22 @@ def test_check_refuses_times_that_contradict_dt(tmp_path, key, value):
     (out / "diagnostics.json").write_text(json.dumps(meta))
     assert run("check", "--solve", out) == 2
     assert not (out / "check.json").exists()
+
+
+def test_solves_far_from_time_zero_load(tmp_path):
+    # near t = 1e9 each time carries rounding of 1e-7 against steps of
+    # 1.4e-6; the time-grid check must still accept what solve wrote
+    cfg = preset_config("static-bilinear")
+    cfg["T"] = 1e9
+    config = tmp_path / "far.json"
+    config.write_text(json.dumps(cfg))
+    out = tmp_path / "far"
+    t0 = repr(1e9 - 0.001)
+    assert run(
+        "solve", "--config", config, "--out", out, "--nx", 1, "--np", 1, "--nq", 1,
+        f"--t0={t0}", "--steps", 700,
+    ) == 0
+    assert len(load_solve(str(out)).fields) == 701
 
 
 def test_check_missing_directory_is_a_config_error(tmp_path):

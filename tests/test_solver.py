@@ -103,6 +103,11 @@ def test_solve_span_must_be_whole_steps():
         solve(m, grids, t0=0.0, dt=0.3)
     with pytest.raises(ConfigError):
         solve(m, grids, t0=0.6, dt=0.1)
+    # 64 whole steps, each below half an ulp of t: every slice would be at T
+    cfg = preset_config("static-bilinear")
+    cfg["T"] = 1e15
+    with pytest.raises(ConfigError, match="resolution"):
+        solve(model_from_config(cfg), grids, t0=1e15 - 1.0, dt=1.0 / 64)
 
 
 def test_linear_terminal_rides_the_saddle():
