@@ -1,10 +1,11 @@
 """Shared helpers: deterministic reductions and the thread pool knob.
 
-INFOGAME_THREADS: unset or "0" picks an automatic worker count, any other
-integer is used verbatim.  The pool serves the simulator's per-sample map;
-the solver does not use it.  Parallel maps always assemble results by
-input index and reductions always use the same pairwise tree, so the
-output of every routine is bit-identical regardless of the worker count.
+Reductions always use the same pairwise tree, so their results depend
+only on the values and their order.  No part of the library uses the
+pool any more: the solver and the simulator run on the calling thread.
+`parallel_map` and `thread_count` (INFOGAME_THREADS: unset or "0" picks an
+automatic worker count, any other integer is used verbatim) stay because
+the `perfbench` harness imports them.
 """
 
 from __future__ import annotations

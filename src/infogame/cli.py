@@ -41,7 +41,7 @@ from .simulator import (
     payoff_samples,
     pq_estimate,
 )
-from .solver import Grids, SolveResult, ValueField, build_state_grid, solve
+from .solver import Grids, SolveResult, ValueField, _time_rounding, build_state_grid, solve
 from .transform import cav_q, vex_p
 
 
@@ -184,8 +184,7 @@ def _check_time_grid(times: list[float], t0: float, dt: float) -> None:
     if not (math.isfinite(dt) and dt > 0):
         raise ConfigError(f"the recorded dt must be finite and > 0, got {dt!r}")
     span = times[-1] - times[0]
-    tol = 1e-9 * max(1.0, span)
-    ulp = float(np.spacing(max(abs(times[0]), abs(times[-1]))))
+    tol, ulp = _time_rounding(times)
     steps = np.diff(times)
     if not (
         math.isfinite(span) and np.all(steps > 0) and np.all(np.abs(steps - dt) <= tol + 4 * ulp)
@@ -279,7 +278,9 @@ def _cmd_solve(args) -> int:
     return 0
 
 
-def _parse_strategy(model, resolved: dict, spec: str, side: str, delay_cells: int, h: float, p, q):
+def _parse_strategy(
+    model, resolved: dict, spec: str, side: str, delay_cells: int, t0: float, h: float, p, q
+):
     """Strategy families: constant[:k], cycle, feedback:<solve dir>.
 
     A feedback solve must record the simulated game's resolved config.
@@ -306,7 +307,7 @@ def _parse_strategy(model, resolved: dict, spec: str, side: str, delay_cells: in
         _, _, directory = spec.partition(":")
         result = load_solve(directory, resolved)
         return feedback_from_field(
-            model, result, side, p, q, h=h, delay_cells=delay_cells
+            model, result, side, p, q, t0=t0, h=h, delay_cells=delay_cells
         )
     raise ConfigError(f"unknown strategy family {spec!r}")
 
@@ -318,8 +319,12 @@ def _cmd_simulate(args) -> int:
     p = _belief(args.p, model.u_types, "--p")
     q = _belief(args.q, model.v_types, "--q")
     x0 = np.asarray(_float_list(args.x0), dtype=float) if args.x0 else np.zeros(model.state_dim)
-    strat_u = _parse_strategy(model, resolved, args.strategy_u or args.strategy, "u", args.delta, args.h, p, q)
-    strat_v = _parse_strategy(model, resolved, args.strategy_v or args.strategy, "v", args.delta, args.h, p, q)
+    strat_u = _parse_strategy(
+        model, resolved, args.strategy_u or args.strategy, "u", args.delta, args.t0, args.h, p, q
+    )
+    strat_v = _parse_strategy(
+        model, resolved, args.strategy_v or args.strategy, "v", args.delta, args.t0, args.h, p, q
+    )
     profile = StrategyProfile(u_strategies=tuple(strat_u), v_strategies=tuple(strat_v))
     started = time.perf_counter()
     table = payoff_samples(

@@ -8,17 +8,26 @@ pair of strategies resolves to a unique pair of control paths cell by
 cell, starting from the constant path on the first cell.
 
 Randomized strategies are finite atom lists with exact rational weights.
-`payoff_samples` is the one pass over the samples: each sample draws one
-noise stream, resolves every distinct pure pair once on it and scores
-every type pair that plays the resolved path.  These common random
+`payoff_samples` is the one pass over the samples.  It plays them in
+chunks, each a batch of (S, ...) arrays that moves through the time steps
+together: every sample draws its own stream from (seed, sample index),
+each distinct pure pair is resolved once per chunk, and every type pair
+that plays the resolved paths is scored on them.  These common random
 numbers make mixtures and belief combinations exactly bilinear in the
-weights.  Streams derive from (seed, sample index) and reductions are
-fixed-tree pairwise sums, so results do not depend on the worker count.
+weights.  At each step the dynamics and running costs are evaluated once
+per distinct control pair, on the rows that play it; the model callables
+are elementwise in x at a fixed pair, so every path has the bits it would
+have alone, whatever the chunk size.
 
-The feedback strategy replays a solved field: its minimax control for
-every solved (t-slice, state node) comes from one batched
-`hamiltonian.pair_table` call when the strategy is built, so each step
-of a path is a table lookup.
+The built-in families (`constant_strategy`, `cycle_strategy`,
+`feedback_from_field`) read only the state at the cell start.  Each is
+one batched `select(cell, x)` that maps a cell-start step and the (S, n)
+cell-start states to control indices; its per-path `rule` is a thin
+adapter over it.  Any other rule is called per sample inside the same
+step loop.  The feedback strategy replays a solved field: its minimax
+control for every solved (t-slice, state node) comes from one batched
+`hamiltonian.pair_table` call when the strategy is built, so each cell of
+a batch is one table gather.
 """
 
 from __future__ import annotations
@@ -30,13 +39,22 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ._util import pairwise_mean, pairwise_sum, parallel_map
+from ._util import pairwise_mean, pairwise_sum
 from .errors import ConfigError
 from .hamiltonian import pair_table
 from .model import GameModel
-from .solver import _MEMORY_CAP_BYTES, SolveResult, _check_grids, _derivatives, _hessians
+from .solver import (
+    _MEMORY_CAP_BYTES,
+    SolveResult,
+    _check_grids,
+    _derivatives,
+    _hessians,
+    _time_rounding,
+)
 
 _DIVISIBILITY_TOL = 1e-9
+# bytes of per-sample path arrays that one chunk of `payoff_samples` holds
+_CHUNK_BYTES = 2**24
 
 
 @dataclass(frozen=True)
@@ -46,6 +64,12 @@ class PureStrategy:
     rule(step, x_obs, opp_obs) -> control point; x_obs holds path nodes up
     to the current cell start, opp_obs the opponent controls strictly
     before it (None unless observes_controls).
+
+    select(cell, x) -> control indices, optional: the batched form of a
+    rule that reads only the cell-start state, for the cell-start step
+    `cell` and cell-start states x of shape (S, n).  When it is set, the
+    engine calls it once per cell for a whole batch and `rule` must be its
+    per-path adapter.
     """
 
     side: str  # "u" or "v"
@@ -53,6 +77,7 @@ class PureStrategy:
     rule: Callable
     observes_controls: bool = False
     label: str = "custom"
+    select: Callable | None = None
 
     def __post_init__(self):
         if self.side not in ("u", "v"):
@@ -102,15 +127,18 @@ class StrategyProfile:
 
 @dataclass(frozen=True)
 class NoisePath:
+    """One path's increments (steps, noise_dim), or a batch (S, steps,
+    noise_dim) of the samples sample_index, sample_index + 1, ..."""
+
     seed: int
     sample_index: int
     h: float
-    increments: np.ndarray  # (steps, noise_dim)
+    increments: np.ndarray
     kind: str
 
     @property
     def steps(self) -> int:
-        return self.increments.shape[0]
+        return self.increments.shape[-2]
 
 
 def sample_noise(
@@ -141,6 +169,20 @@ def observation_window(strategy: PureStrategy, step: int) -> int:
     return (step // strategy.delay_cells) * strategy.delay_cells
 
 
+def _rule_index(
+    strategy: PureStrategy, controls, step: int, x_path: np.ndarray, opp_path: np.ndarray | None
+) -> int:
+    """Index in `controls` of the rule's output under the delay discipline."""
+    end = observation_window(strategy, step)
+    x_obs = x_path[: end + 1]
+    opp_obs = None
+    if strategy.observes_controls:
+        if opp_path is None:
+            raise ConfigError("strategy observes controls but none were supplied")
+        opp_obs = opp_path[:end]
+    return controls.index_of(strategy.rule(step, x_obs, opp_obs))
+
+
 def strategy_control(
     strategy: PureStrategy,
     controls,
@@ -149,24 +191,39 @@ def strategy_control(
     opp_path: np.ndarray | None,
 ):
     """Evaluate a rule under the delay discipline and canonicalize output."""
-    end = observation_window(strategy, step)
-    x_obs = x_path[: end + 1]
-    opp_obs = None
-    if strategy.observes_controls:
-        if opp_path is None:
-            raise ConfigError("strategy observes controls but none were supplied")
-        opp_obs = opp_path[:end]
-    point = strategy.rule(step, x_obs, opp_obs)
-    return controls.values[controls.index_of(point)]
+    return controls.values[_rule_index(strategy, controls, step, x_path, opp_path)]
 
 
 @dataclass(frozen=True)
 class Resolution:
+    """Resolved paths; a batch carries a leading sample axis on each."""
+
     t0: float
     h: float
-    x_path: np.ndarray  # (steps + 1, n)
-    u_path: np.ndarray  # (steps, u dim)
-    v_path: np.ndarray  # (steps, v dim)
+    x_path: np.ndarray  # ([S,] steps + 1, n)
+    u_path: np.ndarray  # ([S,] steps, u dim)
+    v_path: np.ndarray  # ([S,] steps, v dim)
+    pair_path: np.ndarray  # ([S,] steps): a * |V| + b for control pair (a, b)
+
+
+def _pair_rows(pairs: np.ndarray):
+    """(pair, rows) for each distinct pair code; rows is a full slice when
+    one pair covers the batch."""
+    first = pairs.flat[0]
+    if np.all(pairs == first):
+        return [(int(first), slice(None))]
+    return [(int(c), pairs == c) for c in np.unique(pairs)]
+
+
+def _step_indices(strategy, controls, k, x, opp_rows, own) -> np.ndarray:
+    """Control indices of one side at step k for every path of the batch."""
+    if strategy.select is None:
+        return np.array(
+            [_rule_index(strategy, controls, k, x[s, : k + 1], opp_rows[s, :k]) for s in range(len(x))]
+        )
+    if k % strategy.delay_cells:
+        return own[:, k - 1]
+    return strategy.select(k, x[:, k])
 
 
 def resolve_controls(
@@ -177,37 +234,77 @@ def resolve_controls(
     noise: NoisePath,
     t0: float = 0.0,
 ) -> Resolution:
-    """Cell-by-cell fixed point of the two delayed responses."""
+    """Cell-by-cell fixed point of the two delayed responses.
+
+    A batched `noise` gives paths with a leading sample axis; a single
+    path keeps its shapes.  Each step moves the whole batch: drift and
+    diffusion are evaluated once per distinct control pair, on its rows.
+    """
     if strat_u.side != "u" or strat_v.side != "v":
         raise ConfigError("resolve_controls needs a u strategy and a v strategy")
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     if x0.shape != (model.state_dim,) or not np.all(np.isfinite(x0)):
         raise ConfigError("x0 must be finite and match the model state dimension")
-    steps = noise.steps
+    inc = noise.increments
+    single = inc.ndim == 2
+    if single:
+        inc = inc[None]
+    batch, steps = inc.shape[:2]
     h = noise.h
-    x = np.empty((steps + 1, model.state_dim))
-    x[0] = x0
-    u_rows = np.empty((steps, model.u_set.dim))
-    v_rows = np.empty((steps, model.v_set.dim))
+    u_set, v_set = model.u_set, model.v_set
+    x = np.empty((batch, steps + 1, model.state_dim))
+    x[:, 0] = x0
+    u_idx = np.empty((batch, steps), dtype=np.intp)
+    v_idx = np.empty((batch, steps), dtype=np.intp)
+    u_rows = np.empty((batch, steps, u_set.dim))
+    v_rows = np.empty((batch, steps, v_set.dim))
     for k in range(steps):
-        u_rows[k] = strategy_control(strat_u, model.u_set, k, x[: k + 1], v_rows[:k])
-        v_rows[k] = strategy_control(strat_v, model.v_set, k, x[: k + 1], u_rows[:k])
+        u_idx[:, k] = _step_indices(strat_u, u_set, k, x, v_rows, u_idx)
+        u_rows[:, k] = u_set.values[u_idx[:, k]]
+        v_idx[:, k] = _step_indices(strat_v, v_set, k, x, u_rows, v_idx)
+        v_rows[:, k] = v_set.values[v_idx[:, k]]
         t_k = t0 + k * h
-        b = np.asarray(model.drift(t_k, x[k], u_rows[k], v_rows[k]), dtype=float)
-        sig = np.asarray(model.diffusion(t_k, x[k], u_rows[k], v_rows[k]), dtype=float)
-        x[k + 1] = x[k] + b * h + sig @ noise.increments[k]
-    return Resolution(t0=t0, h=h, x_path=x, u_path=u_rows, v_path=v_rows)
+        for pair, rows in _pair_rows(u_idx[:, k] * v_set.count + v_idx[:, k]):
+            u, v = u_set.values[pair // v_set.count], v_set.values[pair % v_set.count]
+            x_k = x[rows, k]
+            b = np.asarray(model.drift(t_k, x_k, u, v), dtype=float)
+            sig = np.asarray(model.diffusion(t_k, x_k, u, v), dtype=float)
+            dw = inc[rows, k]
+            shock = 0.0
+            for e in range(model.noise_dim):
+                shock = shock + sig[..., e] * dw[:, None, e]
+            x[rows, k + 1] = x_k + b * h + shock
+    pairs = u_idx * v_set.count + v_idx
+    if single:
+        x, u_rows, v_rows, pairs = x[0], u_rows[0], v_rows[0], pairs[0]
+    return Resolution(t0=t0, h=h, x_path=x, u_path=u_rows, v_path=v_rows, pair_path=pairs)
 
 
-def payoff_path(model: GameModel, i: int, j: int, res: Resolution) -> float:
-    """Left-rule running integral plus terminal cost along one path."""
-    run = 0.0
+def payoff_path(model: GameModel, i: int, j: int, res: Resolution):
+    """Left-rule running integral plus terminal cost along each path.
+
+    A float for a single path, an (S,) array for a batch.  The running
+    cost is evaluated once per distinct control pair, on every (path,
+    step) that plays it, and summed over the steps in order.
+    """
+    single = res.x_path.ndim == 2
+    x_path = res.x_path[None] if single else res.x_path
+    pairs = res.pair_path[None] if single else res.pair_path
+    run = np.zeros(x_path.shape[0])
     if model.has_running:
         lfn = model.running[i][j]
-        for k in range(res.u_path.shape[0]):
-            t_k = res.t0 + k * res.h
-            run += float(lfn(t_k, res.x_path[k], res.u_path[k], res.v_path[k])) * res.h
-    return run + float(model.terminal[i][j](res.x_path[-1]))
+        u_set, v_set = model.u_set, model.v_set
+        t = np.broadcast_to(res.t0 + np.arange(pairs.shape[1]) * res.h, pairs.shape)
+        x = x_path[:, :-1]
+        cost = np.empty(pairs.shape)
+        for pair, rows in _pair_rows(pairs):
+            u, v = u_set.values[pair // v_set.count], v_set.values[pair % v_set.count]
+            cost[rows] = lfn(t[rows], x[rows], u, v)
+        cost *= res.h
+        for k in range(pairs.shape[1]):
+            run = run + cost[:, k]
+    out = run + model.terminal[i][j](x_path[:, -1])
+    return float(out[0]) if single else out
 
 
 @dataclass(frozen=True)
@@ -247,6 +344,8 @@ def payoff_samples(
 
     Entry [s, i, j] is 0.0 plus float(wu * wv) * payoff summed over the
     atom pairs of types (i, j) in atom order, on sample s's noise path.
+    The samples run in chunks of at most `_CHUNK_BYTES` of path arrays;
+    each chunk resolves every distinct pure pair once, as one batch.
     """
     if len(profile.u_strategies) != model.u_types or len(profile.v_strategies) != model.v_types:
         raise ConfigError("the profile needs one strategy per type on each side")
@@ -260,19 +359,28 @@ def payoff_samples(
         for au, wu in zip(ru.atoms, ru.weights)
         for av, wv in zip(rv.atoms, rv.weights)
     ]
-
-    def one_sample(s: int) -> np.ndarray:
-        noise = sample_noise(seed, s, steps, model.noise_dim, h, kind)
+    # noise, states, both control paths and their indices, per step and sample
+    widths = model.noise_dim + model.state_dim + model.u_set.dim + model.v_set.dim + 4
+    chunk = max(1, _CHUNK_BYTES // (8 * (steps + 1) * widths))
+    out = np.zeros((samples, model.u_types, model.v_types))
+    for start in range(0, samples, chunk):
+        stop = min(samples, start + chunk)
+        paths = [sample_noise(seed, s, steps, model.noise_dim, h, kind) for s in range(start, stop)]
+        noise = NoisePath(
+            seed=seed,
+            sample_index=start,
+            h=h,
+            increments=np.stack([p.increments for p in paths]),
+            kind=kind,
+        )
         cache: dict[tuple[int, int], Resolution] = {}
-        out = np.zeros((model.u_types, model.v_types))
+        block = out[start:stop]
         for i, j, weight, pure_u, pure_v in terms:
             key = (id(pure_u), id(pure_v))
             if key not in cache:
                 cache[key] = resolve_controls(model, pure_u, pure_v, x0, noise, t0)
-            out[i, j] += weight * payoff_path(model, i, j, cache[key])
-        return out
-
-    return np.stack(parallel_map(one_sample, range(samples)))
+            block[:, i, j] += weight * payoff_path(model, i, j, cache[key])
+    return out
 
 
 def _estimate(values: np.ndarray) -> PayoffEstimate:
@@ -398,18 +506,32 @@ def split_mix(
     return tuple(out), mixed_beliefs
 
 
+def _cell_start_strategy(
+    controls, side: str, delay_cells: int, select: Callable, label: str
+) -> PureStrategy:
+    """A strategy whose per-path rule is `select` on a batch of one path."""
+
+    def rule(step, x_obs, opp_obs):
+        cell = (step // delay_cells) * delay_cells
+        return controls.values[select(cell, np.asarray(x_obs)[-1:])[0]]
+
+    return PureStrategy(
+        side=side, delay_cells=delay_cells, rule=rule, label=label, select=select
+    )
+
+
 def constant_strategy(
     model: GameModel, side: str, index: int = 0, delay_cells: int = 1
 ) -> PureStrategy:
     controls = model.u_set if side == "u" else model.v_set
     if not 0 <= index < controls.count:
         raise ConfigError(f"control index {index} out of range")
-    point = controls.values[index]
-    return PureStrategy(
-        side=side,
-        delay_cells=delay_cells,
-        rule=lambda step, x_obs, opp_obs: point,
-        label=f"constant:{index}",
+    return _cell_start_strategy(
+        controls,
+        side,
+        delay_cells,
+        lambda cell, x: np.full(len(x), index),
+        f"constant:{index}",
     )
 
 
@@ -419,10 +541,10 @@ def cycle_strategy(
     """Deterministically cycles through the control set, one point per cell."""
     controls = model.u_set if side == "u" else model.v_set
 
-    def rule(step, x_obs, opp_obs):
-        return controls.values[(step // delay_cells) % controls.count]
+    def select(cell, x):
+        return np.full(len(x), (cell // delay_cells) % controls.count)
 
-    return PureStrategy(side=side, delay_cells=delay_cells, rule=rule, label="cycle")
+    return _cell_start_strategy(controls, side, delay_cells, select, "cycle")
 
 
 def feedback_from_field(
@@ -432,6 +554,7 @@ def feedback_from_field(
     p0,
     q0,
     *,
+    t0: float | None = None,
     h: float | None = None,
     delay_cells: int = 1,
 ) -> list[RandomStrategy]:
@@ -440,9 +563,13 @@ def feedback_from_field(
     The picks are computed once for every solved (t-slice, state node):
     central-difference derivatives of the field at the frozen belief pair
     feed the dissipation-free control table of `hamiltonian.pair_table`,
-    and each side takes its minimax selection (first index on ties).  At
-    each cell start the rule looks up the pick of the nearest solved slice
-    and state node.  Every own type receives the same degenerate mixture.
+    and each side takes its minimax selection (first index on ties).  The
+    play starts at t0 (the solve's t0 by default) and steps by h (the
+    solve's dt by default); at each cell start the rule looks up the pick
+    of the solved slice nearest to the time played and of the nearest
+    state node.  A t0 before the first slice, beyond the rounding of the
+    solve's time grid, is refused.  Every own type receives the same
+    degenerate mixture.
     """
     if side not in ("u", "v"):
         raise ConfigError("side must be 'u' or 'v'")
@@ -451,11 +578,17 @@ def feedback_from_field(
     q0 = np.asarray(q0, dtype=float)
     if p0.shape != (model.u_types,) or q0.shape != (model.v_types,):
         raise ConfigError("belief shapes do not match the model type counts")
+    times = result.times
+    tol, ulp = _time_rounding(times)
+    start = result.t0 if t0 is None else float(t0)
+    if not start >= times[0] - (tol + len(times) * ulp):
+        raise ConfigError(
+            f"the play starts at t0 = {start!r}, before the solve's first slice at {times[0]!r}"
+        )
     grids = result.grids
     grid = grids.state
     p_idx = int(np.argmin(np.linalg.norm(grids.p.points - p0[None, :], axis=1)))
     q_idx = int(np.argmin(np.linalg.norm(grids.q.points - q0[None, :], axis=1)))
-    times = result.times
     slab = np.stack([f.values[..., p_idx, q_idx] for f in result.fields], axis=-1)
     grad, second, mixed = _derivatives(grid, slab)  # state axes, then t
     table = pair_table(
@@ -474,19 +607,16 @@ def feedback_from_field(
         controls, picks = model.v_set, np.argmax(table.min(axis=-2), axis=-1)
     step_h = result.dt if h is None else float(h)
 
-    def rule(step, x_obs, opp_obs):
-        cell_start = (step // delay_cells) * delay_cells
-        t_c = result.t0 + cell_start * step_h
-        ti = int(np.argmin(np.abs(times - t_c)))
-        x_now = x_obs[-1]
+    def select(cell, x):
+        ti = int(np.argmin(np.abs(times - (start + cell * step_h))))
         node = tuple(
-            int(np.clip(np.rint((x_now[k] - ax[0]) / dx), 0, ax.size - 1))
+            np.clip(np.rint((x[:, k] - ax[0]) / dx), 0, ax.size - 1).astype(np.intp)
             if ax.size > 1
-            else 0
+            else np.zeros(len(x), dtype=np.intp)
             for k, (ax, dx) in enumerate(zip(grid.axes, grid.spacing))
         )
-        return controls.values[picks[node + (ti,)]]
+        return picks[node + (ti,)]
 
     own_types = model.u_types if side == "u" else model.v_types
-    pure = PureStrategy(side=side, delay_cells=delay_cells, rule=rule, label="field-feedback")
+    pure = _cell_start_strategy(controls, side, delay_cells, select, "field-feedback")
     return [RandomStrategy(atoms=(pure,), weights=(Fraction(1),)) for _ in range(own_types)]

@@ -31,8 +31,9 @@ pure running cost integrates to elapsed time.
 
 Each envelope pass hands the whole slice to `transform.vex_rows` as one
 (rows, npoints) table, and the convexity certificates are one batched
-gather over the lattice triples.  The solver runs on the calling thread
-only, so its results do not depend on INFOGAME_THREADS.
+gather over the lattice triples.  The solver, like the rest of the
+library, runs on the calling thread only; INFOGAME_THREADS changes none
+of its results or timings.
 """
 
 from __future__ import annotations
@@ -145,6 +146,14 @@ def terminal_field(model: GameModel, grids: Grids) -> ValueField:
     gmat = terminal_matrix(model, mesh)  # (*shape, I, J)
     values = np.einsum("...ij,ai,bj->...ab", gmat, grids.p.points, grids.q.points)
     return ValueField(t=model.horizon, values=values)
+
+
+def _time_rounding(times) -> tuple[float, float]:
+    """The rounding a solved time grid may carry: the 1e-9 relative
+    divisibility tolerance over its span, and one ulp of its largest time,
+    which each backward step of t may add."""
+    span = times[-1] - times[0]
+    return 1e-9 * max(1.0, span), float(np.spacing(max(abs(times[0]), abs(times[-1]))))
 
 
 def _check_grids(model: GameModel, grids: Grids) -> None:

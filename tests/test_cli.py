@@ -133,7 +133,23 @@ def test_simulate_resolves_each_pure_pair_once_per_sample(tmp_path, monkeypatch)
         "--h", "0.1", "--samples", 7, "--strategy", "cycle",
     )
     assert rc == 0
-    assert calls == {"resolve_controls": 7, "payoff_path": 4 * 7}
+    # the seven samples fit one chunk: one batched resolution, one payoff call per type pair
+    assert calls == {"resolve_controls": 1, "payoff_path": 4}
+
+
+def test_simulate_uses_no_pool(tmp_path, monkeypatch):
+    from infogame import _util
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("simulate must not use the thread pool")
+
+    monkeypatch.setattr(_util, "parallel_map", refuse)
+    monkeypatch.setattr(simulator, "parallel_map", refuse, raising=False)  # a bound import
+    rc = run(
+        "simulate", "--preset", "two-sided-1d", "--out", tmp_path / "sim.json",
+        "--h", "0.1", "--samples", 9, "--strategy-u", "constant:1", "--strategy-v", "cycle",
+    )
+    assert rc == 0
 
 
 def test_simulate_is_thread_count_invariant(tmp_path, monkeypatch):
@@ -193,12 +209,41 @@ def test_simulate_feedback_refuses_a_solve_of_another_game(tmp_path):
     ) == 0
     out = tmp_path / "sim.json"
     for game, code in (("running-matrix", 2), ("two-sided-1d", 0)):
+        # play from the solve's own start time; an earlier t0 is refused
         rc = run(
-            "simulate", "--preset", game, "--out", out, "--h", "0.1", "--samples", 2,
-            "--strategy-u", f"feedback:{field}", "--strategy-v", "constant:0",
+            "simulate", "--preset", game, "--out", out, "--h", "0.05", "--t0", "0.35",
+            "--samples", 2, "--strategy-u", f"feedback:{field}", "--strategy-v", "constant:0",
         )
         assert rc == code, game
         assert out.exists() == (code == 0)
+
+
+def test_simulate_feedback_plays_the_slices_of_its_start_time(tmp_path):
+    # a solve over [0, 0.4] and one over [0.2, 0.4] share their slices from
+    # t = 0.2 on, so play from t0 = 0.2 must replay the same picks from both
+    grid = ("--preset", "two-sided-1d", "--nx", 41, "--np", 4, "--nq", 4)
+    full, late = tmp_path / "full", tmp_path / "late"
+    assert run("solve", *grid, "--steps", 20, "--out", full) == 0
+    assert run("solve", *grid, "--steps", 10, "--t0", "0.2", "--out", late) == 0
+    reports = {}
+    for field in (full, late):
+        out = tmp_path / f"{field.name}.json"
+        rc = run(
+            "simulate", "--preset", "two-sided-1d", "--out", out, "--t0", "0.2", "--h", "0.02",
+            "--x0", "1.4", "--p", "0.3,0.7", "--samples", 40,
+            "--strategy-u", f"feedback:{field}", "--strategy-v", "cycle",
+        )
+        assert rc == 0
+        reports[field.name] = json.loads(out.read_text())
+    for key in ("estimates", "stderrs", "combined_estimate", "combined_stderr"):
+        assert reports["full"][key] == reports["late"][key], key
+    # a start before the solve's first slice has no slice to replay
+    out = tmp_path / "early.json"
+    rc = run(
+        "simulate", "--preset", "two-sided-1d", "--out", out, "--t0", "0.1", "--h", "0.02",
+        "--samples", 4, "--strategy-u", f"feedback:{late}", "--strategy-v", "cycle",
+    )
+    assert rc == 2 and not out.exists()
 
 
 def test_simulate_refuses_beliefs_and_payoffs_that_are_not_finite(tmp_path):

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from infogame import simulator
 from infogame._util import pairwise_mean, pairwise_sum
 from infogame.errors import ConfigError
 from infogame.model import preset
@@ -24,12 +26,13 @@ from infogame.simulator import (
     payoff_matrix,
     payoff_path,
     payoff_pq,
+    payoff_samples,
     resolve_controls,
     sample_noise,
     split_mix,
     strategy_control,
 )
-from infogame.solver import build_state_grid, Grids, solve
+from infogame.solver import build_state_grid, Grids, SolveResult, solve
 
 
 def unit_mix(pure: PureStrategy) -> RandomStrategy:
@@ -313,6 +316,128 @@ def test_one_pass_matches_a_per_type_pair_loop(case, stderr_rtol):
     assert got.estimate == estimate
     assert got.stderr == pytest.approx(stderr, rel=stderr_rtol, abs=0.0)
     assert got.stderr > 0.0
+
+
+def delayed_case():
+    m = preset("two-sided-1d")
+    ru = unit_mix(constant_strategy(m, "u", index=1, delay_cells=2))
+    rv = unit_mix(cycle_strategy(m, "v", delay_cells=2))
+    return m, StrategyProfile(u_strategies=(ru, ru), v_strategies=(rv, rv)), 0.05, 0.2
+
+
+@functools.lru_cache(maxsize=1)
+def two_sided_solve():
+    m = preset("two-sided-1d")
+    grids = Grids(state=build_state_grid([(-2.0, 2.0)], [21]), p=build_grid(2, 4), q=build_grid(2, 4))
+    return m, solve(m, grids, t0=0.0, dt=0.02)
+
+
+def feedback_case():
+    m, result = two_sided_solve()
+    fb = feedback_from_field(m, result, "u", [0.3, 0.7], [0.5, 0.5], h=0.02, delay_cells=2)
+    rv = unit_mix(cycle_strategy(m, "v"))
+    # near x = 1.4 the pick changes with the state and the time
+    return m, StrategyProfile(u_strategies=tuple(fb), v_strategies=(rv, rv)), 0.02, 1.4
+
+
+def observing_case():
+    m = preset("two-sided-1d")
+
+    def chase(step, x_obs, opp_obs):
+        return m.u_set.values[0] if x_obs[-1][0] > 0 else m.u_set.values[-1]
+
+    def mirror(step, x_obs, opp_obs):
+        if len(opp_obs) == 0:
+            return m.v_set.values[step % m.v_set.count]
+        return m.v_set.values[0] if opp_obs[-1][0] < 0 else m.v_set.values[-1]
+
+    ru = unit_mix(PureStrategy(side="u", delay_cells=2, rule=chase))
+    rv = unit_mix(PureStrategy(side="v", delay_cells=3, rule=mirror, observes_controls=True))
+    mixed = RandomStrategy(
+        atoms=(cycle_strategy(m, "v"), rv.atoms[0]), weights=(Fraction(1, 3), Fraction(2, 3))
+    )
+    return m, StrategyProfile(u_strategies=(ru, ru), v_strategies=(rv, mixed)), 0.05, 0.2
+
+
+def split_case():
+    m, profile, _, _, h = split_mix_case()
+    return m, profile, h, 0.2
+
+
+def scalar_resolution(model, su, sv, x0, noise):
+    """The per-path step loop: one rule call and one Euler step at a time."""
+    x = np.empty((noise.steps + 1, model.state_dim))
+    x[0] = x0
+    u_rows = np.empty((noise.steps, model.u_set.dim))
+    v_rows = np.empty((noise.steps, model.v_set.dim))
+    for k in range(noise.steps):
+        u_rows[k] = strategy_control(su, model.u_set, k, x[: k + 1], v_rows[:k])
+        v_rows[k] = strategy_control(sv, model.v_set, k, x[: k + 1], u_rows[:k])
+        b = model.drift(k * noise.h, x[k], u_rows[k], v_rows[k])
+        sig = model.diffusion(k * noise.h, x[k], u_rows[k], v_rows[k])
+        x[k + 1] = x[k] + b * noise.h + sig @ noise.increments[k]
+    return x, u_rows, v_rows
+
+
+def scalar_payoff(model, i, j, x, u, v, h):
+    run = 0.0
+    for k in range(len(u)):
+        run += float(model.running[i][j](k * h, x[k], u[k], v[k])) * h
+    return run + float(model.terminal[i][j](x[-1]))
+
+
+@pytest.mark.parametrize("case", [delayed_case, feedback_case, split_case, observing_case])
+def test_batch_matches_a_per_sample_loop(case):
+    m, profile, h, x0 = case()
+    samples, seed, x0 = 23, 4, np.array([x0])
+    steps = int(round(m.horizon / h))
+    want = np.zeros((samples, m.u_types, m.v_types))
+    for s in range(samples):
+        noise = sample_noise(seed, s, steps, m.noise_dim, h)
+        for i, ru in enumerate(profile.u_strategies):
+            for j, rv in enumerate(profile.v_strategies):
+                for au, wu in zip(ru.atoms, ru.weights):
+                    for av, wv in zip(rv.atoms, rv.weights):
+                        res = resolve_controls(m, au, av, x0, noise)
+                        payoff = payoff_path(m, i, j, res)
+                        want[s, i, j] += float(wu * wv) * payoff
+                        x, u, v = scalar_resolution(m, au, av, x0, noise)
+                        np.testing.assert_array_equal(res.x_path, x)
+                        np.testing.assert_array_equal(res.u_path, u)
+                        np.testing.assert_array_equal(res.v_path, v)
+                        assert payoff == scalar_payoff(m, i, j, x, u, v, h)
+    got = payoff_samples(m, profile, x0, h=h, samples=samples, seed=seed)
+    np.testing.assert_array_equal(got, want)
+
+
+def test_chunk_size_does_not_change_the_table(monkeypatch):
+    for case in (feedback_case, observing_case, split_case):
+        m, profile, h, x0 = case()
+        tables = []
+        for cap in (1, 2**40):  # one sample per chunk, then all of them in one
+            monkeypatch.setattr(simulator, "_CHUNK_BYTES", cap)
+            tables.append(payoff_samples(m, profile, np.array([x0]), h=h, samples=17, seed=6))
+        assert tables[0].tobytes() == tables[1].tobytes()
+
+
+def test_feedback_refuses_a_start_before_the_first_slice():
+    m, result = two_sided_solve()
+    late = SolveResult(
+        model=m, grids=result.grids, t0=result.fields[10].t, dt=result.dt,
+        fields=result.fields[10:],
+    )
+    for t0 in (0.0, late.t0 - 1e-6):
+        with pytest.raises(ConfigError):
+            feedback_from_field(m, late, "u", [0.5, 0.5], [0.5, 0.5], t0=t0, h=0.02)
+    # from its own start, the late solve replays the full solve's picks
+    x = np.linspace(-2.5, 2.5, 41)[:, None]
+    for cell in range(10):
+        picks = [
+            feedback_from_field(m, r, "u", [0.3, 0.7], [0.5, 0.5], t0=late.t0, h=0.02)[0]
+            .atoms[0].select(cell, x)
+            for r in (result, late)
+        ]
+        np.testing.assert_array_equal(picks[0], picks[1])
 
 
 def test_estimates_do_not_depend_on_thread_count(monkeypatch):
