@@ -270,6 +270,8 @@ def resolve_controls(
             b = np.asarray(model.drift(t_k, x_k, u, v), dtype=float)
             sig = np.asarray(model.diffusion(t_k, x_k, u, v), dtype=float)
             dw = inc[rows, k]
+            # summed from 0.0 term by term, as a single path's sig @ dw is for
+            # one noise axis, so no batch size changes a bit
             shock = 0.0
             for e in range(model.noise_dim):
                 shock = shock + sig[..., e] * dw[:, None, e]

@@ -411,7 +411,7 @@ def test_batch_matches_a_per_sample_loop(case):
 
 
 def test_chunk_size_does_not_change_the_table(monkeypatch):
-    for case in (feedback_case, observing_case, split_case):
+    for case in (delayed_case, feedback_case, observing_case, split_case):
         m, profile, h, x0 = case()
         tables = []
         for cap in (1, 2**40):  # one sample per chunk, then all of them in one
