@@ -4,28 +4,35 @@ Subcommands: solve, simulate, check, convexify, oracle.  All outputs are
 written atomically (temp file in the target directory, then replace) and
 are byte-identical across reruns with the same inputs: JSON is dumped
 with sorted keys, floats use shortest round-trip repr, and wall-clock
-timings go to stderr only.  Exit codes: 0 success, 2 configuration
-errors, 3 numeric failures, 1 anything else.
+timings go to stderr only.  Files are created under the process umask.
+Exit codes: 0 success, 2 configuration errors, 3 numeric failures, 1
+anything else.
+
+`solve` writes slices.csv, the source of truth, and slices.f64, a binary
+copy of its w column that starts with the SHA-256 of the CSV's bytes and
+the column.  `check` and `simulate --strategy feedback:` load a solve
+with `load_solve`, which takes the column from slices.f64 only when that
+digest matches and parses the CSV otherwise; loads never write.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import math
 import os
 import re
 import sys
-import tempfile
 import time
 import traceback
+from contextlib import contextmanager
 from fractions import Fraction
-from typing import Iterable
 
 import numpy as np
 
 from ._util import sha256_hex
-from .dualcheck import check_dual_solution, default_tolerance, primal_crosscheck
+from .dualcheck import build_probes, check_dual_solution, default_tolerance, primal_crosscheck
 from .errors import ConfigError, NumericsError
 from .hamiltonian import is_probability_vector
 from .model import model_from_config, preset_config, resolved_config
@@ -45,6 +52,12 @@ from .solver import Grids, SolveResult, ValueField, _time_rounding, build_state_
 from .transform import cav_q, vex_p
 
 
+# slices.f64: the SHA-256 of slices.csv's bytes followed by the payload,
+# then the payload, the w column as little-endian float64 in CSV row order
+_VALUES_FILE = "slices.f64"
+_DIGEST_BYTES = 32
+
+
 def _jsonable(obj):
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
@@ -61,19 +74,28 @@ def _jsonable(obj):
     return obj
 
 
-def _write_atomic(path: str, chunks: Iterable[str]) -> None:
-    """Write the chunks in order to a temp file, then replace path with it."""
+@contextmanager
+def _atomic_file(path: str):
+    """A binary file at a temp name beside path, moved onto path when the
+    block ends without error.  It is created with mode 0o666, so the
+    process umask applies as it would to a plain open()."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    tmp = os.path.join(directory, f"{os.path.basename(path)}.{os.urandom(8).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with os.fdopen(fd, "w") as handle:
-            handle.writelines(chunks)
+        with os.fdopen(fd, "wb") as handle:
+            yield handle
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def _write_atomic(path: str, text: str) -> None:
+    with _atomic_file(path) as handle:
+        handle.write(text.encode())
 
 
 def _dump_json(obj) -> str:
@@ -118,15 +140,19 @@ def _belief(text: str | None, count: int, flag: str) -> np.ndarray:
     return w
 
 
-def _write_solve_outputs(out_dir: str, result: SolveResult, cfg_resolved: dict, cfg_sha: str) -> None:
-    grids = result.grids
-    header = (
+def _slices_header(grids: Grids) -> str:
+    """The first line of slices.csv, without its newline."""
+    return ",".join(
         ["t"]
         + [f"x_{k + 1}" for k in range(grids.state.ndim)]
         + [f"p_{i + 1}" for i in range(grids.p.dim)]
         + [f"q_{j + 1}" for j in range(grids.q.dim)]
         + ["w"]
     )
+
+
+def _write_solve_outputs(out_dir: str, result: SolveResult, cfg_resolved: dict, cfg_sha: str) -> None:
+    grids = result.grids
     # the coordinate cells repeat in every slice, so each is formatted once
     mesh = grids.state.mesh().reshape(-1, grids.state.ndim)
     x_cells = [",".join(repr(float(v)) for v in x) for x in mesh]
@@ -137,7 +163,7 @@ def _write_solve_outputs(out_dir: str, result: SolveResult, cfg_resolved: dict, 
     ]
 
     def slice_chunks():
-        yield ",".join(header) + "\n"
+        yield (_slices_header(grids) + "\n").encode()
         for fld in result.fields:
             t_cell = repr(float(fld.t))
             table = fld.values.reshape(len(x_cells), len(pq_cells)).tolist()
@@ -145,10 +171,24 @@ def _write_solve_outputs(out_dir: str, result: SolveResult, cfg_resolved: dict, 
                 f"{t_cell},{x},{pq},{w!r}\n"
                 for x, ws in zip(x_cells, table)
                 for pq, w in zip(pq_cells, ws)
-            )
+            ).encode()
 
-    # one slice in memory at a time
-    _write_atomic(os.path.join(out_dir, "slices.csv"), slice_chunks())
+    # the digest covers the exact CSV bytes and then the binary w column
+    # (see load_solve)
+    digest = hashlib.sha256()
+    with _atomic_file(os.path.join(out_dir, "slices.csv")) as handle:
+        for data in slice_chunks():
+            digest.update(data)
+            handle.write(data)
+            del data  # one slice in memory at a time: free it before the next is built
+    with _atomic_file(os.path.join(out_dir, _VALUES_FILE)) as handle:
+        handle.write(bytes(_DIGEST_BYTES))
+        for fld in result.fields:
+            data = np.asarray(fld.values, dtype="<f8").tobytes()
+            digest.update(data)
+            handle.write(data)
+        handle.seek(0)
+        handle.write(digest.digest())
     meta = {
         "config": cfg_resolved,
         "config_sha256": cfg_sha,
@@ -169,7 +209,7 @@ def _write_solve_outputs(out_dir: str, result: SolveResult, cfg_resolved: dict, 
         },
         "diagnostics": result.diagnostics,
     }
-    _write_atomic(os.path.join(out_dir, "diagnostics.json"), [_dump_json(meta)])
+    _write_atomic(os.path.join(out_dir, "diagnostics.json"), _dump_json(meta))
 
 
 def _check_time_grid(times: list[float], t0: float, dt: float) -> None:
@@ -194,19 +234,50 @@ def _check_time_grid(times: list[float], t0: float, dt: float) -> None:
         raise ConfigError(f"the recorded t0 = {t0!r} is not the first time {times[0]!r}")
 
 
+def _cached_values(csv_bytes: bytes, path: str, count: int) -> np.ndarray | None:
+    """The w column from the binary copy at path, or None unless it holds
+    exactly `count` values and its digest matches csv_bytes and them."""
+    size = _DIGEST_BYTES + 8 * count
+    try:
+        with open(path, "rb") as handle:
+            if os.fstat(handle.fileno()).st_size != size:
+                return None
+            blob = bytearray(size)
+            if handle.readinto(blob) != size:
+                return None
+    except OSError:
+        return None
+    digest = hashlib.sha256(csv_bytes)
+    digest.update(memoryview(blob)[_DIGEST_BYTES:])
+    if digest.digest() != blob[:_DIGEST_BYTES]:
+        return None
+    return np.frombuffer(blob, dtype="<f8", offset=_DIGEST_BYTES).astype(float, copy=False)
+
+
+def _parse_values(csv_bytes: bytes, count: int) -> np.ndarray:
+    """The w column of every slices.csv row after the header."""
+    body = csv_bytes.decode().splitlines()[1:]
+    if len(body) != count:
+        raise ConfigError("slices.csv row count does not match the recorded grid")
+    return np.array([float(line.rsplit(",", 1)[1]) for line in body])
+
+
 def load_solve(out_dir: str, config: dict | None = None) -> SolveResult:
     """Rebuild a solve result from an output directory.
 
-    With a resolved `config`, refuse a solve whose recorded config differs
-    from it as canonical JSON.
+    slices.csv is the source of truth; its header must be the one solve
+    writes for the recorded grid.  The w column is taken from slices.f64
+    when that file's digest matches slices.csv, and parsed from the CSV
+    otherwise; both give the same bits.  With a resolved `config`, refuse
+    a solve whose recorded config differs from it as canonical JSON.
     """
     meta_path = os.path.join(out_dir, "diagnostics.json")
     csv_path = os.path.join(out_dir, "slices.csv")
     try:
         with open(meta_path) as handle:
             meta = json.load(handle)
-        with open(csv_path) as handle:
-            csv_lines = handle.read().splitlines()
+        with open(csv_path, "rb") as handle:
+            csv_bytes = handle.read()
     except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read solve outputs: {exc}") from exc
     try:
@@ -223,12 +294,14 @@ def load_solve(out_dir: str, config: dict | None = None) -> SolveResult:
         times = [float(t) for t in meta["times"]]
         t0, dt = float(meta["t0"]), float(meta["dt"])
         _check_time_grid(times, t0, dt)
+        header = _slices_header(grids).encode()
+        if not csv_bytes.startswith((header + b"\n", header + b"\r\n")):
+            raise ConfigError("slices.csv header does not match the recorded grid")
         nx = int(np.prod(state.shape))
-        per_slice = nx * grids.p.npoints * grids.q.npoints
-        body = csv_lines[1:]
-        if len(body) != per_slice * len(times):
-            raise ConfigError("slices.csv row count does not match the recorded grid")
-        values = np.array([float(line.rsplit(",", 1)[1]) for line in body])
+        count = nx * grids.p.npoints * grids.q.npoints * len(times)
+        values = _cached_values(csv_bytes, os.path.join(out_dir, _VALUES_FILE), count)
+        if values is None:
+            values = _parse_values(csv_bytes, count)
         stack = values.reshape(len(times), *state.shape, grids.p.npoints, grids.q.npoints)
         fields = [ValueField(t=t, values=stack[k]) for k, t in enumerate(times)]
         return SolveResult(
@@ -273,8 +346,8 @@ def _cmd_solve(args) -> int:
     elapsed = time.perf_counter() - started
     _write_solve_outputs(args.out, result, resolved, cfg_sha)
     print(f"solve finished in {elapsed:.3f}s", file=sys.stderr)
-    print(f"wrote {os.path.join(args.out, 'slices.csv')}")
-    print(f"wrote {os.path.join(args.out, 'diagnostics.json')}")
+    for name in ("slices.csv", _VALUES_FILE, "diagnostics.json"):
+        print(f"wrote {os.path.join(args.out, name)}")
     return 0
 
 
@@ -356,7 +429,7 @@ def _cmd_simulate(args) -> int:
         "combined_stderr": combined.stderr,
     }
     path = args.out if args.out.endswith(".json") else os.path.join(args.out, "simulate.json")
-    _write_atomic(path, [_dump_json(payload)])
+    _write_atomic(path, _dump_json(payload))
     print(f"simulate finished in {elapsed:.3f}s", file=sys.stderr)
     print(f"wrote {path}")
     return 0
@@ -366,8 +439,9 @@ def _cmd_check(args) -> int:
     result = load_solve(args.solve)
     tol = args.tol if args.tol is not None else default_tolerance(result)
     started = time.perf_counter()
-    report = check_dual_solution(result, tol=tol, max_checks=args.max_checks)
-    cross = primal_crosscheck(result, tol=tol)
+    probes = {"probes_p": build_probes(result, "p"), "probes_q": build_probes(result, "q")}
+    report = check_dual_solution(result, tol=tol, max_checks=args.max_checks, **probes)
+    cross = primal_crosscheck(result, tol=tol, **probes)
     elapsed = time.perf_counter() - started
     residuals = [
         report.supersolution_residual, report.subsolution_residual,
@@ -392,7 +466,7 @@ def _cmd_check(args) -> int:
         },
     }
     out = args.out or os.path.join(args.solve, "check.json")
-    _write_atomic(out, [_dump_json(payload)])
+    _write_atomic(out, _dump_json(payload))
     print(f"check finished in {elapsed:.3f}s", file=sys.stderr)
     print(f"wrote {out}")
     ok = report.supersolution_ok and report.subsolution_ok and cross.disagreements == 0
@@ -483,7 +557,7 @@ def _cmd_convexify(args) -> int:
         cells = [repr(float(v)) for v in grid.points[k]]
         cells.append(repr(float(env[k])))
         lines.append(",".join(cells))
-    _write_atomic(args.out, ["\n".join(lines) + "\n"])
+    _write_atomic(args.out, "\n".join(lines) + "\n")
     print(f"wrote {args.out}")
     return 0
 
@@ -510,7 +584,7 @@ def _cmd_oracle(args) -> int:
         "values": res.values,
     }
     path = args.out if args.out.endswith(".json") else os.path.join(args.out, "oracle.json")
-    _write_atomic(path, [_dump_json(payload)])
+    _write_atomic(path, _dump_json(payload))
     print(f"oracle finished in {elapsed:.3f}s", file=sys.stderr)
     print(f"wrote {path}")
     return 0

@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import json
+import os
+import stat
 
 import numpy as np
 import pytest
 
-from infogame import dualcheck, simulator
+from infogame import cli, dualcheck, simulator
 from infogame.cli import load_solve, main
 from infogame.dualcheck import default_tolerance
 from infogame.errors import ConfigError
@@ -58,6 +60,164 @@ def test_solve_reruns_are_byte_identical(tmp_path):
     b = solve_dir(tmp_path, "b")
     assert (a / "slices.csv").read_bytes() == (b / "slices.csv").read_bytes()
     assert (a / "diagnostics.json").read_bytes() == (b / "diagnostics.json").read_bytes()
+
+
+def test_solve_cache_reruns_are_byte_identical(tmp_path):
+    a = solve_dir(tmp_path, "a")
+    b = solve_dir(tmp_path, "b")
+    assert (a / "slices.f64").read_bytes() == (b / "slices.f64").read_bytes()
+
+
+def test_solve_leaves_no_temp_files(tmp_path):
+    out = solve_dir(tmp_path)
+    assert sorted(p.name for p in out.iterdir()) == ["diagnostics.json", "slices.csv", "slices.f64"]
+    assert not list(tmp_path.rglob("*.tmp"))
+
+
+def test_a_failed_write_leaves_no_temp_file(tmp_path):
+    with pytest.raises(RuntimeError):
+        with cli._atomic_file(str(tmp_path / "slices.csv")) as handle:
+            handle.write(b"t,w\n")
+            raise RuntimeError("interrupted")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_outputs_honour_the_umask(tmp_path):
+    previous = os.umask(0o022)
+    try:
+        out = solve_dir(tmp_path)
+        assert run("check", "--solve", out) == 0
+    finally:
+        os.umask(previous)
+    for name in ("slices.csv", "slices.f64", "diagnostics.json", "check.json"):
+        assert stat.S_IMODE((out / name).stat().st_mode) == 0o644, name
+
+
+THREE_BY_TWO = {
+    "preset": "drift-sum-1d",
+    "params": {"sigma": 0.5},
+    "I": 3,
+    "J": 2,
+    "T": 0.4,
+    "g": [
+        [{"name": "tanh", "params": {"center": c, "scale": 1.5, "amp": a}} for a in (1.0, -0.8)]
+        for c in (-0.5, 0.0, 0.5)
+    ],
+}
+
+
+def cache_solve(tmp_path, kind: str):
+    """A small solve: 'two' has 2x2 types, 'three' 3x2, 'one' 1x1."""
+    out = tmp_path / "field"
+    if kind == "three":
+        config = tmp_path / "three.json"
+        config.write_text(json.dumps(THREE_BY_TWO))
+        game = ["--config", config, "--np", 3, "--nq", 2, "--t0", "0.2"]
+    elif kind == "two":
+        game = ["--preset", "two-sided-1d", "--np", 3, "--nq", 3, "--t0", "0.2"]
+    else:
+        game = ["--preset", "drift-sum-1d", "--np", 3, "--nq", 3, "--t0", "0.8"]
+    assert run("solve", *game, "--out", out, "--nx", 9, "--steps", 4) == 0
+    return out
+
+
+def loaded_bits(out) -> np.ndarray:
+    return np.stack([f.values for f in load_solve(str(out)).fields]).view(np.uint64)
+
+
+@pytest.fixture
+def parse_spy(monkeypatch):
+    """Counts the per-line parses of slices.csv."""
+    calls = []
+    inner = cli._parse_values
+
+    def spy(*args):
+        calls.append(1)
+        return inner(*args)
+
+    monkeypatch.setattr(cli, "_parse_values", spy)
+    return calls
+
+
+def parsed_bits(out, monkeypatch) -> np.ndarray:
+    with monkeypatch.context() as m:
+        m.setattr(cli, "_cached_values", lambda *args: None)
+        return loaded_bits(out)
+
+
+@pytest.mark.parametrize("kind", ["two", "three", "one"])
+def test_cached_values_equal_the_parse_bitwise(tmp_path, monkeypatch, parse_spy, kind):
+    out = cache_solve(tmp_path, kind)
+    fast = loaded_bits(out)
+    assert parse_spy == []  # no per-line float parse on the cached path
+    assert np.array_equal(fast, parsed_bits(out, monkeypatch))
+    assert len(parse_spy) == 1
+
+
+def _flip_bit(path, index):
+    blob = bytearray(path.read_bytes())
+    blob[index] ^= 1
+    path.write_bytes(bytes(blob))
+
+
+@pytest.mark.parametrize(
+    "damage",
+    [
+        lambda p: p.unlink(),
+        lambda p: p.write_bytes(p.read_bytes()[:-8]),
+        lambda p: p.write_bytes(p.read_bytes() + bytes(8)),
+        lambda p: _flip_bit(p, -1),
+        lambda p: _flip_bit(p, 0),
+    ],
+    ids=["missing", "truncated", "extended", "flipped-value", "flipped-digest"],
+)
+def test_a_damaged_cache_falls_back_to_the_parse(tmp_path, monkeypatch, parse_spy, damage):
+    out = cache_solve(tmp_path, "two")
+    expected = loaded_bits(out)
+    damage(out / "slices.f64")
+    assert np.array_equal(loaded_bits(out), expected)
+    assert len(parse_spy) == 1
+
+
+def test_an_edited_csv_is_read_by_the_parse(tmp_path, parse_spy):
+    out = cache_solve(tmp_path, "two")
+    lines = (out / "slices.csv").read_text().splitlines()
+    lines[7] = lines[7].rsplit(",", 1)[0] + ",0.125"
+    (out / "slices.csv").write_text("\n".join(lines) + "\n")
+    values = loaded_bits(out).view(float).ravel()
+    assert len(parse_spy) == 1
+    assert values[6] == 0.125
+
+
+def test_a_cache_of_another_grid_is_not_used(tmp_path, monkeypatch, parse_spy):
+    out = cache_solve(tmp_path, "two")
+    stale = (out / "slices.f64").read_bytes()
+    assert run(
+        "solve", "--preset", "two-sided-1d", "--out", out, "--nx", 11, "--np", 2, "--nq", 2,
+        "--steps", 3, "--t0", "0.25",
+    ) == 0
+    fresh = loaded_bits(out)
+    assert parse_spy == []
+    (out / "slices.f64").write_bytes(stale)
+    assert np.array_equal(loaded_bits(out), fresh)
+    assert np.array_equal(fresh, parsed_bits(out, monkeypatch))
+    assert len(parse_spy) == 2
+
+
+def test_check_refuses_a_header_of_another_grid(tmp_path):
+    out = solve_dir(tmp_path)
+    lines = (out / "slices.csv").read_text().splitlines()
+    assert lines[0] == "t,x_1,p_1,p_2,q_1,w"
+    lines[0] = "garbage"
+    for k in (3, 40):  # no path reads the coordinates; the header must stop this file
+        cells = lines[k].split(",")
+        cells[1] = "9.5"
+        lines[k] = ",".join(cells)
+    (out / "slices.csv").write_text("\n".join(lines) + "\n")
+    assert run("check", "--solve", out) == 2
+    assert not (out / "check.json").exists()
+    (out / "slices.csv").write_text("\n".join(["t,x_1,p_1,p_2,w"] + lines[1:]) + "\n")
+    assert run("check", "--solve", out) == 2
 
 
 def test_solve_records_projection_diagnostics(tmp_path):
@@ -290,6 +450,21 @@ def test_check_batches_its_kernel_calls(tmp_path, monkeypatch):
     monkeypatch.setattr(dualcheck, "ham_bellman_inf_sup", counted)
     assert run("check", "--solve", out) == 0
     assert 0 < calls["ham_bellman_inf_sup"] <= 6, calls
+
+
+def test_check_builds_the_probes_once_per_side(tmp_path, monkeypatch):
+    out = solve_dir(tmp_path)
+    sides = []
+    inner = dualcheck.build_probes
+
+    def counted(result, side):
+        sides.append(side)
+        return inner(result, side)
+
+    monkeypatch.setattr(cli, "build_probes", counted)
+    monkeypatch.setattr(dualcheck, "build_probes", counted)
+    assert run("check", "--solve", out) == 0
+    assert sorted(sides) == ["p", "q"]
 
 
 def test_check_fails_with_exit_three_on_a_drifted_field(tmp_path):
