@@ -151,9 +151,9 @@ def _slices_header(grids: Grids) -> str:
     )
 
 
-def _write_solve_outputs(out_dir: str, result: SolveResult, cfg_resolved: dict, cfg_sha: str) -> None:
-    grids = result.grids
-    # the coordinate cells repeat in every slice, so each is formatted once
+def _coordinate_cells(grids: Grids) -> tuple[list[str], list[str]]:
+    """The x cells and the (p, q) cells of slices.csv rows, each formatted
+    once: they repeat in every slice."""
     mesh = grids.state.mesh().reshape(-1, grids.state.ndim)
     x_cells = [",".join(repr(float(v)) for v in x) for x in mesh]
     pq_cells = [
@@ -161,6 +161,12 @@ def _write_solve_outputs(out_dir: str, result: SolveResult, cfg_resolved: dict, 
         for p in grids.p.points
         for q in grids.q.points
     ]
+    return x_cells, pq_cells
+
+
+def _write_solve_outputs(out_dir: str, result: SolveResult, cfg_resolved: dict, cfg_sha: str) -> None:
+    grids = result.grids
+    x_cells, pq_cells = _coordinate_cells(grids)
 
     def slice_chunks():
         yield (_slices_header(grids) + "\n").encode()
@@ -254,12 +260,18 @@ def _cached_values(csv_bytes: bytes, path: str, count: int) -> np.ndarray | None
     return np.frombuffer(blob, dtype="<f8", offset=_DIGEST_BYTES).astype(float, copy=False)
 
 
-def _parse_values(csv_bytes: bytes, count: int) -> np.ndarray:
-    """The w column of every slices.csv row after the header."""
+def _parse_values(csv_bytes: bytes, count: int, grids: Grids, times: list[float]) -> np.ndarray:
+    """The w column of every slices.csv row after the header; each row's
+    t, x, p and q cells must be the ones solve writes."""
     body = csv_bytes.decode().splitlines()[1:]
     if len(body) != count:
         raise ConfigError("slices.csv row count does not match the recorded grid")
-    return np.array([float(line.rsplit(",", 1)[1]) for line in body])
+    x_cells, pq_cells = _coordinate_cells(grids)
+    # each row's text up to its last comma: a w cell that holds a comma fails float()
+    heads = [f"{t},{x},{pq}," for t in map(repr, times) for x in x_cells for pq in pq_cells]
+    if not all(map(str.startswith, body, heads)):
+        raise ConfigError("slices.csv coordinate cells do not match the recorded grid")
+    return np.array([float(line[len(head):]) for line, head in zip(body, heads)])
 
 
 def load_solve(out_dir: str, config: dict | None = None) -> SolveResult:
@@ -268,7 +280,8 @@ def load_solve(out_dir: str, config: dict | None = None) -> SolveResult:
     slices.csv is the source of truth; its header must be the one solve
     writes for the recorded grid.  The w column is taken from slices.f64
     when that file's digest matches slices.csv, and parsed from the CSV
-    otherwise; both give the same bits.  With a resolved `config`, refuse
+    otherwise, where every row's coordinate cells must be the ones solve
+    writes; both give the same bits.  With a resolved `config`, refuse
     a solve whose recorded config differs from it as canonical JSON.
     """
     meta_path = os.path.join(out_dir, "diagnostics.json")
@@ -301,7 +314,7 @@ def load_solve(out_dir: str, config: dict | None = None) -> SolveResult:
         count = nx * grids.p.npoints * grids.q.npoints * len(times)
         values = _cached_values(csv_bytes, os.path.join(out_dir, _VALUES_FILE), count)
         if values is None:
-            values = _parse_values(csv_bytes, count)
+            values = _parse_values(csv_bytes, count, grids, times)
         stack = values.reshape(len(times), *state.shape, grids.p.npoints, grids.q.npoints)
         fields = [ValueField(t=t, values=stack[k]) for k, t in enumerate(times)]
         return SolveResult(

@@ -152,26 +152,19 @@ def build_probes(result: SolveResult, side: str) -> np.ndarray:
     coordinate differences; deterministic and capped."""
     stack, _ = _stack(result)
     grids = result.grids
-    if side == "p":
-        grid, opp = grids.p, grids.q
-    elif side == "q":
-        grid, opp = grids.q, grids.p
-    else:
-        raise ConfigError("side must be 'p' or 'q'")
     flat = stack.reshape(stack.shape[0], -1, grids.p.npoints, grids.q.npoints)
     nx = flat.shape[1]
     picks = np.unique(np.linspace(0, nx - 1, num=min(_PROBE_SLICE_NODES, nx)).astype(int))
-    rows = [coordinate_difference_probes(grid.dim)]
-    for ti in (flat.shape[0] - 1, 0):
-        for xi in picks:
-            for jo in range(opp.npoints):
-                if side == "p":
-                    values = flat[ti, xi, :, jo]
-                else:
-                    values = -flat[ti, xi, jo, :]
-                rows.append(facet_slope_probes(grid, values))
-    probes = np.unique(np.round(np.vstack(rows), 12), axis=0)
-    return probes[:_PROBE_CAP]
+    # rows in (slice, picked node, opponent node) order, latest slice first
+    block = flat[[-1, 0]][:, picks]
+    if side == "p":
+        grid, rows = grids.p, np.swapaxes(block, -1, -2).reshape(-1, grids.p.npoints)
+    elif side == "q":
+        grid, rows = grids.q, -block.reshape(-1, grids.q.npoints)
+    else:
+        raise ConfigError("side must be 'p' or 'q'")
+    probes = np.vstack([coordinate_difference_probes(grid.dim), facet_slope_probes(grid, rows)])
+    return np.unique(np.round(probes, 12), axis=0)[:_PROBE_CAP]
 
 
 def _stack_jets(grid: StateGrid, stack: np.ndarray, dt: float):

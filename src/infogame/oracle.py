@@ -32,7 +32,7 @@ from .errors import ConfigError
 from .model import GameModel
 from .simplex import SimplexGrid
 from .simulator import PureStrategy, StrategyProfile, strategy_control
-from .transform import vex_p
+from .transform import vex_rows
 
 _TREE_NODE_CAP = 1e7
 _TREE_DEPTH_CAP = 6
@@ -244,17 +244,19 @@ def one_sided_recursion(tree: TreeGame, p_grid: SimplexGrid) -> OneSidedResult:
         axis=1,
     )  # (nstates, I)
     values: list[dict[bytes, np.ndarray]] = [{} for _ in range(tree.steps + 1)]
-    for row, key in zip(gcols @ pts.T, states[tree.steps].keys()):
-        values[tree.steps][key] = row
+    values[tree.steps] = dict(zip(states[tree.steps].keys(), gcols @ pts.T))
     def running(t, x, u, v):
         return pts @ np.array([float(model.running[i][0](t, x, u, v)) for i in range(model.u_types)])
 
     for k in range(tree.steps - 1, -1, -1):
-        for key, x in states[k].items():
-            table = _stage_table(
+        # every state's stage minimax, then one envelope call for the level
+        stage = [
+            _stage_table(
                 tree, k, x, values[k + 1], running if model.has_running else None
-            )
-            values[k][key] = vex_p(p_grid, table.max(axis=1).min(axis=0))
+            ).max(axis=1).min(axis=0)
+            for x in states[k].values()
+        ]
+        values[k] = dict(zip(states[k].keys(), vex_rows(p_grid, np.array(stage))))
     return OneSidedResult(
         grid=p_grid,
         values=values[0][tree.x0.tobytes()],

@@ -108,19 +108,14 @@ def discrete_convexity_violation(grid: SimplexGrid, values: np.ndarray) -> float
         raise ConfigError(
             f"values shape {values.shape} does not match grid ({grid.npoints},)"
         )
-    if grid.triples.shape[0] == 0:
-        return 0.0
-    lo = values[grid.triples[:, 0]]
-    mid = values[grid.triples[:, 1]]
-    hi = values[grid.triples[:, 2]]
-    return float(np.max(mid - 0.5 * (lo + hi)))
+    return float(convexity_violations(grid, values))
 
 
 def convexity_violations(grid: SimplexGrid, rows: np.ndarray) -> np.ndarray:
     """`discrete_convexity_violation` of every row along the last axis.
 
     One gather over the triple set for the whole (..., npoints) table; the
-    result has shape rows.shape[:-1] and equals the per-row values bitwise.
+    result has shape rows.shape[:-1].
     """
     rows = np.asarray(rows, dtype=float)
     if rows.shape[-1:] != (grid.npoints,):

@@ -3,14 +3,14 @@
 For a function w tabulated on a simplex grid, the convex conjugate in the
 belief variable is w*(s) = max_p <s, p> - w(p) and the concave conjugate
 is w#(s) = min_q <s, q> - w(q), both evaluated exactly by scanning the
-grid.  Lower convex envelopes (vex) are geometric: a monotone-chain lower
-hull for two-component simplices and a lifted convex hull for more
-components.  The upper concave envelope (cav) is -vex(-w).  `vex_rows`
-envelopes a whole (rows, npoints) table at once and agrees bitwise with
-`vex_p` applied row by row: rows that are already convex or affine are
-screened out in batch, and on three or more components each remaining
-row costs one Qhull call.  Both routes build their lifted hulls through
-`_LowerHull`, which imports scipy.spatial only when a hull is needed.
+grid.  Lower convex envelopes (vex) take one route, `vex_rows`, which
+envelopes a whole (rows, npoints) table: certified-convex rows are
+screened out in one gather, the rest share one vectorised monotone chain
+on two-component simplices, and on larger ones each non-affine row costs
+one Qhull call of a shared `_LowerHull`, which imports scipy.spatial only
+when it is built.  `vex_p` is the one-row case, the upper concave
+envelope (cav) is -vex(-w), and `facet_slope_probes` reads the slopes of
+the same hulls.
 
 Envelope values at the simplex vertices never change, envelopes are
 idempotent, and the biconjugate computed from facet-slope probes
@@ -22,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigError, NumericsError
-from .simplex import SimplexGrid, convexity_violations, discrete_convexity_violation
+from .simplex import SimplexGrid, convexity_violations
 
 _AFFINE_RTOL = 1e-11
 # rows whose batched affine residual is within this factor of the tolerance
@@ -31,11 +31,15 @@ _AFFINE_GUARD = 100.0
 _FIXED_POINT_TOL = 1e-12
 
 
-def _already_convex(grid: SimplexGrid, values: np.ndarray) -> bool:
-    """Certified-convex inputs are fixed points; this keeps every envelope
-    route idempotent bitwise instead of up to hull-recomputation roundoff."""
-    scale = max(1.0, float(np.max(np.abs(values))))
-    return discrete_convexity_violation(grid, values) <= _FIXED_POINT_TOL * scale
+def _check_rows(grid: SimplexGrid, rows: np.ndarray) -> np.ndarray:
+    rows = np.asarray(rows, dtype=float)
+    if rows.ndim != 2 or rows.shape[1] != grid.npoints:
+        raise ConfigError(
+            f"rows shape {rows.shape} does not match grid (rows, {grid.npoints})"
+        )
+    if not np.all(np.isfinite(rows)):
+        raise ConfigError("tabulated values must be finite")
+    return rows
 
 
 def _check_values(grid: SimplexGrid, values: np.ndarray) -> np.ndarray:
@@ -44,54 +48,29 @@ def _check_values(grid: SimplexGrid, values: np.ndarray) -> np.ndarray:
         raise ConfigError(
             f"values shape {values.shape} does not match grid ({grid.npoints},)"
         )
-    if not np.all(np.isfinite(values)):
-        raise ConfigError("tabulated values must be finite")
-    return values
+    return _check_rows(grid, values[None])[0]
 
 
-def _chain_lower_hull(xs: np.ndarray, ys: np.ndarray) -> list[int]:
-    """Indices of the lower hull of (xs, ys), xs strictly increasing ints.
+def _fixed_points(grid: SimplexGrid, rows: np.ndarray) -> np.ndarray:
+    """Mask of the rows certified convex to within the fixed-point tolerance.
 
-    Collinear points are kept so that hull nodes retain their exact input
-    values.
+    Such rows are returned as they are; this keeps every envelope route
+    idempotent bitwise instead of up to hull-recomputation roundoff.
     """
-    keep: list[int] = []
-    for i in range(xs.size):
-        while len(keep) >= 2:
-            a, b = keep[-2], keep[-1]
-            cross = (xs[b] - xs[a]) * (ys[i] - ys[a]) - (ys[b] - ys[a]) * (xs[i] - xs[a])
-            if cross < 0.0:
-                keep.pop()
-            else:
-                break
-        keep.append(i)
-    return keep
+    scale = np.maximum(1.0, np.max(np.abs(rows), axis=1))
+    return convexity_violations(grid, rows) <= _FIXED_POINT_TOL * scale
 
 
-def _vex_dim2(grid: SimplexGrid, values: np.ndarray) -> np.ndarray:
-    xs = grid.numerators[:, 0]  # 0..N ascending by lexicographic order
-    keep = _chain_lower_hull(xs.astype(float), values)
-    out = values.copy()
-    for a, b in zip(keep[:-1], keep[1:]):
-        xa, xb = int(xs[a]), int(xs[b])
-        if xb - xa <= 1:
-            continue
-        for idx in range(a + 1, b):
-            x = int(xs[idx])
-            out[idx] = (values[a] * (xb - x) + values[b] * (x - xa)) / (xb - xa)
-    return out
-
-
-def _vex_dim2_rows(grid: SimplexGrid, ys: np.ndarray) -> np.ndarray:
-    """`_vex_dim2` of every row of ys, with the same arithmetic.
+def _chain_rows(grid: SimplexGrid, ys: np.ndarray) -> np.ndarray:
+    """Mask of each row's lower-hull nodes on a two-component lattice.
 
     The monotone chain keeps one stack per row; each pass of the inner
-    loop tests, with `_chain_lower_hull`'s cross product and `< 0.0` pop
-    rule, the rows whose top two entries may still be popped.
+    loop tests the rows whose top two entries may still be popped, and
+    pops only on a cross product `< 0.0`, so collinear nodes stay on the
+    hull and keep their exact input values.
     """
     n_rows, n = ys.shape
-    xs = grid.numerators[:, 0]  # 0..N ascending by lexicographic order
-    xf = xs.astype(float)
+    xf = grid.numerators[:, 0].astype(float)  # 0..N ascending by lexicographic order
     every = np.arange(n_rows)
     stack = np.empty((n_rows, n), dtype=np.intp)
     height = np.zeros(n_rows, dtype=np.intp)
@@ -111,6 +90,14 @@ def _vex_dim2_rows(grid: SimplexGrid, ys: np.ndarray) -> np.ndarray:
     on_hull = np.zeros((n_rows, n), dtype=bool)
     filled = np.arange(n) < height[:, None]
     on_hull[np.nonzero(filled)[0], stack[filled]] = True
+    return on_hull
+
+
+def _vex_dim2_rows(grid: SimplexGrid, ys: np.ndarray) -> np.ndarray:
+    """Lower convex envelope of every row of ys on a two-component lattice."""
+    on_hull = _chain_rows(grid, ys)
+    n = ys.shape[1]
+    xs = grid.numerators[:, 0]
     # every node lies between its nearest hull nodes on either side; the
     # first and last nodes are always on the hull
     pos = np.arange(n)
@@ -220,48 +207,33 @@ class _LowerHull:
 
 def vex_p(grid: SimplexGrid, values: np.ndarray) -> np.ndarray:
     """Lower convex envelope of w restricted to the grid nodes."""
-    values = _check_values(grid, values)
-    if grid.dim == 1 or grid.npoints == 1:
-        return values.copy()
-    if _already_convex(grid, values):
-        return values.copy()
-    if grid.dim == 2:
-        return _vex_dim2(grid, values)
-    if _affine_fit(grid, values) is not None:
-        return values.copy()
-    return _LowerHull(grid).envelope(values)
+    return vex_rows(grid, _check_values(grid, values)[None])[0]
 
 
 def vex_rows(grid: SimplexGrid, rows: np.ndarray) -> np.ndarray:
     """Lower convex envelope of every row of a (rows, npoints) table.
 
-    Bitwise equal to `vex_p` on each row.  The fixed-point screen runs on
-    all rows with one gather.  On two-component simplices the remaining
-    rows share one vectorised hull; on larger ones a batched affine
-    screen drops the affine rows, and every row left costs one Qhull
-    call through a shared `_LowerHull`.  The concave form is
-    -vex_rows(grid, -rows).
+    Each row's envelope depends on that row alone.  The fixed-point
+    screen runs on all rows with one gather.  On two-component simplices
+    the remaining rows share one vectorised hull; on larger ones a
+    batched affine screen drops the affine rows, and every row left
+    costs one Qhull call through a shared `_LowerHull`.  The concave form
+    is -vex_rows(grid, -rows).
     """
-    rows = np.asarray(rows, dtype=float)
-    if rows.ndim != 2 or rows.shape[1] != grid.npoints:
-        raise ConfigError(
-            f"rows shape {rows.shape} does not match grid (rows, {grid.npoints})"
-        )
-    if not np.all(np.isfinite(rows)):
-        raise ConfigError("tabulated values must be finite")
+    rows = _check_rows(grid, rows)
     out = rows.copy()
-    if grid.dim == 1 or grid.npoints == 1:
+    todo = np.flatnonzero(~_fixed_points(grid, rows))
+    if not todo.size:
         return out
-    scale = np.maximum(1.0, np.max(np.abs(rows), axis=1))
-    todo = np.flatnonzero(convexity_violations(grid, rows) > _FIXED_POINT_TOL * scale)
     if grid.dim == 2:
         out[todo] = _vex_dim2_rows(grid, rows[todo])
-    elif todo.size:
-        todo = todo[~_affine_rows(grid, rows[todo], scale[todo])]
-        if todo.size:
-            hull = _LowerHull(grid)
-            for r in todo:
-                out[r] = hull.envelope(rows[r])
+        return out
+    scale = np.maximum(1.0, np.max(np.abs(rows[todo]), axis=1))
+    todo = todo[~_affine_rows(grid, rows[todo], scale)]
+    if todo.size:
+        hull = _LowerHull(grid)
+        for r in todo:
+            out[r] = hull.envelope(rows[r])
     return out
 
 
@@ -272,31 +244,38 @@ def cav_q(grid: SimplexGrid, values: np.ndarray) -> np.ndarray:
 
 
 def facet_slope_probes(grid: SimplexGrid, values: np.ndarray) -> np.ndarray:
-    """Slope vectors of the envelope facets, padded to full coordinates.
+    """Slope vectors of the envelope facets of one row or of each row of a
+    (rows, npoints) stack, padded to full coordinates.
 
-    A slope g on reduced coordinates (first dim-1 components) acts on the
-    simplex as the full vector (g, 0); adding any multiple of the all-ones
-    vector changes neither envelopes nor subdifferentials.
+    The result is the sorted union over the rows; among slopes that differ
+    only in the sign of a zero it keeps the first, in row order.  A slope
+    g on reduced coordinates (first dim-1 components) acts on the simplex
+    as the full vector (g, 0); adding any multiple of the all-ones vector
+    changes neither envelopes nor subdifferentials.
     """
-    values = _check_values(grid, values)
+    values = np.asarray(values, dtype=float)
+    rows = _check_values(grid, values)[None] if values.ndim == 1 else _check_rows(grid, values)
     if grid.dim == 1:
         return np.zeros((1, 1))
     if grid.dim == 2:
+        # the chords between consecutive hull nodes of each row
         xs = grid.numerators[:, 0].astype(float)
-        keep = _chain_lower_hull(xs, values)
-        slopes = []
-        for a, b in zip(keep[:-1], keep[1:]):
-            s = (values[b] - values[a]) / ((xs[b] - xs[a]) / grid.resolution)
-            slopes.append((s, 0.0))
-        if not slopes:
-            slopes.append((0.0, 0.0))
-        return np.array(sorted(set(slopes)))
-    coef = _affine_fit(grid, values)
-    if coef is not None:
-        return np.concatenate([coef[:-1], [0.0]])[None, :]
-    grads, _, _ = _LowerHull(grid).facets(values)
-    probes = np.column_stack([grads, np.zeros(grads.shape[0])])
-    return np.unique(np.round(probes, 12), axis=0)
+        r, k = np.nonzero(_chain_rows(grid, rows))
+        same = r[1:] == r[:-1]
+        r, a, b = r[:-1][same], k[:-1][same], k[1:][same]
+        slopes = (rows[r, b] - rows[r, a]) / ((xs[b] - xs[a]) / grid.resolution)
+        slopes = np.unique(slopes, return_index=True)[0]
+        return np.column_stack([slopes, np.zeros(slopes.size)])
+    # an affine row has one slope; any other row its lower facets' gradients
+    hull, parts = _LowerHull(grid), [np.empty((0, grid.dim))]
+    for row in rows:
+        coef = _affine_fit(grid, row)
+        if coef is not None:
+            parts.append(np.append(coef[:-1], 0.0)[None, :])
+        else:
+            grads = np.pad(hull.facets(row)[0], ((0, 0), (0, 1)))
+            parts.append(np.unique(np.round(grads, 12), axis=0))
+    return np.unique(np.vstack(parts), axis=0, return_index=True)[0]
 
 
 def coordinate_difference_probes(dim: int) -> np.ndarray:
@@ -314,7 +293,7 @@ def coordinate_difference_probes(dim: int) -> np.ndarray:
 def biconjugate_p(grid: SimplexGrid, values: np.ndarray) -> np.ndarray:
     """Biconjugate from facet-slope probes; equals vex_p up to roundoff."""
     values = _check_values(grid, values)
-    if _already_convex(grid, values):
+    if _fixed_points(grid, values[None])[0]:
         return values.copy()
     probes = np.vstack([facet_slope_probes(grid, values), coordinate_difference_probes(grid.dim)])
     scores = grid.points @ probes.T - values[:, None]  # (npoints, nprobes)

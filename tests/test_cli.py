@@ -209,7 +209,7 @@ def test_check_refuses_a_header_of_another_grid(tmp_path):
     lines = (out / "slices.csv").read_text().splitlines()
     assert lines[0] == "t,x_1,p_1,p_2,q_1,w"
     lines[0] = "garbage"
-    for k in (3, 40):  # no path reads the coordinates; the header must stop this file
+    for k in (3, 40):  # the header must stop this file before any row is read
         cells = lines[k].split(",")
         cells[1] = "9.5"
         lines[k] = ",".join(cells)
@@ -532,6 +532,30 @@ def test_check_fails_with_exit_three_on_a_shifted_slice(tmp_path, sign):
     assert run("check", "--solve", out) == 3
     report = json.loads((out / "check.json").read_text())
     assert not report["supersolution_ok"] and not report["subsolution_ok"], report
+
+
+def test_check_refuses_rewritten_coordinate_cells(tmp_path):
+    # once exited 0: the parse path read only the w column
+    out = tmp_path / "moved"
+    assert run(
+        "solve", "--preset", "two-sided-1d", "--out", out, "--nx", 41, "--np", 4, "--nq", 4,
+        "--steps", 25,
+    ) == 0
+    lines = (out / "slices.csv").read_text().splitlines()
+    assert lines[0].split(",")[:3] == ["t", "x_1", "p_1"]
+    # t, x_1 and p_1 rewritten, then one more cell before w
+    for column, cell in ((0, "7.25"), (1, "9.5"), (2, "0.3"), (-1, "0.5")):
+        edited = list(lines)
+        for i in (5, len(lines) // 2):
+            cells = edited[i].split(",")
+            if column < 0:
+                cells.insert(column, cell)
+            else:
+                cells[column] = cell
+            edited[i] = ",".join(cells)
+        (out / "slices.csv").write_text("\n".join(edited) + "\n")
+        assert run("check", "--solve", out) == 2, column
+        assert not (out / "check.json").exists()
 
 
 @pytest.mark.parametrize(

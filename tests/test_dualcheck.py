@@ -25,6 +25,7 @@ from infogame.hamiltonian import ham_bellman_inf_sup, pair_table
 from infogame.model import model_from_config, preset, preset_config
 from infogame.simplex import build_grid
 from infogame.solver import Grids, build_state_grid, solve
+from infogame.transform import coordinate_difference_probes
 
 
 @pytest.fixture(scope="module")
@@ -420,6 +421,33 @@ def test_probe_sets_are_deterministic_and_capped(static_solve):
     assert any(np.array_equal(row, diff) for row in pp)
     with pytest.raises(ConfigError):
         build_probes(static_solve, "x")
+
+
+def test_build_probes_makes_one_stacked_probe_call_per_side(monkeypatch, two_sided_solve):
+    result = two_sided_solve
+    flat = np.stack([f.values for f in result.fields])
+    picks = np.unique(np.linspace(0, 40, num=5).astype(int))
+    per_row = {
+        "p": [flat[ti, xi, :, jo] for ti in (-1, 0) for xi in picks for jo in range(5)],
+        "q": [-flat[ti, xi, jo, :] for ti in (-1, 0) for xi in picks for jo in range(5)],
+    }
+    calls = []
+    inner = dualcheck.facet_slope_probes
+
+    def counted(grid, values):
+        calls.append(np.shape(values))
+        return inner(grid, values)
+
+    monkeypatch.setattr(dualcheck, "facet_slope_probes", counted)
+    for side, grid in (("p", result.grids.p), ("q", result.grids.q)):
+        calls.clear()
+        probes = build_probes(result, side)
+        assert calls == [(2 * picks.size * 5, grid.npoints)]
+        # the same probe set as one call per row
+        rows = [coordinate_difference_probes(grid.dim)]
+        rows += [inner(grid, values) for values in per_row[side]]
+        want = np.unique(np.round(np.vstack(rows), 12), axis=0)[:64]
+        np.testing.assert_array_equal(probes, want)
 
 
 def test_audits_refuse_short_stacks(static_solve):

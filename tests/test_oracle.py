@@ -8,8 +8,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import envelope_reference as ref
+from infogame import oracle
 from infogame.errors import ConfigError
-from infogame.model import model_from_config, preset, restrict_to_types
+from infogame.model import model_from_config, preset, preset_config, restrict_to_types
 from infogame.oracle import (
     TreeGame,
     classical_backward,
@@ -238,3 +240,56 @@ def test_tree_size_cap():
     wide = model_from_config(cfg)
     with pytest.raises(ConfigError):
         TreeGame(model=wide, x0=np.zeros(1), t0=0.0, steps=5, h=0.12)
+
+
+def _three_type_one_sided_model():
+    cfg = preset_config("one-sided-drift-1d")
+    cfg["I"] = 3
+    cfg["T"] = 0.3
+    cfg["g"] = [
+        [{"name": "tanh", "params": {"center": -0.2, "scale": 2.0, "amp": 1.0}}],
+        [{"name": "tanh", "params": {"center": 0.3, "scale": 1.5, "amp": -0.8}}],
+        [{"name": "linear", "params": {"a": 0.5, "c": 0.1}}],
+    ]
+    cfg["l"] = cfg["l"] + [[{"name": "state-linear", "params": {"a": 0.1, "c": -0.05}}]]
+    return model_from_config(cfg)
+
+
+@pytest.mark.parametrize(
+    "model, pg, x0",
+    [
+        (one_sided_model(), build_grid(2, 8), np.array([0.2])),
+        (_three_type_one_sided_model(), build_grid(3, 4), np.array([-0.1])),
+    ],
+    ids=["one-sided-drift-1d", "three-types"],
+)
+def test_one_sided_recursion_envelopes_each_level_in_one_call(monkeypatch, model, pg, x0):
+    tree = TreeGame(model=model, x0=x0, t0=0.0, steps=3, h=0.1)
+    calls = []
+    inner = oracle.vex_rows
+
+    def counted(grid, rows):
+        calls.append(rows.shape)
+        return inner(grid, rows)
+
+    monkeypatch.setattr(oracle, "vex_rows", counted)
+    osr = one_sided_recursion(tree, pg)
+    assert calls == [(len(osr.states[k]), pg.npoints) for k in range(tree.steps - 1, -1, -1)]
+    # the per-state loop over the reference envelope, from the same terminal level
+    pts = pg.points
+
+    def running(t, x, u, v):
+        return pts @ np.array([float(model.running[i][0](t, x, u, v)) for i in range(model.u_types)])
+
+    want = [None] * tree.steps + [osr.levels[-1]]
+    changed = 0
+    for k in range(tree.steps - 1, -1, -1):
+        want[k] = {}
+        for key, x in osr.states[k].items():
+            stage = oracle._stage_table(tree, k, x, want[k + 1], running).max(axis=1).min(axis=0)
+            want[k][key] = ref.vex_row(pg, stage)
+            changed += not np.array_equal(want[k][key], stage)
+    assert changed > 0  # the envelope is active somewhere
+    for got, exp in zip(osr.levels, want):
+        assert list(got) == list(exp)
+        assert all(got[key].tobytes() == exp[key].tobytes() for key in got)

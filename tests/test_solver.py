@@ -3,9 +3,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from envelope_reference import convexity_violation, vex_row
 from infogame.errors import ConfigError
 from infogame.model import model_from_config, preset, preset_config
-from infogame.simplex import build_grid, discrete_convexity_violation
+from infogame.simplex import build_grid
 from infogame.solver import (
     Grids,
     _apply_envelopes,
@@ -18,7 +19,6 @@ from infogame.solver import (
     terminal_field,
     validate_time_step,
 )
-from infogame.transform import cav_q, vex_p
 
 
 def grids_for(model, nx=41, box=(-2.0, 2.0), np_res=4, nq_res=4):
@@ -188,19 +188,20 @@ def test_dual_project_reports_residuals():
 
 
 def _row_loop_envelopes(grids, values, order):
-    """The envelope pair applied one row at a time through vex_p and cav_q."""
+    """The envelope pair applied one row at a time through the per-row
+    reference envelope."""
     work = values.reshape(-1, grids.p.npoints, grids.q.npoints).copy()
 
     def vex(arr):
         for x in range(arr.shape[0]):
             for b in range(grids.q.npoints):
-                arr[x, :, b] = vex_p(grids.p, arr[x, :, b])
+                arr[x, :, b] = vex_row(grids.p, arr[x, :, b])
         return arr
 
     def cav(arr):
         for x in range(arr.shape[0]):
             for a in range(grids.p.npoints):
-                arr[x, a, :] = cav_q(grids.q, arr[x, a, :])
+                arr[x, a, :] = -vex_row(grids.q, -arr[x, a, :])
         return arr
 
     work = cav(vex(work)) if order == "vex-cav" else vex(cav(work))
@@ -233,8 +234,8 @@ def test_dual_project_matches_the_row_loop(types, resolution):
     assert proj.residual == float(np.max(np.abs(ref - values)))
     assert proj.commutation_residual == float(np.max(np.abs(ref - want["cav-vex"])))
     flat = ref.reshape(-1, grids.p.npoints, grids.q.npoints)
-    worst_p = max([0.0] + [discrete_convexity_violation(grids.p, col) for blk in flat for col in blk.T])
-    worst_q = max([0.0] + [discrete_convexity_violation(grids.q, -row) for blk in flat for row in blk])
+    worst_p = max([0.0] + [convexity_violation(grids.p, col) for blk in flat for col in blk.T])
+    worst_q = max([0.0] + [convexity_violation(grids.q, -row) for blk in flat for row in blk])
     assert proj.convexity_violation_p == worst_p
     assert proj.concavity_violation_q == worst_q
 

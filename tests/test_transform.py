@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
+import envelope_reference as ref
 from infogame import transform
 from infogame.errors import ConfigError
 from infogame.simplex import build_grid, convexity_violations, discrete_convexity_violation
@@ -216,11 +217,16 @@ def envelope_tables(draw):
 @settings(max_examples=150, deadline=None)
 def test_vex_rows_is_bitwise_the_per_row_envelope(case):
     grid, kinds, rows = case
-    assert np.array_equal(vex_rows(grid, rows), np.array([vex_p(grid, r) for r in rows]))
-    assert np.array_equal(-vex_rows(grid, -rows), np.array([cav_q(grid, r) for r in rows]))
-    per_row = [discrete_convexity_violation(grid, r) for r in rows]
+    want = ref.vex_table(grid, rows)
+    assert np.array_equal(vex_rows(grid, rows), want)
+    assert np.array_equal(np.array([vex_p(grid, r) for r in rows]), want)
+    cav = -ref.vex_table(grid, -rows)
+    assert np.array_equal(-vex_rows(grid, -rows), cav)
+    assert np.array_equal(np.array([cav_q(grid, r) for r in rows]), cav)
+    per_row = [ref.convexity_violation(grid, r) for r in rows]
     batched = convexity_violations(grid, rows)
     assert np.array_equal(batched, per_row)
+    assert [discrete_convexity_violation(grid, r) for r in rows] == per_row
     assert np.max(batched) == max(per_row)
     for kind, row, viol in zip(kinds, rows, per_row):
         if kind == "near-convex" and viol <= 1e-12 * max(1.0, float(np.max(np.abs(row)))):
@@ -262,11 +268,11 @@ def _tall_rows():
 
 def test_tall_tables_are_not_refused():
     grid, rows = _tall_rows()
-    envs = np.array([vex_p(grid, r) for r in rows])
+    envs = vex_rows(grid, rows)
     assert np.all(envs <= rows)
     scale = np.max(np.abs(rows), axis=1)
     assert np.max(convexity_violations(grid, envs) / scale) <= 1e-13
-    assert np.array_equal(vex_rows(grid, rows), envs)
+    assert np.array_equal(envs, ref.vex_table(grid, rows))
 
 
 def test_convexify_takes_a_tall_table(tmp_path):
@@ -302,7 +308,7 @@ def test_vex_rows_keeps_guard_band_rows_bitwise():
         row = _guard_band_row(grid)
         assert np.array_equal(vex_p(grid, row), row)
         rows = np.array([row, -row, 2.0 * row])
-        assert np.array_equal(vex_rows(grid, rows), np.array([vex_p(grid, r) for r in rows]))
+        assert np.array_equal(vex_rows(grid, rows), ref.vex_table(grid, rows))
 
 
 def test_vex_rows_matches_vex_p_on_four_types():
@@ -311,9 +317,10 @@ def test_vex_rows_matches_vex_p_on_four_types():
     spike = np.zeros(grid.npoints)
     spike[grid.index_of((1, 1, 1, 0))] = 1e14  # takes the scaled Qhull retry
     rows = np.vstack([rng.uniform(-3, 3, (20, grid.npoints)), spike, -spike])
-    expected = np.array([vex_p(grid, r) for r in rows])
+    expected = ref.vex_table(grid, rows)
     assert np.array_equal(vex_rows(grid, rows), expected)
-    assert np.array_equal(-vex_rows(grid, -rows), np.array([cav_q(grid, r) for r in rows]))
+    assert np.array_equal(np.array([vex_p(grid, r) for r in rows]), expected)
+    assert np.array_equal(-vex_rows(grid, -rows), -ref.vex_table(grid, -rows))
 
 
 def test_vex_rows_builds_one_hull_per_remaining_row(monkeypatch):
@@ -340,7 +347,7 @@ def test_vex_rows_builds_one_hull_per_remaining_row(monkeypatch):
 
     monkeypatch.setattr(scipy.spatial, "ConvexHull", CountingHull)
     monkeypatch.setattr(transform, "_affine_fit", counting_fit)
-    for name in ("vex_p", "_already_convex", "_check_values"):
+    for name in ("vex_p", "cav_q", "_check_values", "facet_slope_probes"):
         monkeypatch.setattr(transform, name, refuse)
     random_rows = rng.uniform(-3, 3, (7, grid.npoints))
     convex = np.sum(grid.points**2, axis=1)  # screened as a fixed point
@@ -350,6 +357,80 @@ def test_vex_rows_builds_one_hull_per_remaining_row(monkeypatch):
     assert len(hulls) == 7  # the random rows; none is convex or affine
     assert len(fits) == 1  # only the guard-band row gets the exact fit
     assert np.array_equal(out[7:], rows[7:])
+
+
+def _first_union(parts):
+    """Sorted union of probe arrays that keeps, among rows equal up to the
+    sign of a zero, the first one met."""
+    first = {}
+    for part in parts:
+        for probe in part:
+            first.setdefault(tuple(probe), None)
+    return np.array(sorted(first))
+
+
+def _signed_zero_row(grid):
+    row = np.zeros(grid.npoints)
+    row[1::2] = -0.0
+    return row
+
+
+@pytest.mark.parametrize("dim,resolution", [(2, 9), (3, 4), (4, 3)])
+def test_facet_slope_probes_stack_is_the_union_of_its_rows(dim, resolution):
+    grid = build_grid(dim, resolution)
+    rng = np.random.default_rng(37 + dim)
+    kinds = ("random", "ties", "collinear", "affine") * 3
+    rows = np.array([_table_row(grid, kind, rng) for kind in kinds] + [_signed_zero_row(grid)])
+    single = [facet_slope_probes(grid, row) for row in rows]
+    for order in (slice(None), slice(None, None, -1), slice(-1, None)):
+        got = facet_slope_probes(grid, rows[order])
+        want = _first_union(single[order])
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    if dim == 2:
+        # one row's probes are the chords of its hull, with the first zero kept
+        for row, probes in zip(rows, single):
+            want = np.array(sorted(set(ref.chain_slopes(grid, row))))
+            assert probes.tobytes() == np.column_stack([want, np.zeros(want.size)]).tobytes()
+        assert np.signbit(single[-1][0, 0])  # 0.0 -> -0.0 is the first chord
+
+
+def test_facet_slope_probes_builds_one_hull_per_non_affine_row(monkeypatch):
+    import scipy.spatial
+
+    grid = build_grid(3, 5)
+    rng = np.random.default_rng(41)
+    rows = np.vstack([
+        rng.uniform(-3, 3, (4, grid.npoints)),
+        _table_row(grid, "affine", rng),
+        np.sum(grid.points**2, axis=1),  # convex but not affine: it needs a hull
+    ])
+    hulls, builds = [], []
+
+    class CountingHull(scipy.spatial.ConvexHull):
+        def __init__(self, points, *args, **kwargs):
+            hulls.append(1)
+            super().__init__(points, *args, **kwargs)
+
+    class CountingLowerHull(transform._LowerHull):
+        def __init__(self, grid):
+            builds.append(1)
+            super().__init__(grid)
+
+    monkeypatch.setattr(scipy.spatial, "ConvexHull", CountingHull)
+    monkeypatch.setattr(transform, "_LowerHull", CountingLowerHull)
+    facet_slope_probes(grid, rows)
+    assert len(hulls) == 5 and len(builds) == 1
+
+
+def test_facet_slope_probes_validates_its_rows():
+    grid = build_grid(3, 3)
+    for bad in (np.zeros(grid.npoints + 1), np.zeros((2, grid.npoints - 1)), np.zeros((1, 1, grid.npoints))):
+        with pytest.raises(ConfigError):
+            facet_slope_probes(grid, bad)
+    rows = np.zeros((2, grid.npoints))
+    rows[1, 0] = np.nan
+    with pytest.raises(ConfigError):
+        facet_slope_probes(grid, rows)
 
 
 def test_cli_solve_does_not_import_scipy_spatial(tmp_path):
