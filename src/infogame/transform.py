@@ -273,8 +273,9 @@ def facet_slope_probes(grid: SimplexGrid, values: np.ndarray) -> np.ndarray:
         if coef is not None:
             parts.append(np.append(coef[:-1], 0.0)[None, :])
         else:
-            grads = np.pad(hull.facets(row)[0], ((0, 0), (0, 1)))
-            parts.append(np.unique(np.round(grads, 12), axis=0))
+            grads = hull.facets(row)[0]
+            probes = np.column_stack([grads, np.zeros(grads.shape[0])])
+            parts.append(np.unique(np.round(probes, 12), axis=0))
     return np.unique(np.vstack(parts), axis=0, return_index=True)[0]
 
 
