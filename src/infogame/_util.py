@@ -1,4 +1,5 @@
-"""Shared helpers: deterministic reductions and the thread pool knob.
+"""Shared helpers: deterministic reductions, `sorted_unique` and the
+thread pool knob.
 
 Reductions always use the same pairwise tree, so their results depend
 only on the values and their order.  No part of the library uses the
@@ -71,6 +72,20 @@ def pairwise_mean(values: np.ndarray) -> float:
     if values.size == 0:
         raise ValueError("mean of empty array")
     return pairwise_sum(values) / values.size
+
+
+def sorted_unique(values: np.ndarray, axis: int | None = None) -> np.ndarray:
+    """np.unique(values, axis=axis), bytes included, without numpy.ma.
+
+    Without an index, inverse or count output, numpy 2.4's `np.unique`
+    asks `np.ma.is_masked` whether it may take its hash path, and that
+    imports numpy.ma (15 to 30 ms warm) inside every `simulate` and
+    `check` request.  Asking for the counts skips that question and takes
+    numpy's sort path: the same in-place sort that the plain call runs on
+    float and row tables, so among rows that differ only in the sign of a
+    zero it keeps the same one; integers have a single representation.
+    """
+    return np.unique(values, axis=axis, return_counts=True)[0]
 
 
 def sha256_hex(data: bytes) -> str:

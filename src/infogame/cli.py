@@ -21,6 +21,7 @@ import argparse
 import hashlib
 import json
 import math
+import mmap
 import os
 import re
 import sys
@@ -240,9 +241,12 @@ def _check_time_grid(times: list[float], t0: float, dt: float) -> None:
         raise ConfigError(f"the recorded t0 = {t0!r} is not the first time {times[0]!r}")
 
 
-def _cached_values(csv_bytes: bytes, path: str, count: int) -> np.ndarray | None:
+def _cached_values(csv, path: str, count: int) -> np.ndarray | None:
     """The w column from the binary copy at path, or None unless it holds
-    exactly `count` values and its digest matches csv_bytes and them."""
+    exactly `count` values and its digest matches csv's bytes and them.
+
+    csv is any buffer: `load_solve` passes slices.csv mapped, which hashes
+    faster than reading the file into memory first."""
     size = _DIGEST_BYTES + 8 * count
     try:
         with open(path, "rb") as handle:
@@ -253,7 +257,7 @@ def _cached_values(csv_bytes: bytes, path: str, count: int) -> np.ndarray | None
                 return None
     except OSError:
         return None
-    digest = hashlib.sha256(csv_bytes)
+    digest = hashlib.sha256(csv)
     digest.update(memoryview(blob)[_DIGEST_BYTES:])
     if digest.digest() != blob[:_DIGEST_BYTES]:
         return None
@@ -290,7 +294,9 @@ def load_solve(out_dir: str, config: dict | None = None) -> SolveResult:
         with open(meta_path) as handle:
             meta = json.load(handle)
         with open(csv_path, "rb") as handle:
-            csv_bytes = handle.read()
+            if os.fstat(handle.fileno()).st_size == 0:  # mmap refuses an empty file
+                raise ConfigError("slices.csv is empty")
+            csv = mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
     except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read solve outputs: {exc}") from exc
     try:
@@ -308,13 +314,13 @@ def load_solve(out_dir: str, config: dict | None = None) -> SolveResult:
         t0, dt = float(meta["t0"]), float(meta["dt"])
         _check_time_grid(times, t0, dt)
         header = _slices_header(grids).encode()
-        if not csv_bytes.startswith((header + b"\n", header + b"\r\n")):
+        if not csv[: len(header) + 2].startswith((header + b"\n", header + b"\r\n")):
             raise ConfigError("slices.csv header does not match the recorded grid")
         nx = int(np.prod(state.shape))
         count = nx * grids.p.npoints * grids.q.npoints * len(times)
-        values = _cached_values(csv_bytes, os.path.join(out_dir, _VALUES_FILE), count)
+        values = _cached_values(csv, os.path.join(out_dir, _VALUES_FILE), count)
         if values is None:
-            values = _parse_values(csv_bytes, count, grids, times)
+            values = _parse_values(csv[:], count, grids, times)
         stack = values.reshape(len(times), *state.shape, grids.p.npoints, grids.q.npoints)
         fields = [ValueField(t=t, values=stack[k]) for k, t in enumerate(times)]
         return SolveResult(
@@ -329,6 +335,8 @@ def load_solve(out_dir: str, config: dict | None = None) -> SolveResult:
         raise
     except (KeyError, IndexError, TypeError, ValueError, AttributeError) as exc:
         raise ConfigError(f"malformed solve outputs: {exc!r}") from exc
+    finally:
+        csv.close()
 
 
 def _cmd_solve(args) -> int:

@@ -38,16 +38,17 @@ audited pick `_queue_conjugate` gathers w on the pick's jet stencil only
 <probe, r> - w there, takes the max over the own beliefs (min on the q
 side) and forms the jets with the expressions of `_stack_jets`.  Every
 step is pointwise in (t, x), so the residuals are those of the whole
-stack bit for bit.  The crosscheck still scores a whole block per probe
-in `_extremal_nodes`, because its first-occurrence argmin over
-(t, node, belief) needs every score; it builds w's own jets once per
-opponent node.  The audited rows of a side queue in `_Rows` and reach
-`ham_bellman_inf_sup` in a few batched calls.  One constant,
-_BLOCK_FLOATS, caps the floats of a score block, of a chunk's stencil
-gather and of the kernel table of one call, so the working set does not
-grow with the number of probes or checks.  The reductions keep the
-per-probe order (opponent node, probe, t, node), so the reports do not
-depend on the chunking.
+stack bit for bit.  The crosscheck scores no whole block either: its
+first-occurrence argmin over (t, node, belief) comes from each belief
+column of w sorted once per opponent node (`_extremal_nodes`), and it
+builds w's own jets once per opponent node.  The audited rows of a side
+queue in `_Rows` and reach `ham_bellman_inf_sup` in a few batched calls.
+One constant, _BLOCK_FLOATS, caps the floats of a chunk's stencil gather
+and of the kernel table of one call, so the working set does not grow
+with the number of probes or checks.  The reductions keep the per-probe
+order (opponent node, probe, t, node), so the reports do not depend on
+the chunking.  The probe sets are deduplicated by `_util.sorted_unique`,
+so a check never imports numpy.ma.
 """
 
 from __future__ import annotations
@@ -56,6 +57,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._util import sorted_unique
 from .errors import ConfigError
 from .hamiltonian import ham_bellman_inf_sup
 from .solver import SolveResult, StateGrid, _derivatives, _hessians
@@ -66,9 +68,8 @@ _TIE_TOL = 1e-9
 # state nodes per slice whose envelope facets seed the probes
 _PROBE_SLICE_NODES = 5
 _PROBE_CAP = 64
-# floats per score block (probes, nt, *shape, K), per stencil gather
-# (picks, stencil, K) and per kernel table (rows, |U|, |V|): bounds the
-# audits' working set
+# floats per stencil gather (picks, stencil, K) and per kernel table
+# (rows, |U|, |V|): bounds the audits' working set
 _BLOCK_FLOATS = 2**14
 
 
@@ -154,7 +155,7 @@ def build_probes(result: SolveResult, side: str) -> np.ndarray:
     grids = result.grids
     flat = stack.reshape(stack.shape[0], -1, grids.p.npoints, grids.q.npoints)
     nx = flat.shape[1]
-    picks = np.unique(np.linspace(0, nx - 1, num=min(_PROBE_SLICE_NODES, nx)).astype(int))
+    picks = sorted_unique(np.linspace(0, nx - 1, num=min(_PROBE_SLICE_NODES, nx)).astype(int))
     # rows in (slice, picked node, opponent node) order, latest slice first
     block = flat[[-1, 0]][:, picks]
     if side == "p":
@@ -164,7 +165,7 @@ def build_probes(result: SolveResult, side: str) -> np.ndarray:
     else:
         raise ConfigError("side must be 'p' or 'q'")
     probes = np.vstack([coordinate_difference_probes(grid.dim), facet_slope_probes(grid, rows)])
-    return np.unique(np.round(probes, 12), axis=0)[:_PROBE_CAP]
+    return sorted_unique(np.round(probes, 12), axis=0)[:_PROBE_CAP]
 
 
 def _stack_jets(grid: StateGrid, stack: np.ndarray, dt: float):
@@ -259,25 +260,48 @@ def _lifts(own, probes: np.ndarray) -> np.ndarray:
     return np.stack([np.tensordot(own.points, probe, axes=(1, 0)) for probe in probes])
 
 
-def _extremal_nodes(block: np.ndarray, lifts: np.ndarray, sense: int, interior):
-    """(chunk, flat index) over consecutive chunks of the probes.
+def _extremal_nodes(block: np.ndarray, lifts: np.ndarray, sense: int, core: np.ndarray, size: int):
+    """(chunk, flat index) over consecutive chunks of at most size probes.
 
-    block is w at one opponent belief, shape (nt, *shape, K).  Per probe,
-    the index is the first minimum of sense * (w - <probe, r>) over the
-    flattened (t, node, own belief r) axes, interior (t, node) pairs only:
-    the minima of w - <probe, r> on the convex side (sense +1), the maxima
-    on the concave one.  A chunk's block holds at most _BLOCK_FLOATS floats
-    unless one probe alone needs more.
+    block is w at one opponent belief, shape (nt, *shape, K), and core the
+    ascending flat positions of the interior (t, node) pairs in
+    (nt, *shape).  Per probe, the index is the first minimum of
+    sense * (w - <probe, r>) over the flattened (t, node, own belief r)
+    axes, interior pairs only: the minima of w - <probe, r> on the convex
+    side (sense +1), the maxima on the concave one.
+
+    No (probes, t, node, r) block is scored.  The objective is
+    fl(v - c) with v = sense * w and c = sense * <probe, r>, bitwise
+    sense * (w - <probe, r>), and it is monotone in v.  So each column r
+    of v, sorted once, has its least objective at its head, the columns
+    whose head attains a probe's minimum hold every minimum, and in such a
+    column the minima are the sorted prefix whose fl(v - c) equals the
+    head's, found by bisection on that same expression.  The index is the
+    least position in those prefixes, read from the columns' running
+    minima of positions.
     """
-    size = max(1, _BLOCK_FLOATS // block.size)
-    outside = ~interior[..., None]
+    width = block.shape[-1]
+    values = block.reshape(-1, width)[core]
+    values = values if sense > 0 else -values
+    order = np.argsort(values, axis=0, kind="stable")
+    ranked = np.take_along_axis(values, order, axis=0)  # (P, K), each column ascending
+    first = core[np.minimum.accumulate(order, axis=0)]  # least position among the j + 1 smallest
     for lo in range(0, len(lifts), size):
         chunk = np.arange(lo, min(lo + size, len(lifts)))
-        lift = lifts[chunk].reshape(chunk.size, *(1,) * (block.ndim - 1), -1)
-        # -(a - b) is b - a exactly, so these are -sense * (<probe, r> - w)
-        obj = block - lift if sense > 0 else lift - block
-        np.copyto(obj, np.inf, where=outside)
-        yield chunk, obj.reshape(chunk.size, -1).argmin(axis=1)
+        lift = lifts[chunk] if sense > 0 else -lifts[chunk]
+        head = ranked[0] - lift  # (probes, K): each column's least objective
+        best = head.min(axis=1)
+        pr, col = np.nonzero(head == best[:, None])
+        c, target = lift[pr, col], best[pr]
+        # ranked[tie, col] attains the minimum and ranked[past, col] does not
+        tie, past = np.zeros(pr.size, dtype=np.intp), np.full(pr.size, len(ranked))
+        while np.any(past - tie > 1):
+            mid = (tie + past) // 2
+            hit = ranked[mid, col] - c <= target
+            tie, past = np.where(hit, mid, tie), np.where(hit, past, mid)
+        flat = np.full(chunk.size, np.iinfo(np.intp).max)
+        np.minimum.at(flat, pr, first[tie, col] * width + col)
+        yield chunk, flat
 
 
 class _Rows:
@@ -482,6 +506,8 @@ def primal_crosscheck(
     nodes = np.array(_core_nodes(result), dtype=int).reshape(-1, grids.state.ndim)
     interior = np.zeros(stack.shape[:-2], dtype=bool)
     interior[(slice(1, -1), *nodes.T)] = True
+    core = np.flatnonzero(interior)
+    stencil = len(_stencil(grids.state)[0])
 
     worst = []
     pairs = []
@@ -494,10 +520,12 @@ def primal_crosscheck(
         primal_rows = _Rows(result, sense, np.add)
         dual_rows = _Rows(result, sense, np.subtract)
         lifts = _lifts(own, probes)
+        # probes per chunk: each pick gathers its stencil's own-belief rows
+        size = max(1, _BLOCK_FLOATS // (stencil * own.npoints))
         for jo in range(opp.npoints):
             block = oriented[..., jo]  # (nt, *shape, own npoints)
             xi_t, grad, hess = _stack_jets(grids.state, block, result.dt)
-            for chunk, first in _extremal_nodes(block, lifts, sense, interior):
+            for chunk, first in _extremal_nodes(block, lifts, sense, core, size):
                 ti, *node, c = np.unravel_index(first, block.shape)
                 node = np.stack(node, axis=-1)
                 jet = (ti - 1, *node.T, c)

@@ -15,9 +15,10 @@ each distinct pure pair is resolved once per chunk, and every type pair
 that plays the resolved paths is scored on them.  These common random
 numbers make mixtures and belief combinations exactly bilinear in the
 weights.  At each step the dynamics and running costs are evaluated once
-per distinct control pair, on the rows that play it; the model callables
-are elementwise in x at a fixed pair, so every path has the bits it would
-have alone, whatever the chunk size.
+per distinct control pair, on the rows that play it; `_pair_rows` finds
+those pairs with `_util.sorted_unique`, so a request never imports
+numpy.ma.  The model callables are elementwise in x at a fixed pair, so
+every path has the bits it would have alone, whatever the chunk size.
 
 The built-in families (`constant_strategy`, `cycle_strategy`,
 `feedback_from_field`) read only the state at the cell start.  Each is
@@ -39,7 +40,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ._util import pairwise_mean, pairwise_sum
+from ._util import pairwise_mean, pairwise_sum, sorted_unique
 from .errors import ConfigError
 from .hamiltonian import pair_table
 from .model import GameModel
@@ -212,7 +213,7 @@ def _pair_rows(pairs: np.ndarray):
     first = pairs.flat[0]
     if np.all(pairs == first):
         return [(int(first), slice(None))]
-    return [(int(c), pairs == c) for c in np.unique(pairs)]
+    return [(int(c), pairs == c) for c in sorted_unique(pairs)]
 
 
 def _step_indices(strategy, controls, k, x, opp_rows, own) -> np.ndarray:

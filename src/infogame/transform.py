@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ._util import sorted_unique
 from .errors import ConfigError, NumericsError
 from .simplex import SimplexGrid, convexity_violations
 
@@ -123,23 +124,28 @@ def _affine_fit(grid: SimplexGrid, values: np.ndarray) -> np.ndarray | None:
     return None
 
 
-def _affine_rows(grid: SimplexGrid, rows: np.ndarray, scale: np.ndarray) -> np.ndarray:
-    """Boolean mask of the rows that `_affine_fit` accepts.
+def _affine_rows(grid: SimplexGrid, rows: np.ndarray, scale: np.ndarray):
+    """(mask, coefficients): the rows that `_affine_fit` accepts, and its
+    (rows, dim) coefficients for them, zero on the other rows.
 
     One batched least-squares residual of the rows divided by their scale
     clears every row whose residual exceeds the tolerance by more than
-    the guard factor; the rows left run `_affine_fit` itself, so the
-    decision is exactly its own.  The products are elementwise einsum
-    loops, not a BLAS call that grows with the row count.
+    the guard factor; the rows left run `_affine_fit` itself, once each,
+    so the decision and the coefficients are exactly its own.  The
+    products are elementwise einsum loops, not a BLAS call that grows
+    with the row count.
     """
     design = np.column_stack([grid.points[:, :-1], np.ones(grid.npoints)])
     unit = rows / scale[:, None]
     coef = np.einsum("kj,rj->rk", np.linalg.pinv(design), unit)
     resid = np.max(np.abs(np.einsum("jk,rk->rj", design, coef) - unit), axis=1)
-    near = np.flatnonzero(~(resid > _AFFINE_GUARD * _AFFINE_RTOL))
     affine = np.zeros(rows.shape[0], dtype=bool)
-    affine[near] = [_affine_fit(grid, rows[k]) is not None for k in near]
-    return affine
+    coefs = np.zeros((rows.shape[0], grid.dim))
+    for k in np.flatnonzero(~(resid > _AFFINE_GUARD * _AFFINE_RTOL)):
+        fit = _affine_fit(grid, rows[k])
+        if fit is not None:
+            affine[k], coefs[k] = True, fit
+    return affine, coefs
 
 
 class _LowerHull:
@@ -229,7 +235,7 @@ def vex_rows(grid: SimplexGrid, rows: np.ndarray) -> np.ndarray:
         out[todo] = _vex_dim2_rows(grid, rows[todo])
         return out
     scale = np.maximum(1.0, np.max(np.abs(rows[todo]), axis=1))
-    todo = todo[~_affine_rows(grid, rows[todo], scale)]
+    todo = todo[~_affine_rows(grid, rows[todo], scale)[0]]
     if todo.size:
         hull = _LowerHull(grid)
         for r in todo:
@@ -267,15 +273,15 @@ def facet_slope_probes(grid: SimplexGrid, values: np.ndarray) -> np.ndarray:
         slopes = np.unique(slopes, return_index=True)[0]
         return np.column_stack([slopes, np.zeros(slopes.size)])
     # an affine row has one slope; any other row its lower facets' gradients
+    affine, coefs = _affine_rows(grid, rows, np.maximum(1.0, np.max(np.abs(rows), axis=1)))
     hull, parts = _LowerHull(grid), [np.empty((0, grid.dim))]
-    for row in rows:
-        coef = _affine_fit(grid, row)
-        if coef is not None:
+    for row, flat, coef in zip(rows, affine, coefs):
+        if flat:
             parts.append(np.append(coef[:-1], 0.0)[None, :])
         else:
             grads = hull.facets(row)[0]
             probes = np.column_stack([grads, np.zeros(grads.shape[0])])
-            parts.append(np.unique(np.round(probes, 12), axis=0))
+            parts.append(sorted_unique(np.round(probes, 12), axis=0))
     return np.unique(np.vstack(parts), axis=0, return_index=True)[0]
 
 

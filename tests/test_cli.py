@@ -5,6 +5,8 @@ from __future__ import annotations
 import json
 import os
 import stat
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -596,6 +598,60 @@ def test_solves_far_from_time_zero_load(tmp_path):
 
 def test_check_missing_directory_is_a_config_error(tmp_path):
     assert run("check", "--solve", tmp_path / "nope") == 2
+
+
+@pytest.mark.parametrize(
+    "damage",
+    [
+        lambda p: p.write_bytes(b""),  # mmap refuses an empty file
+        lambda p: p.unlink(),
+        lambda p: (p.unlink(), p.mkdir()),  # unreadable as a file, even by root
+    ],
+    ids=["empty", "missing", "directory"],
+)
+def test_check_refuses_a_csv_it_cannot_map(tmp_path, damage):
+    out = solve_dir(tmp_path)
+    damage(out / "slices.csv")
+    assert run("check", "--solve", out) == 2
+    assert not (out / "check.json").exists()
+
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--strategy-u", "cycle", "--strategy-v", "constant:1", "--h", "0.05"],
+        ["simulate", "--strategy-u", "feedback:{solve}", "--strategy-v", "cycle", "--h", "0.05"],
+        ["check", "--solve", "{solve}"],
+    ],
+    ids=["cycle", "feedback", "check"],
+)
+def test_requests_do_not_import_numpy_ma(tmp_path, argv):
+    # numpy 2.4's np.unique imports numpy.ma unless asked for an index,
+    # inverse or count; a fresh interpreter, because pytest or hypothesis
+    # may have imported it here.  3-type requests are left out: importing
+    # scipy.spatial imports numpy.ma by itself.
+    solve = tmp_path / "small"
+    assert run(
+        "solve", "--preset", "two-sided-1d", "--nx", 21, "--np", 3, "--nq", 3, "--steps", 12,
+        "--out", solve,
+    ) == 0
+    if argv[0] == "simulate":
+        argv = [*argv, "--preset", "two-sided-1d", "--samples", "20"]
+    argv = [a.format(solve=solve) for a in argv] + ["--out", str(tmp_path / "out.json")]
+    script = (
+        "import sys\n"
+        "import infogame.cli\n"
+        "assert 'numpy.ma' not in sys.modules\n"
+        "code = infogame.cli.main(sys.argv[1:])\n"
+        "assert code == 0, code\n"
+        "assert 'numpy.ma' not in sys.modules, 'numpy.ma was imported'\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", script, *argv], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 # -------------------------------------------------------------- convexify

@@ -291,6 +291,49 @@ def test_batched_crosscheck_matches_a_per_pair_loop(request, name):
     assert_same_report(primal_crosscheck(result), crosscheck_by_pairs(result))
 
 
+def _masked_argmins(block, lifts, sense, interior):
+    """The first minimum of sense * (w - <probe, r>) over the whole masked
+    (t, node, r) block, one probe at a time."""
+    outside = ~interior[..., None]
+    picks = []
+    for lift in lifts:
+        obj = block - lift if sense > 0 else lift - block
+        picks.append(np.where(outside, np.inf, obj).argmin())
+    return np.array(picks)
+
+
+def test_extremal_nodes_are_the_first_masked_argmins():
+    # exact ties in w, ties made by rounding when |<probe, r>| >> |w|, one
+    # column tied throughout, signed zeros and subnormals, in chunks of
+    # 1 to 4 probes
+    rng = np.random.default_rng(11)
+    for trial in range(300):
+        nt = int(rng.integers(3, 7))
+        shape = tuple(int(n) for n in rng.integers(1, 6, size=int(rng.integers(1, 3))))
+        width = int(rng.integers(1, 6))
+        full = (nt, *shape, width)
+        block = [
+            rng.standard_normal(full),
+            rng.integers(-2, 3, full).astype(float),
+            1.0 + rng.integers(0, 4, full) * 2.0**-52,
+            np.broadcast_to(rng.standard_normal(width), full).copy(),
+            rng.choice([0.0, -0.0, 5e-324, -5e-324, 1e-300], size=full),
+        ][trial % 5]
+        lifts = rng.standard_normal((int(rng.integers(1, 9)), width)) * 10.0 ** rng.integers(-2, 18)
+        if trial % 3 == 0:
+            lifts = np.round(lifts)
+        interior = np.zeros(full[:-1], dtype=bool)
+        interior[1:-1] = rng.random((nt - 2, *shape)) < 0.6
+        interior[(1,) + (0,) * len(shape)] = True
+        for sense in (1, -1):
+            size = int(rng.integers(1, 5))
+            chunks = list(dualcheck._extremal_nodes(block, lifts, sense, np.flatnonzero(interior), size))
+            assert all(len(chunk) <= size for chunk, _ in chunks)
+            assert np.array_equal(np.concatenate([chunk for chunk, _ in chunks]), np.arange(len(lifts)))
+            got = np.concatenate([first for _, first in chunks])
+            assert np.array_equal(got, _masked_argmins(block, lifts, sense, interior))
+
+
 @pytest.mark.parametrize("name", ["two_sided_solve", "static_solve", "flat_solve"])
 def test_chunk_size_does_not_change_the_reports(request, monkeypatch, name):
     result = request.getfixturevalue(name)

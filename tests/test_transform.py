@@ -422,6 +422,39 @@ def test_facet_slope_probes_builds_one_hull_per_non_affine_row(monkeypatch):
     assert len(hulls) == 5 and len(builds) == 1
 
 
+def test_facet_slope_probes_fits_only_the_rows_the_screen_accepts(monkeypatch):
+    grid = build_grid(3, 5)
+    rng = np.random.default_rng(43)
+    affine = _table_row(grid, "affine", rng)
+    rows = np.vstack([
+        rng.uniform(-3, 3, (3, grid.npoints)),
+        affine,
+        np.sum(grid.points**2, axis=1),
+        _guard_band_row(grid),
+        -affine,
+    ])
+    want = np.vstack([facet_slope_probes(grid, row) for row in rows])
+    accepted, fitted = [], []
+    screen, fit = transform._affine_rows, transform._affine_fit
+
+    def spy_screen(grid, rows, scale):
+        mask, coefs = screen(grid, rows, scale)
+        accepted.extend(row.tobytes() for row in rows[mask])
+        return mask, coefs
+
+    def spy_fit(grid, values):
+        fitted.append(values.tobytes())
+        return fit(grid, values)
+
+    monkeypatch.setattr(transform, "_affine_rows", spy_screen)
+    monkeypatch.setattr(transform, "_affine_fit", spy_fit)
+    got = facet_slope_probes(grid, rows)
+    assert sorted(accepted) == sorted(r.tobytes() for r in rows[[3, 5, 6]])
+    # one exact fit per accepted row, which also gives its slope
+    assert sorted(fitted) == sorted(accepted)
+    assert got.tobytes() == np.unique(want, axis=0, return_index=True)[0].tobytes()
+
+
 def test_facet_slope_probes_validates_its_rows():
     grid = build_grid(3, 3)
     for bad in (np.zeros(grid.npoints + 1), np.zeros((2, grid.npoints - 1)), np.zeros((1, 1, grid.npoints))):

@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from infogame._util import pairwise_mean, pairwise_sum, parallel_map, thread_count
+from infogame._util import pairwise_mean, pairwise_sum, parallel_map, sorted_unique, thread_count
 from infogame.errors import ConfigError
 
 
@@ -33,6 +33,30 @@ def test_pairwise_sum_edge_sizes():
     assert pairwise_sum(np.array([3.5])) == 3.5
     assert pairwise_sum(np.array([1.0, 2.0])) == 3.0
     assert pairwise_mean(np.array([1.0, 2.0, 3.0, 4.0])) == 2.5
+
+
+def _same_bytes(got, want):
+    return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_sorted_unique_is_np_unique_bytewise():
+    rng = np.random.default_rng(5)
+    for ints in (rng.integers(0, 9, 40), np.full(30, 7), np.array([3]), np.arange(25)[::-1]):
+        assert _same_bytes(sorted_unique(ints), np.unique(ints))
+    # more than 16 rows, so the sort takes numpy's introsort and not only
+    # insertion sort; the rows repeat and some differ only in a zero's sign
+    base = np.round(rng.standard_normal((12, 3)), 1)
+    base[:4, 1] = 0.0
+    signed = base[:4].copy()
+    signed[:, 1] = -0.0
+    for table in (
+        np.vstack([base, signed, base[::-1], signed[::-1]]),
+        np.vstack([signed, base, signed]),
+        np.round(rng.standard_normal((60, 2)), 0),  # integers and +-0.0 only
+    ):
+        table = table[rng.permutation(len(table))]
+        assert len(table) > 16
+        assert _same_bytes(sorted_unique(table, axis=0), np.unique(table, axis=0))
 
 
 def test_thread_count_env(monkeypatch):
