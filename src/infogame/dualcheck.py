@@ -292,12 +292,12 @@ def _extremal_nodes(block: np.ndarray, lifts: np.ndarray, sense: int, core: np.n
         head = ranked[0] - lift  # (probes, K): each column's least objective
         best = head.min(axis=1)
         pr, col = np.nonzero(head == best[:, None])
-        c, target = lift[pr, col], best[pr]
+        c, least = lift[pr, col], best[pr]
         # ranked[tie, col] attains the minimum and ranked[past, col] does not
         tie, past = np.zeros(pr.size, dtype=np.intp), np.full(pr.size, len(ranked))
         while np.any(past - tie > 1):
             mid = (tie + past) // 2
-            hit = ranked[mid, col] - c <= target
+            hit = ranked[mid, col] - c <= least
             tie, past = np.where(hit, mid, tie), np.where(hit, past, mid)
         flat = np.full(chunk.size, np.iinfo(np.intp).max)
         np.minimum.at(flat, pr, first[tie, col] * width + col)

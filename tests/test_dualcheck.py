@@ -345,6 +345,10 @@ def test_chunk_size_does_not_change_the_reports(request, monkeypatch, name):
         monkeypatch.setattr(dualcheck, "_BLOCK_FLOATS", cap)
         assert_same_report(check_dual_solution(result), want[0])
         assert_same_report(primal_crosscheck(result), want[1])
+    # one crosscheck probe per chunk: a stencil gather of the larger own grid
+    gather = len(_stencil(result.grids.state)[0]) * max(result.grids.p.npoints, result.grids.q.npoints)
+    monkeypatch.setattr(dualcheck, "_BLOCK_FLOATS", gather)
+    assert_same_report(primal_crosscheck(result), want[1])
 
 
 @pytest.mark.parametrize(
