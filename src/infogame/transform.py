@@ -6,11 +6,11 @@ is w#(s) = min_q <s, q> - w(q), both evaluated exactly by scanning the
 grid.  Lower convex envelopes (vex) take one route, `vex_rows`, which
 envelopes a whole (rows, npoints) table: certified-convex rows are
 screened out in one gather, the rest share one vectorised monotone chain
-on two-component simplices, and on larger ones each non-affine row costs
-one Qhull call of a shared `_LowerHull`, which imports scipy.spatial only
-when it is built.  `vex_p` is the one-row case, the upper concave
-envelope (cav) is -vex(-w), and `facet_slope_probes` reads the slopes of
-the same hulls.
+on two-component simplices, and on larger ones the non-affine rows go to
+one `_LowerHull` (built, and scipy.spatial imported, only when a row needs
+it): one Qhull call per row; the plane arithmetic once per pass.  `vex_p`
+is the one-row case, the upper concave envelope (cav) is -vex(-w), and
+`facet_slope_probes` reads its slopes from the same batched facets.
 
 Envelope values at the simplex vertices never change, envelopes are
 idempotent, and the biconjugate computed from facet-slope probes
@@ -30,6 +30,7 @@ _AFFINE_RTOL = 1e-11
 # get the exact per-row fit
 _AFFINE_GUARD = 100.0
 _FIXED_POINT_TOL = 1e-12
+_DOWNWARD_TOL = 1e-12  # a lower facet's unit normal has w component below -this
 
 
 def _check_rows(grid: SimplexGrid, rows: np.ndarray) -> np.ndarray:
@@ -149,11 +150,12 @@ def _affine_rows(grid: SimplexGrid, rows: np.ndarray, scale: np.ndarray):
 
 
 class _LowerHull:
-    """Lower hull of lifted point clouds (reduced coordinates, w) on one grid.
+    """Lower hulls of lifted point clouds (reduced coordinates, w) on one grid.
 
     scipy.spatial is imported when the object is built, never at module
-    import, and the reduced coordinates of the cloud are written once, so
-    each further table costs one Qhull call and the plane arithmetic.
+    import, and the reduced coordinates of the cloud are written once.
+    One Qhull call per row; the plane arithmetic once per pass, over the
+    facets of all the rows of that pass.
     """
 
     def __init__(self, grid: SimplexGrid):
@@ -165,50 +167,51 @@ class _LowerHull:
         self._cloud[:, :-1] = self.reduced
 
     def _hull(self, values: np.ndarray, scale: float):
-        """Qhull of the cloud with w divided by scale, and the mask of its
-        downward facets."""
+        """(equations, simplices) of the cloud with w divided by scale; an
+        equation (normal..., offset) has normal . y + offset <= 0 inside."""
         self._cloud[:, -1] = values / scale
         hull = self._convex_hull(self._cloud)
-        # rows: (normal..., offset), normal . y + offset <= 0 inside
-        return hull, hull.equations[:, -2] < -1e-12
+        return hull.equations, hull.simplices
 
-    def facets(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(gradients, offsets, member mask) of the lower facets.
+    def lower_facets(self, rows: np.ndarray):
+        """(gradients, offsets, starts, member mask) of the lower facets of
+        every row of a (rows, npoints) table with no affine row.
 
-        Each facet is the affine map q -> <g, q> + c on reduced
-        coordinates; the mask marks the nodes that span some facet.
+        Facet f is the affine map q -> <g_f, q> + c_f on reduced
+        coordinates, and row k owns the facets from starts[k] to
+        starts[k + 1]; the mask marks the nodes that span a facet of their
+        row.  The row loop only builds hulls.
         """
-        try:
-            hull, down = self._hull(values, 1.0)
-        except self._qhull_error:
-            down = None
-        scale = 1.0
-        if down is None or not down.any():
-            # values far larger than the unit lattice can defeat Qhull's
-            # precision checks, or leave every lower facet's unit normal too
-            # close to horizontal to pass the test; the cloud with w scaled
-            # down has the same facets
-            scale = max(1.0, float(np.max(np.abs(values))))
+        scales = np.ones(rows.shape[0])
+        equations, simplices = [], []
+        for k, values in enumerate(rows):
             try:
-                hull, down = self._hull(values, scale)
-            except self._qhull_error as exc:
-                raise NumericsError(f"lifted hull failed: {exc}") from exc
-            if not down.any():
-                raise ConfigError("degenerate lifted hull: no downward facets")
-        low = hull.equations[down]
-        grads = -low[:, :-2] * scale / low[:, -2:-1]
+                eqs, simps = self._hull(values, 1.0)
+            except self._qhull_error:
+                eqs = None
+            if eqs is None or not (eqs[:, -2] < -_DOWNWARD_TOL).any():
+                # values far larger than the unit lattice can defeat Qhull's precision
+                # checks, or leave every lower facet's unit normal too close to
+                # horizontal to pass the test; the cloud with w scaled down has the same facets
+                scales[k] = max(1.0, float(np.max(np.abs(values))))
+                try:
+                    eqs, simps = self._hull(values, scales[k])
+                except self._qhull_error as exc:
+                    raise NumericsError(f"lifted hull failed: {exc}") from exc
+                if not (eqs[:, -2] < -_DOWNWARD_TOL).any():
+                    raise ConfigError("degenerate lifted hull: no downward facets")
+            equations.append(eqs)
+            simplices.append(simps)
+        owner = np.repeat(np.arange(rows.shape[0]), [len(eqs) for eqs in equations])
+        stacked = np.concatenate(equations)
+        down = stacked[:, -2] < -_DOWNWARD_TOL
+        low, owner = stacked[down], owner[down]
+        scale = scales[owner]
+        grads = -low[:, :-2] * scale[:, None] / low[:, -2:-1]
         offs = -low[:, -1] * scale / low[:, -2]
-        members = np.zeros(values.shape, dtype=bool)
-        members[hull.simplices[down]] = True
-        return grads, offs, members
-
-    def envelope(self, values: np.ndarray) -> np.ndarray:
-        """Lower convex envelope of one table that is not affine."""
-        grads, offs, members = self.facets(values)
-        planes = self.reduced @ grads.T + offs  # (npoints, nfacets)
-        out = np.minimum(planes.max(axis=1), values)
-        out[members] = values[members]  # hull nodes keep their exact input values
-        return out
+        members = np.zeros(rows.shape, dtype=bool)
+        members[owner[:, None], np.concatenate(simplices)[down]] = True
+        return grads, offs, np.searchsorted(owner, np.arange(rows.shape[0])), members
 
 
 def vex_p(grid: SimplexGrid, values: np.ndarray) -> np.ndarray:
@@ -222,9 +225,9 @@ def vex_rows(grid: SimplexGrid, rows: np.ndarray) -> np.ndarray:
     Each row's envelope depends on that row alone.  The fixed-point
     screen runs on all rows with one gather.  On two-component simplices
     the remaining rows share one vectorised hull; on larger ones a
-    batched affine screen drops the affine rows, and every row left
-    costs one Qhull call through a shared `_LowerHull`.  The concave form
-    is -vex_rows(grid, -rows).
+    batched affine screen drops the affine rows, and the rows left share
+    one `_LowerHull`: one Qhull call per row; the plane arithmetic once
+    per pass.  The concave form is -vex_rows(grid, -rows).
     """
     rows = _check_rows(grid, rows)
     out = rows.copy()
@@ -236,10 +239,17 @@ def vex_rows(grid: SimplexGrid, rows: np.ndarray) -> np.ndarray:
         return out
     scale = np.maximum(1.0, np.max(np.abs(rows[todo]), axis=1))
     todo = todo[~_affine_rows(grid, rows[todo], scale)[0]]
-    if todo.size:
-        hull = _LowerHull(grid)
-        for r in todo:
-            out[r] = hull.envelope(rows[r])
+    if not todo.size:
+        return out
+    hull, values = _LowerHull(grid), rows[todo]
+    grads, offs, starts, members = hull.lower_facets(values)
+    planes = np.empty((grid.npoints, offs.size))
+    for a, b in zip(starts, [*starts[1:], offs.size]):
+        # one product per row: BLAS picks its FMA pattern by shape, so a stacked one moves last bits
+        np.matmul(hull.reduced, grads[a:b].T, out=planes[:, a:b])
+    planes += offs
+    env = np.minimum(np.maximum.reduceat(planes, starts, axis=1).T, values)
+    out[todo] = np.where(members, values, env)  # hull nodes keep their exact input values
     return out
 
 
@@ -274,15 +284,14 @@ def facet_slope_probes(grid: SimplexGrid, values: np.ndarray) -> np.ndarray:
         return np.column_stack([slopes, np.zeros(slopes.size)])
     # an affine row has one slope; any other row its lower facets' gradients
     affine, coefs = _affine_rows(grid, rows, np.maximum(1.0, np.max(np.abs(rows), axis=1)))
-    hull, parts = _LowerHull(grid), [np.empty((0, grid.dim))]
-    for row, flat, coef in zip(rows, affine, coefs):
-        if flat:
-            parts.append(np.append(coef[:-1], 0.0)[None, :])
-        else:
-            grads = hull.facets(row)[0]
-            probes = np.column_stack([grads, np.zeros(grads.shape[0])])
-            parts.append(sorted_unique(np.round(probes, 12), axis=0))
-    return np.unique(np.vstack(parts), axis=0, return_index=True)[0]
+    parts = list(np.column_stack([coefs[:, :-1], np.zeros(rows.shape[0])])[:, None])
+    hulled = np.flatnonzero(~affine)
+    if hulled.size:
+        grads, _, starts, _ = _LowerHull(grid).lower_facets(rows[hulled])
+        probes = np.round(np.column_stack([grads, np.zeros(grads.shape[0])]), 12)
+        for k, row_probes in zip(hulled, np.split(probes, starts[1:])):
+            parts[k] = sorted_unique(row_probes, axis=0)
+    return np.unique(np.vstack([np.empty((0, grid.dim)), *parts]), axis=0, return_index=True)[0]
 
 
 def coordinate_difference_probes(dim: int) -> np.ndarray:

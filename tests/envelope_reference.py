@@ -5,17 +5,23 @@ route with the same arithmetic and no shared screen or chain:
 - the fixed-point screen gathers the midpoint triples of one row;
 - on two components a scalar monotone chain keeps the lower hull and
   each node off it takes the chord between its nearest hull nodes;
-- on three or more it runs `_affine_fit` and then `_LowerHull.envelope`
-  on each row that is neither convex nor affine.
+- on three or more it runs `_affine_fit` and then, on each row that is
+  neither convex nor affine, its own Qhull lower hull (with the scaled
+  retry) and the maximum of that row's facet planes, with the hull nodes
+  restored to their exact input values.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from scipy.spatial import ConvexHull, QhullError
+
 from infogame import transform
+from infogame.errors import ConfigError, NumericsError
 
 FIXED_POINT_TOL = 1e-12
+DOWNWARD_TOL = 1e-12
 
 
 def convexity_violation(grid, values):
@@ -63,7 +69,53 @@ def vex_row(grid, values):
         return out
     if transform._affine_fit(grid, values) is not None:
         return values.copy()
-    return transform._LowerHull(grid).envelope(values)
+    return hull_envelope(grid, values)
+
+
+def _lifted_hull(grid, values, scale):
+    """Qhull of (reduced coordinates, w / scale) and the mask of its
+    downward facets."""
+    hull = ConvexHull(np.column_stack([grid.points[:, :-1], values / scale]))
+    return hull, hull.equations[:, -2] < -DOWNWARD_TOL
+
+
+def lower_facets(grid, values):
+    """(gradients, offsets, member mask) of the lower facets of one row.
+
+    Each facet is the affine map q -> <g, q> + c on reduced coordinates;
+    the mask marks the nodes that span some facet.  A row whose raw hull
+    fails or has no downward facet is hulled again with w divided by its
+    scale, and the facets are scaled back.
+    """
+    try:
+        hull, down = _lifted_hull(grid, values, 1.0)
+    except QhullError:
+        down = None
+    scale = 1.0
+    if down is None or not down.any():
+        scale = max(1.0, float(np.max(np.abs(values))))
+        try:
+            hull, down = _lifted_hull(grid, values, scale)
+        except QhullError as exc:
+            raise NumericsError(f"lifted hull failed: {exc}") from exc
+        if not down.any():
+            raise ConfigError("degenerate lifted hull: no downward facets")
+    low = hull.equations[down]
+    grads = -low[:, :-2] * scale / low[:, -2:-1]
+    offs = -low[:, -1] * scale / low[:, -2]
+    members = np.zeros(values.shape, dtype=bool)
+    members[hull.simplices[down]] = True
+    return grads, offs, members
+
+
+def hull_envelope(grid, values):
+    """Lower convex envelope of one row that is not affine: the maximum of
+    its facet planes, capped by the row, exact on the hull nodes."""
+    grads, offs, members = lower_facets(grid, values)
+    planes = grid.points[:, :-1] @ grads.T + offs  # (npoints, nfacets)
+    out = np.minimum(planes.max(axis=1), values)
+    out[members] = values[members]
+    return out
 
 
 def vex_table(grid, rows):

@@ -323,6 +323,33 @@ def test_vex_rows_matches_vex_p_on_four_types():
     assert np.array_equal(-vex_rows(grid, -rows), -ref.vex_table(grid, -rows))
 
 
+def test_vex_rows_is_bitwise_the_per_row_envelope_on_a_solve_sized_stack(monkeypatch):
+    # one pass of a 3-type solve hulls hundreds of rows at once; the batched
+    # plane arithmetic must give each row its own facets, scale and members
+    grid = build_grid(3, 6)
+    rng = np.random.default_rng(53)
+    kinds = [ROW_KINDS[k % len(ROW_KINDS)] for k in range(1000)]
+    rows = np.array([_table_row(grid, kind, rng) for kind in kinds])
+    convex = np.sum(grid.points**2, axis=1)
+    spike = np.zeros(grid.npoints)
+    spike[grid.index_of((1, 2, 3))] = 1e14  # -spike takes the scaled retry, and +spike under cav
+    rows = np.vstack([rows[:400], -spike, rows[400:700], convex, spike, 3.0 * convex - 1.0,
+                      rows[700:], _guard_band_row(grid)])
+    scaled = []
+    hull = transform._LowerHull._hull
+
+    def spy(self, values, scale):
+        scaled.append(scale != 1.0)
+        return hull(self, values, scale)
+
+    monkeypatch.setattr(transform._LowerHull, "_hull", spy)
+    for sign in (1.0, -1.0):
+        scaled.clear()
+        got = sign * vex_rows(grid, sign * rows)
+        assert sum(scaled) == 1  # the one downward spike
+        assert got.tobytes() == (sign * ref.vex_table(grid, sign * rows)).tobytes()
+
+
 def test_vex_rows_builds_one_hull_per_remaining_row(monkeypatch):
     import scipy.spatial
 
@@ -480,3 +507,30 @@ def test_cli_solve_does_not_import_scipy_spatial(tmp_path):
     proc = subprocess.run([sys.executable, "-c", script, str(tmp_path / "out")], env=env,
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+AFFINE_PROBES_SCRIPT = (
+    "import sys\n"
+    "import numpy as np\n"
+    "from infogame.simplex import build_grid\n"
+    "from infogame.transform import facet_slope_probes\n"
+    "grid = build_grid(3, 6)\n"
+    "rng = np.random.default_rng(59)\n"
+    "rows = rng.standard_normal((40, 3)) @ grid.points.T + rng.standard_normal((40, 1))\n"
+    "probes = facet_slope_probes(grid, rows)\n"
+    "assert 'scipy.spatial' not in sys.modules\n"
+    "sys.stdout.write(probes.tobytes().hex())\n"
+)
+
+
+def test_facet_slope_probes_of_affine_rows_does_not_import_scipy_spatial():
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", AFFINE_PROBES_SCRIPT], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    grid = build_grid(3, 6)
+    rng = np.random.default_rng(59)
+    rows = rng.standard_normal((40, 3)) @ grid.points.T + rng.standard_normal((40, 1))
+    fits = [transform._affine_fit(grid, row) for row in rows]
+    want = np.unique([np.append(fit[:-1], 0.0) for fit in fits], axis=0, return_index=True)[0]
+    assert bytes.fromhex(proc.stdout) == want.tobytes() == facet_slope_probes(grid, rows).tobytes()
