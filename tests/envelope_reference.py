@@ -14,7 +14,6 @@ route with the same arithmetic and no shared screen or chain:
 from __future__ import annotations
 
 import numpy as np
-
 from scipy.spatial import ConvexHull, QhullError
 
 from infogame import transform

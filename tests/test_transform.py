@@ -332,7 +332,7 @@ def test_vex_rows_is_bitwise_the_per_row_envelope_on_a_solve_sized_stack(monkeyp
     rows = np.array([_table_row(grid, kind, rng) for kind in kinds])
     convex = np.sum(grid.points**2, axis=1)
     spike = np.zeros(grid.npoints)
-    spike[grid.index_of((1, 2, 3))] = 1e14  # -spike takes the scaled retry, and +spike under cav
+    spike[grid.index_of((1, 2, 3))] = 1e14  # -spike takes the scaled retry under vex, +spike under cav
     rows = np.vstack([rows[:400], -spike, rows[400:700], convex, spike, 3.0 * convex - 1.0,
                       rows[700:], _guard_band_row(grid)])
     scaled = []
@@ -509,24 +509,21 @@ def test_cli_solve_does_not_import_scipy_spatial(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
-AFFINE_PROBES_SCRIPT = (
-    "import sys\n"
-    "import numpy as np\n"
-    "from infogame.simplex import build_grid\n"
-    "from infogame.transform import facet_slope_probes\n"
-    "grid = build_grid(3, 6)\n"
-    "rng = np.random.default_rng(59)\n"
-    "rows = rng.standard_normal((40, 3)) @ grid.points.T + rng.standard_normal((40, 1))\n"
-    "probes = facet_slope_probes(grid, rows)\n"
-    "assert 'scipy.spatial' not in sys.modules\n"
-    "sys.stdout.write(probes.tobytes().hex())\n"
-)
-
-
 def test_facet_slope_probes_of_affine_rows_does_not_import_scipy_spatial():
+    script = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from infogame.simplex import build_grid\n"
+        "from infogame.transform import facet_slope_probes\n"
+        "grid = build_grid(3, 6)\n"
+        "rng = np.random.default_rng(59)\n"
+        "rows = rng.standard_normal((40, 3)) @ grid.points.T + rng.standard_normal((40, 1))\n"
+        "probes = facet_slope_probes(grid, rows)\n"
+        "assert 'scipy.spatial' not in sys.modules\n"
+        "sys.stdout.write(probes.tobytes().hex())\n"
+    )
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-c", AFFINE_PROBES_SCRIPT], env=env,
-                          capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     grid = build_grid(3, 6)
     rng = np.random.default_rng(59)
