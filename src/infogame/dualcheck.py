@@ -36,12 +36,14 @@ The conjugate route never forms a whole (t, x) conjugate stack: at each
 audited pick `_queue_conjugate` gathers w on the pick's jet stencil only
 (the centre, t +- 1 and the state neighbours of `_stencil`), scores
 <probe, r> - w there, takes the max over the own beliefs (min on the q
-side) and forms the jets with the expressions of `_stack_jets`.  Every
-step is pointwise in (t, x), so the residuals are those of the whole
-stack bit for bit.  The crosscheck scores no whole block either: its
-first-occurrence argmin over (t, node, belief) comes from each belief
-column of w sorted once per opponent node (`_extremal_nodes`), and it
-builds w's own jets once per opponent node.  The audited rows of a side
+side) and forms the jets with the solver's difference expressions
+(`_stencil_jets`).  Every step is pointwise in (t, x), so the residuals
+are those of the whole stack bit for bit.  The crosscheck scores no
+whole block either: its first-occurrence argmin over (t, node, belief)
+comes from each belief column of w sorted once per opponent node
+(`_extremal_nodes`), and w's own jets at each pick come from the pick's
+stencil at its belief, the same way.  Neither audit forms the jets of a
+whole stack.  The audited rows of a side
 queue in `_Rows` and reach `ham_bellman_inf_sup` in a few batched calls.
 One constant, _BLOCK_FLOATS, caps the floats of a chunk's stencil gather
 and of the kernel table of one call, so the working set does not grow
@@ -60,7 +62,7 @@ import numpy as np
 from ._util import sorted_unique
 from .errors import ConfigError
 from .hamiltonian import ham_bellman_inf_sup
-from .solver import SolveResult, StateGrid, _derivatives, _hessians
+from .solver import SolveResult, StateGrid
 from .transform import coordinate_difference_probes, facet_slope_probes
 
 _DEFAULT_MAX_CHECKS = 10_000
@@ -168,20 +170,6 @@ def build_probes(result: SolveResult, side: str) -> np.ndarray:
     return sorted_unique(np.round(probes, 12), axis=0)[:_PROBE_CAP]
 
 
-def _stack_jets(grid: StateGrid, stack: np.ndarray, dt: float):
-    """Central-difference jets of a (t, *shape) stack at every interior time.
-
-    Returns xi_t over (nt - 2, *shape), grad over (nt - 2, *shape, n) and
-    hess over (nt - 2, *shape, n, n); index 0 is the slice at t index 1.
-    """
-    inner = np.moveaxis(stack[1:-1], 0, -1)  # state axes lead, as the stencils expect
-    grad, second, mixed = _derivatives(grid, inner)
-    xi_t = (stack[2:] - stack[:-2]) / (2.0 * dt)
-    grad = np.moveaxis(np.stack(grad, axis=-1), -2, 0)
-    hess = np.moveaxis(_hessians(grid, second, mixed), -3, 0)
-    return xi_t, grad, hess
-
-
 def _stencil(grid: StateGrid) -> tuple[np.ndarray, np.ndarray]:
     """Time shifts (S,) and state offsets (S, n) of a jet stencil.
 
@@ -203,13 +191,22 @@ def _stencil(grid: StateGrid) -> tuple[np.ndarray, np.ndarray]:
     return shifts, np.array(offsets)
 
 
+def _stencil_points(grid: StateGrid, ti: np.ndarray, nodes: np.ndarray) -> tuple:
+    """Index arrays, each (picks, S), of the `_stencil` points of picks at
+    time indices ti and (picks, ndim) state indices nodes."""
+    shifts, offsets = _stencil(grid)
+    return (ti[:, None] + shifts, *np.moveaxis(nodes[:, None, :] + offsets, -1, 0))
+
+
 def _stencil_jets(grid: StateGrid, values: np.ndarray, dt: float):
     """xi_t (m,), grad (m, n) and hess (m, n, n) from the (m, S) values of
     m picks' `_stencil` points.
 
-    The expressions and their operand order are those of `_stack_jets`,
-    so at a node off every moving wall, where `solver._shift` takes no
-    mirror ghost, each jet is bitwise the whole stack's.
+    The expressions and their operand order are those of the solver's
+    stencils (`solver._derivatives`, `solver._hessians`) and of the time
+    difference over a whole stack, so at an interior time and a node off
+    every moving wall, where `solver._shift` takes no mirror ghost, each
+    jet is bitwise the whole stack's.
     """
     n = grid.ndim
     centre = values[:, 0]
@@ -233,11 +230,11 @@ def _stencil_jets(grid: StateGrid, values: np.ndarray, dt: float):
 
 
 def _support(scores: np.ndarray, best, sense: int) -> np.ndarray:
-    """Mask of the near-optimal beliefs along the last axis, ties included."""
-    tie = _TIE_TOL * np.maximum(1.0, np.max(np.abs(scores), axis=-1))
+    """Mask of the near-optimal beliefs along the first axis, ties included."""
+    tie = _TIE_TOL * np.maximum(1.0, np.max(np.abs(scores), axis=0))
     if sense > 0:
-        return scores >= (best - tie)[..., None]
-    return scores <= (best + tie)[..., None]
+        return scores >= best - tie
+    return scores <= best + tie
 
 
 def _sides(stack, grids, probes_p, probes_q):
@@ -385,14 +382,19 @@ def _queue_conjugate(
     and the min on the concave one, and at the centre
     sense * (xi_t - H(t, x, -xi_x, -X, p, q)) is maximized over the
     near-optimal beliefs.
+
+    The scores are written belief-major, a C-ordered (K, picks, S) array,
+    so the max or min over beliefs and the support's tie scale reduce
+    over the leading axis; the support mask is read transposed, so the
+    rows queue in (pick, belief) order.  The gather itself stays
+    (picks, S, K), one contiguous belief row per stencil point.
     """
     grid = rows.result.grids.state
-    shifts, offsets = _stencil(grid)
-    at = (ti[:, None] + shifts, *np.moveaxis(nodes[:, None, :] + offsets, -1, 0))
-    scores = lifts[:, None, :] - block[at]  # (picks, S, K)
-    conj = scores.max(axis=-1) if rows.sense > 0 else scores.min(axis=-1)
+    gathered = np.moveaxis(block[_stencil_points(grid, ti, nodes)], -1, 0)
+    scores = np.subtract(lifts.T[:, :, None], gathered, order="C")
+    conj = scores.max(axis=0) if rows.sense > 0 else scores.min(axis=0)
     xi_t, grad, hess = _stencil_jets(grid, conj, rows.result.dt)
-    sel, cand = np.nonzero(_support(scores[:, 0], conj[:, 0], rows.sense))
+    sel, cand = np.nonzero(_support(scores[..., 0], conj[:, 0], rows.sense).T)
     rows.add(
         out, target[sel], ti[sel], nodes[sel], -grad[sel], -hess[sel],
         own.points[cand], opp_point, xi_t[sel], done,
@@ -454,8 +456,8 @@ def check_dual_solution(
                 sizes = [picks[r].size for r in chunk]
                 run = np.concatenate([picks[r] for r in chunk])
 
-                def fold(best, ends=np.cumsum(sizes)[:-1]):
-                    mins.extend(float(b.min()) for b in np.split(best, ends))
+                def fold(best, starts=np.cumsum([0] + sizes[:-1])):
+                    mins.extend(np.minimum.reduceat(best, starts).tolist())
 
                 _queue_conjugate(
                     rows, own, opp.points[jo], oriented[..., jo],
@@ -524,15 +526,14 @@ def primal_crosscheck(
         size = max(1, _BLOCK_FLOATS // (stencil * own.npoints))
         for jo in range(opp.npoints):
             block = oriented[..., jo]  # (nt, *shape, own npoints)
-            xi_t, grad, hess = _stack_jets(grids.state, block, result.dt)
             for chunk, first in _extremal_nodes(block, lifts, sense, core, size):
                 ti, *node, c = np.unravel_index(first, block.shape)
                 node = np.stack(node, axis=-1)
-                jet = (ti - 1, *node.T, c)
+                at = (*_stencil_points(grids.state, ti, node), c[:, None])
+                xi_t, grad, hess = _stencil_jets(grids.state, block[at], result.dt)
                 target = jo * probes.shape[0] + chunk
                 primal_rows.add(
-                    primal, target, ti, node, grad[jet], hess[jet], own.points[c], opp.points[jo],
-                    xi_t[jet],
+                    primal, target, ti, node, grad, hess, own.points[c], opp.points[jo], xi_t,
                 )
                 _queue_conjugate(
                     dual_rows, own, opp.points[jo], block, lifts[chunk], ti, node, dual, target,

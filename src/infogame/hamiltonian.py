@@ -7,7 +7,13 @@ of points and returns the table over control pairs of
 
 so min/max values and the gap between the two orders are exact for the
 declared finite control sets.  Everything else is a min/max reduction of
-that table.  The running term enters with one of two signs:
+that table.  The table is filled pair-major, one contiguous batch per
+control pair, and returned as a strided (..., |U|, |V|) view: reductions
+over the two pair axes then run over leading memory axes, elementwise
+across the batch, which numpy does far faster than over short trailing
+ones.  Reduce the view; a caller that needs C-ordered bytes copies it.
+max, min, argmax and argmin are exact selections, so the layout changes
+no value and no tie-break.  The running term enters with one of two signs:
 
 * run_sign = -1 is the form in which the Isaacs condition for the
   asymmetric-information equation is stated.  The sampled audit
@@ -62,6 +68,10 @@ def pair_table(
     <b, grad> + tr(hess sigma sigma^T) / 2 + run_sign * sum_ij l_ij p_i q_j,
     summed from zero in that order with the trace taken as diagonal terms
     then the upper triangle, so a batch equals its points one at a time.
+    Starting from +0.0, no entry is -0.0.
+
+    The result is a strided view of a pair-major (|U|, |V|, ...) buffer,
+    meant to be reduced over its last two axes, not read as C-ordered.
     """
     x = np.asarray(x, dtype=float)
     grad = np.asarray(grad, dtype=float)
@@ -72,7 +82,7 @@ def pair_table(
     batch = np.broadcast_shapes(
         np.shape(t), x.shape[:-1], grad.shape[:-1], hess.shape[:-2], p.shape[:-1], q.shape[:-1]
     )
-    out = np.empty(batch + (model.u_set.count, model.v_set.count))
+    out = np.empty((model.u_set.count, model.v_set.count) + batch)  # pair-major
     for a, u in enumerate(model.u_set.values):
         for b, v in enumerate(model.v_set.values):
             drift = np.asarray(model.drift(t, x, u, v), dtype=float)
@@ -88,8 +98,8 @@ def pair_table(
             if run_sign != 0.0 and model.has_running:
                 lmat = running_matrix(model, t, x, u, v)
                 total = total + run_sign * _belief_contraction(lmat, p, q)
-            out[..., a, b] = total
-    return out
+            out[a, b] = total
+    return np.moveaxis(out, (0, 1), (-2, -1))
 
 
 def _gaps(table: np.ndarray) -> np.ndarray:

@@ -111,24 +111,31 @@ class GameModel:
             raise ConfigError("running cost matrix shape must be (I, J)")
 
 
+def _cost_matrix(costs: tuple, *args) -> np.ndarray:
+    """Each costs[i][j](*args), written into one (..., I, J) array.
+
+    Every entry must have the first entry's shape, as np.stack requires.
+    """
+    out = None
+    for i, row in enumerate(costs):
+        for j, cost in enumerate(row):
+            value = np.asarray(cost(*args), dtype=float)
+            if out is None:
+                out = np.empty(value.shape + (len(costs), len(row)))
+            elif value.shape != out.shape[:-2]:
+                raise ValueError("all input arrays must have the same shape")
+            out[..., i, j] = value
+    return out
+
+
 def terminal_matrix(model: GameModel, x) -> np.ndarray:
     """Stack of terminal costs, shape (..., I, J)."""
-    x = np.asarray(x, dtype=float)
-    rows = []
-    for i in range(model.u_types):
-        rows.append([np.asarray(model.terminal[i][j](x), dtype=float)
-                     for j in range(model.v_types)])
-    return np.stack([np.stack(r, axis=-1) for r in rows], axis=-2)
+    return _cost_matrix(model.terminal, np.asarray(x, dtype=float))
 
 
 def running_matrix(model: GameModel, t: float, x, u, v) -> np.ndarray:
     """Stack of running costs at one control pair, shape (..., I, J)."""
-    x = np.asarray(x, dtype=float)
-    rows = []
-    for i in range(model.u_types):
-        rows.append([np.asarray(model.running[i][j](t, x, u, v), dtype=float)
-                     for j in range(model.v_types)])
-    return np.stack([np.stack(r, axis=-1) for r in rows], axis=-2)
+    return _cost_matrix(model.running, t, np.asarray(x, dtype=float), u, v)
 
 
 def restrict_to_types(model: GameModel, i: int, j: int) -> GameModel:

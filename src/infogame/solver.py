@@ -177,7 +177,9 @@ def cfl_limit(model: GameModel, grid: StateGrid, cfl_factor: float = 0.5) -> flo
         if ax.size == 1:
             continue
         if model.diffusion_bound > 0:
-            limit = min(limit, dx * dx / (n * model.diffusion_bound**2))
+            # D * D, not D**2: a Python float's ** 2 raises OverflowError,
+            # the product saturates to inf and validate_time_step refuses
+            limit = min(limit, dx * dx / (n * (model.diffusion_bound * model.diffusion_bound)))
         if model.drift_bound > 0:
             limit = min(limit, dx / model.drift_bound)
     return cfl_factor * limit
@@ -199,7 +201,9 @@ def validate_time_step(
     for ax, dx in zip(grid.axes, grid.spacing):
         if ax.size == 1:
             continue
-        weight += dt * (model.drift_bound / dx + model.diffusion_bound**2 / dx**2)
+        weight += dt * (
+            model.drift_bound / dx + (model.diffusion_bound * model.diffusion_bound) / (dx * dx)
+        )
     if weight > 1.0 + 1e-12:
         raise ConfigError(
             f"monotonicity violation: total stencil weight {weight:g} exceeds 1"

@@ -12,7 +12,6 @@ import pytest
 from infogame import dualcheck
 from infogame.dualcheck import (
     _core_nodes,
-    _stack_jets,
     _stencil,
     _stencil_jets,
     build_probes,
@@ -24,7 +23,7 @@ from infogame.errors import ConfigError
 from infogame.hamiltonian import ham_bellman_inf_sup, pair_table
 from infogame.model import model_from_config, preset, preset_config
 from infogame.simplex import build_grid
-from infogame.solver import Grids, build_state_grid, solve
+from infogame.solver import Grids, _derivatives, _hessians, build_state_grid, solve
 from infogame.transform import coordinate_difference_probes
 
 
@@ -78,6 +77,22 @@ def flat_solve(drift_solve):
         for f in drift_solve.fields
     ]
     return replace(drift_solve, model=model_from_config(cfg), fields=fields)
+
+
+def _stack_jets(grid, stack, dt):
+    """Central-difference jets of a whole (t, *shape) stack at every
+    interior time, from the solver's stencils: the reference that the
+    audits' per-pick `_stencil_jets` must match off the moving walls.
+
+    Returns xi_t over (nt - 2, *shape), grad over (nt - 2, *shape, n) and
+    hess over (nt - 2, *shape, n, n); index 0 is the slice at t index 1.
+    """
+    inner = np.moveaxis(stack[1:-1], 0, -1)  # state axes lead, as the stencils expect
+    grad, second, mixed = _derivatives(grid, inner)
+    xi_t = (stack[2:] - stack[:-2]) / (2.0 * dt)
+    grad = np.moveaxis(np.stack(grad, axis=-1), -2, 0)
+    hess = np.moveaxis(_hessians(grid, second, mixed), -3, 0)
+    return xi_t, grad, hess
 
 
 def perturbed(result, eps):
@@ -379,26 +394,31 @@ def test_stencil_jets_match_the_whole_stack(bounds, counts):
         assert same_bits(g, w[jet])
 
 
-def test_only_the_crosscheck_builds_whole_stack_jets(two_sided_solve, monkeypatch):
-    # the conjugate route reads each pick's stencil; the crosscheck builds
-    # w's own jets once per (side, opponent node)
-    stacks = []
-    inner = dualcheck._stack_jets
+def test_neither_audit_builds_whole_stack_jets(two_sided_solve, monkeypatch):
+    # both routes read each pick's stencil: every jet comes from a
+    # (picks, S) table of stencil values, and no whole-stack difference
+    # (the solver's `_derivatives` or `_hessians`) runs during an audit
+    from infogame import solver
 
-    def counted(grid, stack, dt):
-        stacks.append(stack)
-        return inner(grid, stack, dt)
+    def whole_stack(*args):
+        raise AssertionError("an audit built whole-stack jets")
 
-    monkeypatch.setattr(dualcheck, "_stack_jets", counted)
-    check_dual_solution(two_sided_solve)
-    assert stacks == []
-    primal_crosscheck(two_sided_solve)
-    w = np.stack([f.values for f in two_sided_solve.fields])
-    blocks = [w[..., jo] for jo in range(w.shape[-1])]
-    blocks += [w[..., jo, :] for jo in range(w.shape[-2])]
-    assert len(stacks) == len(blocks)
-    for got, want in zip(stacks, blocks):
-        assert same_bits(got, want)
+    for module in (solver, dualcheck):
+        for name in ("_derivatives", "_hessians"):
+            monkeypatch.setattr(module, name, whole_stack, raising=False)
+    tables = []
+    inner = dualcheck._stencil_jets
+
+    def counted(grid, values, dt):
+        tables.append(values.shape)
+        return inner(grid, values, dt)
+
+    monkeypatch.setattr(dualcheck, "_stencil_jets", counted)
+    stencil = len(_stencil(two_sided_solve.grids.state)[0])
+    for audit in (check_dual_solution, primal_crosscheck):
+        tables.clear()
+        audit(two_sided_solve)
+        assert tables and all(len(shape) == 2 and shape[1] == stencil for shape in tables), audit
 
 
 @pytest.mark.parametrize("tol", [np.inf, -np.inf, np.nan, -1.0])
