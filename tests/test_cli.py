@@ -731,3 +731,8 @@ def test_config_exit_codes(tmp_path):
     notjson = tmp_path / "notjson.json"
     notjson.write_text("{")
     assert run("solve", "--config", notjson, "--out", tmp_path / "x", "--steps", 5) == 2
+    # a diffusion bound whose square overflows: the CFL limit falls to 0
+    # and the step is refused, where squaring a float by ** raised
+    huge = tmp_path / "huge.json"
+    huge.write_text(json.dumps({**preset_config("drift-sum-1d"), "params": {"sigma": 1e200}}))
+    assert run("solve", "--config", huge, "--out", tmp_path / "x", "--steps", 5) == 2

@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -419,6 +420,81 @@ def test_neither_audit_builds_whole_stack_jets(two_sided_solve, monkeypatch):
         tables.clear()
         audit(two_sided_solve)
         assert tables and all(len(shape) == 2 and shape[1] == stencil for shape in tables), audit
+
+
+class QueuedRows:
+    """Stands in for `_Rows`: records what `_queue_conjugate` queues."""
+
+    def __init__(self, grid, dt, sense):
+        self.result = SimpleNamespace(grids=SimpleNamespace(state=grid), dt=dt)
+        self.sense = sense
+        self.queued = []
+
+    def add(self, out, target, ti, nodes, grad, hess, own_points, opp_point, xi, done=None):
+        self.queued.append((target, ti, nodes, xi, grad, hess, own_points))
+
+
+def queued_by_reference(grid, dt, sense, own, block, lifts, ti, nodes, target):
+    """The conjugate rows from (picks, S, K) scores reduced over their last
+    axis, and the support mask read as it is."""
+    shifts, offsets = _stencil(grid)
+    at = (ti[:, None] + shifts, *np.moveaxis(nodes[:, None, :] + offsets, -1, 0))
+    scores = lifts[:, None, :] - block[at]
+    conj = scores.max(axis=-1) if sense > 0 else scores.min(axis=-1)
+    xi_t, grad, hess = _stencil_jets(grid, conj, dt)
+    centre = scores[:, 0]
+    tie = 1e-9 * np.maximum(1.0, np.max(np.abs(centre), axis=-1))
+    if sense > 0:
+        near = centre >= (conj[:, 0] - tie)[:, None]
+    else:
+        near = centre <= (conj[:, 0] + tie)[:, None]
+    sel, cand = np.nonzero(near)
+    return target[sel], ti[sel], nodes[sel], xi_t[sel], -grad[sel], -hess[sel], own.points[cand]
+
+
+@pytest.mark.parametrize(
+    "bounds, counts, own",
+    [
+        ([(-1.0, 1.0)], [7], build_grid(2, 4)),
+        ([(-1.0, 1.0), (0.5, 0.5), (0.0, 3.0)], [5, 1, 4], build_grid(3, 3)),  # a frozen axis
+    ],
+)
+def test_queued_conjugate_rows_match_a_pick_major_reference(bounds, counts, own):
+    # w on small integers and integer lifts tie beliefs exactly, also at
+    # the conjugate's optimum, so the support holds several candidates;
+    # w spread by 1e-11 or 1e-9 of its own scale, which varies over
+    # (t, x), puts near-ties inside and at the edge of the support's
+    # tolerance at that scale
+    grid = build_state_grid(bounds, counts)
+    rng = np.random.default_rng(13)
+    inner = [np.arange(1, m - 1) if m > 1 else np.arange(1) for m in grid.shape]
+    for trial in range(40):
+        nt = int(rng.integers(3, 7))
+        full = (nt, *grid.shape, own.npoints, 3)
+        if trial % 2:
+            stack = rng.integers(-2, 3, full).astype(float)
+            if trial % 3 == 0:
+                scale = 10.0 ** rng.integers(0, 4, (nt, *grid.shape, 1, 1))
+                stack = scale * (1.0 + stack * rng.choice([1e-11, 1e-9], full))
+            lifts = rng.integers(-1, 2, (12, own.npoints)).astype(float)
+        else:
+            stack = rng.standard_normal(full) * 10.0 ** rng.integers(-3, 4, full)
+            lifts = rng.standard_normal((12, own.npoints))
+        # the audits' block: one opponent belief of the field, a strided view
+        block = stack[..., 1] if trial % 4 < 2 else np.swapaxes(stack, -1, -2)[..., 1, :]
+        ti = rng.integers(1, nt - 1, 12)
+        nodes = np.stack([rng.choice(idx, 12) for idx in inner], axis=-1)
+        target = rng.permutation(12)
+        for sense in (1, -1):
+            rows = QueuedRows(grid, 0.037, sense)
+            dualcheck._queue_conjugate(
+                rows, own, np.zeros(2), block, lifts, ti, nodes, None, target,
+            )
+            (got,) = rows.queued
+            want = queued_by_reference(grid, 0.037, sense, own, block, lifts, ti, nodes, target)
+            assert len(want[0]) > len(target) or trial % 2 == 0
+            for g, w in zip(got, want):
+                assert same_bits(g, w), (trial, sense)
 
 
 @pytest.mark.parametrize("tol", [np.inf, -np.inf, np.nan, -1.0])

@@ -8,11 +8,13 @@ against a scalar loop over points and control pairs.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from infogame.errors import ConfigError
-from infogame.hamiltonian import ham_bellman_inf_sup, pair_table, sample_isaacs_gap
+from infogame.hamiltonian import _gaps, ham_bellman_inf_sup, pair_table, sample_isaacs_gap
 from infogame.model import preset, running_matrix
 
 PRESETS = (
@@ -157,6 +159,102 @@ def test_bellman_reduction_is_the_batched_min_max(name):
     got = ham_bellman_inf_sup(m, t, x, grad, hess, p, q)
     assert got.shape == (40,)
     assert np.array_equal(got, pair_table(m, t, x, grad, hess, p, q, 1.0).max(-1).min(-1))
+
+
+def c_ordered_table(model, t, x, grad, hess, p, q, run_sign):
+    """The kernel's sums, one control pair at a time, written into a
+    C-ordered (*batch, |U|, |V|) array: the reference layout whose
+    reductions the pair-major view must match bit for bit."""
+    n = model.state_dim
+    batch = np.broadcast_shapes(
+        np.shape(t), x.shape[:-1], grad.shape[:-1], hess.shape[:-2], p.shape[:-1], q.shape[:-1]
+    )
+    out = np.empty(batch + (model.u_set.count, model.v_set.count))
+    for a, u in enumerate(model.u_set.values):
+        for b, v in enumerate(model.v_set.values):
+            drift = np.asarray(model.drift(t, x, u, v), dtype=float)
+            sig = np.asarray(model.diffusion(t, x, u, v), dtype=float)
+            cov = np.einsum("...ik,...jk->...ij", sig, sig)
+            total = 0.0
+            for k in range(n):
+                total = total + drift[..., k] * grad[..., k]
+                total = total + 0.5 * cov[..., k, k] * hess[..., k, k]
+            for k in range(n):
+                for l in range(k + 1, n):
+                    total = total + cov[..., k, l] * hess[..., k, l]
+            if run_sign != 0.0 and model.has_running:
+                lmat = running_matrix(model, t, x, u, v)
+                run = 0.0
+                for i in range(model.u_types):
+                    for j in range(model.v_types):
+                        run = run + lmat[..., i, j] * p[..., i] * q[..., j]
+                total = total + run_sign * run
+            out[..., a, b] = total
+    return out
+
+
+def planar_model():
+    """two-sided-1d's controls and costs on a 2-d state, with a drift and a
+    diffusion that depend on both controls and a noise cross term, so the
+    trace has an off-diagonal part; u = -1 and u = 1 share a diffusion."""
+
+    def drift(t, x, u, v):
+        x = np.asarray(x, dtype=float)
+        return np.stack([np.full(x.shape[:-1], u[0] + v[0]), u[0] * x[..., 1] - v[0]], axis=-1)
+
+    def diffusion(t, x, u, v):
+        x = np.asarray(x, dtype=float)
+        sig = np.zeros(x.shape + (2,))
+        sig[..., 0, 0] = 0.5 + 0.25 * u[0] * u[0]
+        sig[..., 1, 0] = 0.5 * v[0]
+        sig[..., 1, 1] = 0.25 + 0.125 * np.tanh(x[..., 0])
+        return sig
+
+    return replace(preset("two-sided-1d"), name="planar", state_dim=2, noise_dim=2,
+                   drift=drift, diffusion=diffusion)
+
+
+def same_bits(a, b):
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("model", [preset("two-sided-1d"), planar_model()], ids=["1d", "2d"])
+def test_pair_major_table_reduces_like_a_c_ordered_one(model):
+    # a (6, 5) batch: zero jets, where every pair ties on the running term
+    # or on 0.0, small integer jets, where the drift ties pairs exactly,
+    # and random jets; at run_sign 0 a zero jet ties all pairs at +0.0
+    rng = np.random.default_rng(7)
+    n = model.state_dim
+    shape = (6, 5)
+    t, x, grad, hess, p, q = (
+        a.reshape(shape + a.shape[1:]) for a in random_batch(model, rng, 30)
+    )
+    grad[0] = 0.0
+    hess[0] = 0.0
+    grad[1] = rng.integers(-2, 3, (5, n))
+    hess[1] = 0.0
+    hess[2] = np.broadcast_to(np.eye(n), (5, n, n))
+    p[3] = q[3] = 0.5
+    for run_sign in (-1.0, 0.0, 1.0):
+        table = pair_table(model, t, x, grad, hess, p, q, run_sign)
+        want = c_ordered_table(model, t, x, grad, hess, p, q, run_sign)
+        assert same_bits(table, want), run_sign
+        assert not np.any(np.signbit(table) & (table == 0.0))
+        for reduce in (
+            lambda tab: tab.max(axis=-1).min(axis=-1),
+            lambda tab: tab.min(axis=-2).max(axis=-1),
+            lambda tab: np.argmin(tab.max(axis=-1), axis=-1),  # the feedback picks
+            lambda tab: np.argmax(tab.min(axis=-2), axis=-1),
+        ):
+            assert same_bits(reduce(table), reduce(want)), run_sign
+    ties = c_ordered_table(model, t, x, grad, hess, p, q, 0.0)[0]
+    assert np.all(ties == 0.0)
+    assert same_bits(ham_bellman_inf_sup(model, t, x, grad, hess, p, q),
+                     want.max(axis=-1).min(axis=-1))
+    minus = c_ordered_table(model, t, x, grad, hess, p, q, -1.0)
+    assert same_bits(_gaps(pair_table(model, t, x, grad, hess, p, q, -1.0)),
+                     minus.max(axis=-1).min(axis=-1) - minus.min(axis=-2).max(axis=-1))
 
 
 def test_dual_variants_swap_roles():

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -93,6 +95,60 @@ def test_cost_matrices():
     # separated preset: au * u + av * v
     assert l[0, 0, 0] == pytest.approx(0.6 - 0.5)
     assert l[0, 1, 0] == pytest.approx(-0.6 - 0.5)
+
+
+RUNNING_PRESETS = (
+    "zero",
+    {"name": "const", "params": {"c": -0.7}},
+    {"name": "bilinear-uv", "params": {"c": 1.5}},
+    {"name": "separated", "params": {"au": 0.3, "av": -0.2, "c": 0.1}},
+    {"name": "state-linear", "params": {"a": 0.4, "c": -0.3}},
+)
+
+
+def nested_stacks(costs, *args):
+    """The (..., I, J) cost matrix as two levels of np.stack."""
+    rows = [[np.asarray(cost(*args), dtype=float) for cost in row] for row in costs]
+    return np.stack([np.stack(r, axis=-1) for r in rows], axis=-2)
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("cost", [*RUNNING_PRESETS, "mixed"])
+def test_cost_matrices_equal_nested_stacks(cost):
+    # each running preset in every entry of a 2 x 3 game, then all five
+    # presets in one game
+    row = list(RUNNING_PRESETS) if cost == "mixed" else [cost] * 5
+    cfg = {
+        "preset": "drift-sum-1d", "I": 2, "J": 3, "T": 1.0,
+        "g": [["linear", "abs", "tanh"], ["zero", "linear", "abs"]],
+        "l": [row[:3], row[2:]],
+    }
+    m = model_from_config(cfg)
+    rng = np.random.default_rng(2)
+    for x in (rng.uniform(-2, 2, (4, 1)), rng.uniform(-2, 2, (2, 3, 1)), np.array([0.5])):
+        for u in m.u_set.values:
+            for v in m.v_set.values:
+                want = nested_stacks(m.running, 0.1, x, u, v)
+                assert same_bits(running_matrix(m, 0.1, x, u, v), want)
+        assert same_bits(terminal_matrix(m, x), nested_stacks(m.terminal, x))
+
+
+@pytest.mark.parametrize("entry", [0, 3])
+def test_cost_matrix_entries_of_another_shape_raise(entry):
+    # a scalar entry among (3,) entries: first, or last, where writing it
+    # into the matrix would broadcast it without a shape check
+    m = preset("running-matrix")
+    costs = [cost for row in m.running for cost in row]
+    costs[entry] = lambda t, x, u, v: 1.0
+    uneven = replace(m, running=(tuple(costs[:2]), tuple(costs[2:])))
+    u, v = m.u_set.values[0], m.v_set.values[0]
+    with pytest.raises(ValueError):
+        nested_stacks(uneven.running, 0.0, np.zeros((3, 1)), u, v)
+    with pytest.raises(ValueError):
+        running_matrix(uneven, 0.0, np.zeros((3, 1)), u, v)
 
 
 def test_coupled_running_cost_flags_model():
