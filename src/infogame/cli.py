@@ -33,7 +33,13 @@ from fractions import Fraction
 import numpy as np
 
 from ._util import sha256_hex
-from .dualcheck import build_probes, check_dual_solution, default_tolerance, primal_crosscheck
+from .dualcheck import (
+    build_probes,
+    check_dual_solution,
+    default_tolerance,
+    primal_crosscheck,
+    stacked,
+)
 from .errors import ConfigError, NumericsError
 from .hamiltonian import is_probability_vector
 from .model import model_from_config, preset_config, resolved_config
@@ -168,17 +174,20 @@ def _coordinate_cells(grids: Grids) -> tuple[list[str], list[str]]:
 def _write_solve_outputs(out_dir: str, result: SolveResult, cfg_resolved: dict, cfg_sha: str) -> None:
     grids = result.grids
     x_cells, pq_cells = _coordinate_cells(grids)
+    # one row template per solve, filled per slice with each row's (t, w):
+    # %a prints a Python float as its repr.  Built a state node at a time, and
+    # t goes in by %b, not by replacing a placeholder: a list of every row's
+    # string, or a replaced copy of the template, raised the peak RSS
+    template = "".join("".join(f"%b,{x},{pq},%a\n" for pq in pq_cells) for x in x_cells).encode()
+    cells = [b""] * (2 * len(x_cells) * len(pq_cells))
 
     def slice_chunks():
         yield (_slices_header(grids) + "\n").encode()
         for fld in result.fields:
-            t_cell = repr(float(fld.t))
-            table = fld.values.reshape(len(x_cells), len(pq_cells)).tolist()
-            yield "".join(
-                f"{t_cell},{x},{pq},{w!r}\n"
-                for x, ws in zip(x_cells, table)
-                for pq, w in zip(pq_cells, ws)
-            ).encode()
+            cells[::2] = [repr(float(fld.t)).encode()] * (len(cells) // 2)
+            # .tolist() gives Python floats: %a of a numpy scalar prints np.float64(...)
+            cells[1::2] = fld.values.ravel().tolist()
+            yield template % tuple(cells)
 
     # the digest covers the exact CSV bytes and then the binary w column
     # (see load_solve)
@@ -425,8 +434,10 @@ def _cmd_simulate(args) -> int:
         model, profile, x0, t0=args.t0, h=args.h, samples=args.samples,
         seed=args.seed, kind=args.noise,
     )
-    ests, errs = matrix_estimate(table)
-    combined = pq_estimate(table, p, q)
+    # overflowing paths give inf or nan here; the check below reports them (exit 3)
+    with np.errstate(over="ignore", invalid="ignore"):
+        ests, errs = matrix_estimate(table)
+        combined = pq_estimate(table, p, q)
     elapsed = time.perf_counter() - started
     if not np.all(np.isfinite([*ests.ravel(), *errs.ravel(), combined.estimate, combined.stderr])):
         raise NumericsError("the simulated payoffs are not finite; the paths overflowed")
@@ -460,9 +471,10 @@ def _cmd_check(args) -> int:
     result = load_solve(args.solve)
     tol = args.tol if args.tol is not None else default_tolerance(result)
     started = time.perf_counter()
-    probes = {"probes_p": build_probes(result, "p"), "probes_q": build_probes(result, "q")}
-    report = check_dual_solution(result, tol=tol, max_checks=args.max_checks, **probes)
-    cross = primal_crosscheck(result, tol=tol, **probes)
+    with stacked(result):
+        probes = {"probes_p": build_probes(result, "p"), "probes_q": build_probes(result, "q")}
+        report = check_dual_solution(result, tol=tol, max_checks=args.max_checks, **probes)
+        cross = primal_crosscheck(result, tol=tol, **probes)
     elapsed = time.perf_counter() - started
     residuals = [
         report.supersolution_residual, report.subsolution_residual,

@@ -55,6 +55,8 @@ so a check never imports numpy.ma.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,6 +75,8 @@ _PROBE_CAP = 64
 # floats per stencil gather (picks, stencil, K) and per kernel table
 # (rows, |U|, |V|): bounds the audits' working set
 _BLOCK_FLOATS = 2**14
+# (result, its checked field stack) inside a `stacked` block
+_HELD: ContextVar[tuple[SolveResult, np.ndarray] | None] = ContextVar("_HELD", default=None)
 
 
 @dataclass(frozen=True)
@@ -108,13 +112,28 @@ def default_tolerance(result: SolveResult) -> float:
     return 10.0 * (dx + result.dt) * result.model.lipschitz_bound
 
 
-def _stack(result: SolveResult) -> tuple[np.ndarray, np.ndarray]:
+@contextmanager
+def stacked(result: SolveResult):
+    """Stack and check result's fields once for every audit of result run
+    inside the block, instead of once per audit call."""
+    token = _HELD.set((result, _stack(result)))
+    try:
+        yield
+    finally:
+        _HELD.reset(token)
+
+
+def _stack(result: SolveResult) -> np.ndarray:
+    held = _HELD.get()
+    if held is not None and held[0] is result:
+        return held[1]
     if len(result.fields) < 3:
         raise ConfigError("residual audits need at least three time slices")
     stack = np.stack([f.values for f in result.fields])
     if not np.all(np.isfinite(stack)):
         raise ConfigError("residual audits need a finite value field")
-    return stack, result.times
+    stack.flags.writeable = False  # a `stacked` block hands the same array to every audit
+    return stack
 
 
 def _core_nodes(result: SolveResult) -> list[tuple[int, ...]]:
@@ -153,7 +172,7 @@ def _core_nodes(result: SolveResult) -> list[tuple[int, ...]]:
 def build_probes(result: SolveResult, side: str) -> np.ndarray:
     """Envelope facet slopes of the terminal and earliest slices, plus
     coordinate differences; deterministic and capped."""
-    stack, _ = _stack(result)
+    stack = _stack(result)
     grids = result.grids
     flat = stack.reshape(stack.shape[0], -1, grids.p.npoints, grids.q.npoints)
     nx = flat.shape[1]
@@ -415,7 +434,7 @@ def check_dual_solution(
     max_checks: int = _DEFAULT_MAX_CHECKS,
 ) -> DualCheckReport:
     """Conjugate-route residual audit of both dual inequalities."""
-    stack, _ = _stack(result)
+    stack = _stack(result)
     grids = result.grids
     if max_checks < 1:
         raise ConfigError("max_checks must be >= 1")
@@ -496,7 +515,7 @@ def primal_crosscheck(
 ) -> CrosscheckReport:
     """Primal-route audit at extremal interior nodes, compared with the
     conjugate route at the same nodes."""
-    stack, _ = _stack(result)
+    stack = _stack(result)
     grids = result.grids
     if probes_p is None:
         probes_p = build_probes(result, "p")

@@ -29,11 +29,14 @@ control-pair table.  The running term enters H_num as
 complete-information values satisfy the scheme's equation pointwise and
 pure running cost integrates to elapsed time.
 
-Each envelope pass hands the whole slice to `transform.vex_rows` as one
-(rows, npoints) table, and the convexity certificates are one batched
-gather over the lattice triples.  The solver, like the rest of the
-library, runs on the calling thread only; INFOGAME_THREADS changes none
-of its results or timings.
+The projection runs in two stages: vex and cav of the stepped slice,
+then cav of the vexed slice (the projected field) and vex of the caved
+one (the commutation diagnostic).  Each pass hands the whole slice to
+`transform.vex_rows` as one (rows, npoints) table; on p and q lattices
+of the same dim and resolution a stage's two passes share one call.
+The convexity certificates are one batched gather over the lattice
+triples.  The solver, like the rest of the library, runs on the calling
+thread only; INFOGAME_THREADS changes none of its results or timings.
 """
 
 from __future__ import annotations
@@ -307,30 +310,28 @@ class ProjectionResult:
     commutation_residual: float
 
 
-def _apply_envelopes(
-    grids: Grids, values: np.ndarray, order: str
-) -> np.ndarray:
+def _envelope_stage(
+    grids: Grids, vex_in: np.ndarray, cav_in: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(vex in p of vex_in, cav in q of cav_in), both (cells, P, Q).
+
+    On lattices of the same dim and resolution both passes share one
+    `transform.vex_rows` call: each row's envelope depends on that row
+    alone.  A one-point lattice's pass is the identity.
+    """
     np_pts, nq_pts = grids.p.npoints, grids.q.npoints
-    work = values.reshape(-1, np_pts, nq_pts)
-
-    def vex_step(arr):
-        if np_pts == 1:
-            return arr
-        rows = np.moveaxis(arr, 1, 2).reshape(-1, np_pts)  # rows over (x, q)
-        vexed = transform.vex_rows(grids.p, rows)
-        return np.moveaxis(vexed.reshape(-1, nq_pts, np_pts), 2, 1)
-
-    def cav_step(arr):
-        if nq_pts == 1:
-            return arr
-        rows = arr.reshape(-1, nq_pts)  # rows over (x, p)
-        return -transform.vex_rows(grids.q, -rows).reshape(arr.shape)
-
-    if order == "vex-cav":
-        work = cav_step(vex_step(work))
+    p_rows = np.moveaxis(vex_in, 1, 2).reshape(-1, np_pts)  # rows over (x, q)
+    q_rows = -cav_in.reshape(-1, nq_pts)  # rows over (x, p); cav is -vex(-w)
+    if np_pts > 1 and (grids.p.dim, grids.p.resolution) == (grids.q.dim, grids.q.resolution):
+        both = transform.vex_rows(grids.p, np.concatenate([p_rows, q_rows]))
+        p_rows, q_rows = both[: len(p_rows)], both[len(p_rows) :]
     else:
-        work = vex_step(cav_step(work))
-    return work.reshape(values.shape)
+        if np_pts > 1:
+            p_rows = transform.vex_rows(grids.p, p_rows)
+        if nq_pts > 1:
+            q_rows = transform.vex_rows(grids.q, q_rows)
+    vexed = np.moveaxis(p_rows.reshape(-1, nq_pts, np_pts), 2, 1)
+    return vexed, -q_rows.reshape(cav_in.shape)
 
 
 def _certificates(grids: Grids, values: np.ndarray) -> tuple[float, float]:
@@ -347,13 +348,22 @@ def dual_project(grids: Grids, values: np.ndarray) -> ProjectionResult:
     p-independent feasible set, so it preserves the first certificate;
     both certificates therefore hold to roundoff.  The residual of the
     opposite composition is reported as the commutation diagnostic.
+
+    Two `_envelope_stage` calls give both compositions: the first
+    envelopes the slice in p and in q, the second the q-envelope in p and
+    the p-envelope in q.  On equal lattices each stage is one
+    `transform.vex_rows` call; with a one-point lattice one stage is all.
     """
-    projected = _apply_envelopes(grids, values, "vex-cav")
-    residual = float(np.max(np.abs(projected - values), initial=0.0))
+    work = values.reshape(-1, grids.p.npoints, grids.q.npoints)
+    vexed, caved = _envelope_stage(grids, work, work)
     commutation = 0.0
     if grids.p.npoints > 1 and grids.q.npoints > 1:
-        other = _apply_envelopes(grids, values, "cav-vex")
+        other, projected = _envelope_stage(grids, caved, vexed)
         commutation = float(np.max(np.abs(projected - other), initial=0.0))
+    else:  # the one-point side's pass is the identity
+        projected = vexed if grids.q.npoints == 1 else caved
+    projected = projected.reshape(values.shape)
+    residual = float(np.max(np.abs(projected - values), initial=0.0))
     worst_p, worst_q = _certificates(grids, projected)
     return ProjectionResult(
         values=projected,

@@ -15,10 +15,10 @@ from infogame import cli, dualcheck, simulator
 from infogame.cli import load_solve, main
 from infogame.dualcheck import default_tolerance
 from infogame.errors import ConfigError
-from infogame.model import preset, preset_config
+from infogame.model import model_from_config, preset, preset_config, resolved_config
 from infogame.oracle import TreeGame, one_sided_recursion
 from infogame.simplex import build_grid
-from infogame.solver import Grids, build_state_grid, solve
+from infogame.solver import Grids, SolveResult, ValueField, build_state_grid, solve
 from infogame.transform import vex_p
 
 
@@ -204,6 +204,50 @@ def test_a_cache_of_another_grid_is_not_used(tmp_path, monkeypatch, parse_spy):
     assert np.array_equal(loaded_bits(out), fresh)
     assert np.array_equal(fresh, parsed_bits(out, monkeypatch))
     assert len(parse_spy) == 2
+
+
+EXTREME_W = [-0.0, 5e-324, 1e-05, 1e16, -1.7976931348623157e308]
+
+
+@pytest.mark.parametrize(
+    "bounds,counts", [([(-1.0, 0.5)], [3]), ([(-1.0, 1.0), (0.0, 0.3)], [2, 3])], ids=["1d", "2d"]
+)
+def test_slices_csv_rows_are_the_repr_of_their_cells(tmp_path, monkeypatch, parse_spy, bounds, counts):
+    cfg, cfg_sha = cli._load_config(None, "two-sided-1d")
+    model = model_from_config(cfg)
+    grids = Grids(state=build_state_grid(bounds, counts), p=build_grid(2, 2), q=build_grid(2, 1))
+    shape = (*grids.state.shape, grids.p.npoints, grids.q.npoints)
+    dt = 0.125
+    fields = [
+        ValueField(t=model.horizon - k * dt, values=np.resize(np.roll(EXTREME_W, k), shape))
+        for k in reversed(range(3))
+    ]
+    result = SolveResult(model=model, grids=grids, t0=fields[0].t, dt=dt, fields=fields)
+    out = tmp_path / "hand"
+    out.mkdir()
+    cli._write_solve_outputs(str(out), result, resolved_config(cfg), cfg_sha)
+
+    lines = (out / "slices.csv").read_text().splitlines()
+    ndim = grids.state.ndim
+    assert lines[0] == ",".join(
+        ["t", *(f"x_{k}" for k in range(1, ndim + 1)), "p_1", "p_2", "q_1", "q_2", "w"]
+    )
+    mesh = grids.state.mesh().reshape(-1, ndim)
+    want = [
+        ",".join(repr(float(c)) for c in (fld.t, *x, *p, *q, fld.values[(*node, a, b)]))
+        for fld in fields
+        for node, x in zip(np.ndindex(grids.state.shape), mesh)
+        for a, p in enumerate(grids.p.points)
+        for b, q in enumerate(grids.q.points)
+    ]
+    assert lines[1:] == want
+    assert {float(line.rsplit(",", 1)[1]) for line in want} == set(EXTREME_W)
+
+    bits = np.stack([fld.values for fld in fields]).view(np.uint64)
+    assert np.array_equal(loaded_bits(out), bits)
+    assert parse_spy == []  # the digest path
+    assert np.array_equal(parsed_bits(out, monkeypatch), bits)
+    assert len(parse_spy) == 1
 
 
 def test_check_refuses_a_header_of_another_grid(tmp_path):
@@ -469,6 +513,22 @@ def test_check_builds_the_probes_once_per_side(tmp_path, monkeypatch):
     assert sorted(sides) == ["p", "q"]
 
 
+def test_check_stacks_the_field_once(tmp_path, monkeypatch):
+    # the probes of both sides and both audits share one stacked, checked field
+    out = solve_dir(tmp_path)
+    fields = load_solve(str(out)).fields
+    stacks, inner = [], np.stack
+
+    def counted(arrays, *args, **kwargs):
+        if len(arrays) == len(fields) and all(np.shape(a) == fields[0].values.shape for a in arrays):
+            stacks.append(1)
+        return inner(arrays, *args, **kwargs)
+
+    monkeypatch.setattr(np, "stack", counted)
+    assert run("check", "--solve", out) == 0
+    assert len(stacks) == 1
+
+
 def test_check_fails_with_exit_three_on_a_drifted_field(tmp_path):
     out = solve_dir(tmp_path, "bad")
     eps = float(4.0 * default_tolerance(load_solve(str(out))))
@@ -619,6 +679,12 @@ def test_check_refuses_a_csv_it_cannot_map(tmp_path, damage):
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
+def run_fresh(*args: str) -> subprocess.CompletedProcess:
+    """Run the interpreter with args in a fresh process that imports this tree's package."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -649,8 +715,7 @@ def test_requests_do_not_import_numpy_ma(tmp_path, argv):
         "assert code == 0, code\n"
         "assert 'numpy.ma' not in sys.modules, 'numpy.ma was imported'\n"
     )
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-c", script, *argv], env=env, capture_output=True, text=True)
+    proc = run_fresh("-c", script, *argv)
     assert proc.returncode == 0, proc.stderr
 
 
@@ -736,3 +801,17 @@ def test_config_exit_codes(tmp_path):
     huge = tmp_path / "huge.json"
     huge.write_text(json.dumps({**preset_config("drift-sum-1d"), "params": {"sigma": 1e200}}))
     assert run("solve", "--config", huge, "--out", tmp_path / "x", "--steps", 5) == 2
+
+
+def test_overflowing_paths_exit_three_with_warnings_as_errors(tmp_path):
+    # the overflow reaches the finiteness check as inf or nan, not as a
+    # printed RuntimeWarning, nor as a traceback (exit 1) under -W error
+    out = tmp_path / "sim.json"
+    proc = run_fresh(
+        "-W", "error", "-m", "infogame.cli", "simulate", "--preset", "two-sided-1d",
+        "--samples", "2", "--h", "0.1", "--x0", "1e308", "--out", str(out),
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
+    assert "not finite" in proc.stderr
+    assert not out.exists()

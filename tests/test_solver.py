@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from envelope_reference import convexity_violation, vex_row
+from infogame import transform
 from infogame.errors import ConfigError
 from infogame.model import model_from_config, preset, preset_config
 from infogame.simplex import build_grid
 from infogame.solver import (
     Grids,
-    _apply_envelopes,
+    _envelope_stage,
     build_state_grid,
     cfl_limit,
     classical_solve,
@@ -187,25 +188,22 @@ def test_dual_project_reports_residuals():
     np.testing.assert_allclose(again.values, proj.values, rtol=0, atol=1e-12)
 
 
-def _row_loop_envelopes(grids, values, order):
-    """The envelope pair applied one row at a time through the per-row
-    reference envelope."""
-    work = values.reshape(-1, grids.p.npoints, grids.q.npoints).copy()
+def _row_loop_vex(grids, values):
+    """vex in p, one (x, q) row at a time through the per-row reference."""
+    out = values.copy()
+    for x in range(out.shape[0]):
+        for b in range(grids.q.npoints):
+            out[x, :, b] = vex_row(grids.p, out[x, :, b])
+    return out
 
-    def vex(arr):
-        for x in range(arr.shape[0]):
-            for b in range(grids.q.npoints):
-                arr[x, :, b] = vex_row(grids.p, arr[x, :, b])
-        return arr
 
-    def cav(arr):
-        for x in range(arr.shape[0]):
-            for a in range(grids.p.npoints):
-                arr[x, a, :] = -vex_row(grids.q, -arr[x, a, :])
-        return arr
-
-    work = cav(vex(work)) if order == "vex-cav" else vex(cav(work))
-    return work.reshape(values.shape)
+def _row_loop_cav(grids, values):
+    """cav in q, one (x, p) row at a time through the per-row reference."""
+    out = values.copy()
+    for x in range(out.shape[0]):
+        for a in range(grids.p.npoints):
+            out[x, a, :] = -vex_row(grids.q, -out[x, a, :])
+    return out
 
 
 def _mixed_field(grids, rng, nx=5):
@@ -217,22 +215,44 @@ def _mixed_field(grids, rng, nx=5):
     return values + noise
 
 
-@pytest.mark.parametrize("types,resolution", [(2, 8), (3, 4)])
-def test_dual_project_matches_the_row_loop(types, resolution):
+@pytest.mark.parametrize(
+    "p_lattice,q_lattice,calls",
+    [
+        ((2, 8), (2, 8), 2),  # equal lattices: each stage's two passes share one call
+        ((3, 4), (3, 4), 2),
+        ((2, 8), (3, 4), 4),
+        ((2, 8), (2, 4), 4),
+        ((2, 8), (1, 8), 1),  # one-sided: q has one point, one stage, one pass
+    ],
+    ids=["2-8", "3-4", "2-8-vs-3-4", "2-8-vs-2-4", "one-sided"],
+)
+def test_dual_project_matches_the_row_loop(monkeypatch, p_lattice, q_lattice, calls):
     grids = Grids(
         state=build_state_grid([(-1.0, 1.0)], [5]),
-        p=build_grid(types, resolution),
-        q=build_grid(types, resolution),
+        p=build_grid(*p_lattice),
+        q=build_grid(*q_lattice),
     )
-    values = _mixed_field(grids, np.random.default_rng(31 + types))
-    want = {order: _row_loop_envelopes(grids, values, order) for order in ("vex-cav", "cav-vex")}
-    for order, ref in want.items():
-        assert np.array_equal(_apply_envelopes(grids, values, order), ref)
+    values = _mixed_field(grids, np.random.default_rng(31 + sum(p_lattice) + sum(q_lattice)))
+    vexed, caved = _row_loop_vex(grids, values), _row_loop_cav(grids, values)
+    vex_cav, cav_vex = _row_loop_cav(grids, vexed), _row_loop_vex(grids, caved)
+    stage = _envelope_stage(grids, values, values)
+    assert np.array_equal(stage[0], vexed) and np.array_equal(stage[1], caved)
+    stage = _envelope_stage(grids, caved, vexed)
+    assert np.array_equal(stage[0], cav_vex) and np.array_equal(stage[1], vex_cav)
+
+    seen, inner = [], transform.vex_rows
+
+    def counted(*args):
+        seen.append(1)
+        return inner(*args)
+
+    monkeypatch.setattr(transform, "vex_rows", counted)
     proj = dual_project(grids, values)
-    ref = want["vex-cav"]
+    assert len(seen) == calls
+    ref = vex_cav  # on the one-sided lattice cav is the identity, and cav_vex is vex_cav
     assert np.array_equal(proj.values, ref)
     assert proj.residual == float(np.max(np.abs(ref - values)))
-    assert proj.commutation_residual == float(np.max(np.abs(ref - want["cav-vex"])))
+    assert proj.commutation_residual == float(np.max(np.abs(ref - cav_vex)))
     flat = ref.reshape(-1, grids.p.npoints, grids.q.npoints)
     worst_p = max([0.0] + [convexity_violation(grids.p, col) for blk in flat for col in blk.T])
     worst_q = max([0.0] + [convexity_violation(grids.q, -row) for blk in flat for row in blk])
