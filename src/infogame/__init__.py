@@ -49,7 +49,6 @@ from .solver import (
     Grids,
     SolveResult,
     StateGrid,
-    ValueField,
     build_state_grid,
     cfl_limit,
     classical_solve,

@@ -12,7 +12,9 @@ anything else.
 copy of its w column that starts with the SHA-256 of the CSV's bytes and
 the column.  `check` and `simulate --strategy feedback:` load a solve
 with `load_solve`, which takes the column from slices.f64 only when that
-digest matches and parses the CSV otherwise; loads never write.
+digest matches and parses the CSV otherwise; loads never write.  Both
+sides hold the field as one (nt, *state shape, P, Q) stack: the writer
+reads its slices in time order, and a load reshapes the column into it.
 """
 
 from __future__ import annotations
@@ -38,7 +40,6 @@ from .dualcheck import (
     check_dual_solution,
     default_tolerance,
     primal_crosscheck,
-    stacked,
 )
 from .errors import ConfigError, NumericsError
 from .hamiltonian import is_probability_vector
@@ -55,7 +56,7 @@ from .simulator import (
     payoff_samples,
     pq_estimate,
 )
-from .solver import Grids, SolveResult, ValueField, _time_rounding, build_state_grid, solve
+from .solver import Grids, SolveResult, _check_grids, _time_rounding, build_state_grid, solve
 from .transform import cav_q, vex_p
 
 
@@ -183,10 +184,10 @@ def _write_solve_outputs(out_dir: str, result: SolveResult, cfg_resolved: dict, 
 
     def slice_chunks():
         yield (_slices_header(grids) + "\n").encode()
-        for fld in result.fields:
-            cells[::2] = [repr(float(fld.t)).encode()] * (len(cells) // 2)
-            # .tolist() gives Python floats: %a of a numpy scalar prints np.float64(...)
-            cells[1::2] = fld.values.ravel().tolist()
+        # .tolist() gives Python floats: %a of a numpy scalar prints np.float64(...)
+        for t, values in zip(result.times.tolist(), result.values):
+            cells[::2] = [repr(t).encode()] * (len(cells) // 2)
+            cells[1::2] = values.ravel().tolist()
             yield template % tuple(cells)
 
     # the digest covers the exact CSV bytes and then the binary w column
@@ -199,12 +200,24 @@ def _write_solve_outputs(out_dir: str, result: SolveResult, cfg_resolved: dict, 
             del data  # one slice in memory at a time: free it before the next is built
     with _atomic_file(os.path.join(out_dir, _VALUES_FILE)) as handle:
         handle.write(bytes(_DIGEST_BYTES))
-        for fld in result.fields:
-            data = np.asarray(fld.values, dtype="<f8").tobytes()
+        for values in result.values:
+            data = np.asarray(values, dtype="<f8").tobytes()
             digest.update(data)
             handle.write(data)
         handle.seek(0)
         handle.write(digest.digest())
+    # diagnostics lists run from the first step back, at T - dt, to t0; the
+    # terminal slice, last in time, is not projected
+    diag = result.diagnostics
+    per_slice = {
+        name: diag[key][::-1] + [0.0]
+        for name, key in (
+            ("projection_residual", "projection_residuals"),
+            ("commutation_residual", "commutation_residuals"),
+            ("convexity_violation_p", "convexity_violations_p"),
+            ("concavity_violation_q", "concavity_violations_q"),
+        )
+    }
     meta = {
         "config": cfg_resolved,
         "config_sha256": cfg_sha,
@@ -216,14 +229,9 @@ def _write_solve_outputs(out_dir: str, result: SolveResult, cfg_resolved: dict, 
         },
         "t0": result.t0,
         "dt": result.dt,
-        "times": [f.t for f in result.fields],
-        "per_slice": {
-            "projection_residual": [f.projection_residual for f in result.fields],
-            "commutation_residual": [f.commutation_residual for f in result.fields],
-            "convexity_violation_p": [f.convexity_violation_p for f in result.fields],
-            "concavity_violation_q": [f.concavity_violation_q for f in result.fields],
-        },
-        "diagnostics": result.diagnostics,
+        "times": result.times,
+        "per_slice": per_slice,
+        "diagnostics": diag,
     }
     _write_atomic(os.path.join(out_dir, "diagnostics.json"), _dump_json(meta))
 
@@ -294,7 +302,9 @@ def load_solve(out_dir: str, config: dict | None = None) -> SolveResult:
     writes for the recorded grid.  The w column is taken from slices.f64
     when that file's digest matches slices.csv, and parsed from the CSV
     otherwise, where every row's coordinate cells must be the ones solve
-    writes; both give the same bits.  With a resolved `config`, refuse
+    writes; both give the same bits, reshaped into the result's
+    (nt, *state shape, P, Q) stack.  The recorded grid must fit the
+    recorded game as a solve's grids do.  With a resolved `config`, refuse
     a solve whose recorded config differs from it as canonical JSON.
     """
     meta_path = os.path.join(out_dir, "diagnostics.json")
@@ -319,6 +329,7 @@ def load_solve(out_dir: str, config: dict | None = None) -> SolveResult:
             p=build_grid(model.u_types, int(g["p_resolution"])),
             q=build_grid(model.v_types, int(g["q_resolution"])),
         )
+        _check_grids(model, grids)
         times = [float(t) for t in meta["times"]]
         t0, dt = float(meta["t0"]), float(meta["dt"])
         _check_time_grid(times, t0, dt)
@@ -330,14 +341,13 @@ def load_solve(out_dir: str, config: dict | None = None) -> SolveResult:
         values = _cached_values(csv, os.path.join(out_dir, _VALUES_FILE), count)
         if values is None:
             values = _parse_values(csv[:], count, grids, times)
-        stack = values.reshape(len(times), *state.shape, grids.p.npoints, grids.q.npoints)
-        fields = [ValueField(t=t, values=stack[k]) for k, t in enumerate(times)]
         return SolveResult(
             model=model,
             grids=grids,
             t0=t0,
             dt=dt,
-            fields=fields,
+            times=np.array(times),
+            values=values.reshape(len(times), *state.shape, grids.p.npoints, grids.q.npoints),
             diagnostics=meta.get("diagnostics", {}),
         )
     except ConfigError:
@@ -360,8 +370,8 @@ def _cmd_solve(args) -> int:
         p=build_grid(model.u_types, args.np),
         q=build_grid(model.v_types, args.nq),
     )
-    if args.t0 >= model.horizon:
-        raise ConfigError("t0 must lie strictly before the horizon")
+    if args.steps < 1:
+        raise ConfigError(f"--steps must be at least 1, got {args.steps}")
     dt = (model.horizon - args.t0) / args.steps
     started = time.perf_counter()
     result = solve(
@@ -471,10 +481,9 @@ def _cmd_check(args) -> int:
     result = load_solve(args.solve)
     tol = args.tol if args.tol is not None else default_tolerance(result)
     started = time.perf_counter()
-    with stacked(result):
-        probes = {"probes_p": build_probes(result, "p"), "probes_q": build_probes(result, "q")}
-        report = check_dual_solution(result, tol=tol, max_checks=args.max_checks, **probes)
-        cross = primal_crosscheck(result, tol=tol, **probes)
+    probes = {"probes_p": build_probes(result, "p"), "probes_q": build_probes(result, "q")}
+    report = check_dual_solution(result, tol=tol, max_checks=args.max_checks, **probes)
+    cross = primal_crosscheck(result, tol=tol, **probes)
     elapsed = time.perf_counter() - started
     residuals = [
         report.supersolution_residual, report.subsolution_residual,

@@ -31,7 +31,10 @@ runtime stays bounded; uniform defects (time-affine perturbations) are
 visible at every node, so subsampling cannot hide them, and a single
 shifted slice shows at the audited nodes of its two neighbours.
 
-Both audits work a side at a time, one opponent belief node at a time.
+Every audit reads the solve's field stack, `SolveResult.values`, in
+place: `_stack` only checks it (three slices or more, every value
+finite), so no audit copies the field.  Both audits work a side at a
+time, one opponent belief node at a time.
 The conjugate route never forms a whole (t, x) conjugate stack: at each
 audited pick `_queue_conjugate` gathers w on the pick's jet stencil only
 (the centre, t +- 1 and the state neighbours of `_stencil`), scores
@@ -55,8 +58,6 @@ so a check never imports numpy.ma.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,8 +76,6 @@ _PROBE_CAP = 64
 # floats per stencil gather (picks, stencil, K) and per kernel table
 # (rows, |U|, |V|): bounds the audits' working set
 _BLOCK_FLOATS = 2**14
-# (result, its checked field stack) inside a `stacked` block
-_HELD: ContextVar[tuple[SolveResult, np.ndarray] | None] = ContextVar("_HELD", default=None)
 
 
 @dataclass(frozen=True)
@@ -112,28 +111,13 @@ def default_tolerance(result: SolveResult) -> float:
     return 10.0 * (dx + result.dt) * result.model.lipschitz_bound
 
 
-@contextmanager
-def stacked(result: SolveResult):
-    """Stack and check result's fields once for every audit of result run
-    inside the block, instead of once per audit call."""
-    token = _HELD.set((result, _stack(result)))
-    try:
-        yield
-    finally:
-        _HELD.reset(token)
-
-
 def _stack(result: SolveResult) -> np.ndarray:
-    held = _HELD.get()
-    if held is not None and held[0] is result:
-        return held[1]
-    if len(result.fields) < 3:
+    """result.values, checked: at least three slices, every value finite."""
+    if len(result.values) < 3:
         raise ConfigError("residual audits need at least three time slices")
-    stack = np.stack([f.values for f in result.fields])
-    if not np.all(np.isfinite(stack)):
+    if not np.all(np.isfinite(result.values)):
         raise ConfigError("residual audits need a finite value field")
-    stack.flags.writeable = False  # a `stacked` block hands the same array to every audit
-    return stack
+    return result.values
 
 
 def _core_nodes(result: SolveResult) -> list[tuple[int, ...]]:
@@ -334,7 +318,6 @@ class _Rows:
 
     def __init__(self, result: SolveResult, sense: int, combine):
         self.result, self.sense, self.combine = result, sense, combine
-        self.times = result.times  # a property that stacks every field's t
         model = result.model
         self.cap = max(1, _BLOCK_FLOATS // (model.u_set.count * model.v_set.count))
         self.blocks: list[tuple] = []  # (out, done, (target, t, x, grad, hess, p, q, xi))
@@ -346,7 +329,7 @@ class _Rows:
         x = np.stack([ax[i] for ax, i in zip(grid.axes, nodes.T)], axis=-1)
         opp = np.broadcast_to(opp_point, (len(target), opp_point.size))
         p, q = _beliefs(self.sense, own_points, opp)
-        self.blocks.append((out, done, (target, self.times[ti], x, grad, hess, p, q, xi)))
+        self.blocks.append((out, done, (target, self.result.times[ti], x, grad, hess, p, q, xi)))
         self.count += len(target)
         while self.count >= self.cap:
             self._call()

@@ -592,7 +592,7 @@ def feedback_from_field(
     grid = grids.state
     p_idx = int(np.argmin(np.linalg.norm(grids.p.points - p0[None, :], axis=1)))
     q_idx = int(np.argmin(np.linalg.norm(grids.q.points - q0[None, :], axis=1)))
-    slab = np.stack([f.values[..., p_idx, q_idx] for f in result.fields], axis=-1)
+    slab = np.moveaxis(result.values[..., p_idx, q_idx], 0, -1)
     grad, second, mixed = _derivatives(grid, slab)  # state axes, then t
     table = pair_table(
         model,

@@ -37,6 +37,12 @@ of the same dim and resolution a stage's two passes share one call.
 The convexity certificates are one batched gather over the lattice
 triples.  The solver, like the rest of the library, runs on the calling
 thread only; INFOGAME_THREADS changes none of its results or timings.
+
+A solve holds its field as one array: `SolveResult.values`, shape
+(nt, *state shape, P, Q), ascending in time with the terminal slice last,
+beside `SolveResult.times` (nt,).  `solve` fills it in place from the
+terminal slice back; each time is the previous one minus dt, so the
+times carry the rounding of the repeated subtraction.
 """
 
 from __future__ import annotations
@@ -113,42 +119,23 @@ class Grids:
     q: SimplexGrid
 
 
-@dataclass(frozen=True)
-class ValueField:
-    t: float
-    values: np.ndarray  # (*state shape, n_p_points, n_q_points)
-    convexity_violation_p: float = 0.0
-    concavity_violation_q: float = 0.0
-    projection_residual: float = 0.0
-    commutation_residual: float = 0.0
-
-
 @dataclass
 class SolveResult:
     model: GameModel
     grids: Grids
     t0: float
     dt: float
-    fields: list[ValueField]  # ascending time, fields[-1] is the terminal slice
+    times: np.ndarray  # (nt,), ascending; times[-1] is the horizon
+    values: np.ndarray  # (nt, *state shape, P, Q); values[-1] is the terminal slice
     diagnostics: dict = field(default_factory=dict)
 
-    @property
-    def times(self) -> np.ndarray:
-        return np.array([f.t for f in self.fields])
 
-    def field_at(self, t: float, tol: float = 1e-9) -> ValueField:
-        for f in self.fields:
-            if abs(f.t - t) <= tol:
-                return f
-        raise KeyError(f"no solved slice at t = {t}")
-
-
-def terminal_field(model: GameModel, grids: Grids) -> ValueField:
+def terminal_field(model: GameModel, grids: Grids) -> np.ndarray:
+    """The terminal slice sum_ij p_i q_j g_ij(x), shape (*state shape, P, Q)."""
     _check_grids(model, grids)
     mesh = grids.state.mesh()
     gmat = terminal_matrix(model, mesh)  # (*shape, I, J)
-    values = np.einsum("...ij,ai,bj->...ab", gmat, grids.p.points, grids.q.points)
-    return ValueField(t=model.horizon, values=values)
+    return np.einsum("...ij,ai,bj->...ab", gmat, grids.p.points, grids.q.points)
 
 
 def _time_rounding(times) -> tuple[float, float]:
@@ -285,20 +272,21 @@ def numerical_hamiltonian(
 def hjb_step(
     model: GameModel,
     grids: Grids,
-    w_next: ValueField,
+    t: float,
+    values: np.ndarray,
     dt: float,
     *,
     cfl_factor: float = 0.5,
     validate: bool = True,
-) -> ValueField:
-    """One explicit backward step; coefficients evaluated at the data time."""
+) -> np.ndarray:
+    """One explicit backward step from the slice at t to the one at t - dt;
+    coefficients evaluated at the data time t."""
     if validate:
         validate_time_step(model, grids.state, dt, cfl_factor)
-    ham = numerical_hamiltonian(model, grids, w_next.t, w_next.values)
-    values = w_next.values + dt * ham
-    if not np.all(np.isfinite(values)):
-        raise NumericsError(f"non-finite values after step to t = {w_next.t - dt:g}")
-    return ValueField(t=w_next.t - dt, values=values)
+    stepped = values + dt * numerical_hamiltonian(model, grids, t, values)
+    if not np.all(np.isfinite(stepped)):
+        raise NumericsError(f"non-finite values after step to t = {t - dt:g}")
+    return stepped
 
 
 @dataclass(frozen=True)
@@ -422,33 +410,30 @@ def solve(
             f"{_ISAACS_TOL:g}; min-max and max-min orders disagree"
         )
 
-    fields = [terminal_field(model, grids)]
+    times = np.empty(steps + 1)
+    values = np.empty((steps + 1, *grids.state.shape, grids.p.npoints, grids.q.npoints))
+    times[-1], values[-1] = model.horizon, terminal_field(model, grids)
+    max_abs = float(np.max(np.abs(values[-1])))
     proj_residuals: list[float] = []
     commutation_residuals: list[float] = []
     cert_p: list[float] = []
     cert_q: list[float] = []
-    for _ in range(steps):
-        stepped = hjb_step(model, grids, fields[-1], dt, cfl_factor=cfl_factor,
+    for k in range(steps - 1, -1, -1):
+        t = times[k + 1]
+        stepped = hjb_step(model, grids, t, values[k + 1], dt, cfl_factor=cfl_factor,
                            validate=False)
         if project:
-            proj = dual_project(grids, stepped.values)
-            stepped = ValueField(
-                t=stepped.t,
-                values=proj.values,
-                convexity_violation_p=proj.convexity_violation_p,
-                concavity_violation_q=proj.concavity_violation_q,
-                projection_residual=proj.residual,
-                commutation_residual=proj.commutation_residual,
-            )
+            proj = dual_project(grids, stepped)
+            stepped = proj.values
             proj_residuals.append(proj.residual)
             commutation_residuals.append(proj.commutation_residual)
             cert_p.append(proj.convexity_violation_p)
             cert_q.append(proj.concavity_violation_q)
-        if not np.all(np.isfinite(stepped.values)):
-            raise NumericsError(f"non-finite values at t = {stepped.t:g}")
-        fields.append(stepped)
+        if not np.all(np.isfinite(stepped)):
+            raise NumericsError(f"non-finite values at t = {t - dt:g}")
+        times[k], values[k] = t - dt, stepped
+        max_abs = max(max_abs, float(np.max(np.abs(stepped))))
 
-    fields.reverse()
     value_bound = model.terminal_bound + span * model.running_bound
     diagnostics = {
         "steps": steps,
@@ -461,11 +446,12 @@ def solve(
         "commutation_residuals": commutation_residuals,
         "convexity_violations_p": cert_p,
         "concavity_violations_q": cert_q,
-        "max_abs_value": float(max(np.max(np.abs(f.values)) for f in fields)),
+        "max_abs_value": max_abs,
         "value_bound": value_bound,
     }
     return SolveResult(
-        model=model, grids=grids, t0=t0, dt=dt, fields=fields, diagnostics=diagnostics
+        model=model, grids=grids, t0=t0, dt=dt, times=times, values=values,
+        diagnostics=diagnostics,
     )
 
 

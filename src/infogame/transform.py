@@ -31,16 +31,38 @@ _AFFINE_RTOL = 1e-11
 _AFFINE_GUARD = 100.0
 _FIXED_POINT_TOL = 1e-12
 _DOWNWARD_TOL = 1e-12  # a lower facet's unit normal has w component below -this
+_FLOAT_MAX = float(np.finfo(float).max)
 
 
 def _check_rows(grid: SimplexGrid, rows: np.ndarray) -> np.ndarray:
+    """rows as a (rows, npoints) float table whose values are finite and at
+    most B in magnitude, so that no step of the envelope overflows.
+
+    With F the largest float and |w| <= M <= B: the fixed-point screen's
+    mid - (lo + hi) / 2 is at most 2M.  On two-component lattices of
+    resolution N the chain's cross products are at most 4NM, and its
+    interpolations and chord slopes at most 2NM, so B = F / (4N).  On
+    larger simplices the hull of the cloud (reduced p, w / s), s <= max(1, M),
+    keeps a lower facet only when its unit normal (n, n_w, c) has
+    n_w < -_DOWNWARD_TOL; the scaled gradient n s / -n_w is at most
+    max(1, M) / _DOWNWARD_TOL per component, the offset c s / -n_w at most
+    sqrt(2) max(1, M) / _DOWNWARD_TOL (the facet passes through a cloud
+    point, of norm at most sqrt(2) max(1, M / s)), and so a plane at a node,
+    whose reduced coordinates sum to at most 1, at most
+    (1 + sqrt(2)) max(1, M) / _DOWNWARD_TOL: B = F * _DOWNWARD_TOL / (1 + sqrt(2)).
+    """
     rows = np.asarray(rows, dtype=float)
     if rows.ndim != 2 or rows.shape[1] != grid.npoints:
         raise ConfigError(
             f"rows shape {rows.shape} does not match grid (rows, {grid.npoints})"
         )
-    if not np.all(np.isfinite(rows)):
-        raise ConfigError("tabulated values must be finite")
+    if grid.dim <= 2:
+        bound = _FLOAT_MAX / (4 * grid.resolution)
+    else:
+        bound = _FLOAT_MAX * _DOWNWARD_TOL / (1 + np.sqrt(2))
+    # a NaN fails both comparisons
+    if not (-bound <= rows.min(initial=0.0) and rows.max(initial=0.0) <= bound):
+        raise ConfigError(f"tabulated values must be finite and at most {bound:g} in magnitude")
     return rows
 
 

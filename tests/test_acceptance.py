@@ -104,19 +104,17 @@ def test_criterion_01_terminal_condition():
         result = solve(m, grids, t0=0.0, dt=m.horizon / steps)
         gmat = terminal_matrix(m, grids.state.mesh())
         want = np.einsum("...ij,ai,bj->...ab", gmat, grids.p.points, grids.q.points)
-        np.testing.assert_array_equal(result.fields[-1].values, want)
+        np.testing.assert_array_equal(result.values[-1], want)
 
 
 def test_criterion_02_convexity_and_bounds(two_sided):
     with criterion(2, "projected slices convex in p, concave in q, inside the bound sandwich"):
         m, grids, result = two_sided
-        for fld in result.fields:
-            assert fld.convexity_violation_p <= 1e-10
-            assert fld.concavity_violation_q <= 1e-10
+        assert max(result.diagnostics["convexity_violations_p"]) <= 1e-10
+        assert max(result.diagnostics["concavity_violations_q"]) <= 1e-10
         vq = [vertex(grids.q, j) for j in range(2)]
         vp = [vertex(grids.p, i) for i in range(2)]
-        for fld in result.fields:
-            w = fld.values
+        for w in result.values:
             lower = np.einsum("xaj,bj->xab", w[:, :, vq], grids.q.points)
             upper = np.einsum("xib,ai->xab", w[:, vp, :], grids.p.points)
             assert np.all(lower - 1e-8 <= w)
@@ -131,26 +129,25 @@ def test_criterion_03_vertex_reduction(two_sided):
             for j in range(2):
                 cl = classical_solve(m, grids.state, i, j, t0=0.0, dt=result.dt)
                 a, b = vertex(grids.p, i), vertex(grids.q, j)
-                for full_f, cl_f in zip(result.fields, cl.fields):
-                    assert full_f.t == cl_f.t
-                    got = full_f.values[interior, a, b]
-                    want = cl_f.values[interior, 0, 0]
-                    np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
+                np.testing.assert_array_equal(result.times, cl.times)
+                got = result.values[:, interior, a, b]
+                want = cl.values[:, interior, 0, 0]
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
 
 
 def test_criterion_04_classical_analytic_case(classical):
     with criterion(4, "symmetric-drift classical value equals x on the interior core"):
         m, grids, result = classical
         axis = grids.state.axes[0]
-        nt = len(result.fields)
+        nt = len(result.values)
         tol = 5.0 * (grids.state.spacing[0] + result.dt)
         checked = 0
-        for k, fld in enumerate(result.fields):
+        for k, w in enumerate(result.values):
             margin = nt - 1 - k  # boundary data travels one node per step
             lo, hi = margin + 1, axis.size - margin - 1
             if lo >= hi:
                 continue
-            core = fld.values[lo:hi, 0, 0]
+            core = w[lo:hi, 0, 0]
             np.testing.assert_allclose(core, axis[lo:hi], rtol=0, atol=tol)
             checked += core.size
         assert checked > 0  # the grid is wide enough to keep a core at t0
@@ -167,7 +164,7 @@ def test_criterion_05_one_sided_agreement():
         grids = Grids(state=build_state_grid([(0.0, 0.0)], [1]), p=pg, q=build_grid(1, 1))
         result = solve(m, grids, t0=0.0, dt=h)
         np.testing.assert_allclose(
-            result.fields[0].values[0, :, 0], osr.values, rtol=0, atol=1e-9
+            result.values[0, 0, :, 0], osr.values, rtol=0, atol=1e-9
         )
 
         # state-dependent drift control: first-order agreement in (dx, sqrt(h))
@@ -179,7 +176,7 @@ def test_criterion_05_one_sided_agreement():
         grids2 = Grids(state=grid2, p=pg2, q=build_grid(1, 1))
         result2 = solve(m2, grids2, t0=0.0, dt=m2.horizon / 100)
         mid = int(np.argmin(np.abs(grid2.axes[0])))
-        got = result2.fields[0].values[mid, :, 0]
+        got = result2.values[0, mid, :, 0]
         tol = 5.0 * (grid2.spacing[0] + np.sqrt(0.1))
         np.testing.assert_allclose(got, osr2.values, rtol=0, atol=tol)
 
@@ -245,8 +242,7 @@ def test_criterion_08_monotone_comparison():
         grids = Grids(state=grid, p=build_grid(2, 4), q=build_grid(1, 1))
         r_lo = solve(m_lo, grids, t0=0.0, dt=m_lo.horizon / steps)
         r_hi = solve(m_hi, grids, t0=0.0, dt=m_hi.horizon / steps)
-        for f_lo, f_hi in zip(r_lo.fields, r_hi.fields):
-            assert np.all(f_lo.values <= f_hi.values)
+        assert np.all(r_lo.values <= r_hi.values)
 
 
 def test_criterion_09_dual_residuals(classical):

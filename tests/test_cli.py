@@ -7,6 +7,7 @@ import os
 import stat
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from infogame.errors import ConfigError
 from infogame.model import model_from_config, preset, preset_config, resolved_config
 from infogame.oracle import TreeGame, one_sided_recursion
 from infogame.simplex import build_grid
-from infogame.solver import Grids, SolveResult, ValueField, build_state_grid, solve
+from infogame.solver import Grids, SolveResult, build_state_grid, dual_project, hjb_step, solve
 from infogame.transform import vex_p
 
 
@@ -51,10 +52,8 @@ def test_solve_outputs_match_the_library(tmp_path):
         q=build_grid(1, 1),
     )
     direct = solve(m, grids, t0=0.0, dt=m.horizon / 25)
-    assert len(loaded.fields) == len(direct.fields)
-    for a, b in zip(loaded.fields, direct.fields):
-        assert a.t == b.t
-        np.testing.assert_array_equal(a.values, b.values)
+    np.testing.assert_array_equal(loaded.times, direct.times)
+    np.testing.assert_array_equal(loaded.values, direct.values)
 
 
 def test_solve_reruns_are_byte_identical(tmp_path):
@@ -124,7 +123,7 @@ def cache_solve(tmp_path, kind: str):
 
 
 def loaded_bits(out) -> np.ndarray:
-    return np.stack([f.values for f in load_solve(str(out)).fields]).view(np.uint64)
+    return load_solve(str(out)).values.view(np.uint64)
 
 
 @pytest.fixture
@@ -207,25 +206,39 @@ def test_a_cache_of_another_grid_is_not_used(tmp_path, monkeypatch, parse_spy):
 
 
 EXTREME_W = [-0.0, 5e-324, 1e-05, 1e16, -1.7976931348623157e308]
+# the per-step diagnostics lists of a hand-written solve of two steps
+TWO_STEPS = dict.fromkeys(
+    ("projection_residuals", "commutation_residuals", "convexity_violations_p",
+     "concavity_violations_q"),
+    [0.0, 0.0],
+)
+
+
+def write_hand_solve(out, result, cfg, cfg_sha):
+    out.mkdir()
+    cli._write_solve_outputs(str(out), result, resolved_config(cfg), cfg_sha)
 
 
 @pytest.mark.parametrize(
     "bounds,counts", [([(-1.0, 0.5)], [3]), ([(-1.0, 1.0), (0.0, 0.3)], [2, 3])], ids=["1d", "2d"]
 )
 def test_slices_csv_rows_are_the_repr_of_their_cells(tmp_path, monkeypatch, parse_spy, bounds, counts):
+    # no preset has a 2-d state, so the 2-d grid holds a solve of a 1-d game:
+    # its files round-trip through the two column readers, and load_solve
+    # refuses it
     cfg, cfg_sha = cli._load_config(None, "two-sided-1d")
     model = model_from_config(cfg)
     grids = Grids(state=build_state_grid(bounds, counts), p=build_grid(2, 2), q=build_grid(2, 1))
     shape = (*grids.state.shape, grids.p.npoints, grids.q.npoints)
     dt = 0.125
-    fields = [
-        ValueField(t=model.horizon - k * dt, values=np.resize(np.roll(EXTREME_W, k), shape))
-        for k in reversed(range(3))
-    ]
-    result = SolveResult(model=model, grids=grids, t0=fields[0].t, dt=dt, fields=fields)
+    times = np.array([model.horizon - k * dt for k in reversed(range(3))])
+    values = np.stack([np.resize(np.roll(EXTREME_W, k), shape) for k in reversed(range(3))])
+    result = SolveResult(
+        model=model, grids=grids, t0=times[0], dt=dt, times=times, values=values,
+        diagnostics=TWO_STEPS,
+    )
     out = tmp_path / "hand"
-    out.mkdir()
-    cli._write_solve_outputs(str(out), result, resolved_config(cfg), cfg_sha)
+    write_hand_solve(out, result, cfg, cfg_sha)
 
     lines = (out / "slices.csv").read_text().splitlines()
     ndim = grids.state.ndim
@@ -234,8 +247,8 @@ def test_slices_csv_rows_are_the_repr_of_their_cells(tmp_path, monkeypatch, pars
     )
     mesh = grids.state.mesh().reshape(-1, ndim)
     want = [
-        ",".join(repr(float(c)) for c in (fld.t, *x, *p, *q, fld.values[(*node, a, b)]))
-        for fld in fields
+        ",".join(repr(float(c)) for c in (t, *x, *p, *q, w[(*node, a, b)]))
+        for t, w in zip(times, values)
         for node, x in zip(np.ndindex(grids.state.shape), mesh)
         for a, p in enumerate(grids.p.points)
         for b, q in enumerate(grids.q.points)
@@ -243,11 +256,41 @@ def test_slices_csv_rows_are_the_repr_of_their_cells(tmp_path, monkeypatch, pars
     assert lines[1:] == want
     assert {float(line.rsplit(",", 1)[1]) for line in want} == set(EXTREME_W)
 
-    bits = np.stack([fld.values for fld in fields]).view(np.uint64)
+    bits = values.view(np.uint64)
+    csv = (out / "slices.csv").read_bytes()
+    cached = cli._cached_values(csv, str(out / "slices.f64"), values.size)
+    assert np.array_equal(cached.view(np.uint64), bits.ravel())
+    parsed = cli._parse_values(csv, values.size, grids, times.tolist())
+    assert np.array_equal(parsed.view(np.uint64), bits.ravel())
+    parse_spy.clear()
+    if ndim > 1:
+        with pytest.raises(ConfigError, match="dimension"):
+            load_solve(str(out))
+        return
     assert np.array_equal(loaded_bits(out), bits)
     assert parse_spy == []  # the digest path
     assert np.array_equal(parsed_bits(out, monkeypatch), bits)
     assert len(parse_spy) == 1
+
+
+def test_a_solve_on_a_grid_of_another_dimension_is_refused(tmp_path):
+    # a 1-d solve repeated along a second state axis: check used to audit it
+    # and pass, while simulate refused it
+    cfg, cfg_sha = cli._load_config(None, "two-sided-1d")
+    model = model_from_config(cfg)
+    line = build_state_grid([(-2.0, 2.0)], [9])
+    grids = Grids(state=line, p=build_grid(2, 2), q=build_grid(2, 2))
+    result = solve(model, grids, t0=0.2, dt=0.05)
+    values = np.repeat(result.values[:, :, None], 9, axis=2)
+    plane = replace(grids, state=build_state_grid([(-2.0, 2.0)] * 2, [9, 9]))
+    out = tmp_path / "plane"
+    write_hand_solve(out, replace(result, grids=plane, values=values), cfg, cfg_sha)
+    assert run("check", "--solve", out) == 2
+    assert not (out / "check.json").exists()
+    assert run(
+        "simulate", "--preset", "two-sided-1d", "--out", tmp_path / "sim.json", "--h", "0.05",
+        "--t0", "0.2", "--samples", 2, "--strategy", f"feedback:{out}",
+    ) == 2
 
 
 def test_check_refuses_a_header_of_another_grid(tmp_path):
@@ -273,6 +316,44 @@ def test_solve_records_projection_diagnostics(tmp_path):
     assert len(per["projection_residual"]) == len(meta["times"])
     assert max(abs(v) for v in per["convexity_violation_p"]) <= 1e-10
     assert meta["grid"]["p_resolution"] == 4
+
+
+def test_the_solved_stack_replays_one_step_at_a_time(tmp_path):
+    # slice k is slice k + 1 stepped back and projected, the times step down
+    # from the horizon, and the per-slice lists are the per-step ones from
+    # t0 up with the terminal slice's 0.0 last
+    cfg, cfg_sha = cli._load_config(None, "two-sided-1d")
+    model = model_from_config(cfg)
+    grids = Grids(state=build_state_grid([(-2.0, 2.0)], [11]), p=build_grid(2, 3), q=build_grid(2, 3))
+    dt = model.horizon / 8
+    result = solve(model, grids, t0=0.0, dt=dt)
+    times = [model.horizon]
+    for _ in range(8):
+        times.insert(0, times[0] - dt)
+    assert result.times.tolist() == times
+    for k in range(8):
+        stepped = hjb_step(model, grids, result.times[k + 1], result.values[k + 1], dt)
+        assert result.values[k].tobytes() == dual_project(grids, stepped).values.tobytes()
+    out = tmp_path / "replay"
+    write_hand_solve(out, result, cfg, cfg_sha)
+    meta = json.loads((out / "diagnostics.json").read_text())
+    assert meta["times"] == times
+    for name, key in (
+        ("projection_residual", "projection_residuals"),
+        ("commutation_residual", "commutation_residuals"),
+        ("convexity_violation_p", "convexity_violations_p"),
+        ("concavity_violation_q", "concavity_violations_q"),
+    ):
+        assert len(result.diagnostics[key]) == 8
+        assert meta["per_slice"][name] == result.diagnostics[key][::-1] + [0.0]
+
+
+@pytest.mark.parametrize("steps", [0, -1])
+def test_solve_refuses_fewer_than_one_step(tmp_path, capsys, steps):
+    out = tmp_path / "x"
+    assert run("solve", "--preset", "two-sided-1d", "--out", out, "--nx", 9, "--steps", steps) == 2
+    assert "--steps must be at least 1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_solve_bounds_take_every_float_literal(tmp_path, capsys):
@@ -400,7 +481,7 @@ def test_simulate_feedback_extracts_at_the_requested_belief(tmp_path):
     result = load_solve(str(field))
     k = int(np.argmin(np.abs(result.grids.state.axes[0])))
     vertex = result.grids.p.index_of((4, 0))
-    value = float(result.fields[0].values[k, vertex, 0])
+    value = float(result.values[0, k, vertex, 0])
     gap = abs(payload["combined_estimate"] - value)
     assert gap < 0.15 + 3.0 * payload["combined_stderr"], (gap, value)
 
@@ -514,19 +595,21 @@ def test_check_builds_the_probes_once_per_side(tmp_path, monkeypatch):
 
 
 def test_check_stacks_the_field_once(tmp_path, monkeypatch):
-    # the probes of both sides and both audits share one stacked, checked field
+    # load_solve reads the field as one stack; the probes of both sides and
+    # both audits read that stack in place, and stack no slices again
     out = solve_dir(tmp_path)
-    fields = load_solve(str(out)).fields
+    slice_shape = load_solve(str(out)).values.shape[1:]
     stacks, inner = [], np.stack
 
     def counted(arrays, *args, **kwargs):
-        if len(arrays) == len(fields) and all(np.shape(a) == fields[0].values.shape for a in arrays):
-            stacks.append(1)
+        arrays = list(arrays)
+        if any(np.shape(a) == slice_shape for a in arrays):
+            stacks.append(len(arrays))
         return inner(arrays, *args, **kwargs)
 
     monkeypatch.setattr(np, "stack", counted)
     assert run("check", "--solve", out) == 0
-    assert len(stacks) == 1
+    assert stacks == []
 
 
 def test_check_fails_with_exit_three_on_a_drifted_field(tmp_path):
@@ -653,7 +736,7 @@ def test_solves_far_from_time_zero_load(tmp_path):
         "solve", "--config", config, "--out", out, "--nx", 1, "--np", 1, "--nq", 1,
         f"--t0={t0}", "--steps", 700,
     ) == 0
-    assert len(load_solve(str(out)).fields) == 701
+    assert len(load_solve(str(out)).times) == 701
 
 
 def test_check_missing_directory_is_a_config_error(tmp_path):
@@ -760,6 +843,26 @@ def test_convexify_rejects_malformed_tables(tmp_path):
     assert (
         attempt("p_1,p_2,w\n1.0,0.0,1.0\n1.0,0.0,2.0\n0.0,1.0,3.0\n") == 2
     )  # duplicate point
+
+
+# a 2-type and a 3-type table whose envelope arithmetic overflows: the
+# 2-type envelope is 0 at (1/2, 1/2), not 1e308
+OVERFLOWING_TABLES = [
+    "p_1,p_2,w\n1,0,1e308\n0,1,-1e308\n0.5,0.5,1e308\n",
+    "p_1,p_2,p_3,w\n1,0,0,1e308\n0,1,0,-1e308\n0,0,1,1e308\n"
+    "0.5,0.5,0,1e308\n0.5,0,0.5,1e308\n0,0.5,0.5,1e308\n",
+]
+
+
+@pytest.mark.parametrize("table", OVERFLOWING_TABLES, ids=["2type", "3type"])
+@pytest.mark.parametrize("mode", ["vex", "cav"])
+def test_convexify_refuses_values_that_overflow_the_envelope(tmp_path, capsys, table, mode):
+    path = tmp_path / "t.csv"
+    path.write_text(table)
+    out = tmp_path / "o.csv"
+    assert run("convexify", "--table", path, "--out", out, "--mode", mode) == 2
+    assert "in magnitude" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # ----------------------------------------------------------------- oracle

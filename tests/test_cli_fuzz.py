@@ -266,6 +266,14 @@ def tables(draw):
 @FUZZ
 @given(table=tables(), mode=st.sampled_from(("vex", "cav", "hull")))
 @example(table="p_1,p_2,w\n1.0,0.0,x\n0.0,1.0,0.0\n", mode="vex")  # once a ValueError
+@example(  # the chain's cross products once overflowed to a wrong envelope
+    table="p_1,p_2,w\n1,0,1e308\n0,1,-1e308\n0.5,0.5,1e308\n", mode="vex"
+)
+@example(  # the scaled facet normals once overflowed to nan cells
+    table="p_1,p_2,p_3,w\n1,0,0,1e308\n0,1,0,-1e308\n0,0,1,1e308\n"
+    "0.5,0.5,0,1e308\n0.5,0,0.5,1e308\n0,0.5,0.5,1e308\n",
+    mode="vex",
+)
 def test_convexify_exit_codes(workdir, table, mode):
     work = Path(tempfile.mkdtemp(dir=workdir))
     path = work / "table.csv"

@@ -72,12 +72,11 @@ def flat_solve(drift_solve):
     cfg = preset_config("one-sided-drift-1d")
     for costs, c in zip(cfg["l"], (0.2, 0.1)):
         costs[0]["params"]["c"] = c
-    row = drift_solve.fields[0].values[18]
-    fields = [
-        replace(f, values=np.broadcast_to(row + f.t**2, f.values.shape).copy())
-        for f in drift_solve.fields
-    ]
-    return replace(drift_solve, model=model_from_config(cfg), fields=fields)
+    row = drift_solve.values[0, 18]
+    values = np.stack(
+        [np.broadcast_to(row + t**2, drift_solve.values.shape[1:]) for t in drift_solve.times]
+    )
+    return replace(drift_solve, model=model_from_config(cfg), values=values)
 
 
 def _stack_jets(grid, stack, dt):
@@ -99,8 +98,8 @@ def _stack_jets(grid, stack, dt):
 def perturbed(result, eps):
     """Add eps * (T - t) to every slice; affine in t, flat in everything else."""
     T = result.model.horizon
-    fields = [replace(f, values=f.values + eps * (T - f.t)) for f in result.fields]
-    return replace(result, fields=fields)
+    shift = eps * (T - result.times)
+    return replace(result, values=result.values + shift.reshape(-1, *[1] * (result.values.ndim - 1)))
 
 
 def test_default_tolerance_formula(drift_solve):
@@ -158,11 +157,10 @@ def test_local_slice_defect_breaks_both_inequalities(two_sided_solve, sign):
     # one interior slice shifted by c dt: the centred time difference jumps
     # by c / 2 with opposite signs on its two neighbours
     result = two_sided_solve
-    k = len(result.fields) // 2
-    fields = list(result.fields)
-    fields[k] = replace(fields[k], values=fields[k].values + sign * 10.0 * result.dt)
+    values = result.values.copy()
+    values[len(values) // 2] += sign * 10.0 * result.dt
     assert check_dual_solution(result).supersolution_ok
-    report = check_dual_solution(replace(result, fields=fields))
+    report = check_dual_solution(replace(result, values=values))
     assert not report.supersolution_ok, report.supersolution_residual
     assert not report.subsolution_ok, report.subsolution_residual
 
@@ -172,7 +170,7 @@ def conjugate_route_by_hand(result, probe_p, probe_q):
     at a time on a 1-d state: explicit stencils, the tie-support by hand
     and one single-point control table per supporting belief."""
     grids, model, dt = result.grids, result.model, result.dt
-    stack = np.stack([f.values for f in result.fields])  # (nt, nx, P, Q)
+    stack = result.values  # (nt, nx, P, Q)
     dx, x, times = grids.state.spacing[0], grids.state.axes[0], result.times
     nodes = [i for (i,) in _core_nodes(result)]
     worst = []
@@ -249,7 +247,7 @@ def crosscheck_by_pairs(result):
     grids, model, dt, times = result.grids, result.model, result.dt, result.times
     grid = grids.state
     tol = default_tolerance(result)
-    stack = np.stack([f.values for f in result.fields])
+    stack = result.values
     interior = np.zeros(stack.shape[:-2], dtype=bool)
     for ti in range(1, len(times) - 1):
         for node in _core_nodes(result):
@@ -354,7 +352,7 @@ def test_extremal_nodes_are_the_first_masked_argmins():
 def test_chunk_size_does_not_change_the_reports(request, monkeypatch, name):
     result = request.getfixturevalue(name)
     want = (check_dual_solution(result), primal_crosscheck(result))
-    block = result.fields[0].values[..., 0].size * len(result.fields)  # (nt, *shape, K)
+    block = result.values[..., 0].size  # (nt, *shape, K)
     probes = max(len(build_probes(result, "p")), len(build_probes(result, "q")))
     # one probe per chunk, then every probe of an opponent node in one chunk
     for cap in (block, block * probes):
@@ -510,12 +508,9 @@ def test_audits_refuse_a_non_finite_field(two_sided_solve, bad):
     # a non-finite last q-belief column empties every tie support there;
     # the audits must not read the missing residuals as passing.  A middle
     # slice, which no probe is built from
-    fields = list(two_sided_solve.fields)
-    k = len(fields) // 2
-    values = fields[k].values.copy()
-    values[..., -1] = bad
-    fields[k] = replace(fields[k], values=values)
-    stub = replace(two_sided_solve, fields=fields)
+    values = two_sided_solve.values.copy()
+    values[len(values) // 2, ..., -1] = bad
+    stub = replace(two_sided_solve, values=values)
     probes = {side: build_probes(two_sided_solve, side) for side in "pq"}
     for audit in (check_dual_solution, primal_crosscheck):
         with pytest.raises(ConfigError, match="finite value field"):
@@ -568,7 +563,7 @@ def test_probe_sets_are_deterministic_and_capped(static_solve):
 
 def test_build_probes_makes_one_stacked_probe_call_per_side(monkeypatch, two_sided_solve):
     result = two_sided_solve
-    flat = np.stack([f.values for f in result.fields])
+    flat = result.values
     picks = np.unique(np.linspace(0, 40, num=5).astype(int))
     per_row = {
         "p": [flat[ti, xi, :, jo] for ti in (-1, 0) for xi in picks for jo in range(5)],
@@ -594,7 +589,7 @@ def test_build_probes_makes_one_stacked_probe_call_per_side(monkeypatch, two_sid
 
 
 def test_audits_refuse_short_stacks(static_solve):
-    stub = replace(static_solve, fields=static_solve.fields[:2])
+    stub = replace(static_solve, times=static_solve.times[:2], values=static_solve.values[:2])
     with pytest.raises(ConfigError):
         check_dual_solution(stub)
     with pytest.raises(ConfigError):

@@ -423,8 +423,8 @@ def test_chunk_size_does_not_change_the_table(monkeypatch):
 def test_feedback_refuses_a_start_before_the_first_slice():
     m, result = two_sided_solve()
     late = SolveResult(
-        model=m, grids=result.grids, t0=result.fields[10].t, dt=result.dt,
-        fields=result.fields[10:],
+        model=m, grids=result.grids, t0=result.times[10], dt=result.dt,
+        times=result.times[10:], values=result.values[10:],
     )
     for t0 in (0.0, late.t0 - 1e-6):
         with pytest.raises(ConfigError):

@@ -50,12 +50,12 @@ def test_single_node_axis_needs_static_dynamics():
 def test_terminal_field_is_bilinear_in_beliefs():
     m = preset("static-bilinear")
     grids = grids_for(m, nx=1, box=(0.0, 0.0), np_res=2, nq_res=2)
-    fld = terminal_field(m, grids)
+    values = terminal_field(m, grids)
     # g = [[1,-1],[-1,1]]; at p=(a,1-a), q=(b,1-b): (2a-1)(2b-1)
     for ia, a in enumerate(grids.p.points[:, 0]):
         for ib, b in enumerate(grids.q.points[:, 0]):
             # numerator order puts component 1 first: points[:,0] is p_1 mass
-            val = fld.values[0, ia, ib]
+            val = values[0, ia, ib]
             assert val == pytest.approx((2 * a - 1) * (2 * b - 1), abs=1e-15)
 
 
@@ -78,10 +78,8 @@ def test_hjb_step_identity_for_frozen_model():
     cfg = preset_config("static-bilinear")
     m = model_from_config(cfg)
     grids = grids_for(m, nx=1, box=(0.0, 0.0))
-    fld = terminal_field(m, grids)
-    stepped = hjb_step(m, grids, fld, dt=0.05)
-    np.testing.assert_array_equal(stepped.values, fld.values)
-    assert stepped.t == pytest.approx(fld.t - 0.05)
+    values = terminal_field(m, grids)
+    np.testing.assert_array_equal(hjb_step(m, grids, m.horizon, values, dt=0.05), values)
 
 
 def test_hjb_step_pure_running_accumulates_linearly():
@@ -91,10 +89,10 @@ def test_hjb_step_pure_running_accumulates_linearly():
         l=[[{"name": "const", "params": {"c": 1.0}}] * 2] * 2,
     )
     grids = grids_for(m, nx=1, box=(0.0, 0.0))
-    fld = terminal_field(m, grids)
+    values, t = terminal_field(m, grids), m.horizon
     for k in range(1, 4):
-        fld = hjb_step(m, grids, fld, dt=0.125)
-        np.testing.assert_allclose(fld.values, k * 0.125, rtol=0, atol=1e-15)
+        values, t = hjb_step(m, grids, t, values, dt=0.125), t - 0.125
+        np.testing.assert_allclose(values, k * 0.125, rtol=0, atol=1e-15)
 
 
 def test_solve_span_must_be_whole_steps():
@@ -121,7 +119,7 @@ def test_linear_terminal_rides_the_saddle():
     )
     sg = build_state_grid([(-2.0, 2.0)], [41])
     res = classical_solve(m, sg, 0, 0, t0=0.0, dt=0.002)
-    w0 = res.fields[0].values[:, 0, 0]
+    w0 = res.values[0, :, 0, 0]
     x = sg.axes[0]
     core = slice(13, 28)
     assert np.abs(w0 - x)[core].max() < 5 * (0.1 + 0.002)
@@ -134,8 +132,9 @@ def test_projection_certificates_hold_every_step():
     assert max(res.diagnostics["convexity_violations_p"]) <= 1e-10
     assert max(res.diagnostics["concavity_violations_q"]) <= 1e-10
     assert res.diagnostics["steps"] == 50
-    assert len(res.fields) == 51
-    assert res.fields[-1].t == m.horizon
+    assert res.values.shape == (51, 21, grids.p.npoints, grids.q.npoints)
+    assert res.times.shape == (51,)
+    assert res.times[-1] == m.horizon
 
 
 def test_vertex_slices_match_classical_solve_exactly():
@@ -148,9 +147,7 @@ def test_vertex_slices_match_classical_solve_exactly():
             ip = grids.p.vertex_index(i)
             iq = grids.q.vertex_index(j)
             classical = classical_solve(m, grids.state, i, j, t0=0.3, dt=0.002)
-            got = np.stack([f.values[:, ip, iq] for f in res.fields])
-            want = np.stack([f.values[:, 0, 0] for f in classical.fields])
-            np.testing.assert_array_equal(got, want)
+            np.testing.assert_array_equal(res.values[..., ip, iq], classical.values[..., 0, 0])
 
 
 def test_monotone_comparison_of_terminals():
@@ -171,8 +168,7 @@ def test_monotone_comparison_of_terminals():
     grids = grids_for(m1, nx=21, np_res=2, nq_res=2)
     r1 = solve(m1, grids, t0=0.3, dt=0.002)
     r2 = solve(m2, grids, t0=0.3, dt=0.002)
-    for f1, f2 in zip(r1.fields, r2.fields):
-        assert np.all(f2.values >= f1.values)
+    assert np.all(r2.values >= r1.values)
 
 
 def test_dual_project_reports_residuals():
@@ -278,7 +274,7 @@ def test_refinement_shrinks_error_against_reference():
     def value_at_zero(nx, dt):
         sg = build_state_grid([(-2.0, 2.0)], [nx])
         res = solve(m, Grids(state=sg, p=pg, q=qg), t0=0.0, dt=dt)
-        return res.fields[0].values[(nx - 1) // 2, :, 0]
+        return res.values[0, (nx - 1) // 2, :, 0]
 
     fine = value_at_zero(161, 0.000625)
     coarse = value_at_zero(41, 0.01)

@@ -245,6 +245,18 @@ def test_vex_rows_validates_its_table():
     rows[1, 2] = np.inf
     with pytest.raises(ConfigError):
         vex_rows(grid, rows)
+    # the magnitude bound: at it every envelope is finite, one float past it
+    # is refused
+    big = np.finfo(float).max
+    for grid, bound in ((grid, big / 16), (build_grid(3, 2), big * 1e-12 / (1 + np.sqrt(2)))):
+        signs = np.where(np.arange(grid.npoints) % 3 == 1, -1.0, 1.0)
+        for sign in (1.0, -1.0):
+            rows = sign * bound * np.vstack([signs, -signs, np.ones(grid.npoints)])
+            assert np.all(np.isfinite(vex_rows(grid, rows)))
+            assert np.all(np.isfinite(-vex_rows(grid, -rows)))
+            rows[0, 1] = sign * np.nextafter(bound, np.inf)
+            with pytest.raises(ConfigError, match="magnitude"):
+                vex_rows(grid, rows)
 
 
 def test_badly_scaled_table_keeps_its_envelope():
