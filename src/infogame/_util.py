@@ -1,5 +1,5 @@
-"""Shared helpers: deterministic reductions, `sorted_unique` and the
-thread pool knob.
+"""Shared helpers: deterministic reductions, `sorted_unique`,
+`round_decimals` and the thread pool knob.
 
 Reductions always use the same pairwise tree, so their results depend
 only on the values and their order.  No part of the library uses the
@@ -86,6 +86,20 @@ def sorted_unique(values: np.ndarray, axis: int | None = None) -> np.ndarray:
     zero it keeps the same one; integers have a single representation.
     """
     return np.unique(values, axis=axis, return_counts=True)[0]
+
+
+def round_decimals(values: np.ndarray, decimals: int) -> np.ndarray:
+    """np.round(values, decimals), bit for bit, wherever that does not
+    overflow; elsewhere the values as they are, with no warning.
+
+    np.round scales by 10**decimals, rounds to an integer and scales back,
+    so a value past F / 10**decimals (F the largest float) comes back as
+    inf.  Such a value is an integer, a multiple of 10**-decimals already.
+    """
+    values = np.asarray(values, dtype=float)
+    with np.errstate(over="ignore"):
+        fits = np.isfinite(values * 10.0**decimals)  # the product np.round forms
+    return np.where(fits, np.round(np.where(fits, values, 0.0), decimals), values)
 
 
 def sha256_hex(data: bytes) -> str:

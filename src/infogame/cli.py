@@ -86,15 +86,23 @@ def _jsonable(obj):
 def _atomic_file(path: str):
     """A binary file at a temp name beside path, moved onto path when the
     block ends without error.  It is created with mode 0o666, so the
-    process umask applies as it would to a plain open()."""
+    process umask applies as it would to a plain open().  A path that
+    cannot be written (its directory cannot be made or written, or it
+    names a directory) is a ConfigError, and no temp file is left."""
     directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
     tmp = os.path.join(directory, f"{os.path.basename(path)}.{os.urandom(8).hex()}.tmp")
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        os.makedirs(directory, exist_ok=True)
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
     try:
         with os.fdopen(fd, "wb") as handle:
             yield handle
-        os.replace(tmp, path)
+        try:
+            os.replace(tmp, path)
+        except OSError as exc:
+            raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
@@ -481,9 +489,12 @@ def _cmd_check(args) -> int:
     result = load_solve(args.solve)
     tol = args.tol if args.tol is not None else default_tolerance(result)
     started = time.perf_counter()
-    probes = {"probes_p": build_probes(result, "p"), "probes_q": build_probes(result, "q")}
-    report = check_dual_solution(result, tol=tol, max_checks=args.max_checks, **probes)
-    cross = primal_crosscheck(result, tol=tol, **probes)
+    # jets of a field near the float limit overflow to inf or nan; the
+    # check below reports them (exit 3)
+    with np.errstate(over="ignore", invalid="ignore"):
+        probes = {"probes_p": build_probes(result, "p"), "probes_q": build_probes(result, "q")}
+        report = check_dual_solution(result, tol=tol, max_checks=args.max_checks, **probes)
+        cross = primal_crosscheck(result, tol=tol, **probes)
     elapsed = time.perf_counter() - started
     residuals = [
         report.supersolution_residual, report.subsolution_residual,

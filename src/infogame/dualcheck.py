@@ -48,12 +48,16 @@ comes from each belief column of w sorted once per opponent node
 stencil at its belief, the same way.  Neither audit forms the jets of a
 whole stack.  The audited rows of a side
 queue in `_Rows` and reach `ham_bellman_inf_sup` in a few batched calls.
-One constant, _BLOCK_FLOATS, caps the floats of a chunk's stencil gather
-and of the kernel table of one call, so the working set does not grow
-with the number of probes or checks.  The reductions keep the per-probe
-order (opponent node, probe, t, node), so the reports do not depend on
-the chunking.  The probe sets are deduplicated by `_util.sorted_unique`,
-so a check never imports numpy.ma.
+One constant, _BLOCK_FLOATS (1 MB of floats), caps the floats of a
+chunk's stencil gather and of the kernel table of one call, so the
+working set does not grow with the number of probes or checks; on small
+solves a chunk holds every probe of an opponent node.  The conjugate
+route folds one minimum per (opponent node, probe), which the report
+keeps as `pair_residuals_super` and `pair_residuals_sub`.  The reductions
+keep the per-probe order (opponent node, probe, t, node), so the reports
+do not depend on the chunking.  The probe lifts <probe, r> are one BLAS
+product per probe (`_lifts`).  The probe sets are deduplicated by
+`_util.sorted_unique`, so a check never imports numpy.ma.
 """
 
 from __future__ import annotations
@@ -62,7 +66,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import sorted_unique
+from ._util import round_decimals, sorted_unique
 from .errors import ConfigError
 from .hamiltonian import ham_bellman_inf_sup
 from .solver import SolveResult, StateGrid
@@ -74,8 +78,14 @@ _TIE_TOL = 1e-9
 _PROBE_SLICE_NODES = 5
 _PROBE_CAP = 64
 # floats per stencil gather (picks, stencil, K) and per kernel table
-# (rows, |U|, |V|): bounds the audits' working set
-_BLOCK_FLOATS = 2**14
+# (rows, |U|, |V|): bounds the audits' working set.  Each call and gather
+# has a fixed cost, so the cap is 1 MB: on check-2type's input (20,480
+# checks) the audits make 6 kernel calls and 20 gathers, one per (route,
+# side, opponent node), where 2**14 made 16 and 50 and 2**16 still makes 8
+# kernel calls; a larger cap saves no call there.  The price is peak
+# memory, mostly the kernel table and its temporaries: about 10,000 rows
+# of |U| |V| floats per call there, and 1.4 MB more peak RSS than at 2**14
+_BLOCK_FLOATS = 2**17
 
 
 @dataclass(frozen=True)
@@ -89,6 +99,11 @@ class DualCheckReport:
     checks_sub: int
     probes_p: np.ndarray
     probes_q: np.ndarray
+    # per (opponent belief node, probe) pair, the min (super) or max (sub)
+    # over its audited nodes; NaN where the stride audits none of them, or
+    # where a residual is NaN (the scalar residuals skip those pairs)
+    pair_residuals_super: np.ndarray  # (q nodes, p probes)
+    pair_residuals_sub: np.ndarray  # (p nodes, q probes)
 
 
 @dataclass(frozen=True)
@@ -170,7 +185,7 @@ def build_probes(result: SolveResult, side: str) -> np.ndarray:
     else:
         raise ConfigError("side must be 'p' or 'q'")
     probes = np.vstack([coordinate_difference_probes(grid.dim), facet_slope_probes(grid, rows)])
-    return sorted_unique(np.round(probes, 12), axis=0)[:_PROBE_CAP]
+    return sorted_unique(round_decimals(probes, 12), axis=0)[:_PROBE_CAP]
 
 
 def _stencil(grid: StateGrid) -> tuple[np.ndarray, np.ndarray]:
@@ -254,10 +269,15 @@ def _beliefs(sense: int, own: np.ndarray, opp: np.ndarray):
 
 
 def _lifts(own, probes: np.ndarray) -> np.ndarray:
-    """<probe, r> over the own beliefs r, shape (probes, K).  Each probe is
-    lifted by its own tensordot, as one matrix product over all probes may
-    round differently."""
-    return np.stack([np.tensordot(own.points, probe, axes=(1, 0)) for probe in probes])
+    """<probe, r> over the own beliefs r, shape (probes, K).
+
+    Each probe is lifted by its own (K, d) x (d, 1) product, the BLAS call
+    that `np.tensordot(own.points, probe, axes=(1, 0))` makes after its
+    reshapes, so the bits are tensordot's without its Python wrapper.  One
+    matrix product over all probes is not used: on 3-type lattices it
+    rounds some lifts differently.
+    """
+    return np.stack([np.dot(own.points, probe.reshape(-1, 1)).reshape(-1) for probe in probes])
 
 
 def _extremal_nodes(block: np.ndarray, lifts: np.ndarray, sense: int, core: np.ndarray, size: int):
@@ -433,6 +453,7 @@ def check_dual_solution(
 
     worst = []
     checked = []
+    pair_residuals = []
     for own, opp, sense, probes, oriented in _sides(stack, grids, probes_p, probes_q):
         total = probes.shape[0] * opp.npoints * per_block
         stride = max(1, int(np.ceil(total / max_checks)))
@@ -442,7 +463,7 @@ def check_dual_solution(
         # picks, and each pick gathers its stencil's own-belief rows
         gather = -(-per_block // stride) * len(_stencil(grids.state)[0]) * own.npoints
         size = max(1, _BLOCK_FLOATS // gather)
-        mins: list[float] = []  # per audited (opponent node, probe), in that order
+        mins = np.full((opp.npoints, npr), np.nan)  # per (opponent node, probe); NaN: none audited
         rows = _Rows(result, sense, np.subtract)
         side_checked = 0
         for jo in range(opp.npoints):
@@ -458,8 +479,8 @@ def check_dual_solution(
                 sizes = [picks[r].size for r in chunk]
                 run = np.concatenate([picks[r] for r in chunk])
 
-                def fold(best, starts=np.cumsum([0] + sizes[:-1])):
-                    mins.extend(np.minimum.reduceat(best, starts).tolist())
+                def fold(best, at=(jo, chunk), starts=np.cumsum([0] + sizes[:-1])):
+                    mins[at] = np.minimum.reduceat(best, starts)
 
                 _queue_conjugate(
                     rows, own, opp.points[jo], oriented[..., jo],
@@ -470,10 +491,11 @@ def check_dual_solution(
                 side_checked += run.size
         rows.flush()
         side_worst = np.inf
-        for m in mins:
+        for m in mins[~np.isnan(mins)].tolist():  # audited pairs, in (opponent node, probe) order
             side_worst = min(side_worst, m)
         worst.append(sense * side_worst)
         checked.append(side_checked)
+        pair_residuals.append(sense * mins)
 
     sup_res, sub_res = worst
     return DualCheckReport(
@@ -486,6 +508,8 @@ def check_dual_solution(
         checks_sub=checked[1],
         probes_p=np.asarray(probes_p, dtype=float),
         probes_q=np.asarray(probes_q, dtype=float),
+        pair_residuals_super=pair_residuals[0],
+        pair_residuals_sub=pair_residuals[1],
     )
 
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._util import sorted_unique
+from ._util import round_decimals, sorted_unique
 from .errors import ConfigError, NumericsError
 from .simplex import SimplexGrid, convexity_violations
 
@@ -310,7 +310,7 @@ def facet_slope_probes(grid: SimplexGrid, values: np.ndarray) -> np.ndarray:
     hulled = np.flatnonzero(~affine)
     if hulled.size:
         grads, _, starts, _ = _LowerHull(grid).lower_facets(rows[hulled])
-        probes = np.round(np.column_stack([grads, np.zeros(grads.shape[0])]), 12)
+        probes = round_decimals(np.column_stack([grads, np.zeros(grads.shape[0])]), 12)
         for k, row_probes in zip(hulled, np.split(probes, starts[1:])):
             parts[k] = sorted_unique(row_probes, axis=0)
     return np.unique(np.vstack([np.empty((0, grid.dim)), *parts]), axis=0, return_index=True)[0]

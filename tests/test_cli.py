@@ -83,6 +83,37 @@ def test_a_failed_write_leaves_no_temp_file(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("command", ["check", "solve", "simulate"])
+def test_an_unwritable_out_is_a_config_error(tmp_path, capsys, command):
+    # --out naming a directory (check), an existing file (solve) and a path
+    # below a file (simulate) once exited 1 with an OSError traceback
+    blocker = tmp_path / "blocker"
+    if command == "check":
+        src = solve_dir(tmp_path)
+        blocker.mkdir()
+        argv = ["check", "--solve", src, "--out", blocker]
+    elif command == "solve":
+        blocker.write_bytes(b"")
+        argv = [
+            "solve", "--preset", "one-sided-drift-1d", "--nx", 15, "--bounds", "-1.5", "1.5",
+            "--np", 2, "--nq", 1, "--steps", 25, "--out", blocker,
+        ]
+    else:
+        blocker.write_bytes(b"")
+        argv = [
+            "simulate", "--preset", "two-sided-1d", "--h", 0.1, "--samples", 2,
+            "--out", blocker / "x",
+        ]
+    capsys.readouterr()
+    assert run(*argv) == 2
+    assert "cannot write" in capsys.readouterr().err
+    assert not list(tmp_path.rglob("*.tmp"))
+    if blocker.is_dir():
+        assert list(blocker.iterdir()) == []
+    else:
+        assert blocker.read_bytes() == b""
+
+
 def test_outputs_honour_the_umask(tmp_path):
     previous = os.umask(0o022)
     try:
@@ -650,9 +681,39 @@ def test_check_writes_no_report_when_the_residuals_overflow(tmp_path):
     for i in range(k, k + 60):
         lines[i] = lines[i].rsplit(",", 1)[0] + "," + ("1e308" if i % 2 else "-1e308")
     (out / "slices.csv").write_text("\n".join(lines) + "\n")
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert run("check", "--solve", out) == 3
+    # a fresh process under -W error: the overflow reaches the finiteness
+    # check as inf or nan, not as a printed RuntimeWarning or a traceback
+    proc = run_fresh("-W", "error", "-m", "infogame.cli", "check", "--solve", str(out))
+    assert proc.returncode == 3, proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
+    assert "not finite" in proc.stderr
     assert not (out / "check.json").exists()
+
+
+def test_check_of_the_benchmark_solve_gathers_once_per_opponent_node(tmp_path, monkeypatch):
+    # check-2type's input: 20,480 checks, the audited nodes and crosscheck
+    # pairs of both sides.  A 1 MB working set takes each (route, side,
+    # opponent node) in one stencil gather, 20 in all, and the rows in 6
+    # kernel calls; a 128 KB one made 50 and 16
+    out = tmp_path / "small"
+    assert run(
+        "solve", "--preset", "two-sided-1d", "--nx", 41, "--np", 4, "--nq", 4, "--steps", 25,
+        "--out", out,
+    ) == 0
+    calls = {"ham_bellman_inf_sup": 0, "_queue_conjugate": 0}
+    for name in calls:
+        def counted(*args, _name=name, _inner=getattr(dualcheck, name), **kwargs):
+            calls[_name] += 1
+            return _inner(*args, **kwargs)
+
+        monkeypatch.setattr(dualcheck, name, counted)
+    assert run("check", "--solve", out) == 0
+    report = json.loads((out / "check.json").read_text())
+    cross = report["crosscheck"]
+    checks = report["checks_super"] + report["checks_sub"]
+    assert checks + cross["pairs_min_side"] + cross["pairs_max_side"] == 20_480
+    assert 0 < calls["ham_bellman_inf_sup"] <= 6, calls
+    assert 0 < calls["_queue_conjugate"] <= 20, calls
 
 
 @pytest.mark.parametrize("sign", [1.0, -1.0])

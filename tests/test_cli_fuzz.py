@@ -208,24 +208,38 @@ def damage(directory: Path, edits) -> None:
     tol=st.none() | numbers,
     max_checks=usual(50, st.integers(-2, 50)),
     missing=st.integers(0, 9).map(lambda k: k == 0),
+    out_is_dir=st.integers(0, 9).map(lambda k: k == 0),
 )
-@example(edits=[], tol=None, max_checks=0, missing=False)  # once a ZeroDivisionError
-@example(edits=[], tol=math.inf, max_checks=50, missing=False)  # once passed, writing Infinity
-@example(edits=[], tol=math.nan, max_checks=50, missing=False)  # once wrote NaN
-@example(edits=[], tol=-1.0, max_checks=50, missing=False)  # once failed every audit
+@example(  # once a ZeroDivisionError
+    edits=[], tol=None, max_checks=0, missing=False, out_is_dir=False
+)
+@example(  # once passed, writing Infinity
+    edits=[], tol=math.inf, max_checks=50, missing=False, out_is_dir=False
+)
+@example(edits=[], tol=math.nan, max_checks=50, missing=False, out_is_dir=False)  # once wrote NaN
+@example(  # once failed every audit
+    edits=[], tol=-1.0, max_checks=50, missing=False, out_is_dir=False
+)
 @example(  # once exited 3, the jets overflowing
-    edits=[("diagnostics.json", ("dt",), 0)], tol=None, max_checks=50, missing=False
+    edits=[("diagnostics.json", ("dt",), 0)], tol=None, max_checks=50, missing=False,
+    out_is_dir=False,
 )
 @example(  # once ran the audit with flipped time derivatives
-    edits=[("diagnostics.json", ("dt",), -0.04)], tol=None, max_checks=50, missing=False
+    edits=[("diagnostics.json", ("dt",), -0.04)], tol=None, max_checks=50, missing=False,
+    out_is_dir=False,
 )
-def test_check_exit_codes(workdir, solved, edits, tol, max_checks, missing):
+@example(  # --out naming a directory once raised IsADirectoryError
+    edits=[], tol=None, max_checks=50, missing=False, out_is_dir=True
+)
+def test_check_exit_codes(workdir, solved, edits, tol, max_checks, missing, out_is_dir):
     work = Path(tempfile.mkdtemp(dir=workdir))
     target = work / "solve"
     if not missing:
         shutil.copytree(solved, target)
         damage(target, edits)
     out = work / "check.json"
+    if out_is_dir:
+        out.mkdir()
     argv = ["check", "--solve", target, "--out", out, f"--max-checks={max_checks}"]
     if tol is not None:
         argv.append(f"--tol={tol}")
@@ -233,8 +247,9 @@ def test_check_exit_codes(workdir, solved, edits, tol, max_checks, missing):
     assert code in (0, 2, 3), f"exit {code} for {argv}:\n{err}"
     if tol is not None and not (math.isfinite(tol) and tol >= 0.0):
         assert code == 2, f"exit {code} for {argv}:\n{err}"
-    if out.exists():  # the report, written also when the audit fails, is strict JSON
+    if out.is_file():  # the report, written also when the audit fails, is strict JSON
         json.loads(out.read_text(), parse_constant=no_constant)
+    assert not list(work.rglob("*.tmp"))
     shutil.rmtree(work)
 
 
@@ -321,46 +336,61 @@ def optional(flag, value):
     p=mostly(None, csv_numbers),
     q=mostly(None, csv_numbers),
     x0=mostly(None, csv_numbers),
+    out_below_file=mostly(False, st.just(True)),
 )
 @example(  # --samples 0 and -1 once reached the mean of an empty array
     name="two-sided-1d", h=0.1, t0=0.0, samples=0, seed=0, delta=1, noise="gaussian",
     cfg=None, strategy_u="cycle", strategy_v="cycle", p=None, q=None, x0=None,
+    out_below_file=False,
 )
 @example(
     name="two-sided-1d", h=0.1, t0=0.0, samples=-1, seed=0, delta=1, noise="gaussian",
     cfg=None, strategy_u="cycle", strategy_v="cycle", p=None, q=None, x0=None,
+    out_below_file=False,
 )
 @example(  # --h 0 once divided by zero
     name="drift-sum-1d", h=0.0, t0=0.0, samples=2, seed=0, delta=1, noise="gaussian",
     cfg=None, strategy_u="cycle", strategy_v="cycle", p=None, q=None, x0=None,
+    out_below_file=False,
 )
 @example(  # a NaN --h or --t0 once reached int(round(nan))
     name="drift-sum-1d", h=math.nan, t0=0.0, samples=2, seed=0, delta=1, noise="gaussian",
     cfg=None, strategy_u="cycle", strategy_v="cycle", p=None, q=None, x0=None,
+    out_below_file=False,
 )
 @example(
     name="drift-sum-1d", h=0.1, t0=math.nan, samples=2, seed=0, delta=1, noise="gaussian",
     cfg=None, strategy_u="cycle", strategy_v="cycle", p=None, q=None, x0=None,
+    out_below_file=False,
 )
 @example(  # a negative --seed once reached SeedSequence
     name="drift-sum-1d", h=0.1, t0=0.0, samples=2, seed=-1, delta=1, noise="gaussian",
     cfg=None, strategy_u="cycle", strategy_v="cycle", p=None, q=None, x0=None,
+    out_below_file=False,
 )
 @example(  # a NaN start state once reached the feedback rule's node lookup
     name="one-sided-drift-1d", h=0.1, t0=0.0, samples=2, seed=0, delta=1, noise="gaussian",
     cfg=None, strategy_u="feedback:", strategy_v="constant", p=None, q=None, x0="nan",
+    out_below_file=False,
 )
 @example(  # a solve of another game once reached the control table
     name="running-matrix", h=0.1, t0=0.0, samples=2, seed=0, delta=1, noise="gaussian",
     cfg=None, strategy_u="constant", strategy_v="feedback:", p=None, q=None, x0=None,
+    out_below_file=False,
 )
 @example(  # a tiny --h once asked for a noise array numpy cannot allocate
     name="two-sided-1d", cfg=None, h=1e-300, t0=0.0, samples=2, seed=0, delta=1,
     noise="gaussian", strategy_u="cycle", strategy_v="cycle", p=None, q=None, x0=None,
+    out_below_file=False,
+)
+@example(  # --out below a file once raised NotADirectoryError
+    name="two-sided-1d", h=0.1, t0=0.0, samples=2, seed=0, delta=1, noise="gaussian",
+    cfg=None, strategy_u="cycle", strategy_v="cycle", p=None, q=None, x0=None,
+    out_below_file=True,
 )
 def test_simulate_exit_codes(
     workdir, solved, name, cfg, h, t0, samples, seed, delta, noise, strategy_u, strategy_v,
-    p, q, x0,
+    p, q, x0, out_below_file,
 ):
     work = Path(tempfile.mkdtemp(dir=workdir))
     game = ["--preset", name]
@@ -372,6 +402,9 @@ def test_simulate_exit_codes(
         for s in (strategy_u, strategy_v)
     ]
     out = work / "sim.json"
+    if out_below_file:
+        (work / "file").write_bytes(b"")
+        out = work / "file" / "x"
     argv = [
         "simulate", *game, "--out", out, f"--h={h}", f"--t0={t0}",
         f"--samples={samples}", f"--seed={seed}", f"--delta={delta}", f"--noise={noise}",
@@ -382,6 +415,7 @@ def test_simulate_exit_codes(
     assert code in (0, 2, 3), f"exit {code} for {argv}:\n{err}"
     if code == 0:  # the artifact is strict JSON
         json.loads(out.read_text(), parse_constant=no_constant)
+    assert not list(work.rglob("*.tmp"))
     shutil.rmtree(work)
 
 

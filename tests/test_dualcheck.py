@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import warnings
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -166,17 +167,20 @@ def test_local_slice_defect_breaks_both_inequalities(two_sided_solve, sign):
 
 
 def conjugate_route_by_hand(result, probe_p, probe_q):
-    """Both residuals of the conjugate route, one (opponent node, t, node)
-    at a time on a 1-d state: explicit stencils, the tie-support by hand
-    and one single-point control table per supporting belief."""
+    """Per side, the conjugate route's residual at each opponent belief
+    node (min over (t, node) on the p side, max on the q side), one
+    (opponent node, t, node) at a time on a 1-d state: explicit stencils,
+    the tie-support by hand and one single-point control table per
+    supporting belief."""
     grids, model, dt = result.grids, result.model, result.dt
     stack = result.values  # (nt, nx, P, Q)
     dx, x, times = grids.state.spacing[0], grids.state.axes[0], result.times
     nodes = [i for (i,) in _core_nodes(result)]
-    worst = []
+    per_node = []
     for sense, own, opp, probe in ((1, grids.p, grids.q, probe_p), (-1, grids.q, grids.p, probe_q)):
-        side = np.inf
+        side = []
         for jo in range(opp.npoints):
+            pair = np.inf
             block = stack[..., jo] if sense > 0 else stack[..., jo, :]
             scores = own.points @ probe - block
             conj = scores.max(axis=-1) if sense > 0 else scores.min(axis=-1)
@@ -196,20 +200,80 @@ def conjugate_route_by_hand(result, probe_p, probe_q):
                         p, q = (own.points[k], opp.points[jo])[::sense]
                         table = pair_table(model, times[ti], x[i : i + 1], [-grad], [[-hess]], p, q, 1.0)
                         best = max(best, sense * (xi_t - table.max(-1).min(-1)))
-                    side = min(side, best)
-        worst.append(sense * side)
-    return worst
+                    pair = min(pair, best)
+            side.append(sense * pair)
+        per_node.append(np.array(side))
+    return per_node
 
 
-def test_conjugate_route_matches_a_per_node_loop(two_sided_solve):
+# two probes per side, so that the default cap folds them in one chunk
+PAIR_PROBES_P = np.array([[0.3, -0.4], [-0.5, 0.1]])
+PAIR_PROBES_Q = np.array([[-0.2, 0.5], [0.4, -0.3]])
+
+
+@pytest.fixture(scope="module")
+def pairs_by_hand(two_sided_solve):
+    """(opponent nodes, probes) residuals of each side, by hand."""
+    per_probe = [
+        conjugate_route_by_hand(two_sided_solve, p, q) for p, q in zip(PAIR_PROBES_P, PAIR_PROBES_Q)
+    ]
+    return [np.stack([side[k] for side in per_probe], axis=-1) for k in range(2)]
+
+
+def test_conjugate_route_matches_a_per_node_loop(two_sided_solve, pairs_by_hand):
     result = two_sided_solve
-    probe_p, probe_q = np.array([0.3, -0.4]), np.array([-0.2, 0.5])
     report = check_dual_solution(
-        result, probes_p=probe_p[None, :], probes_q=probe_q[None, :], max_checks=10**9
+        result, probes_p=PAIR_PROBES_P[:1], probes_q=PAIR_PROBES_Q[:1], max_checks=10**9
     )
-    sup_res, sub_res = conjugate_route_by_hand(result, probe_p, probe_q)
+    sup_res, sub_res = pairs_by_hand[0][:, 0].min(), pairs_by_hand[1][:, 0].max()
     assert report.supersolution_residual == pytest.approx(sup_res, rel=1e-12, abs=1e-12)
     assert report.subsolution_residual == pytest.approx(sub_res, rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("one_probe_per_chunk", [False, True])
+def test_pair_residuals_match_the_conjugate_route_by_hand(
+    two_sided_solve, pairs_by_hand, monkeypatch, one_probe_per_chunk
+):
+    # the fold keeps one minimum per (opponent node, probe), however many
+    # probes a chunk holds: both at the default cap, one at the cap of a
+    # single probe's stencil gather
+    result = two_sided_solve
+    calls = []
+    inner = dualcheck._queue_conjugate
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(dualcheck, "_queue_conjugate", counted)
+    if one_probe_per_chunk:
+        per_block = (len(result.times) - 2) * len(_core_nodes(result))
+        gather = per_block * len(_stencil(result.grids.state)[0]) * result.grids.p.npoints
+        monkeypatch.setattr(dualcheck, "_BLOCK_FLOATS", gather)
+    report = check_dual_solution(
+        result, probes_p=PAIR_PROBES_P, probes_q=PAIR_PROBES_Q, max_checks=10**9
+    )
+    chunks = len(PAIR_PROBES_P) if one_probe_per_chunk else 1
+    assert len(calls) == chunks * (result.grids.q.npoints + result.grids.p.npoints)
+    sup, sub = pairs_by_hand
+    np.testing.assert_allclose(report.pair_residuals_super, sup, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(report.pair_residuals_sub, sub, rtol=1e-12, atol=1e-12)
+    assert report.supersolution_residual == report.pair_residuals_super.min()
+    assert report.subsolution_residual == report.pair_residuals_sub.max()
+
+
+def test_pair_residuals_are_nan_where_no_node_is_audited(two_sided_solve):
+    report = check_dual_solution(two_sided_solve, max_checks=7)
+    grids = two_sided_solve.grids
+    for pairs, opp, probes, checks in (
+        (report.pair_residuals_super, grids.q, report.probes_p, report.checks_super),
+        (report.pair_residuals_sub, grids.p, report.probes_q, report.checks_sub),
+    ):
+        assert pairs.shape == (opp.npoints, len(probes))
+        audited = ~np.isnan(pairs)
+        assert 0 < audited.sum() <= checks <= 7
+    assert report.supersolution_residual == np.nanmin(report.pair_residuals_super)
+    assert report.subsolution_residual == np.nanmax(report.pair_residuals_sub)
 
 
 def test_crosscheck_agrees_with_conjugate_route(static_solve):
@@ -303,6 +367,50 @@ def test_batched_crosscheck_matches_a_per_pair_loop(request, name):
     # so the first occurrence decides every probe's extremal node
     result = request.getfixturevalue(name)
     assert_same_report(primal_crosscheck(result), crosscheck_by_pairs(result))
+
+
+@pytest.fixture(scope="module")
+def three_type_solve():
+    cfg = {
+        "preset": "drift-sum-1d",
+        "params": {"sigma": 0.5},
+        "I": 3,
+        "J": 3,
+        "T": 0.4,
+        "g": [
+            [{"name": "tanh", "params": {"center": c, "scale": 1.5, "amp": a}} for a in (1.0, -0.8, 0.6)]
+            for c in (-0.5, 0.0, 0.5)
+        ],
+    }
+    m = model_from_config(cfg)
+    grids = Grids(
+        state=build_state_grid([(-2.0, 2.0)], [9]),
+        p=build_grid(3, 3),
+        q=build_grid(3, 3),
+    )
+    return solve(m, grids, t0=0.0, dt=m.horizon / 4)
+
+
+@pytest.mark.parametrize("name", ["two_sided_solve", "three_type_solve"])
+def test_lifts_are_bitwise_per_probe_tensordots(request, name):
+    result = request.getfixturevalue(name)
+    for side, own in (("p", result.grids.p), ("q", result.grids.q)):
+        probes = build_probes(result, side)
+        want = np.stack([np.tensordot(own.points, probe, axes=(1, 0)) for probe in probes])
+        assert same_bits(dualcheck._lifts(own, probes), want), side
+
+
+def test_probes_of_a_huge_three_type_slice_are_finite_without_a_warning(three_type_solve):
+    # the terminal slice at the first node alternates +-7e295 over p, whose
+    # facet slopes overflowed np.round's 12-decimal scaling
+    values = three_type_solve.values.copy()
+    values[-1, 0] = 7e295 * (-1.0) ** np.arange(values.shape[-2])[:, None]
+    result = replace(three_type_solve, values=values)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        probes = build_probes(result, "p")
+    assert np.all(np.isfinite(probes))
+    assert np.abs(probes).max() > np.finfo(float).max / 1e12
 
 
 def _masked_argmins(block, lifts, sense, interior):

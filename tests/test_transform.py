@@ -11,6 +11,7 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -503,6 +504,19 @@ def test_facet_slope_probes_validates_its_rows():
     rows[1, 0] = np.nan
     with pytest.raises(ConfigError):
         facet_slope_probes(grid, rows)
+
+
+def test_facet_slope_probes_of_huge_rows_are_finite_without_a_warning():
+    # a 3-type row alternating +-7e295 passes the envelope's bound, and its
+    # facet slopes reach 2.8e296: rounding them to 12 decimals by np.round
+    # overflowed to inf
+    grid = build_grid(3, 2)
+    row = 7e295 * (-1.0) ** np.arange(grid.npoints)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        probes = facet_slope_probes(grid, row)
+    assert np.all(np.isfinite(probes))
+    assert np.abs(probes).max() > np.finfo(float).max / 1e12
 
 
 def test_cli_solve_does_not_import_scipy_spatial(tmp_path):

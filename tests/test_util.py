@@ -2,11 +2,19 @@ from __future__ import annotations
 
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
 
-from infogame._util import pairwise_mean, pairwise_sum, parallel_map, sorted_unique, thread_count
+from infogame._util import (
+    pairwise_mean,
+    pairwise_sum,
+    parallel_map,
+    round_decimals,
+    sorted_unique,
+    thread_count,
+)
 from infogame.errors import ConfigError
 
 
@@ -81,3 +89,21 @@ def test_parallel_map_preserves_order(monkeypatch):
     assert parallel_map(lambda k: k * k, items) == [k * k for k in items]
     monkeypatch.setenv("INFOGAME_THREADS", "1")
     assert parallel_map(lambda k: k * k, items) == [k * k for k in items]
+
+
+def test_round_decimals_is_np_round_wherever_that_does_not_overflow():
+    rng = np.random.default_rng(5)
+    values = rng.standard_normal(10_000) * 10.0 ** rng.integers(-20, 300, 10_000)
+    limit = np.finfo(float).max / 1e12
+    edge = np.array([limit, np.nextafter(limit, 0.0), np.nextafter(limit, np.inf), 0.0, 5e-324])
+    values = np.concatenate([values, edge, -edge, [np.inf, -np.inf, np.nan]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = round_decimals(values, 12)
+    with np.errstate(over="ignore"):
+        want = np.round(values, 12)
+    fits = np.isfinite(want)
+    assert 0 < fits.sum() < values.size - 3
+    assert got[fits].tobytes() == want[fits].tobytes()
+    # past F / 1e12 a float is an integer, which the rounding keeps
+    assert got[~fits].tobytes() == values[~fits].tobytes()
