@@ -84,7 +84,7 @@ _PROBE_CAP = 64
 # side, opponent node), where 2**14 made 16 and 50 and 2**16 still makes 8
 # kernel calls; a larger cap saves no call there.  The price is peak
 # memory, mostly the kernel table and its temporaries: about 10,000 rows
-# of |U| |V| floats per call there, and 1.4 MB more peak RSS than at 2**14
+# of |U| |V| floats per call there, and 1.2 MB more peak RSS than at 2**14
 _BLOCK_FLOATS = 2**17
 
 
