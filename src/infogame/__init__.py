@@ -54,7 +54,6 @@ from .solver import (
     classical_solve,
     dual_project,
     hjb_step,
-    numerical_hamiltonian,
     solve,
     terminal_field,
     validate_time_step,

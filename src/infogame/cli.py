@@ -109,6 +109,16 @@ def _atomic_file(path: str):
         raise
 
 
+def _check_out_dir(path: str) -> None:
+    """Refuse an output directory that names a file or lies below one,
+    before any work is done; nothing is made."""
+    existing = os.path.abspath(path)
+    while not os.path.exists(existing):
+        existing = os.path.dirname(existing)
+    if not os.path.isdir(existing):
+        raise ConfigError(f"cannot write {path}: {existing} is not a directory")
+
+
 def _write_atomic(path: str, text: str) -> None:
     with _atomic_file(path) as handle:
         handle.write(text.encode())
@@ -367,6 +377,7 @@ def load_solve(out_dir: str, config: dict | None = None) -> SolveResult:
 
 
 def _cmd_solve(args) -> int:
+    _check_out_dir(args.out)
     cfg, cfg_sha = _load_config(args.config, args.preset)
     resolved = resolved_config(cfg)
     model = model_from_config(cfg)

@@ -36,24 +36,28 @@ place: `_stack` only checks it (three slices or more, every value
 finite), so no audit copies the field.  Both audits work a side at a
 time, one opponent belief node at a time.
 The conjugate route never forms a whole (t, x) conjugate stack: at each
-audited pick `_queue_conjugate` gathers w on the pick's jet stencil only
-(the centre, t +- 1 and the state neighbours of `_stencil`), scores
-<probe, r> - w there, takes the max over the own beliefs (min on the q
-side) and forms the jets with the solver's difference expressions
-(`_stencil_jets`).  Every step is pointwise in (t, x), so the residuals
-are those of the whole stack bit for bit.  The crosscheck scores no
-whole block either: its first-occurrence argmin over (t, node, belief)
-comes from each belief column of w sorted once per opponent node
-(`_extremal_nodes`), and w's own jets at each pick come from the pick's
-stencil at its belief, the same way.  Neither audit forms the jets of a
-whole stack.  The audited rows of a side
+audited pick `_queue_conjugate` gathers w on the pick's `_jet_points`
+only (the solver's state stencil at t, then the centre at t + 1 and
+t - 1), scores <probe, r> - w there, takes the max over the own beliefs
+(min on the q side), keeps the time difference of the last two points
+and forms the state jets with the solver's `_jets`, the HJB step's own
+differences.  Picks are core nodes, so no mirror ghost is read, and
+every step is pointwise in (t, x): the residuals are those of the whole
+stack bit for bit.  The crosscheck scores no whole block either: its
+first-occurrence argmin over (t, node, belief) comes from each belief
+column of w sorted once per opponent node (`_extremal_nodes`), and w's
+own jets at each pick come from the pick's `_jet_points` at its belief,
+the same way.  Neither audit forms the jets of a whole stack.  The
+audited rows of a side
 queue in `_Rows` and reach `ham_bellman_inf_sup` in a few batched calls.
 One constant, _BLOCK_FLOATS (1 MB of floats), caps the floats of a
 chunk's stencil gather and of the kernel table of one call, so the
 working set does not grow with the number of probes or checks; on small
 solves a chunk holds every probe of an opponent node.  The conjugate
 route folds one minimum per (opponent node, probe), which the report
-keeps as `pair_residuals_super` and `pair_residuals_sub`.  The reductions
+keeps as `pair_residuals_super` and `pair_residuals_sub`; the audited
+pairs are tracked apart from those values, so a NaN residual makes its
+side's scalar residual NaN and the side fail.  The reductions
 keep the per-probe order (opponent node, probe, t, node), so the reports
 do not depend on the chunking.  The probe lifts <probe, r> are one BLAS
 product per probe (`_lifts`).  The probe sets are deduplicated by
@@ -69,7 +73,7 @@ import numpy as np
 from ._util import round_decimals, sorted_unique
 from .errors import ConfigError
 from .hamiltonian import ham_bellman_inf_sup
-from .solver import SolveResult, StateGrid
+from .solver import SolveResult, StateGrid, _jets, _stencil, _stencil_points
 from .transform import coordinate_difference_probes, facet_slope_probes
 
 _DEFAULT_MAX_CHECKS = 10_000
@@ -101,7 +105,8 @@ class DualCheckReport:
     probes_q: np.ndarray
     # per (opponent belief node, probe) pair, the min (super) or max (sub)
     # over its audited nodes; NaN where the stride audits none of them, or
-    # where a residual is NaN (the scalar residuals skip those pairs)
+    # where a residual is NaN: then the side's scalar residual is NaN and
+    # its _ok False
     pair_residuals_super: np.ndarray  # (q nodes, p probes)
     pair_residuals_sub: np.ndarray  # (p nodes, q probes)
 
@@ -188,63 +193,16 @@ def build_probes(result: SolveResult, side: str) -> np.ndarray:
     return sorted_unique(round_decimals(probes, 12), axis=0)[:_PROBE_CAP]
 
 
-def _stencil(grid: StateGrid) -> tuple[np.ndarray, np.ndarray]:
-    """Time shifts (S,) and state offsets (S, n) of a jet stencil.
-
-    The points are the centre, t + 1 and t - 1, then x + e_k and x - e_k
-    for each axis k, then x + e_k + e_l, x + e_k - e_l, x - e_k + e_l and
-    x - e_k - e_l for each axis pair k < l.  A frozen axis takes the
-    centre's index, as `solver._shift` does.
-    """
-    n = grid.ndim
-    e = np.diag([int(ax.size > 1) for ax in grid.axes])  # e_k, zero on a frozen axis
-    offsets = [np.zeros(n, dtype=int)] * 3
-    for k in range(n):
-        offsets += [e[k], -e[k]]
-    for k in range(n):
-        for l in range(k + 1, n):
-            offsets += [e[k] + e[l], e[k] - e[l], -e[k] + e[l], -e[k] - e[l]]
-    shifts = np.zeros(len(offsets), dtype=int)
-    shifts[1:3] = 1, -1
-    return shifts, np.array(offsets)
-
-
-def _stencil_points(grid: StateGrid, ti: np.ndarray, nodes: np.ndarray) -> tuple:
-    """Index arrays, each (picks, S), of the `_stencil` points of picks at
-    time indices ti and (picks, ndim) state indices nodes."""
-    shifts, offsets = _stencil(grid)
-    return (ti[:, None] + shifts, *np.moveaxis(nodes[:, None, :] + offsets, -1, 0))
-
-
-def _stencil_jets(grid: StateGrid, values: np.ndarray, dt: float):
-    """xi_t (m,), grad (m, n) and hess (m, n, n) from the (m, S) values of
-    m picks' `_stencil` points.
-
-    The expressions and their operand order are those of the solver's
-    stencils (`solver._derivatives`, `solver._hessians`) and of the time
-    difference over a whole stack, so at an interior time and a node off
-    every moving wall, where `solver._shift` takes no mirror ghost, each
-    jet is bitwise the whole stack's.
-    """
-    n = grid.ndim
-    centre = values[:, 0]
-    xi_t = (values[:, 1] - values[:, 2]) / (2.0 * dt)
-    grad = np.empty((len(values), n))
-    hess = np.empty((len(values), n, n))
-    for k in range(n):
-        dx = grid.spacing[k]
-        up, down = values[:, 3 + 2 * k], values[:, 4 + 2 * k]
-        grad[:, k] = (up - down) / (2.0 * dx)
-        hess[:, k, k] = (up - 2.0 * centre + down) / (dx * dx)
-    col = 3 + 2 * n
-    for k in range(n):
-        for l in range(k + 1, n):
-            pp, pm, mp, mm = values[:, col : col + 4].T
-            hess[:, k, l] = hess[:, l, k] = (pp - pm - mp + mm) / (
-                4.0 * grid.spacing[k] * grid.spacing[l]
-            )
-            col += 4
-    return xi_t, grad, hess
+def _jet_points(grid: StateGrid, ti: np.ndarray, nodes: np.ndarray) -> tuple:
+    """Index arrays, each (S + 2, picks), of picks at time indices ti and
+    (picks, ndim) state indices nodes: the `_stencil` points at ti, then
+    the centre at ti + 1 and at ti - 1.  Picks are core nodes, off every
+    moving wall, so no point is a mirror ghost."""
+    points = _stencil_points(grid, nodes)
+    rows = np.r_[np.arange(len(points[0])), 0, 0]
+    shifts = np.zeros((len(rows), 1), dtype=int)
+    shifts[-2:, 0] = 1, -1
+    return (ti + shifts, *(axis[rows] for axis in points))
 
 
 def _support(scores: np.ndarray, best, sense: int) -> np.ndarray:
@@ -399,24 +357,27 @@ def _queue_conjugate(
     block is w at one opponent belief, shape (nt, *shape, K); pick k is
     the core (t, node) pair (ti[k], nodes[k]) of the probe whose lift
     <probe, r> is lifts[k], and its residual folds into out[target[k]].
-    Only the pick's `_stencil` is scored: the conjugate is the max of
+    Only the pick's `_jet_points` are scored: the conjugate is the max of
     <probe, r> - w over the own beliefs r on the convex side (sense +1)
-    and the min on the concave one, and at the centre
-    sense * (xi_t - H(t, x, -xi_x, -X, p, q)) is maximized over the
-    near-optimal beliefs.
+    and the min on the concave one, its jets are `solver._jets` of the
+    state stencil and the time difference of the last two points, and at
+    the centre sense * (xi_t - H(t, x, -xi_x, -X, p, q)) is maximized
+    over the near-optimal beliefs.
 
-    The scores are written belief-major, a C-ordered (K, picks, S) array,
-    so the max or min over beliefs and the support's tie scale reduce
-    over the leading axis; the support mask is read transposed, so the
-    rows queue in (pick, belief) order.  The gather itself stays
-    (picks, S, K), one contiguous belief row per stencil point.
+    The scores are written belief-major, a C-ordered (K, S + 2, picks)
+    array, so the max or min over beliefs and the support's tie scale
+    reduce over the leading axis and the conjugate comes out stencil
+    first, as `_jets` reads it; the support mask is read transposed, so
+    the rows queue in (pick, belief) order.  The gather itself is
+    (S + 2, picks, K), one contiguous belief row per stencil point.
     """
     grid = rows.result.grids.state
-    gathered = np.moveaxis(block[_stencil_points(grid, ti, nodes)], -1, 0)
-    scores = np.subtract(lifts.T[:, :, None], gathered, order="C")
+    gathered = np.moveaxis(block[_jet_points(grid, ti, nodes)], -1, 0)
+    scores = np.subtract(lifts.T[:, None, :], gathered, order="C")
     conj = scores.max(axis=0) if rows.sense > 0 else scores.min(axis=0)
-    xi_t, grad, hess = _stencil_jets(grid, conj, rows.result.dt)
-    sel, cand = np.nonzero(_support(scores[..., 0], conj[:, 0], rows.sense).T)
+    xi_t = (conj[-2] - conj[-1]) / (2.0 * rows.result.dt)
+    grad, hess = _jets(grid, conj[:-2])
+    sel, cand = np.nonzero(_support(scores[:, 0], conj[0], rows.sense).T)
     rows.add(
         out, target[sel], ti[sel], nodes[sel], -grad[sel], -hess[sel],
         own.points[cand], opp_point, xi_t[sel], done,
@@ -461,9 +422,10 @@ def check_dual_solution(
         lifts = _lifts(own, probes)
         # probes per chunk: each audits at most ceil(per_block / stride)
         # picks, and each pick gathers its stencil's own-belief rows
-        gather = -(-per_block // stride) * len(_stencil(grids.state)[0]) * own.npoints
+        gather = -(-per_block // stride) * (len(_stencil(grids.state)) + 2) * own.npoints
         size = max(1, _BLOCK_FLOATS // gather)
-        mins = np.full((opp.npoints, npr), np.nan)  # per (opponent node, probe); NaN: none audited
+        mins = np.full((opp.npoints, npr), np.nan)  # per (opponent node, probe)
+        audited_pairs = np.zeros(mins.shape, dtype=bool)
         rows = _Rows(result, sense, np.subtract)
         side_checked = 0
         for jo in range(opp.npoints):
@@ -474,6 +436,7 @@ def check_dual_solution(
                 for r in range(npr)
             ]
             audited = [r for r in range(npr) if picks[r].size]
+            audited_pairs[jo, audited] = True
             for lo in range(0, len(audited), size):
                 chunk = audited[lo : lo + size]
                 sizes = [picks[r].size for r in chunk]
@@ -490,9 +453,8 @@ def check_dual_solution(
                 )
                 side_checked += run.size
         rows.flush()
-        side_worst = np.inf
-        for m in mins[~np.isnan(mins)].tolist():  # audited pairs, in (opponent node, probe) order
-            side_worst = min(side_worst, m)
+        side = mins[audited_pairs].tolist()  # in (opponent node, probe) order
+        side_worst = np.nan if np.isnan(side).any() else min(side, default=np.inf)
         worst.append(sense * side_worst)
         checked.append(side_checked)
         pair_residuals.append(sense * mins)
@@ -535,7 +497,7 @@ def primal_crosscheck(
     interior = np.zeros(stack.shape[:-2], dtype=bool)
     interior[(slice(1, -1), *nodes.T)] = True
     core = np.flatnonzero(interior)
-    stencil = len(_stencil(grids.state)[0])
+    stencil = len(_stencil(grids.state)) + 2
 
     worst = []
     pairs = []
@@ -555,8 +517,9 @@ def primal_crosscheck(
             for chunk, first in _extremal_nodes(block, lifts, sense, core, size):
                 ti, *node, c = np.unravel_index(first, block.shape)
                 node = np.stack(node, axis=-1)
-                at = (*_stencil_points(grids.state, ti, node), c[:, None])
-                xi_t, grad, hess = _stencil_jets(grids.state, block[at], result.dt)
+                jet = block[(*_jet_points(grids.state, ti, node), c)]  # (S + 2, picks)
+                xi_t = (jet[-2] - jet[-1]) / (2.0 * result.dt)
+                grad, hess = _jets(grids.state, jet[:-2])
                 target = jo * probes.shape[0] + chunk
                 primal_rows.add(
                     primal, target, ti, node, grad, hess, own.points[c], opp.points[jo], xi_t,

@@ -48,8 +48,8 @@ from .solver import (
     _MEMORY_CAP_BYTES,
     SolveResult,
     _check_grids,
-    _derivatives,
-    _hessians,
+    _jets,
+    _stencil_points,
     _time_rounding,
 )
 
@@ -564,8 +564,10 @@ def feedback_from_field(
     """Markov minimax selection from a solved field at a frozen belief.
 
     The picks are computed once for every solved (t-slice, state node):
-    central-difference derivatives of the field at the frozen belief pair
-    feed the dissipation-free control table of `hamiltonian.pair_table`,
+    the jets of the field at the frozen belief pair, gathered on every
+    node's `solver._stencil` and differenced by `solver._jets` as in the
+    HJB step, feed the dissipation-free control table of
+    `hamiltonian.pair_table`,
     and each side takes its minimax selection (first index on ties).  The
     play starts at t0 (the solve's t0 by default) and steps by h (the
     solve's dt by default); at each cell start the rule looks up the pick
@@ -592,14 +594,15 @@ def feedback_from_field(
     grid = grids.state
     p_idx = int(np.argmin(np.linalg.norm(grids.p.points - p0[None, :], axis=1)))
     q_idx = int(np.argmin(np.linalg.norm(grids.q.points - q0[None, :], axis=1)))
-    slab = np.moveaxis(result.values[..., p_idx, q_idx], 0, -1)
-    grad, second, mixed = _derivatives(grid, slab)  # state axes, then t
+    slab = np.moveaxis(result.values[..., p_idx, q_idx], 0, -1)  # state axes, then t
+    nodes = np.moveaxis(np.indices(grid.shape), 0, -1)
+    grad, hess = _jets(grid, slab[_stencil_points(grid, nodes)])
     table = pair_table(
         model,
         times,
         grid.mesh()[..., None, :],
-        np.stack(grad, axis=-1),
-        _hessians(grid, second, mixed),
+        grad,
+        hess,
         grids.p.points[p_idx],
         grids.q.points[q_idx],
         run_sign=1.0,

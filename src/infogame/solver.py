@@ -22,6 +22,16 @@ step runs.  Boundaries use zero-gradient mirror ghosts; assertions about
 solved values are made on interior cores away from the numerical domain
 of dependence of the boundary.
 
+The solver owns the library's one jet stencil.  `_stencil` gives the
+state offsets (the centre, x +- e_k, four mixed points per axis pair),
+`_stencil_points` their index arrays, in which a mirror ghost is an
+index reflection, and `_jets` the gradient and Hessian from values
+gathered there, stencil axis first.  The HJB step gathers every node's
+stencil; the feedback replay (`simulator.feedback_from_field`) and both
+dual audits (`dualcheck`) gather theirs the same way and difference them
+with `_jets`, so the scheme and the residual that audits it share one
+discretisation.
+
 The exact minimax is one `hamiltonian.ham_bellman_inf_sup` call over
 every (x, p, q) cell of the slice: the min-max reduction of the
 control-pair table.  The running term enters H_num as
@@ -200,73 +210,57 @@ def validate_time_step(
         )
 
 
-def _shift(values: np.ndarray, axis: int, direction: int) -> np.ndarray:
-    """Neighbour values with zero-gradient mirror ghosts at the boundary."""
-    m = values.shape[axis]
-    if m == 1:
-        return values
-    idx = np.arange(m) + direction
-    if direction > 0:
-        idx[-1] = m - 2
-    else:
-        idx[0] = 1
-    return np.take(values, idx, axis=axis)
-
-
-def _derivatives(grid: StateGrid, values: np.ndarray):
+def _stencil(grid: StateGrid) -> np.ndarray:
+    """State offsets (S, n) of the jet stencil: the centre, then x + e_k
+    and x - e_k for each axis k, then x + e_k + e_l, x + e_k - e_l,
+    x - e_k + e_l and x - e_k - e_l for each axis pair k < l.  A frozen
+    axis has e_k = 0, so its points keep the centre's index."""
     n = grid.ndim
-    grad = []
-    second = []
+    e = np.diag([int(ax.size > 1) for ax in grid.axes])
+    offsets = [np.zeros(n, dtype=int)]
     for k in range(n):
-        dx = grid.spacing[k]
-        up = _shift(values, k, +1)
-        down = _shift(values, k, -1)
-        grad.append((up - down) / (2.0 * dx))
-        second.append((up - 2.0 * values + down) / (dx * dx))
-    mixed = {}
+        offsets += [e[k], -e[k]]
     for k in range(n):
         for l in range(k + 1, n):
-            pp = _shift(_shift(values, k, +1), l, +1)
-            pm = _shift(_shift(values, k, +1), l, -1)
-            mp = _shift(_shift(values, k, -1), l, +1)
-            mm = _shift(_shift(values, k, -1), l, -1)
-            mixed[(k, l)] = (pp - pm - mp + mm) / (
+            offsets += [e[k] + e[l], e[k] - e[l], -e[k] + e[l], -e[k] - e[l]]
+    return np.array(offsets)
+
+
+def _stencil_points(grid: StateGrid, nodes: np.ndarray) -> tuple:
+    """Index arrays, one per state axis, each (S, *nodes.shape[:-1]), of the
+    `_stencil` points of the (..., n) state indices nodes.
+
+    Zero-gradient mirror ghosts are index reflection: -1 reads 1 and m
+    reads m - 2 on an axis of m nodes.
+    """
+    points = nodes + _stencil(grid).reshape(-1, *[1] * (nodes.ndim - 1), grid.ndim)
+    return tuple(
+        (m - 1) - np.abs((m - 1) - np.abs(points[..., k])) for k, m in enumerate(grid.shape)
+    )
+
+
+def _jets(grid: StateGrid, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """grad (..., n) and hess (..., n, n) from values (S, ...) on the
+    `_stencil` points: central first differences, the three-point second
+    difference on the diagonal and the four-point mixed one off it."""
+    n = grid.ndim
+    centre = values[0]
+    grad = np.empty(centre.shape + (n,))
+    hess = np.empty(centre.shape + (n, n))
+    for k in range(n):
+        dx = grid.spacing[k]
+        up, down = values[1 + 2 * k], values[2 + 2 * k]
+        grad[..., k] = (up - down) / (2.0 * dx)
+        hess[..., k, k] = (up - 2.0 * centre + down) / (dx * dx)
+    row = 1 + 2 * n
+    for k in range(n):
+        for l in range(k + 1, n):
+            pp, pm, mp, mm = values[row : row + 4]
+            hess[..., k, l] = hess[..., l, k] = (pp - pm - mp + mm) / (
                 4.0 * grid.spacing[k] * grid.spacing[l]
             )
-    return grad, second, mixed
-
-
-def _hessians(grid: StateGrid, second, mixed) -> np.ndarray:
-    """Stack the stencil second derivatives into (..., n, n) matrices."""
-    n = grid.ndim
-    hess = np.empty(second[0].shape + (n, n))
-    for k in range(n):
-        hess[..., k, k] = second[k]
-    for (k, l), d2 in mixed.items():
-        hess[..., k, l] = hess[..., l, k] = d2
-    return hess
-
-
-def numerical_hamiltonian(
-    model: GameModel, grids: Grids, t: float, values: np.ndarray
-) -> np.ndarray:
-    """Dissipated exact minimax over the control grid, game sign convention."""
-    grid = grids.state
-    grad, second, mixed = _derivatives(grid, values)
-    ham = ham_bellman_inf_sup(
-        model,
-        t,
-        grid.mesh()[..., None, None, :],
-        np.stack(grad, axis=-1),
-        _hessians(grid, second, mixed),
-        grids.p.points[:, None, :],
-        grids.q.points[None, :, :],
-    )
-    if model.drift_bound > 0:
-        for k in range(grid.ndim):
-            if grid.axes[k].size > 1:
-                ham = ham + (0.5 * model.drift_bound * grid.spacing[k]) * second[k]
-    return ham
+            row += 4
+    return grad, hess
 
 
 def hjb_step(
@@ -279,11 +273,29 @@ def hjb_step(
     cfl_factor: float = 0.5,
     validate: bool = True,
 ) -> np.ndarray:
-    """One explicit backward step from the slice at t to the one at t - dt;
-    coefficients evaluated at the data time t."""
+    """One explicit backward step from the slice at t to the one at t - dt:
+    values + dt * H_num, H_num the dissipated exact minimax over the
+    control grid in the game sign convention, with coefficients evaluated
+    at the data time t and every node's jet from its `_stencil`."""
     if validate:
         validate_time_step(model, grids.state, dt, cfl_factor)
-    stepped = values + dt * numerical_hamiltonian(model, grids, t, values)
+    grid = grids.state
+    nodes = np.moveaxis(np.indices(grid.shape), 0, -1)
+    grad, hess = _jets(grid, values[_stencil_points(grid, nodes)])
+    ham = ham_bellman_inf_sup(
+        model,
+        t,
+        grid.mesh()[..., None, None, :],
+        grad,
+        hess,
+        grids.p.points[:, None, :],
+        grids.q.points[None, :, :],
+    )
+    if model.drift_bound > 0:
+        for k in range(grid.ndim):
+            if grid.axes[k].size > 1:
+                ham = ham + (0.5 * model.drift_bound * grid.spacing[k]) * hess[..., k, k]
+    stepped = values + dt * ham
     if not np.all(np.isfinite(stepped)):
         raise NumericsError(f"non-finite values after step to t = {t - dt:g}")
     return stepped

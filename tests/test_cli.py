@@ -114,6 +114,24 @@ def test_an_unwritable_out_is_a_config_error(tmp_path, capsys, command):
         assert blocker.read_bytes() == b""
 
 
+def test_solve_refuses_an_out_file_before_solving(tmp_path, capsys, monkeypatch):
+    # a mistyped --out once cost the whole solve before the write refused it
+    calls = []
+    monkeypatch.setattr(cli, "solve", lambda *args, **kwargs: calls.append(args))
+    blocker = tmp_path / "blocker"
+    blocker.write_bytes(b"")
+    capsys.readouterr()
+    for out in (blocker, blocker / "below" / "deeper"):
+        rc = run(
+            "solve", "--preset", "one-sided-drift-1d", "--nx", 15, "--bounds", "-1.5", "1.5",
+            "--np", 2, "--nq", 1, "--steps", 25, "--out", out,
+        )
+        assert rc == 2
+        assert "cannot write" in capsys.readouterr().err
+    assert not calls
+    assert list(tmp_path.iterdir()) == [blocker] and blocker.read_bytes() == b""
+
+
 def test_outputs_honour_the_umask(tmp_path):
     previous = os.umask(0o022)
     try:

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import warnings
 from dataclasses import replace
 from types import SimpleNamespace
@@ -14,8 +13,7 @@ import pytest
 from infogame import dualcheck
 from infogame.dualcheck import (
     _core_nodes,
-    _stencil,
-    _stencil_jets,
+    _jet_points,
     build_probes,
     check_dual_solution,
     default_tolerance,
@@ -25,7 +23,7 @@ from infogame.errors import ConfigError
 from infogame.hamiltonian import ham_bellman_inf_sup, pair_table
 from infogame.model import model_from_config, preset, preset_config
 from infogame.simplex import build_grid
-from infogame.solver import Grids, _derivatives, _hessians, build_state_grid, solve
+from infogame.solver import Grids, _jets, _stencil, _stencil_points, build_state_grid, solve
 from infogame.transform import coordinate_difference_probes
 
 
@@ -80,20 +78,54 @@ def flat_solve(drift_solve):
     return replace(drift_solve, model=model_from_config(cfg), values=values)
 
 
+def _neighbours(values, axis, direction):
+    """Whole-array neighbour values along a state axis, with zero-gradient
+    mirror ghosts at the walls: x + 1 at the last node reads x - 1, x - 1 at
+    the first reads x + 1.  A frozen axis is its own neighbour."""
+    m = values.shape[axis]
+    if m == 1:
+        return values
+    idx = np.arange(m) + direction
+    if direction > 0:
+        idx[-1] = m - 2
+    else:
+        idx[0] = 1
+    return np.take(values, idx, axis=axis)
+
+
+def whole_jets(grid, values):
+    """grad (..., n) and hess (..., n, n) at every node of values, whose
+    leading axes are the state axes, from whole shifted arrays: the
+    reference that `solver._jets` on each node's stencil must match
+    everywhere, walls included."""
+    n = grid.ndim
+    grad = np.empty(values.shape + (n,))
+    hess = np.empty(values.shape + (n, n))
+    for k in range(n):
+        dx = grid.spacing[k]
+        up, down = _neighbours(values, k, +1), _neighbours(values, k, -1)
+        grad[..., k] = (up - down) / (2.0 * dx)
+        hess[..., k, k] = (up - 2.0 * values + down) / (dx * dx)
+        for l in range(k + 1, n):
+            pp, pm = _neighbours(up, l, +1), _neighbours(up, l, -1)
+            mp, mm = _neighbours(down, l, +1), _neighbours(down, l, -1)
+            hess[..., k, l] = hess[..., l, k] = (pp - pm - mp + mm) / (
+                4.0 * grid.spacing[k] * grid.spacing[l]
+            )
+    return grad, hess
+
+
 def _stack_jets(grid, stack, dt):
     """Central-difference jets of a whole (t, *shape) stack at every
-    interior time, from the solver's stencils: the reference that the
-    audits' per-pick `_stencil_jets` must match off the moving walls.
+    interior time: the reference that the audits' per-pick jets must
+    match off the moving walls.
 
     Returns xi_t over (nt - 2, *shape), grad over (nt - 2, *shape, n) and
     hess over (nt - 2, *shape, n, n); index 0 is the slice at t index 1.
     """
-    inner = np.moveaxis(stack[1:-1], 0, -1)  # state axes lead, as the stencils expect
-    grad, second, mixed = _derivatives(grid, inner)
+    grad, hess = whole_jets(grid, np.moveaxis(stack[1:-1], 0, -1))  # state axes lead
     xi_t = (stack[2:] - stack[:-2]) / (2.0 * dt)
-    grad = np.moveaxis(np.stack(grad, axis=-1), -2, 0)
-    hess = np.moveaxis(_hessians(grid, second, mixed), -3, 0)
-    return xi_t, grad, hess
+    return xi_t, np.moveaxis(grad, -2, 0), np.moveaxis(hess, -3, 0)
 
 
 def perturbed(result, eps):
@@ -164,6 +196,20 @@ def test_local_slice_defect_breaks_both_inequalities(two_sided_solve, sign):
     report = check_dual_solution(replace(result, values=values))
     assert not report.supersolution_ok, report.supersolution_residual
     assert not report.subsolution_ok, report.subsolution_residual
+
+
+def test_a_time_affine_defect_fails_at_ten_tolerances(two_sided_solve):
+    # check-2type's input plus c (T - t), c ten times the default
+    # tolerance: every conjugate's xi_t moves by c, so the subsolution
+    # side fails by about c.  At c = 1, and with one slice left
+    # unprojected or with its cav skipped, the audit still passes
+    result = two_sided_solve
+    tol = default_tolerance(result)
+    report = check_dual_solution(perturbed(result, 10.0 * tol))
+    assert report.tolerance == tol
+    assert report.supersolution_ok
+    assert not report.subsolution_ok
+    assert report.subsolution_residual > 9.0 * tol
 
 
 def conjugate_route_by_hand(result, probe_p, probe_q):
@@ -248,7 +294,7 @@ def test_pair_residuals_match_the_conjugate_route_by_hand(
     monkeypatch.setattr(dualcheck, "_queue_conjugate", counted)
     if one_probe_per_chunk:
         per_block = (len(result.times) - 2) * len(_core_nodes(result))
-        gather = per_block * len(_stencil(result.grids.state)[0]) * result.grids.p.npoints
+        gather = per_block * (len(_stencil(result.grids.state)) + 2) * result.grids.p.npoints
         monkeypatch.setattr(dualcheck, "_BLOCK_FLOATS", gather)
     report = check_dual_solution(
         result, probes_p=PAIR_PROBES_P, probes_q=PAIR_PROBES_Q, max_checks=10**9
@@ -274,6 +320,24 @@ def test_pair_residuals_are_nan_where_no_node_is_audited(two_sided_solve):
         assert 0 < audited.sum() <= checks <= 7
     assert report.supersolution_residual == np.nanmin(report.pair_residuals_super)
     assert report.subsolution_residual == np.nanmax(report.pair_residuals_sub)
+
+
+@pytest.mark.parametrize("big, side", [(1e308, "sub"), (-1e308, "super")])
+def test_a_nan_pair_residual_fails_its_side(two_sided_solve, big, side):
+    # one value near the float limit overflows the conjugate's jets: the
+    # pairs of one opponent node read NaN, and the side must not pass on
+    # the other pairs' residuals
+    values = two_sided_solve.values.copy()
+    values[9, 20, 2, 2] = big
+    with np.errstate(over="ignore", invalid="ignore"):
+        report = check_dual_solution(replace(two_sided_solve, values=values))
+    other = {"sub": "super", "super": "sub"}[side]
+    assert np.isnan(getattr(report, f"pair_residuals_{side}")).sum() == 64
+    assert np.isnan(getattr(report, f"{side}solution_residual"))
+    assert not getattr(report, f"{side}solution_ok")
+    assert not np.isnan(getattr(report, f"pair_residuals_{other}")).any()
+    assert np.isfinite(getattr(report, f"{other}solution_residual"))
+    assert getattr(report, f"{other}solution_ok")
 
 
 def test_crosscheck_agrees_with_conjugate_route(static_solve):
@@ -468,7 +532,7 @@ def test_chunk_size_does_not_change_the_reports(request, monkeypatch, name):
         assert_same_report(check_dual_solution(result), want[0])
         assert_same_report(primal_crosscheck(result), want[1])
     # one crosscheck probe per chunk: a stencil gather of the larger own grid
-    gather = len(_stencil(result.grids.state)[0]) * max(result.grids.p.npoints, result.grids.q.npoints)
+    gather = (len(_stencil(result.grids.state)) + 2) * max(result.grids.p.npoints, result.grids.q.npoints)
     monkeypatch.setattr(dualcheck, "_BLOCK_FLOATS", gather)
     assert_same_report(primal_crosscheck(result), want[1])
 
@@ -479,53 +543,49 @@ def test_chunk_size_does_not_change_the_reports(request, monkeypatch, name):
         ([(-1.0, 1.0)], [7]),
         ([(-1.0, 1.0), (0.0, 3.0)], [5, 6]),  # mixed terms, two spacings
         ([(-1.0, 1.0), (0.5, 0.5), (0.0, 3.0)], [5, 1, 4]),  # a frozen middle axis
+        ([(-1.0, 1.0)], [2]),  # each node is the other's mirror ghost
+        ([(-1.0, 1.0), (0.0, 3.0), (2.0, 2.5)], [4, 5, 3]),  # three axis pairs
     ],
 )
 def test_stencil_jets_match_the_whole_stack(bounds, counts):
-    # at every interior time and every node off the moving walls, the
-    # jets from a pick's stencil alone are the whole stack's, bit for bit
+    # at every node, walls included, the jets of the node's stencil alone
+    # are the whole array's, bit for bit; the audits' picks add the centre
+    # at t + 1 and t - 1 to the stencil at t
     grid = build_state_grid(bounds, counts)
-    dt = 0.037
     rng = np.random.default_rng(3)
-    shape = (6, *grid.shape)
-    stack = rng.standard_normal(shape) * 10.0 ** rng.integers(-3, 4, shape)
-    want = _stack_jets(grid, stack, dt)
-    inner = [range(1, m - 1) if m > 1 else range(1) for m in grid.shape]
-    picks = np.array([(t, *node) for t in range(1, shape[0] - 1) for node in itertools.product(*inner)])
+    shape = (*grid.shape, 6, 2)
+    values = rng.standard_normal(shape) * 10.0 ** rng.integers(-3, 4, shape)
+    nodes = np.moveaxis(np.indices(grid.shape), 0, -1)
+    got = _jets(grid, values[_stencil_points(grid, nodes)])
+    for g, w in zip(got, whole_jets(grid, values)):
+        assert same_bits(g, w)
+    stack = np.moveaxis(values[..., 0], -1, 0)  # (t, *shape)
+    picks = np.array([(t, *node) for t in range(1, 5) for node in np.ndindex(grid.shape)])
     ti, nodes = picks[:, 0], picks[:, 1:]
-    shifts, offsets = _stencil(grid)
-    at = (ti[:, None] + shifts, *np.moveaxis(nodes[:, None, :] + offsets, -1, 0))
-    got = _stencil_jets(grid, stack[at], dt)
-    jet = (ti - 1, *nodes.T)
-    for g, w in zip(got, want):
-        assert same_bits(g, w[jet])
+    jet = stack[_jet_points(grid, ti, nodes)]
+    assert same_bits(jet[-2], stack[(ti + 1, *nodes.T)])
+    assert same_bits(jet[-1], stack[(ti - 1, *nodes.T)])
+    _, grad, hess = _stack_jets(grid, stack, 0.037)
+    for g, w in zip(_jets(grid, jet[:-2]), (grad, hess)):
+        assert same_bits(g, w[(ti - 1, *nodes.T)])
 
 
 def test_neither_audit_builds_whole_stack_jets(two_sided_solve, monkeypatch):
-    # both routes read each pick's stencil: every jet comes from a
-    # (picks, S) table of stencil values, and no whole-stack difference
-    # (the solver's `_derivatives` or `_hessians`) runs during an audit
-    from infogame import solver
-
-    def whole_stack(*args):
-        raise AssertionError("an audit built whole-stack jets")
-
-    for module in (solver, dualcheck):
-        for name in ("_derivatives", "_hessians"):
-            monkeypatch.setattr(module, name, whole_stack, raising=False)
+    # both routes read each pick's stencil: every jet comes from an
+    # (S, picks) table of stencil values, never from a whole (t, x) stack
     tables = []
-    inner = dualcheck._stencil_jets
+    inner = dualcheck._jets
 
-    def counted(grid, values, dt):
+    def counted(grid, values):
         tables.append(values.shape)
-        return inner(grid, values, dt)
+        return inner(grid, values)
 
-    monkeypatch.setattr(dualcheck, "_stencil_jets", counted)
-    stencil = len(_stencil(two_sided_solve.grids.state)[0])
+    monkeypatch.setattr(dualcheck, "_jets", counted)
+    stencil = len(_stencil(two_sided_solve.grids.state))
     for audit in (check_dual_solution, primal_crosscheck):
         tables.clear()
         audit(two_sided_solve)
-        assert tables and all(len(shape) == 2 and shape[1] == stencil for shape in tables), audit
+        assert tables and all(len(shape) == 2 and shape[0] == stencil for shape in tables), audit
 
 
 class QueuedRows:
@@ -541,19 +601,23 @@ class QueuedRows:
 
 
 def queued_by_reference(grid, dt, sense, own, block, lifts, ti, nodes, target):
-    """The conjugate rows from (picks, S, K) scores reduced over their last
-    axis, and the support mask read as it is."""
-    shifts, offsets = _stencil(grid)
-    at = (ti[:, None] + shifts, *np.moveaxis(nodes[:, None, :] + offsets, -1, 0))
-    scores = lifts[:, None, :] - block[at]
-    conj = scores.max(axis=-1) if sense > 0 else scores.min(axis=-1)
-    xi_t, grad, hess = _stencil_jets(grid, conj, dt)
-    centre = scores[:, 0]
+    """The conjugate rows from each pick's whole conjugate stack, reduced
+    over the beliefs, its jets from `_stack_jets`, and the support mask at
+    the centre read as it is."""
+    jets = [], [], []
+    for lift, t, node in zip(lifts, ti, nodes):
+        scores = lift - block
+        conj = scores.max(axis=-1) if sense > 0 else scores.min(axis=-1)
+        for out, jet in zip(jets, _stack_jets(grid, conj, dt)):
+            out.append(jet[(t - 1, *node)])
+    xi_t, grad, hess = (np.array(jet) for jet in jets)
+    centre = lifts - block[(ti, *nodes.T)]
+    conj = centre.max(axis=-1) if sense > 0 else centre.min(axis=-1)
     tie = 1e-9 * np.maximum(1.0, np.max(np.abs(centre), axis=-1))
     if sense > 0:
-        near = centre >= (conj[:, 0] - tie)[:, None]
+        near = centre >= (conj - tie)[:, None]
     else:
-        near = centre <= (conj[:, 0] + tie)[:, None]
+        near = centre <= (conj + tie)[:, None]
     sel, cand = np.nonzero(near)
     return target[sel], ti[sel], nodes[sel], xi_t[sel], -grad[sel], -hess[sel], own.points[cand]
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from envelope_reference import convexity_violation, vex_row
+from exact_reference import one_sided_drift_value
 from infogame import transform
 from infogame.errors import ConfigError
 from infogame.model import model_from_config, preset, preset_config
@@ -300,3 +301,23 @@ def test_memory_cap():
     )
     with pytest.raises(ConfigError, match="memory"):
         solve(m, grids, t0=0.3, dt=0.002)
+
+
+def test_one_sided_drift_converges_to_its_closed_form():
+    # at (t0, x = 0) on the preset box, at the CFL dt (dt ~ dx^2 here),
+    # the error falls about 4x per halving of dx: 5.4e-3, 1.5e-3, 3.8e-4.
+    # Only x = 0 is tested: away from it the box's reflecting walls
+    # dominate (1.2e-3 on |x| <= 0.5 at 81 nodes)
+    m = preset("one-sided-drift-1d")
+    errors = []
+    for nx in (21, 41, 81):
+        grid = build_state_grid([(-2.0, 2.0)], [nx])
+        steps = int(np.ceil(m.horizon / cfl_limit(m, grid)))
+        grids = Grids(state=grid, p=build_grid(2, 8), q=build_grid(1, 1))
+        result = solve(m, grids, t0=0.0, dt=m.horizon / steps)
+        mid = nx // 2
+        assert grid.axes[0][mid] == 0.0
+        want = one_sided_drift_value(result.times[0], 0.0, grids.p.points, m.horizon)
+        errors.append(float(np.max(np.abs(result.values[0, mid, :, 0] - want))))
+    assert max(errors) < 6e-3, errors
+    assert errors[0] >= 3.0 * errors[1] and errors[1] >= 3.0 * errors[2], errors

@@ -21,6 +21,8 @@ DELETED = {
     "transform": ("ConjugateValue", "conjugate_p", "concave_conjugate_q", "TIE_TOLERANCE"),
     "model": ("evaluate_dynamics",),
     "oracle": ("exact_payoff_random",),
+    "solver": ("_shift", "_derivatives", "_hessians", "numerical_hamiltonian"),
+    "dualcheck": ("_stencil_jets",),
 }
 
 
