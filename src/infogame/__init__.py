@@ -28,7 +28,6 @@ from .oracle import (
 )
 from .simplex import SimplexGrid, build_grid, discrete_convexity_violation
 from .simulator import (
-    NoisePath,
     PayoffEstimate,
     PureStrategy,
     RandomStrategy,

@@ -1,5 +1,9 @@
-"""Shared helpers: deterministic reductions, `sorted_unique`,
-`round_decimals` and the thread pool knob.
+"""Shared helpers: the memory cap, deterministic reductions,
+`sorted_unique`, `round_decimals` and the thread pool knob.
+
+`_MEMORY_CAP_BYTES` is the library's one memory cap: a request whose
+arrays would pass it is refused with a ConfigError before they are
+allocated.
 
 Reductions always use the same pairwise tree, so their results depend
 only on the values and their order.  No part of the library uses the
@@ -21,6 +25,8 @@ from .errors import ConfigError
 
 T = TypeVar("T")
 R = TypeVar("R")
+
+_MEMORY_CAP_BYTES = 2 * 1024**3
 
 
 def thread_count() -> int:

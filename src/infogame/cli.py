@@ -43,7 +43,7 @@ from .dualcheck import (
 )
 from .errors import ConfigError, NumericsError
 from .hamiltonian import is_probability_vector
-from .model import model_from_config, preset_config, resolved_config
+from .model import model_from_config, preset_config
 from .oracle import TreeGame, one_sided_recursion
 from .simplex import build_grid
 from .simulator import (
@@ -379,7 +379,6 @@ def load_solve(out_dir: str, config: dict | None = None) -> SolveResult:
 def _cmd_solve(args) -> int:
     _check_out_dir(args.out)
     cfg, cfg_sha = _load_config(args.config, args.preset)
-    resolved = resolved_config(cfg)
     model = model_from_config(cfg)
     bounds = [(args.bounds[0], args.bounds[1])] * model.state_dim
     counts = [args.nx] * model.state_dim
@@ -403,16 +402,14 @@ def _cmd_solve(args) -> int:
         cfl_factor=args.cfl,
     )
     elapsed = time.perf_counter() - started
-    _write_solve_outputs(args.out, result, resolved, cfg_sha)
+    _write_solve_outputs(args.out, result, model.config, cfg_sha)
     print(f"solve finished in {elapsed:.3f}s", file=sys.stderr)
     for name in ("slices.csv", _VALUES_FILE, "diagnostics.json"):
         print(f"wrote {os.path.join(args.out, name)}")
     return 0
 
 
-def _parse_strategy(
-    model, resolved: dict, spec: str, side: str, delay_cells: int, t0: float, h: float, p, q
-):
+def _parse_strategy(model, spec: str, side: str, delay_cells: int, t0: float, h: float, p, q):
     """Strategy families: constant[:k], cycle, feedback:<solve dir>.
 
     A feedback solve must record the simulated game's resolved config.
@@ -437,7 +434,7 @@ def _parse_strategy(
         ]
     if spec.startswith("feedback:"):
         _, _, directory = spec.partition(":")
-        result = load_solve(directory, resolved)
+        result = load_solve(directory, model.config)
         return feedback_from_field(
             model, result, side, p, q, t0=t0, h=h, delay_cells=delay_cells
         )
@@ -446,16 +443,15 @@ def _parse_strategy(
 
 def _cmd_simulate(args) -> int:
     cfg, cfg_sha = _load_config(args.config, args.preset)
-    resolved = resolved_config(cfg)
     model = model_from_config(cfg)
     p = _belief(args.p, model.u_types, "--p")
     q = _belief(args.q, model.v_types, "--q")
     x0 = np.asarray(_float_list(args.x0), dtype=float) if args.x0 else np.zeros(model.state_dim)
     strat_u = _parse_strategy(
-        model, resolved, args.strategy_u or args.strategy, "u", args.delta, args.t0, args.h, p, q
+        model, args.strategy_u or args.strategy, "u", args.delta, args.t0, args.h, p, q
     )
     strat_v = _parse_strategy(
-        model, resolved, args.strategy_v or args.strategy, "v", args.delta, args.t0, args.h, p, q
+        model, args.strategy_v or args.strategy, "v", args.delta, args.t0, args.h, p, q
     )
     profile = StrategyProfile(u_strategies=tuple(strat_u), v_strategies=tuple(strat_v))
     started = time.perf_counter()
@@ -471,7 +467,7 @@ def _cmd_simulate(args) -> int:
     if not np.all(np.isfinite([*ests.ravel(), *errs.ravel(), combined.estimate, combined.stderr])):
         raise NumericsError("the simulated payoffs are not finite; the paths overflowed")
     payload = {
-        "config": resolved,
+        "config": model.config,
         "config_sha256": cfg_sha,
         "p": p,
         "q": q,
@@ -628,7 +624,6 @@ def _cmd_convexify(args) -> int:
 
 def _cmd_oracle(args) -> int:
     cfg, cfg_sha = _load_config(args.config, args.preset)
-    resolved = resolved_config(cfg)
     model = model_from_config(cfg)
     x0 = np.asarray(_float_list(args.x0), dtype=float) if args.x0 else np.zeros(model.state_dim)
     tree = TreeGame(model=model, x0=x0, t0=args.t0, steps=args.steps, h=args.h)
@@ -637,7 +632,7 @@ def _cmd_oracle(args) -> int:
     res = one_sided_recursion(tree, grid)
     elapsed = time.perf_counter() - started
     payload = {
-        "config": resolved,
+        "config": model.config,
         "config_sha256": cfg_sha,
         "x0": x0,
         "t0": args.t0,

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ._util import _MEMORY_CAP_BYTES
 from .errors import ConfigError
 from .model import GameModel, running_matrix
 
@@ -127,13 +128,19 @@ def sample_isaacs_gap(
     the box center and t = t_range start) is always evaluated first; the
     report carries its gap and the max over all sampled queries.  The
     queries are drawn one at a time in a fixed order and evaluated in one
-    batch.
+    batch.  A batch whose queries and control-pair table would pass the
+    2 GiB cap is refused before it is drawn.
     """
     if samples < 1:
         raise ConfigError("samples must be >= 1")
     if seed < 0:
         raise ConfigError("seed must be >= 0")
     n = model.state_dim
+    # t, x, grad, hess, p and q, then the (|U|, |V|) table, per query
+    floats = (1 + 2 * n + n * n + model.u_types + model.v_types
+              + model.u_set.count * model.v_set.count)
+    if samples * floats * 8 > _MEMORY_CAP_BYTES:
+        raise ConfigError(f"{samples} Isaacs samples are above the 2 GiB cap")
     t_lo, t_hi = t_range if t_range is not None else (0.0, model.horizon)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     t = np.full(samples, float(t_lo))

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import copy
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -75,7 +75,6 @@ class ControlSet:
 
 @dataclass(frozen=True)
 class GameModel:
-    name: str
     state_dim: int
     noise_dim: int
     drift: Callable
@@ -142,27 +141,12 @@ def restrict_to_types(model: GameModel, i: int, j: int) -> GameModel:
     """Complete-information restriction: single type pair (i, j)."""
     if not (0 <= i < model.u_types and 0 <= j < model.v_types):
         raise ConfigError(f"type pair ({i}, {j}) out of range")
-    return GameModel(
-        name=f"{model.name}[{i},{j}]",
-        state_dim=model.state_dim,
-        noise_dim=model.noise_dim,
-        drift=model.drift,
-        diffusion=model.diffusion,
-        u_set=model.u_set,
-        v_set=model.v_set,
+    return replace(
+        model,
         u_types=1,
         v_types=1,
         terminal=((model.terminal[i][j],),),
         running=((model.running[i][j],),),
-        horizon=model.horizon,
-        has_running=model.has_running,
-        decoupled=model.decoupled,
-        lipschitz_bound=model.lipschitz_bound,
-        drift_bound=model.drift_bound,
-        diffusion_bound=model.diffusion_bound,
-        terminal_bound=model.terminal_bound,
-        running_bound=model.running_bound,
-        config=model.config,
     )
 
 
@@ -464,7 +448,6 @@ def model_from_config(cfg: dict) -> GameModel:
     )
 
     return GameModel(
-        name=cfg["preset"],
         state_dim=dyn.state_dim,
         noise_dim=dyn.noise_dim,
         drift=dyn.drift,

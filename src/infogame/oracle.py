@@ -224,7 +224,6 @@ def classical_backward(tree: TreeGame, i: int = 0, j: int = 0, g=None, l=None) -
 
 @dataclass(frozen=True)
 class OneSidedResult:
-    grid: SimplexGrid
     values: np.ndarray  # (npoints,) at the root
     levels: tuple[dict[bytes, np.ndarray], ...]
     states: tuple[dict[bytes, np.ndarray], ...]
@@ -258,7 +257,6 @@ def one_sided_recursion(tree: TreeGame, p_grid: SimplexGrid) -> OneSidedResult:
         ]
         values[k] = dict(zip(states[k].keys(), vex_rows(p_grid, np.array(stage))))
     return OneSidedResult(
-        grid=p_grid,
         values=values[0][tree.x0.tobytes()],
         levels=tuple(values),
         states=states,

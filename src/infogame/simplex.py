@@ -19,7 +19,14 @@ from math import comb
 
 import numpy as np
 
+from ._util import _MEMORY_CAP_BYTES
 from .errors import ConfigError
+
+# peak bytes of `build_grid` per lattice point and per midpoint triple (a
+# point has at most dim (dim - 1) / 2 triples): its Python rows, index and
+# triple lists.  Measured peaks are about 400 bytes per point at dim 2 and
+# 600 at dim 3, below the 512 and 1024 this bound gives.
+_BUILD_BYTES = 256
 
 
 @dataclass(frozen=True)
@@ -62,9 +69,15 @@ def build_grid(dim: int, resolution: int) -> SimplexGrid:
         raise ConfigError(f"simplex dimension must be >= 1, got {dim}")
     if resolution < 1:
         raise ConfigError(f"simplex resolution must be >= 1, got {resolution}")
+    npoints = comb(resolution + dim - 1, dim - 1)
+    if npoints * (1 + dim * (dim - 1) // 2) * _BUILD_BYTES > _MEMORY_CAP_BYTES:
+        raise ConfigError(
+            f"a lattice of {npoints} points (dim {dim}, resolution {resolution}) "
+            "is above the 2 GiB cap"
+        )
     rows = _lattice(dim, resolution)
     numerators = np.array(rows, dtype=np.int64)
-    assert numerators.shape[0] == comb(resolution + dim - 1, dim - 1)
+    assert numerators.shape[0] == npoints
     index = {row: i for i, row in enumerate(rows)}
     points = numerators.astype(float) / float(resolution)
 

@@ -8,17 +8,21 @@ pair of strategies resolves to a unique pair of control paths cell by
 cell, starting from the constant path on the first cell.
 
 Randomized strategies are finite atom lists with exact rational weights.
-`payoff_samples` is the one pass over the samples.  It plays them in
-chunks, each a batch of (S, ...) arrays that moves through the time steps
-together: every sample draws its own stream from (seed, sample index),
-each distinct pure pair is resolved once per chunk, and every type pair
-that plays the resolved paths is scored on them.  These common random
-numbers make mixtures and belief combinations exactly bilinear in the
-weights.  At each step the dynamics and running costs are evaluated once
-per distinct control pair, on the rows that play it; `_pair_rows` finds
-those pairs with `_util.sorted_unique`, so a request never imports
-numpy.ma.  The model callables are elementwise in x at a fixed pair, so
-every path has the bits it would have alone, whatever the chunk size.
+The batch is the simulator's only shape: `resolve_controls` plays an
+(S, steps, noise_dim) stack of increments and `payoff_path` scores it as
+(S,); one path plays as a batch of one.  `sample_noise` draws one
+sample's (steps, noise_dim) increments.  `payoff_samples` is the one pass
+over the samples.  It plays them in chunks, each a batch of (S, ...)
+arrays that moves through the time steps together: every sample draws
+its own stream from (seed, sample index), each distinct pure pair is
+resolved once per chunk, and every type pair that plays the resolved
+paths is scored on them.  These common random numbers make mixtures and
+belief combinations exactly bilinear in the weights.  At each step the
+dynamics and running costs are evaluated once per distinct control pair,
+on the rows that play it; `_pair_rows` finds those pairs with
+`_util.sorted_unique`, so a request never imports numpy.ma.  The model
+callables are elementwise in x at a fixed pair, so every path has the
+bits it would have alone, whatever the chunk size.
 
 The built-in families (`constant_strategy`, `cycle_strategy`,
 `feedback_from_field`) read only the state at the cell start.  Each is
@@ -40,18 +44,11 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ._util import pairwise_mean, pairwise_sum, sorted_unique
+from ._util import _MEMORY_CAP_BYTES, pairwise_mean, pairwise_sum, sorted_unique
 from .errors import ConfigError
 from .hamiltonian import pair_table
 from .model import GameModel
-from .solver import (
-    _MEMORY_CAP_BYTES,
-    SolveResult,
-    _check_grids,
-    _jets,
-    _stencil_points,
-    _time_rounding,
-)
+from .solver import SolveResult, _check_grids, _jets, _stencil_points, _time_rounding
 
 _DIVISIBILITY_TOL = 1e-9
 # bytes of per-sample path arrays that one chunk of `payoff_samples` holds
@@ -77,7 +74,6 @@ class PureStrategy:
     delay_cells: int
     rule: Callable
     observes_controls: bool = False
-    label: str = "custom"
     select: Callable | None = None
 
     def __post_init__(self):
@@ -126,22 +122,6 @@ class StrategyProfile:
             raise ConfigError("profile sides are inconsistent")
 
 
-@dataclass(frozen=True)
-class NoisePath:
-    """One path's increments (steps, noise_dim), or a batch (S, steps,
-    noise_dim) of the samples sample_index, sample_index + 1, ..."""
-
-    seed: int
-    sample_index: int
-    h: float
-    increments: np.ndarray
-    kind: str
-
-    @property
-    def steps(self) -> int:
-        return self.increments.shape[-2]
-
-
 def sample_noise(
     seed: int,
     sample_index: int,
@@ -149,20 +129,19 @@ def sample_noise(
     noise_dim: int,
     h: float,
     kind: str = "gaussian",
-) -> NoisePath:
-    """Derive the per-sample stream from (seed, sample index)."""
+) -> np.ndarray:
+    """One sample's increments (steps, noise_dim), from the stream derived
+    from (seed, sample index)."""
     if h <= 0 or steps < 1 or seed < 0:
         raise ConfigError("noise needs steps >= 1, h > 0 and seed >= 0")
     rng = np.random.default_rng(
         np.random.SeedSequence(entropy=seed, spawn_key=(sample_index,))
     )
     if kind == "gaussian":
-        inc = rng.standard_normal((steps, noise_dim)) * np.sqrt(h)
-    elif kind == "rademacher":
-        inc = (2.0 * rng.integers(0, 2, size=(steps, noise_dim)) - 1.0) * np.sqrt(h)
-    else:
-        raise ConfigError(f"unknown noise kind {kind!r}")
-    return NoisePath(seed=seed, sample_index=sample_index, h=h, increments=inc, kind=kind)
+        return rng.standard_normal((steps, noise_dim)) * np.sqrt(h)
+    if kind == "rademacher":
+        return (2.0 * rng.integers(0, 2, size=(steps, noise_dim)) - 1.0) * np.sqrt(h)
+    raise ConfigError(f"unknown noise kind {kind!r}")
 
 
 def observation_window(strategy: PureStrategy, step: int) -> int:
@@ -197,14 +176,14 @@ def strategy_control(
 
 @dataclass(frozen=True)
 class Resolution:
-    """Resolved paths; a batch carries a leading sample axis on each."""
+    """Resolved paths of a batch of S samples."""
 
     t0: float
     h: float
-    x_path: np.ndarray  # ([S,] steps + 1, n)
-    u_path: np.ndarray  # ([S,] steps, u dim)
-    v_path: np.ndarray  # ([S,] steps, v dim)
-    pair_path: np.ndarray  # ([S,] steps): a * |V| + b for control pair (a, b)
+    x_path: np.ndarray  # (S, steps + 1, n)
+    u_path: np.ndarray  # (S, steps, u dim)
+    v_path: np.ndarray  # (S, steps, v dim)
+    pair_path: np.ndarray  # (S, steps): a * |V| + b for control pair (a, b)
 
 
 def _pair_rows(pairs: np.ndarray):
@@ -232,26 +211,25 @@ def resolve_controls(
     strat_u: PureStrategy,
     strat_v: PureStrategy,
     x0,
-    noise: NoisePath,
+    increments: np.ndarray,
+    h: float,
     t0: float = 0.0,
 ) -> Resolution:
     """Cell-by-cell fixed point of the two delayed responses.
 
-    A batched `noise` gives paths with a leading sample axis; a single
-    path keeps its shapes.  Each step moves the whole batch: drift and
-    diffusion are evaluated once per distinct control pair, on its rows.
+    increments is an (S, steps, noise_dim) batch, one path per sample.
+    Each step moves the whole batch: drift and diffusion are evaluated
+    once per distinct control pair, on its rows.
     """
     if strat_u.side != "u" or strat_v.side != "v":
         raise ConfigError("resolve_controls needs a u strategy and a v strategy")
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     if x0.shape != (model.state_dim,) or not np.all(np.isfinite(x0)):
         raise ConfigError("x0 must be finite and match the model state dimension")
-    inc = noise.increments
-    single = inc.ndim == 2
-    if single:
-        inc = inc[None]
+    inc = np.asarray(increments, dtype=float)
+    if inc.ndim != 3 or inc.shape[2] != model.noise_dim:
+        raise ConfigError("increments must be an (S, steps, noise_dim) batch")
     batch, steps = inc.shape[:2]
-    h = noise.h
     u_set, v_set = model.u_set, model.v_set
     x = np.empty((batch, steps + 1, model.state_dim))
     x[:, 0] = x0
@@ -271,34 +249,29 @@ def resolve_controls(
             b = np.asarray(model.drift(t_k, x_k, u, v), dtype=float)
             sig = np.asarray(model.diffusion(t_k, x_k, u, v), dtype=float)
             dw = inc[rows, k]
-            # summed from 0.0 term by term, as a single path's sig @ dw is for
-            # one noise axis, so no batch size changes a bit
+            # summed from 0.0 term by term, as sig @ dw is for one noise
+            # axis, so no batch size changes a bit
             shock = 0.0
             for e in range(model.noise_dim):
                 shock = shock + sig[..., e] * dw[:, None, e]
             x[rows, k + 1] = x_k + b * h + shock
     pairs = u_idx * v_set.count + v_idx
-    if single:
-        x, u_rows, v_rows, pairs = x[0], u_rows[0], v_rows[0], pairs[0]
     return Resolution(t0=t0, h=h, x_path=x, u_path=u_rows, v_path=v_rows, pair_path=pairs)
 
 
-def payoff_path(model: GameModel, i: int, j: int, res: Resolution):
-    """Left-rule running integral plus terminal cost along each path.
+def payoff_path(model: GameModel, i: int, j: int, res: Resolution) -> np.ndarray:
+    """Left-rule running integral plus terminal cost along each path, (S,).
 
-    A float for a single path, an (S,) array for a batch.  The running
-    cost is evaluated once per distinct control pair, on every (path,
-    step) that plays it, and summed over the steps in order.
+    The running cost is evaluated once per distinct control pair, on every
+    (path, step) that plays it, and summed over the steps in order.
     """
-    single = res.x_path.ndim == 2
-    x_path = res.x_path[None] if single else res.x_path
-    pairs = res.pair_path[None] if single else res.pair_path
-    run = np.zeros(x_path.shape[0])
+    pairs = res.pair_path
+    run = np.zeros(pairs.shape[0])
     if model.has_running:
         lfn = model.running[i][j]
         u_set, v_set = model.u_set, model.v_set
         t = np.broadcast_to(res.t0 + np.arange(pairs.shape[1]) * res.h, pairs.shape)
-        x = x_path[:, :-1]
+        x = res.x_path[:, :-1]
         cost = np.empty(pairs.shape)
         for pair, rows in _pair_rows(pairs):
             u, v = u_set.values[pair // v_set.count], v_set.values[pair % v_set.count]
@@ -306,15 +279,13 @@ def payoff_path(model: GameModel, i: int, j: int, res: Resolution):
         cost *= res.h
         for k in range(pairs.shape[1]):
             run = run + cost[:, k]
-    out = run + model.terminal[i][j](x_path[:, -1])
-    return float(out[0]) if single else out
+    return run + model.terminal[i][j](res.x_path[:, -1])
 
 
 @dataclass(frozen=True)
 class PayoffEstimate:
     estimate: float
     stderr: float
-    samples: int
 
 
 def _steps_for(model: GameModel, t0: float, h: float) -> int:
@@ -354,6 +325,8 @@ def payoff_samples(
         raise ConfigError("the profile needs one strategy per type on each side")
     if samples < 1:
         raise ConfigError(f"samples must be >= 1, got {samples}")
+    if samples * model.u_types * model.v_types * 8 > _MEMORY_CAP_BYTES:
+        raise ConfigError(f"{samples} samples need a payoff table above the 2 GiB cap")
     steps = _steps_for(model, t0, h)
     terms = [
         (i, j, float(wu * wv), au, av)
@@ -368,20 +341,15 @@ def payoff_samples(
     out = np.zeros((samples, model.u_types, model.v_types))
     for start in range(0, samples, chunk):
         stop = min(samples, start + chunk)
-        paths = [sample_noise(seed, s, steps, model.noise_dim, h, kind) for s in range(start, stop)]
-        noise = NoisePath(
-            seed=seed,
-            sample_index=start,
-            h=h,
-            increments=np.stack([p.increments for p in paths]),
-            kind=kind,
+        noise = np.stack(
+            [sample_noise(seed, s, steps, model.noise_dim, h, kind) for s in range(start, stop)]
         )
         cache: dict[tuple[int, int], Resolution] = {}
         block = out[start:stop]
         for i, j, weight, pure_u, pure_v in terms:
             key = (id(pure_u), id(pure_v))
             if key not in cache:
-                cache[key] = resolve_controls(model, pure_u, pure_v, x0, noise, t0)
+                cache[key] = resolve_controls(model, pure_u, pure_v, x0, noise, h, t0)
             block[:, i, j] += weight * payoff_path(model, i, j, cache[key])
     return out
 
@@ -394,7 +362,7 @@ def _estimate(values: np.ndarray) -> PayoffEstimate:
         stderr = float(np.sqrt(max(var, 0.0) / m))
     else:
         stderr = 0.0
-    return PayoffEstimate(estimate=mean, stderr=stderr, samples=m)
+    return PayoffEstimate(estimate=mean, stderr=stderr)
 
 
 def matrix_estimate(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -426,8 +394,7 @@ def pq_estimate(table: np.ndarray, p, q) -> PayoffEstimate:
             weight = float(p[i] * q[j])
             estimate += weight * pairwise_mean(table[:, i, j])
             combined = combined + weight * table[:, i, j]
-    spread = _estimate(combined)
-    return PayoffEstimate(estimate=estimate, stderr=spread.stderr, samples=spread.samples)
+    return PayoffEstimate(estimate=estimate, stderr=_estimate(combined).stderr)
 
 
 def payoff_matrix(
@@ -509,18 +476,14 @@ def split_mix(
     return tuple(out), mixed_beliefs
 
 
-def _cell_start_strategy(
-    controls, side: str, delay_cells: int, select: Callable, label: str
-) -> PureStrategy:
+def _cell_start_strategy(controls, side: str, delay_cells: int, select: Callable) -> PureStrategy:
     """A strategy whose per-path rule is `select` on a batch of one path."""
 
     def rule(step, x_obs, opp_obs):
         cell = (step // delay_cells) * delay_cells
         return controls.values[select(cell, np.asarray(x_obs)[-1:])[0]]
 
-    return PureStrategy(
-        side=side, delay_cells=delay_cells, rule=rule, label=label, select=select
-    )
+    return PureStrategy(side=side, delay_cells=delay_cells, rule=rule, select=select)
 
 
 def constant_strategy(
@@ -530,11 +493,7 @@ def constant_strategy(
     if not 0 <= index < controls.count:
         raise ConfigError(f"control index {index} out of range")
     return _cell_start_strategy(
-        controls,
-        side,
-        delay_cells,
-        lambda cell, x: np.full(len(x), index),
-        f"constant:{index}",
+        controls, side, delay_cells, lambda cell, x: np.full(len(x), index)
     )
 
 
@@ -547,7 +506,7 @@ def cycle_strategy(
     def select(cell, x):
         return np.full(len(x), (cell // delay_cells) % controls.count)
 
-    return _cell_start_strategy(controls, side, delay_cells, select, "cycle")
+    return _cell_start_strategy(controls, side, delay_cells, select)
 
 
 def feedback_from_field(
@@ -624,5 +583,5 @@ def feedback_from_field(
         return picks[node + (ti,)]
 
     own_types = model.u_types if side == "u" else model.v_types
-    pure = _cell_start_strategy(controls, side, delay_cells, select, "field-feedback")
+    pure = _cell_start_strategy(controls, side, delay_cells, select)
     return [RandomStrategy(atoms=(pure,), weights=(Fraction(1),)) for _ in range(own_types)]

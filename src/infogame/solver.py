@@ -57,17 +57,18 @@ times carry the rounding of the repeated subtraction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import transform
+from ._util import _MEMORY_CAP_BYTES
 from .errors import ConfigError, NumericsError
 from .hamiltonian import ham_bellman_inf_sup, sample_isaacs_gap
 from .model import GameModel, restrict_to_types, terminal_matrix
 from .simplex import SimplexGrid, build_grid, convexity_violations
 
-_MEMORY_CAP_BYTES = 2 * 1024**3
 # largest sampled Isaacs gap a solve accepts
 _ISAACS_TOL = 1e-10
 
@@ -103,12 +104,16 @@ class StateGrid:
 
 
 def build_state_grid(bounds, counts) -> StateGrid:
+    """Uniform axes over the bounds.  A grid whose node coordinates
+    (`mesh`) would pass the 2 GiB cap is refused before any axis is built."""
+    counts = [int(m) for m in counts]
+    if any(m < 1 for m in counts):
+        raise ConfigError("state grid needs at least one node per axis")
+    if math.prod(counts) * len(counts) * 8 > _MEMORY_CAP_BYTES:
+        raise ConfigError(f"a state grid of {counts} nodes is above the 2 GiB cap")
     axes = []
     spacing = []
     for (lo, hi), m in zip(bounds, counts):
-        m = int(m)
-        if m < 1:
-            raise ConfigError("state grid needs at least one node per axis")
         if not (np.isfinite(lo) and np.isfinite(hi) and np.isfinite(hi - lo)):
             raise ConfigError(f"state bounds must be finite, got ({lo!r}, {hi!r})")
         if m == 1:
@@ -271,14 +276,12 @@ def hjb_step(
     dt: float,
     *,
     cfl_factor: float = 0.5,
-    validate: bool = True,
 ) -> np.ndarray:
     """One explicit backward step from the slice at t to the one at t - dt:
     values + dt * H_num, H_num the dissipated exact minimax over the
     control grid in the game sign convention, with coefficients evaluated
     at the data time t and every node's jet from its `_stencil`."""
-    if validate:
-        validate_time_step(model, grids.state, dt, cfl_factor)
+    validate_time_step(model, grids.state, dt, cfl_factor)
     grid = grids.state
     nodes = np.moveaxis(np.indices(grid.shape), 0, -1)
     grad, hess = _jets(grid, values[_stencil_points(grid, nodes)])
@@ -383,7 +386,6 @@ def solve(
     seed: int = 0,
     isaacs_samples: int = 1000,
     cfl_factor: float = 0.5,
-    project: bool = True,
 ) -> SolveResult:
     _check_grids(model, grids)
     if not (np.isfinite(t0) and t0 < model.horizon):
@@ -432,15 +434,13 @@ def solve(
     cert_q: list[float] = []
     for k in range(steps - 1, -1, -1):
         t = times[k + 1]
-        stepped = hjb_step(model, grids, t, values[k + 1], dt, cfl_factor=cfl_factor,
-                           validate=False)
-        if project:
-            proj = dual_project(grids, stepped)
-            stepped = proj.values
-            proj_residuals.append(proj.residual)
-            commutation_residuals.append(proj.commutation_residual)
-            cert_p.append(proj.convexity_violation_p)
-            cert_q.append(proj.concavity_violation_q)
+        stepped = hjb_step(model, grids, t, values[k + 1], dt, cfl_factor=cfl_factor)
+        proj = dual_project(grids, stepped)
+        stepped = proj.values
+        proj_residuals.append(proj.residual)
+        commutation_residuals.append(proj.commutation_residual)
+        cert_p.append(proj.convexity_violation_p)
+        cert_q.append(proj.concavity_violation_q)
         if not np.all(np.isfinite(stepped)):
             raise NumericsError(f"non-finite values at t = {t - dt:g}")
         times[k], values[k] = t - dt, stepped
@@ -479,7 +479,13 @@ def classical_solve(
     isaacs_samples: int = 1000,
     cfl_factor: float = 0.5,
 ) -> SolveResult:
-    """Complete-information solve for one type pair on singleton simplices."""
+    """Complete-information solve for one type pair on singleton simplices.
+
+    It is `solve` on 1x1 belief lattices, where `dual_project` is the
+    identity: the values are bitwise those of the unprojected steps, and
+    the diagnostics' per-step projection residuals and certificates are
+    zeros.
+    """
     sub = restrict_to_types(model, i, j)
     grids = Grids(state=state_grid, p=build_grid(1, 1), q=build_grid(1, 1))
     return solve(
@@ -490,5 +496,4 @@ def classical_solve(
         seed=seed,
         isaacs_samples=isaacs_samples,
         cfl_factor=cfl_factor,
-        project=False,
     )

@@ -16,7 +16,7 @@ import importlib.util
 import sys
 from pathlib import Path
 
-import infogame.cli  # noqa: F401  (the recorder rebinds names in every loaded module)
+import infogame.cli  # the recorder rebinds names in every loaded module
 from infogame.cli import _build_parser
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -59,6 +59,22 @@ def test_bellman_span_wraps_the_audit_and_solver_calls():
     finally:
         recorder.uninstall()
     assert not hasattr(dualcheck.ham_bellman_inf_sup, "__wrapped__")
+
+
+def test_the_noise_observer_counts_each_sample_once(tmp_path):
+    # spans.py counts distinct (seed, sample index) pairs from the first two
+    # positional arguments of `simulator.sample_noise`
+    recorder = load_spans().Recorder()
+    recorder.install()
+    try:
+        code = infogame.cli.main([
+            "simulate", "--preset", "two-sided-1d", "--strategy", "cycle", "--h", "0.1",
+            "--samples", "3", "--out", str(tmp_path / "sim.json"),
+        ])
+    finally:
+        recorder.uninstall()
+    assert code == 0
+    assert recorder.report()["noise_samples"] == 3
 
 
 def test_every_workload_argv_parses(monkeypatch):

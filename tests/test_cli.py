@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import resource
 import stat
 import subprocess
 import sys
@@ -841,10 +842,11 @@ def test_check_refuses_a_csv_it_cannot_map(tmp_path, damage):
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
-def run_fresh(*args: str) -> subprocess.CompletedProcess:
-    """Run the interpreter with args in a fresh process that imports this tree's package."""
+def run_fresh(*args: str, **kwargs) -> subprocess.CompletedProcess:
+    """Run the interpreter with args in a fresh process that imports this
+    tree's package; kwargs go to `subprocess.run`."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
-    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, **kwargs)
 
 
 @pytest.mark.parametrize(
@@ -983,6 +985,42 @@ def test_config_exit_codes(tmp_path):
     huge = tmp_path / "huge.json"
     huge.write_text(json.dumps({**preset_config("drift-sum-1d"), "params": {"sigma": 1e200}}))
     assert run("solve", "--config", huge, "--out", tmp_path / "x", "--steps", 5) == 2
+
+
+OVERSIZED = {
+    # the (samples, I, J) payoff table
+    "simulate-samples": ["simulate", "--preset", "two-sided-1d", "--h", "0.1", "--samples", "100000000000"],
+    # the state grid's axes and mesh
+    "solve-nx": ["solve", "--preset", "two-sided-1d", "--nx", "1000000000000", "--steps", "1"],
+    # the belief lattices
+    "solve-np": ["solve", "--preset", "two-sided-1d", "--nx", "5", "--np", "100000000", "--steps", "1"],
+    "oracle-np": [
+        "oracle", "--preset", "one-sided-drift-1d", "--steps", "2", "--h", "0.25", "--np", "100000000",
+    ],
+    # the sampled Isaacs queries
+    "solve-isaacs-samples": [
+        "solve", "--preset", "two-sided-1d", "--nx", "5", "--steps", "4",
+        "--isaacs-samples", "1000000000000",
+    ],
+}
+
+
+def _limit_address_space():
+    # 4 GB leaves room for the interpreter beside the 2 GiB cap, and stops
+    # code that does allocate (or grows a Python list) from reaching the
+    # host's memory: it gets a MemoryError instead
+    resource.setrlimit(resource.RLIMIT_AS, (4 * 10**9, resource.getrlimit(resource.RLIMIT_AS)[1]))
+
+
+@pytest.mark.parametrize("argv", OVERSIZED.values(), ids=OVERSIZED.keys())
+def test_oversized_arguments_are_refused_before_allocating(tmp_path, argv):
+    proc = run_fresh(
+        "-m", "infogame.cli", *argv, "--out", str(tmp_path / "out"),
+        preexec_fn=_limit_address_space, timeout=120,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "above the 2 GiB cap" in proc.stderr
+    assert not (tmp_path / "out").exists()
 
 
 def test_overflowing_paths_exit_three_with_warnings_as_errors(tmp_path):

@@ -141,6 +141,20 @@ def usual(value, wild):
     cfg=preset_config("two-sided-1d"), nx=5, np_res=2, nq_res=2, bounds=(-40.0, 40.0),
     t0=0.0, cfl=0.5, seed=-1, samples=8,
 )
+# oversized arguments once exited 1 from the allocation (or the lattice
+# grew until memory ran out); each is refused against the 2 GiB cap
+@example(  # the state grid's axes
+    cfg=preset_config("two-sided-1d"), nx=10**12, np_res=2, nq_res=2, bounds=(-2.0, 2.0),
+    t0=0.0, cfl=0.5, seed=0, samples=8,
+)
+@example(  # a belief lattice
+    cfg=preset_config("two-sided-1d"), nx=5, np_res=10**8, nq_res=2, bounds=(-2.0, 2.0),
+    t0=0.0, cfl=0.5, seed=0, samples=8,
+)
+@example(  # the sampled Isaacs queries; the wide box lets one step pass the CFL test
+    cfg=preset_config("two-sided-1d"), nx=5, np_res=2, nq_res=2, bounds=(-40.0, 40.0),
+    t0=0.0, cfl=0.5, seed=0, samples=10**12,
+)
 def test_solve_exit_codes(workdir, cfg, nx, np_res, nq_res, bounds, t0, cfl, seed, samples):
     work = Path(tempfile.mkdtemp(dir=workdir))
     config = work / "config.json"
@@ -388,6 +402,11 @@ def optional(flag, value):
     cfg=None, strategy_u="cycle", strategy_v="cycle", p=None, q=None, x0=None,
     out_below_file=True,
 )
+@example(  # a payoff table above the memory cap once exited 1 from the allocation
+    name="two-sided-1d", h=0.1, t0=0.0, samples=10**11, seed=0, delta=1, noise="gaussian",
+    cfg=None, strategy_u="cycle", strategy_v="cycle", p=None, q=None, x0=None,
+    out_below_file=False,
+)
 def test_simulate_exit_codes(
     workdir, solved, name, cfg, h, t0, samples, seed, delta, noise, strategy_u, strategy_v,
     p, q, x0, out_below_file,
@@ -435,6 +454,9 @@ def no_constant(token):
 )
 @example(  # a NaN --t0 once got past the horizon check and into oracle.json
     name="one-sided-drift-1d", cfg=None, steps=2, h=0.1, t0=math.nan, np_res=2, x0=None,
+)
+@example(  # a belief lattice above the memory cap once grew until memory ran out
+    name="one-sided-drift-1d", cfg=None, steps=2, h=0.25, t0=0.0, np_res=10**8, x0=None,
 )
 def test_oracle_exit_codes(workdir, name, cfg, steps, h, t0, np_res, x0):
     if h is None:

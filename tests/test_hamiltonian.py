@@ -210,7 +210,7 @@ def planar_model():
         sig[..., 1, 1] = 0.25 + 0.125 * np.tanh(x[..., 0])
         return sig
 
-    return replace(preset("two-sided-1d"), name="planar", state_dim=2, noise_dim=2,
+    return replace(preset("two-sided-1d"), state_dim=2, noise_dim=2,
                    drift=drift, diffusion=diffusion)
 
 

@@ -15,7 +15,6 @@ from infogame.model import preset
 from infogame.oracle import TreeGame, exact_payoff_pq
 from infogame.simplex import build_grid
 from infogame.simulator import (
-    NoisePath,
     PureStrategy,
     RandomStrategy,
     StrategyProfile,
@@ -39,10 +38,9 @@ def unit_mix(pure: PureStrategy) -> RandomStrategy:
     return RandomStrategy(atoms=(pure,), weights=(Fraction(1),))
 
 
-def zero_noise(steps: int, dim: int = 1, h: float = 0.1) -> NoisePath:
-    return NoisePath(
-        seed=0, sample_index=0, h=h, increments=np.zeros((steps, dim)), kind="gaussian"
-    )
+def zero_noise(steps: int, dim: int = 1) -> np.ndarray:
+    """A batch of one path of zero increments."""
+    return np.zeros((1, steps, dim))
 
 
 # ---------------------------------------------------------------- noise
@@ -52,21 +50,21 @@ def test_noise_stream_matches_spawned_seed_sequence():
     got = sample_noise(seed=11, sample_index=3, steps=5, noise_dim=2, h=0.04)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=11, spawn_key=(3,)))
     want = rng.standard_normal((5, 2)) * np.sqrt(0.04)
-    np.testing.assert_array_equal(got.increments, want)
-    assert got.steps == 5
+    np.testing.assert_array_equal(got, want)
+    assert got.shape == (5, 2)
 
 
 def test_noise_samples_are_independent_streams():
     a = sample_noise(seed=11, sample_index=0, steps=4, noise_dim=1, h=0.1)
     b = sample_noise(seed=11, sample_index=1, steps=4, noise_dim=1, h=0.1)
-    assert not np.array_equal(a.increments, b.increments)
+    assert not np.array_equal(a, b)
     again = sample_noise(seed=11, sample_index=1, steps=4, noise_dim=1, h=0.1)
-    np.testing.assert_array_equal(b.increments, again.increments)
+    np.testing.assert_array_equal(b, again)
 
 
 def test_rademacher_noise_values():
     got = sample_noise(seed=7, sample_index=0, steps=64, noise_dim=1, h=0.25, kind="rademacher")
-    assert set(np.unique(got.increments)) == {-0.5, 0.5}
+    assert set(np.unique(got)) == {-0.5, 0.5}
     with pytest.raises(ConfigError):
         sample_noise(seed=7, sample_index=0, steps=4, noise_dim=1, h=0.25, kind="uniform")
 
@@ -89,8 +87,7 @@ def test_strategy_sees_only_the_cell_start_prefix():
 
     su = PureStrategy(side="u", delay_cells=3, rule=spy, observes_controls=True)
     sv = constant_strategy(m, "v", index=0)
-    noise = zero_noise(steps=7)
-    resolve_controls(m, su, sv, np.zeros(1), noise)
+    resolve_controls(m, su, sv, np.zeros(1), zero_noise(steps=7), 0.1)
     want = [(k, (k // 3) * 3 + 1, (k // 3) * 3) for k in range(7)]
     assert seen == want
 
@@ -125,15 +122,18 @@ def test_resolution_matches_hand_euler():
     su = cycle_strategy(m, "u")  # alternates the two u points each step
     sv = constant_strategy(m, "v", index=1)
     noise = sample_noise(seed=5, sample_index=0, steps=4, noise_dim=1, h=0.25)
-    res = resolve_controls(m, su, sv, np.array([0.2]), noise)
+    res = resolve_controls(m, su, sv, np.array([0.2]), noise[None], 0.25)
     x = np.array([0.2])
     for k in range(4):
         u = m.u_set.values[k % m.u_set.count]
         v = m.v_set.values[1]
-        np.testing.assert_array_equal(res.u_path[k], u)
-        np.testing.assert_array_equal(res.v_path[k], v)
-        x = x + (u + v) * 0.25 + noise.increments[k]
-        np.testing.assert_allclose(res.x_path[k + 1], x, rtol=0, atol=0)
+        np.testing.assert_array_equal(res.u_path[0, k], u)
+        np.testing.assert_array_equal(res.v_path[0, k], v)
+        x = x + (u + v) * 0.25 + noise[k]
+        np.testing.assert_allclose(res.x_path[0, k + 1], x, rtol=0, atol=0)
+    # one path without its batch axis is refused, not read as a batch of steps
+    with pytest.raises(ConfigError):
+        resolve_controls(m, su, sv, np.array([0.2]), noise, 0.25)
 
 
 def test_resolution_replay_is_nonanticipative():
@@ -152,25 +152,25 @@ def test_resolution_replay_is_nonanticipative():
     su = PureStrategy(side="u", delay_cells=2, rule=chase)
     sv = PureStrategy(side="v", delay_cells=3, rule=mirror, observes_controls=True)
     noise = sample_noise(seed=9, sample_index=2, steps=12, noise_dim=1, h=0.05)
-    res = resolve_controls(m, su, sv, np.array([0.1]), noise, t0=0.0)
+    res = resolve_controls(m, su, sv, np.array([0.1]), noise[None], 0.05, t0=0.0)
+    x_path, u_path, v_path = res.x_path[0], res.u_path[0], res.v_path[0]
     for k in range(12):
-        u_k = strategy_control(su, m.u_set, k, res.x_path[: k + 1], None)
-        v_k = strategy_control(sv, m.v_set, k, res.x_path[: k + 1], res.u_path[:k])
-        np.testing.assert_array_equal(u_k, res.u_path[k])
-        np.testing.assert_array_equal(v_k, res.v_path[k])
+        u_k = strategy_control(su, m.u_set, k, x_path[: k + 1], None)
+        v_k = strategy_control(sv, m.v_set, k, x_path[: k + 1], u_path[:k])
+        np.testing.assert_array_equal(u_k, u_path[k])
+        np.testing.assert_array_equal(v_k, v_path[k])
 
 
 def test_payoff_path_uses_left_rule():
     m = preset("one-sided-drift-1d")
     su = constant_strategy(m, "u", index=0)
     sv = constant_strategy(m, "v", index=0)
-    noise = zero_noise(steps=3, h=0.1)
-    res = resolve_controls(m, su, sv, np.array([0.5]), noise)
+    res = resolve_controls(m, su, sv, np.array([0.5]), zero_noise(steps=3), 0.1)
+    x_path = res.x_path[0]
     # l_00 = 0.3 x, g_00 = x: integral samples x at the left endpoints
-    want = 0.1 * 0.3 * sum(float(res.x_path[k][0]) for k in range(3)) + float(
-        res.x_path[-1][0]
-    )
-    assert payoff_path(m, 0, 0, res) == pytest.approx(want, abs=1e-15)
+    want = 0.1 * 0.3 * sum(float(x_path[k][0]) for k in range(3)) + float(x_path[-1][0])
+    assert payoff_path(m, 0, 0, res).shape == (1,)
+    assert payoff_path(m, 0, 0, res)[0] == pytest.approx(want, abs=1e-15)
 
 
 # ----------------------------------------------------------- estimators
@@ -258,13 +258,13 @@ def reference_estimates(model, profile, p, q, x0, *, h, samples, seed):
     values = np.zeros((samples, model.u_types, model.v_types))
     combined = np.zeros(samples)
     for s in range(samples):
-        noise = sample_noise(seed, s, steps, model.noise_dim, h)
+        noise = sample_noise(seed, s, steps, model.noise_dim, h)[None]
         for i, ru in enumerate(profile.u_strategies):
             for j, rv in enumerate(profile.v_strategies):
                 for au, wu in zip(ru.atoms, ru.weights):
                     for av, wv in zip(rv.atoms, rv.weights):
-                        res = resolve_controls(model, au, av, x0, noise)
-                        payoff = payoff_path(model, i, j, res)
+                        res = resolve_controls(model, au, av, x0, noise, h)
+                        payoff = payoff_path(model, i, j, res)[0]
                         values[s, i, j] += float(wu * wv) * payoff
                         combined[s] += float(p[i] * q[j]) * float(wu * wv) * payoff
     ests = np.empty(values.shape[1:])
@@ -364,18 +364,20 @@ def split_case():
     return m, profile, h, 0.2
 
 
-def scalar_resolution(model, su, sv, x0, noise):
-    """The per-path step loop: one rule call and one Euler step at a time."""
-    x = np.empty((noise.steps + 1, model.state_dim))
+def scalar_resolution(model, su, sv, x0, noise, h):
+    """The per-path step loop over one path's (steps, noise_dim) increments:
+    one rule call and one Euler step at a time."""
+    steps = len(noise)
+    x = np.empty((steps + 1, model.state_dim))
     x[0] = x0
-    u_rows = np.empty((noise.steps, model.u_set.dim))
-    v_rows = np.empty((noise.steps, model.v_set.dim))
-    for k in range(noise.steps):
+    u_rows = np.empty((steps, model.u_set.dim))
+    v_rows = np.empty((steps, model.v_set.dim))
+    for k in range(steps):
         u_rows[k] = strategy_control(su, model.u_set, k, x[: k + 1], v_rows[:k])
         v_rows[k] = strategy_control(sv, model.v_set, k, x[: k + 1], u_rows[:k])
-        b = model.drift(k * noise.h, x[k], u_rows[k], v_rows[k])
-        sig = model.diffusion(k * noise.h, x[k], u_rows[k], v_rows[k])
-        x[k + 1] = x[k] + b * noise.h + sig @ noise.increments[k]
+        b = model.drift(k * h, x[k], u_rows[k], v_rows[k])
+        sig = model.diffusion(k * h, x[k], u_rows[k], v_rows[k])
+        x[k + 1] = x[k] + b * h + sig @ noise[k]
     return x, u_rows, v_rows
 
 
@@ -398,13 +400,13 @@ def test_batch_matches_a_per_sample_loop(case):
             for j, rv in enumerate(profile.v_strategies):
                 for au, wu in zip(ru.atoms, ru.weights):
                     for av, wv in zip(rv.atoms, rv.weights):
-                        res = resolve_controls(m, au, av, x0, noise)
-                        payoff = payoff_path(m, i, j, res)
+                        res = resolve_controls(m, au, av, x0, noise[None], h)
+                        payoff = payoff_path(m, i, j, res)[0]
                         want[s, i, j] += float(wu * wv) * payoff
-                        x, u, v = scalar_resolution(m, au, av, x0, noise)
-                        np.testing.assert_array_equal(res.x_path, x)
-                        np.testing.assert_array_equal(res.u_path, u)
-                        np.testing.assert_array_equal(res.v_path, v)
+                        x, u, v = scalar_resolution(m, au, av, x0, noise, h)
+                        np.testing.assert_array_equal(res.x_path[0], x)
+                        np.testing.assert_array_equal(res.u_path[0], u)
+                        np.testing.assert_array_equal(res.v_path[0], v)
                         assert payoff == scalar_payoff(m, i, j, x, u, v, h)
     got = payoff_samples(m, profile, x0, h=h, samples=samples, seed=seed)
     np.testing.assert_array_equal(got, want)
@@ -559,10 +561,10 @@ def test_feedback_from_field_is_deterministic_and_admissible():
     assert len(strategies) == m.u_types
     su = strategies[0].atoms[0]
     sv = constant_strategy(m, "v", index=0)
-    noise = sample_noise(seed=21, sample_index=0, steps=20, noise_dim=1, h=h)
-    res1 = resolve_controls(m, su, sv, np.array([0.3]), noise)
-    res2 = resolve_controls(m, su, sv, np.array([0.3]), noise)
+    noise = sample_noise(seed=21, sample_index=0, steps=20, noise_dim=1, h=h)[None]
+    res1 = resolve_controls(m, su, sv, np.array([0.3]), noise, h)
+    res2 = resolve_controls(m, su, sv, np.array([0.3]), noise, h)
     np.testing.assert_array_equal(res1.x_path, res2.x_path)
     np.testing.assert_array_equal(res1.u_path, res2.u_path)
-    for row in res1.u_path:
+    for row in res1.u_path[0]:
         m.u_set.index_of(row)  # raises if not an admissible point

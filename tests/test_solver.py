@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from envelope_reference import convexity_violation, vex_row
-from exact_reference import one_sided_drift_value
+from exact_reference import one_sided_drift_value, two_sided_split, two_sided_state_free_config
 from infogame import transform
 from infogame.errors import ConfigError
-from infogame.model import model_from_config, preset, preset_config
+from infogame.model import model_from_config, preset, preset_config, restrict_to_types
 from infogame.simplex import build_grid
 from infogame.solver import (
     Grids,
@@ -321,3 +321,63 @@ def test_one_sided_drift_converges_to_its_closed_form():
         errors.append(float(np.max(np.abs(result.values[0, mid, :, 0] - want))))
     assert max(errors) < 6e-3, errors
     assert errors[0] >= 3.0 * errors[1] and errors[1] >= 3.0 * errors[2], errors
+
+
+@pytest.mark.parametrize("resolution", [4, 8])
+def test_two_sided_field_splits_into_a_bilinear_part_and_a_state_free_game(resolution):
+    # on [-4, 4] the walls' mirror ghosts are 70 nodes from |x| <= 0.5, so
+    # their bend of (p . q) x stays far below the rounding (5.6e-16 and
+    # 1.1e-15 measured at resolutions 4 and 8)
+    m = preset("two-sided-1d")
+    grid = build_state_grid([(-4.0, 4.0)], [161])
+    steps = int(np.ceil(m.horizon / cfl_limit(m, grid)))
+    assert steps == 80
+    p, q = build_grid(2, resolution), build_grid(2, resolution)
+    full = solve(m, Grids(state=grid, p=p, q=q), t0=0.0, dt=m.horizon / steps)
+    node = build_state_grid([(0.0, 0.0)], [1])
+    phi = solve(
+        model_from_config(two_sided_state_free_config()),
+        Grids(state=node, p=p, q=q),
+        t0=0.0,
+        dt=m.horizon / steps,
+    )
+    np.testing.assert_array_equal(full.times, phi.times)
+    core = np.abs(grid.axes[0]) <= 0.5
+    want = two_sided_split(grid.axes[0][core], p.points, q.points, phi.values[:, 0])
+    assert np.max(np.abs(full.values[:, core] - want)) < 1e-13
+
+
+@pytest.mark.parametrize("steps", [20, 80])
+def test_the_state_free_game_scales_with_the_time_to_go(steps):
+    # zero terminal costs and positively homogeneous envelopes: halving the
+    # horizon at a fixed step count halves dt and every value, bit for bit
+    cfg = two_sided_state_free_config()
+    grids = Grids(state=build_state_grid([(0.0, 0.0)], [1]), p=build_grid(2, 8), q=build_grid(2, 8))
+    results = [
+        solve(model_from_config({**cfg, "T": horizon}), grids, t0=0.0, dt=horizon / steps)
+        for horizon in (cfg["T"], cfg["T"] / 2)
+    ]
+    np.testing.assert_array_equal(results[1].values, 0.5 * results[0].values)
+    assert np.any(results[0].values != 0.0)
+
+
+def test_classical_solve_is_an_unprojected_solve_on_one_belief_node():
+    # on 1x1 lattices the projection is the identity: every value is the
+    # raw HJB step's, bit for bit, and each step's diagnostics are zeros
+    m = preset("two-sided-1d")
+    grid = build_state_grid([(-2.0, 2.0)], [21])
+    dt = 0.01
+    for i in range(2):
+        for j in range(2):
+            got = classical_solve(m, grid, i, j, t0=0.2, dt=dt)
+            sub = restrict_to_types(m, i, j)
+            grids = Grids(state=grid, p=build_grid(1, 1), q=build_grid(1, 1))
+            values = [terminal_field(sub, grids)]
+            for t in got.times[:0:-1]:
+                values.append(hjb_step(sub, grids, t, values[-1], dt))
+            np.testing.assert_array_equal(got.values, np.stack(values[::-1]))
+            for key in (
+                "projection_residuals", "commutation_residuals",
+                "convexity_violations_p", "concavity_violations_q",
+            ):
+                assert got.diagnostics[key] == [0.0] * got.diagnostics["steps"], key

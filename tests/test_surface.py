@@ -1,7 +1,8 @@
 """The public surface is what the CLI, the audits and paper-level tests use.
 
-Deleted helpers stay deleted, and keyword options that had a single value
-in use are constants: passing one is a TypeError, not a silent no-op.
+Deleted helpers stay deleted, keyword options that had a single value in
+use are constants, and fields that nothing read are gone: passing one is a
+TypeError, not a silent no-op.
 """
 
 from __future__ import annotations
@@ -12,8 +13,10 @@ import pytest
 
 import infogame
 from infogame.dualcheck import build_probes, check_dual_solution, primal_crosscheck
-from infogame.simulator import feedback_from_field
-from infogame.solver import dual_project, solve
+from infogame.model import GameModel
+from infogame.oracle import OneSidedResult
+from infogame.simulator import PayoffEstimate, PureStrategy, feedback_from_field
+from infogame.solver import dual_project, hjb_step, solve
 from infogame.transform import biconjugate_p
 
 DELETED = {
@@ -23,6 +26,7 @@ DELETED = {
     "oracle": ("exact_payoff_random",),
     "solver": ("_shift", "_derivatives", "_hessians", "numerical_hamiltonian"),
     "dualcheck": ("_stencil_jets",),
+    "simulator": ("NoisePath",),
 }
 
 
@@ -44,6 +48,12 @@ REMOVED_KEYWORDS = (
     (check_dual_solution, (None,), {}, "tie_tol"),
     (primal_crosscheck, (None,), {}, "tie_tol"),
     (feedback_from_field, (None, None, "u", None, None), {}, "label"),
+    (solve, (None, None), {"t0": 0.0, "dt": 0.1}, "project"),
+    (hjb_step, (None, None, 0.0, None, 0.1), {}, "validate"),
+    (PureStrategy, ("u", 1, None), {}, "label"),
+    (GameModel, (), {}, "name"),
+    (OneSidedResult, (), {}, "grid"),
+    (PayoffEstimate, (0.0, 0.0), {}, "samples"),
 )
 
 
