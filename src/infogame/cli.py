@@ -370,7 +370,7 @@ def load_solve(out_dir: str, config: dict | None = None) -> SolveResult:
         )
     except ConfigError:
         raise
-    except (KeyError, IndexError, TypeError, ValueError, AttributeError) as exc:
+    except (KeyError, IndexError, TypeError, ValueError, AttributeError, OverflowError) as exc:
         raise ConfigError(f"malformed solve outputs: {exc!r}") from exc
     finally:
         csv.close()

@@ -15,8 +15,11 @@ one row of the owning control set.
 Configs are plain JSON objects with keys: preset, params, I, J, T, g, l.
 "preset" names a dynamics preset; "g" and "l" are I x J matrices of cost
 preset references (a bare name or {"name": ..., "params": {...}}).
-Unknown keys anywhere are an error.  Declared bounds hold on the box
-|x_k| <= 4 that shipped grids stay inside.
+Unknown keys anywhere are an error.  Each preset is declared once, in the
+table of its kind (_DYNAMICS, _TERMINAL, _RUNNING), as its parameters'
+defaults and a builder.  Declared bounds hold on the box |x_k| <= 4 that
+shipped grids stay inside, and running-cost bounds for controls within
+max(2, the largest |control| of each set).
 """
 
 from __future__ import annotations
@@ -59,6 +62,11 @@ class ControlSet:
     @property
     def dim(self) -> int:
         return self.values.shape[1]
+
+    @property
+    def radius(self) -> float:
+        """The largest |coordinate| of any point."""
+        return float(np.max(np.abs(self.values)))
 
     def index_of(self, point) -> int:
         point = np.atleast_1d(np.asarray(point, dtype=float))
@@ -151,94 +159,70 @@ def restrict_to_types(model: GameModel, i: int, j: int) -> GameModel:
 
 
 # ---------------------------------------------------------------------------
-# dynamics presets
+# presets: each table maps a name to (defaults, builder); dynamics builders
+# return GameModel fields, cost builders a _Cost
 
 
-@dataclass(frozen=True)
-class _Dynamics:
-    state_dim: int
-    noise_dim: int
-    drift: Callable
-    diffusion: Callable
-    u_set: ControlSet
-    v_set: ControlSet
-    drift_bound: float
-    diffusion_bound: float
-    lipschitz: float
-    decoupled: bool
+def _preset(table: dict, name: str, params: dict, where: str, **context):
+    """Build preset `name` of `table`: refuse a key its defaults lack, read
+    each parameter over its default in their order (a list default makes a
+    ControlSet), and call the builder with `context` and the values by name.
+    """
+    defaults, builder = table[name]
+    _require_keys(params, set(defaults), f"{where} {name}")
+    values = {
+        key: ControlSet(_numbers(params, key, default))
+        if isinstance(default, list)
+        else _number(params, key, default)
+        for key, default in defaults.items()
+    }
+    return builder(**context, **values)
 
 
-def _const_diffusion(level: float):
+def _scalar_dynamics(rate, sigma: float, u_set, v_set, drift_bound: float, decoupled: bool) -> dict:
+    """GameModel's dynamics fields for dX = rate(u, v) dt + sigma dW, X scalar."""
+
+    def drift(t, x, u, v):
+        x = np.asarray(x, dtype=float)
+        return np.full_like(x, rate(u, v))
+
     def diffusion(t, x, u, v):
         x = np.asarray(x, dtype=float)
-        return np.full(x.shape + (1,), level)
+        return np.full(x.shape + (1,), sigma)
 
-    return diffusion
-
-
-def _zero_drift(t, x, u, v):
-    return np.zeros_like(np.asarray(x, dtype=float))
-
-
-def _dyn_drift_sum(params: dict) -> _Dynamics:
-    sigma = _number(params, "sigma", 1.0)
-    controls = _numbers(params, "controls", [-1.0, 0.0, 1.0])
-    cs = ControlSet(controls)
-
-    def drift(t, x, u, v):
-        x = np.asarray(x, dtype=float)
-        return np.full_like(x, float(u[0] + v[0]))
-
-    cmax = float(np.max(np.abs(cs.values)))
-    return _Dynamics(1, 1, drift, _const_diffusion(sigma), cs, cs,
-                     2.0 * cmax, abs(sigma), 0.0, True)
+    return dict(
+        state_dim=1, noise_dim=1, drift=drift, diffusion=diffusion, u_set=u_set, v_set=v_set,
+        drift_bound=drift_bound, diffusion_bound=abs(sigma), decoupled=decoupled,
+    )
 
 
-def _dyn_coupled(params: dict) -> _Dynamics:
-    coupling = _number(params, "coupling", 4.0)
-    sigma = _number(params, "sigma", 1.0)
-    controls = _numbers(params, "controls", [-1.0, 1.0])
-    cs = ControlSet(controls)
-
-    def drift(t, x, u, v):
-        x = np.asarray(x, dtype=float)
-        return np.full_like(x, coupling * float(u[0] * v[0]))
-
-    cmax = float(np.max(np.abs(cs.values)))
-    return _Dynamics(1, 1, drift, _const_diffusion(sigma), cs, cs,
-                     abs(coupling) * cmax * cmax, abs(sigma), 0.0, False)
-
-
-def _dyn_static(params: dict) -> _Dynamics:
-    cu = ControlSet(_numbers(params, "controls_u", [0.0]))
-    cv = ControlSet(_numbers(params, "controls_v", [0.0]))
-    return _Dynamics(1, 1, _zero_drift, _const_diffusion(0.0), cu, cv,
-                     0.0, 0.0, 0.0, True)
-
-
-def _dyn_controlled_drift(params: dict) -> _Dynamics:
-    cu = ControlSet(_numbers(params, "controls_u", [-1.0, 0.0, 1.0]))
-    cv = ControlSet(_numbers(params, "controls_v", [0.0]))
-    sigma = _number(params, "sigma", 0.5)
-
-    def drift(t, x, u, v):
-        x = np.asarray(x, dtype=float)
-        return np.full_like(x, float(u[0]))
-
-    return _Dynamics(1, 1, drift, _const_diffusion(sigma), cu, cv,
-                     float(np.max(np.abs(cu.values))), abs(sigma), 0.0, True)
-
-
-_DYNAMICS_PRESETS = {
-    "drift-sum-1d": (_dyn_drift_sum, {"sigma", "controls"}),
-    "coupled-1d": (_dyn_coupled, {"coupling", "sigma", "controls"}),
-    "static-1d": (_dyn_static, {"controls_u", "controls_v"}),
-    "controlled-drift-1d": (_dyn_controlled_drift, {"controls_u", "controls_v", "sigma"}),
+_DYNAMICS = {
+    "drift-sum-1d": (
+        {"sigma": 1.0, "controls": [-1.0, 0.0, 1.0]},
+        lambda sigma, controls: _scalar_dynamics(
+            lambda u, v: float(u[0] + v[0]), sigma, controls, controls, 2.0 * controls.radius, True
+        ),
+    ),
+    "coupled-1d": (
+        {"coupling": 4.0, "sigma": 1.0, "controls": [-1.0, 1.0]},
+        lambda coupling, sigma, controls: _scalar_dynamics(
+            lambda u, v: coupling * float(u[0] * v[0]), sigma, controls, controls,
+            abs(coupling) * controls.radius * controls.radius, False,
+        ),
+    ),
+    "static-1d": (
+        {"controls_u": [0.0], "controls_v": [0.0]},
+        lambda controls_u, controls_v: _scalar_dynamics(
+            lambda u, v: 0.0, 0.0, controls_u, controls_v, 0.0, True
+        ),
+    ),
+    "controlled-drift-1d": (
+        {"controls_u": [-1.0, 0.0, 1.0], "controls_v": [0.0], "sigma": 0.5},
+        lambda controls_u, controls_v, sigma: _scalar_dynamics(
+            lambda u, v: float(u[0]), sigma, controls_u, controls_v, controls_u.radius, True
+        ),
+    ),
 }
-
-
-# ---------------------------------------------------------------------------
-# cost presets
 
 
 @dataclass(frozen=True)
@@ -250,87 +234,60 @@ class _Cost:
     is_zero: bool = False
 
 
-def _terminal_cost(name: str, params: dict) -> _Cost:
-    if name == "zero":
-        _require_keys(params, set(), "terminal preset zero")
-        return _Cost(lambda x: np.zeros(np.asarray(x).shape[:-1]), 0.0, 0.0, True, True)
-    if name == "const":
-        _require_keys(params, {"c"}, "terminal preset const")
-        c = _number(params, "c", 1.0)
-        return _Cost(lambda x: np.full(np.asarray(x).shape[:-1], c), abs(c), 0.0, True)
-    if name == "linear":
-        _require_keys(params, {"a", "c"}, "terminal preset linear")
-        a = _number(params, "a", 1.0)
-        c = _number(params, "c", 0.0)
-        return _Cost(
-            lambda x: a * np.asarray(x, dtype=float)[..., 0] + c,
-            abs(a) * _BOUND_RADIUS + abs(c),
-            abs(a),
-            True,
-        )
-    if name == "abs":
-        _require_keys(params, {"center", "scale"}, "terminal preset abs")
-        center = _number(params, "center", 0.0)
-        scale = _number(params, "scale", 1.0)
-        return _Cost(
-            lambda x: scale * np.abs(np.asarray(x, dtype=float)[..., 0] - center),
-            abs(scale) * (_BOUND_RADIUS + abs(center)),
-            abs(scale),
-            True,
-        )
-    if name == "tanh":
-        _require_keys(params, {"center", "scale", "amp"}, "terminal preset tanh")
-        center = _number(params, "center", 0.0)
-        scale = _number(params, "scale", 1.0)
-        amp = _number(params, "amp", 1.0)
-        return _Cost(
-            lambda x: amp * np.tanh(scale * (np.asarray(x, dtype=float)[..., 0] - center)),
-            abs(amp),
-            abs(amp * scale),
-            True,
-        )
-    raise ConfigError(f"unknown terminal cost preset {name!r}")
+_TERMINAL = {
+    "zero": ({}, lambda: _Cost(lambda x: np.zeros(np.asarray(x).shape[:-1]), 0.0, 0.0, True, True)),
+    "const": ({"c": 1.0}, lambda c: _Cost(
+        lambda x: np.full(np.asarray(x).shape[:-1], c), abs(c), 0.0, True
+    )),
+    "linear": ({"a": 1.0, "c": 0.0}, lambda a, c: _Cost(
+        lambda x: a * np.asarray(x, dtype=float)[..., 0] + c,
+        abs(a) * _BOUND_RADIUS + abs(c),
+        abs(a),
+        True,
+    )),
+    "abs": ({"center": 0.0, "scale": 1.0}, lambda center, scale: _Cost(
+        lambda x: scale * np.abs(np.asarray(x, dtype=float)[..., 0] - center),
+        abs(scale) * (_BOUND_RADIUS + abs(center)),
+        abs(scale),
+        True,
+    )),
+    "tanh": ({"center": 0.0, "scale": 1.0, "amp": 1.0}, lambda center, scale, amp: _Cost(
+        lambda x: amp * np.tanh(scale * (np.asarray(x, dtype=float)[..., 0] - center)),
+        abs(amp),
+        abs(amp * scale),
+        True,
+    )),
+}
 
-
-def _running_cost(name: str, params: dict) -> _Cost:
-    if name == "zero":
-        _require_keys(params, set(), "running preset zero")
-        return _Cost(lambda t, x, u, v: np.zeros(np.asarray(x).shape[:-1]),
-                     0.0, 0.0, True, True)
-    if name == "const":
-        _require_keys(params, {"c"}, "running preset const")
-        c = _number(params, "c", 1.0)
-        return _Cost(lambda t, x, u, v: np.full(np.asarray(x).shape[:-1], c),
-                     abs(c), 0.0, True)
-    if name == "bilinear-uv":
-        _require_keys(params, {"c"}, "running preset bilinear-uv")
-        c = _number(params, "c", 1.0)
-
-        def fn(t, x, u, v):
-            return np.full(np.asarray(x).shape[:-1], c * float(np.dot(u, v)))
-
-        return _Cost(fn, abs(c) * 4.0, 0.0, False)
-    if name == "separated":
-        _require_keys(params, {"au", "av", "c"}, "running preset separated")
-        au = _number(params, "au", 0.0)
-        av = _number(params, "av", 0.0)
-        c = _number(params, "c", 0.0)
-
-        def fn(t, x, u, v):
-            return np.full(np.asarray(x).shape[:-1], au * float(u[0]) + av * float(v[0]) + c)
-
-        return _Cost(fn, abs(au) * 2 + abs(av) * 2 + abs(c), 0.0, True)
-    if name == "state-linear":
-        _require_keys(params, {"a", "c"}, "running preset state-linear")
-        a = _number(params, "a", 1.0)
-        c = _number(params, "c", 0.0)
-        return _Cost(
-            lambda t, x, u, v: a * np.asarray(x, dtype=float)[..., 0] + c,
-            abs(a) * _BOUND_RADIUS + abs(c),
-            abs(a),
-            True,
-        )
-    raise ConfigError(f"unknown running cost preset {name!r}")
+# Running builders also take `radius`, a pair (ru, rv) with |u| <= ru and
+# |v| <= rv on the game's control sets, for the bounds of costs that read
+# the controls.
+_RUNNING = {
+    "zero": ({}, lambda radius: _Cost(
+        lambda t, x, u, v: np.zeros(np.asarray(x).shape[:-1]), 0.0, 0.0, True, True
+    )),
+    "const": ({"c": 1.0}, lambda radius, c: _Cost(
+        lambda t, x, u, v: np.full(np.asarray(x).shape[:-1], c), abs(c), 0.0, True
+    )),
+    "bilinear-uv": ({"c": 1.0}, lambda radius, c: _Cost(
+        lambda t, x, u, v: np.full(np.asarray(x).shape[:-1], c * float(np.dot(u, v))),
+        abs(c) * radius[0] * radius[1],
+        0.0,
+        False,
+    )),
+    "separated": ({"au": 0.0, "av": 0.0, "c": 0.0}, lambda radius, au, av, c: _Cost(
+        lambda t, x, u, v: np.full(np.asarray(x).shape[:-1], au * float(u[0]) + av * float(v[0]) + c),
+        abs(au) * radius[0] + abs(av) * radius[1] + abs(c),
+        0.0,
+        True,
+    )),
+    "state-linear": ({"a": 1.0, "c": 0.0}, lambda radius, a, c: _Cost(
+        lambda t, x, u, v: a * np.asarray(x, dtype=float)[..., 0] + c,
+        abs(a) * _BOUND_RADIUS + abs(c),
+        abs(a),
+        True,
+    )),
+}
 
 
 def _number(params: dict, key: str, default: float | None) -> float:
@@ -358,20 +315,24 @@ def _require_keys(params: dict, allowed: set, where: str) -> None:
         raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
 
 
-def _cost_ref(ref, kind: str) -> tuple[str, dict]:
+def _cost(table: dict, ref, kind: str, **context) -> _Cost:
+    """The cost a reference names: a bare name or {"name": ..., "params": {...}}."""
     if isinstance(ref, str):
-        return ref, {}
-    if isinstance(ref, dict):
+        name, params = ref, {}
+    elif isinstance(ref, dict):
         unknown = set(ref) - {"name", "params"}
         if unknown:
             raise ConfigError(f"{kind} cost reference: unknown keys {sorted(unknown)}")
         if not isinstance(ref.get("name"), str):
             raise ConfigError(f"{kind} cost reference needs a string 'name'")
-        params = ref.get("params", {})
+        name, params = ref["name"], ref.get("params", {})
         if not isinstance(params, dict):
             raise ConfigError(f"{kind} cost reference: params must be an object")
-        return ref["name"], dict(params)
-    raise ConfigError(f"{kind} cost reference must be a string or object, got {type(ref).__name__}")
+    else:
+        raise ConfigError(f"{kind} cost reference must be a string or object, got {type(ref).__name__}")
+    if name not in table:
+        raise ConfigError(f"unknown {kind} cost preset {name!r}")
+    return _preset(table, name, params, f"{kind} preset", **context)
 
 
 # ---------------------------------------------------------------------------
@@ -390,15 +351,16 @@ def resolved_config(cfg: dict) -> dict:
     for key in ("preset", "I", "J", "T", "g"):
         if key not in cfg:
             raise ConfigError(f"config: missing required key {key!r}")
-    if not isinstance(cfg["preset"], str) or cfg["preset"] not in _DYNAMICS_PRESETS:
+    if not isinstance(cfg["preset"], str) or cfg["preset"] not in _DYNAMICS:
         raise ConfigError(
             f"unknown dynamics preset {cfg['preset']!r}; "
-            f"known: {sorted(_DYNAMICS_PRESETS)}"
+            f"known: {sorted(_DYNAMICS)}"
         )
     params = cfg.get("params", {})
-    _require_keys(params, _DYNAMICS_PRESETS[cfg["preset"]][1], f"preset {cfg['preset']}")
+    _require_keys(params, set(_DYNAMICS[cfg["preset"]][0]), f"preset {cfg['preset']}")
     i_count, j_count = cfg["I"], cfg["J"]
-    if not (isinstance(i_count, int) and isinstance(j_count, int)) or i_count < 1 or j_count < 1:
+    # bool is an int subclass; true would pass for a type count of 1
+    if any(isinstance(n, bool) or not isinstance(n, int) or n < 1 for n in (i_count, j_count)):
         raise ConfigError("I and J must be integers >= 1")
     horizon = _number(cfg, "T", None)
     if not horizon > 0:
@@ -415,7 +377,7 @@ def resolved_config(cfg: dict) -> dict:
     check_matrix(cfg["g"], "g")
     if "l" in cfg:
         check_matrix(cfg["l"], "l")
-    out = {
+    return {
         "preset": cfg["preset"],
         "params": copy.deepcopy(params),
         "I": i_count,
@@ -424,48 +386,33 @@ def resolved_config(cfg: dict) -> dict:
         "g": copy.deepcopy(cfg["g"]),
         "l": copy.deepcopy(cfg.get("l", [["zero"] * j_count for _ in range(i_count)])),
     }
-    return out
 
 
 def model_from_config(cfg: dict) -> GameModel:
     cfg = resolved_config(cfg)
-    builder, _ = _DYNAMICS_PRESETS[cfg["preset"]]
-    dyn = builder(cfg["params"])
-
-    terminal_costs = [[_terminal_cost(*_cost_ref(ref, "terminal")) for ref in row]
-                      for row in cfg["g"]]
-    running_costs = [[_running_cost(*_cost_ref(ref, "running")) for ref in row]
+    dyn = _preset(_DYNAMICS, cfg["preset"], cfg["params"], "preset")
+    # the running bounds hold for |u| <= ru and |v| <= rv; 2 is the floor
+    # the shipped bounds were declared with
+    radius = (max(2.0, dyn["u_set"].radius), max(2.0, dyn["v_set"].radius))
+    terminal_costs = [[_cost(_TERMINAL, ref, "terminal") for ref in row] for row in cfg["g"]]
+    running_costs = [[_cost(_RUNNING, ref, "running", radius=radius) for ref in row]
                      for row in cfg["l"]]
-
-    has_running = any(not c.is_zero for row in running_costs for c in row)
-    decoupled = dyn.decoupled and all(c.decoupled for row in running_costs for c in row)
-    terminal_bound = max(c.bound for row in terminal_costs for c in row)
-    running_bound = max(c.bound for row in running_costs for c in row)
-    lipschitz = max(
-        [dyn.lipschitz]
-        + [c.lipschitz for row in terminal_costs for c in row]
-        + [c.lipschitz for row in running_costs for c in row]
-    )
+    terminal = [c for row in terminal_costs for c in row]
+    running = [c for row in running_costs for c in row]
+    decoupled = dyn.pop("decoupled") and all(c.decoupled for c in running)
 
     return GameModel(
-        state_dim=dyn.state_dim,
-        noise_dim=dyn.noise_dim,
-        drift=dyn.drift,
-        diffusion=dyn.diffusion,
-        u_set=dyn.u_set,
-        v_set=dyn.v_set,
+        **dyn,
         u_types=cfg["I"],
         v_types=cfg["J"],
         terminal=tuple(tuple(c.fn for c in row) for row in terminal_costs),
         running=tuple(tuple(c.fn for c in row) for row in running_costs),
         horizon=cfg["T"],
-        has_running=has_running,
+        has_running=any(not c.is_zero for c in running),
         decoupled=decoupled,
-        lipschitz_bound=max(lipschitz, 1.0),
-        drift_bound=dyn.drift_bound,
-        diffusion_bound=dyn.diffusion_bound,
-        terminal_bound=terminal_bound,
-        running_bound=running_bound,
+        lipschitz_bound=max([1.0] + [c.lipschitz for c in terminal + running]),
+        terminal_bound=max(c.bound for c in terminal),
+        running_bound=max(c.bound for c in running),
         config=cfg,
     )
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, NumericsError
 from .model import GameModel
 from .simplex import SimplexGrid
 from .simulator import PureStrategy, StrategyProfile, strategy_control
@@ -56,8 +56,8 @@ class TreeGame:
 
     def __post_init__(self):
         x0 = np.atleast_1d(np.asarray(self.x0, dtype=float))
-        if x0.shape != (self.model.state_dim,):
-            raise ConfigError("x0 shape does not match the model state dimension")
+        if x0.shape != (self.model.state_dim,) or not np.all(np.isfinite(x0)):
+            raise ConfigError("x0 must be finite and match the model state dimension")
         object.__setattr__(self, "x0", x0)
         if self.steps < 1:
             raise ConfigError("tree needs at least one step")
@@ -236,26 +236,32 @@ def one_sided_recursion(tree: TreeGame, p_grid: SimplexGrid) -> OneSidedResult:
         raise ConfigError("one-sided recursion requires exactly one v type")
     if p_grid.dim != model.u_types:
         raise ConfigError("belief grid dimension must match the u type count")
-    states = _forward_states(tree)
-    pts = p_grid.points  # (NP, I)
-    gcols = np.stack(
-        [np.asarray([float(model.terminal[i][0](x)) for x in states[tree.steps].values()]) for i in range(model.u_types)],
-        axis=1,
-    )  # (nstates, I)
-    values: list[dict[bytes, np.ndarray]] = [{} for _ in range(tree.steps + 1)]
-    values[tree.steps] = dict(zip(states[tree.steps].keys(), gcols @ pts.T))
+    # states and values near the float limit overflow to inf or nan, which
+    # the stage check below reports as a numerics failure
+    with np.errstate(over="ignore", invalid="ignore"):
+        states = _forward_states(tree)
+        pts = p_grid.points  # (NP, I)
+        gcols = np.stack(
+            [np.asarray([float(model.terminal[i][0](x)) for x in states[tree.steps].values()]) for i in range(model.u_types)],
+            axis=1,
+        )  # (nstates, I)
+        values: list[dict[bytes, np.ndarray]] = [{} for _ in range(tree.steps + 1)]
+        values[tree.steps] = dict(zip(states[tree.steps].keys(), gcols @ pts.T))
     def running(t, x, u, v):
         return pts @ np.array([float(model.running[i][0](t, x, u, v)) for i in range(model.u_types)])
 
     for k in range(tree.steps - 1, -1, -1):
         # every state's stage minimax, then one envelope call for the level
-        stage = [
-            _stage_table(
-                tree, k, x, values[k + 1], running if model.has_running else None
-            ).max(axis=1).min(axis=0)
-            for x in states[k].values()
-        ]
-        values[k] = dict(zip(states[k].keys(), vex_rows(p_grid, np.array(stage))))
+        with np.errstate(over="ignore", invalid="ignore"):
+            stage = np.array([
+                _stage_table(
+                    tree, k, x, values[k + 1], running if model.has_running else None
+                ).max(axis=1).min(axis=0)
+                for x in states[k].values()
+            ])
+        if not np.all(np.isfinite(stage)):
+            raise NumericsError("the tree's stage values are not finite; the values overflowed")
+        values[k] = dict(zip(states[k].keys(), vex_rows(p_grid, stage)))
     return OneSidedResult(
         values=values[0][tree.x0.tobytes()],
         levels=tuple(values),

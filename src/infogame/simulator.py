@@ -48,9 +48,8 @@ from ._util import _MEMORY_CAP_BYTES, pairwise_mean, pairwise_sum, sorted_unique
 from .errors import ConfigError
 from .hamiltonian import pair_table
 from .model import GameModel
-from .solver import SolveResult, _check_grids, _jets, _stencil_points, _time_rounding
+from .solver import SolveResult, _check_grids, _jets, _stencil_points, _time_rounding, _whole_steps
 
-_DIVISIBILITY_TOL = 1e-9
 # bytes of per-sample path arrays that one chunk of `payoff_samples` holds
 _CHUNK_BYTES = 2**24
 
@@ -297,8 +296,8 @@ def _steps_for(model: GameModel, t0: float, h: float) -> int:
         raise ConfigError(
             f"h = {h:g} over the span {span:g} needs a noise array above the 2 GiB cap"
         )
-    steps = int(round(span / h))
-    if steps < 1 or abs(steps * h - span) > _DIVISIBILITY_TOL * max(1.0, span):
+    steps = _whole_steps(span, h)
+    if not steps:
         raise ConfigError(f"h = {h:g} does not divide the span {span:g} into whole steps")
     return steps
 

@@ -71,6 +71,9 @@ from .simplex import SimplexGrid, build_grid, convexity_violations
 
 # largest sampled Isaacs gap a solve accepts
 _ISAACS_TOL = 1e-10
+# h divides a time span into whole steps when they fill it within this
+# share of max(1, span)
+_WHOLE_STEPS_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -153,12 +156,21 @@ def terminal_field(model: GameModel, grids: Grids) -> np.ndarray:
     return np.einsum("...ij,ai,bj->...ab", gmat, grids.p.points, grids.q.points)
 
 
+def _whole_steps(span: float, h: float) -> int:
+    """The number of steps of h that fill span, or 0 when h does not divide
+    it into whole steps within 1e-9 relative to max(1, span)."""
+    steps = int(round(span / h))
+    if steps < 1 or abs(steps * h - span) > _WHOLE_STEPS_TOL * max(1.0, span):
+        return 0
+    return steps
+
+
 def _time_rounding(times) -> tuple[float, float]:
-    """The rounding a solved time grid may carry: the 1e-9 relative
-    divisibility tolerance over its span, and one ulp of its largest time,
-    which each backward step of t may add."""
+    """The rounding a solved time grid may carry: the whole-steps tolerance
+    over its span, and one ulp of its largest time, which each backward
+    step of t may add."""
     span = times[-1] - times[0]
-    return 1e-9 * max(1.0, span), float(np.spacing(max(abs(times[0]), abs(times[-1]))))
+    return _WHOLE_STEPS_TOL * max(1.0, span), float(np.spacing(max(abs(times[0]), abs(times[-1]))))
 
 
 def _check_grids(model: GameModel, grids: Grids) -> None:
@@ -393,8 +405,8 @@ def solve(
     if not (np.isfinite(dt) and dt > 0):
         raise ConfigError("dt must be positive and finite")
     span = model.horizon - t0
-    steps = int(round(span / dt))
-    if steps < 1 or abs(steps * dt - span) > 1e-9 * max(1.0, span):
+    steps = _whole_steps(span, dt)
+    if not steps:
         raise ConfigError(
             f"dt = {dt:g} does not divide the time span {span:g} into whole steps"
         )

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import os
 import resource
 import stat
@@ -803,6 +804,17 @@ def test_check_refuses_times_that_contradict_dt(tmp_path, key, value):
     assert not (out / "check.json").exists()
 
 
+@pytest.mark.parametrize("key", ["counts", "p_resolution"])
+def test_check_refuses_a_non_finite_grid_size(tmp_path, key):
+    # int() of Infinity raised OverflowError, which left check with exit 1
+    out = solve_dir(tmp_path)
+    meta = json.loads((out / "diagnostics.json").read_text())
+    meta["grid"][key] = [math.inf] if key == "counts" else math.inf
+    (out / "diagnostics.json").write_text(json.dumps(meta))
+    assert run("check", "--solve", out) == 2
+    assert not (out / "check.json").exists()
+
+
 def test_solves_far_from_time_zero_load(tmp_path):
     # near t = 1e9 each time carries rounding of 1e-7 against steps of
     # 1.4e-6; the time-grid check must still accept what solve wrote
@@ -987,6 +999,35 @@ def test_config_exit_codes(tmp_path):
     assert run("solve", "--config", huge, "--out", tmp_path / "x", "--steps", 5) == 2
 
 
+@pytest.mark.parametrize("count", ["I", "J"])
+def test_solve_refuses_a_boolean_type_count(tmp_path, count):
+    # a static 1 x 1 game that solves when the count is 1 and once died
+    # with a TypeError (exit 1) in the Isaacs audit when it was true
+    cfg = tmp_path / "bool.json"
+    cfg.write_text(json.dumps({"preset": "static-1d", "I": 1, "J": 1, "T": 0.5, "g": [["zero"]], count: True}))
+    argv = ["solve", "--config", cfg, "--out", tmp_path / "x", "--steps", 5, "--nx", 1, "--np", 1, "--nq", 1]
+    assert run(*argv) == 2
+    assert not (tmp_path / "x").exists()
+
+
+def test_the_value_bound_holds_for_controls_beyond_two(tmp_path):
+    # the running bound once assumed |u|, |v| <= 2 whatever the control set,
+    # and recorded a value_bound of 1.0 against a value of 2.5
+    cfg = tmp_path / "wide.json"
+    cfg.write_text(json.dumps({
+        "preset": "static-1d", "params": {"controls_u": [-5, 5], "controls_v": [-5, 5]},
+        "I": 1, "J": 1, "T": 0.5, "g": [["zero"]],
+        "l": [[{"name": "separated", "params": {"au": 1}}]],
+    }))
+    out = tmp_path / "wide"
+    assert run(
+        "solve", "--config", cfg, "--nx", 1, "--np", 1, "--nq", 1, "--steps", 5, "--out", out,
+    ) == 0
+    diagnostics = json.loads((out / "diagnostics.json").read_text())["diagnostics"]
+    assert diagnostics["max_abs_value"] == 2.5
+    assert diagnostics["max_abs_value"] <= diagnostics["value_bound"]
+
+
 OVERSIZED = {
     # the (samples, I, J) payoff table
     "simulate-samples": ["simulate", "--preset", "two-sided-1d", "--h", "0.1", "--samples", "100000000000"],
@@ -1034,4 +1075,24 @@ def test_overflowing_paths_exit_three_with_warnings_as_errors(tmp_path):
     assert proc.returncode == 3, proc.stderr
     assert "RuntimeWarning" not in proc.stderr
     assert "not finite" in proc.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "x0, code, message",
+    [("nan", 2, "x0 must be finite"), ("1e308", 3, "not finite")],
+    ids=["nan", "overflow"],
+)
+def test_oracle_refuses_a_start_state_that_is_not_finite_or_overflows(tmp_path, x0, code, message):
+    # a NaN start once reached the envelope's table check, and the sums of
+    # values near the float limit printed an overflow warning (exit 1 under
+    # -W error) before the same refusal
+    out = tmp_path / "oracle.json"
+    proc = run_fresh(
+        "-W", "error", "-m", "infogame.cli", "oracle", "--preset", "one-sided-drift-1d",
+        "--steps", "2", "--h", "0.25", "--x0", x0, "--out", str(out),
+    )
+    assert proc.returncode == code, proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
+    assert message in proc.stderr
     assert not out.exists()

@@ -1,12 +1,17 @@
 from __future__ import annotations
 
+import re
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from infogame.errors import ConfigError, InvalidControlError
 from infogame.model import (
+    _DYNAMICS,
+    _RUNNING,
+    _TERMINAL,
     ControlSet,
     model_from_config,
     preset,
@@ -174,3 +179,83 @@ def test_horizon_and_bounds():
     assert m.diffusion_bound == 0.5
     assert m.lipschitz_bound >= 1.0
     assert m.horizon == 0.5
+
+
+@pytest.mark.parametrize("count", ["I", "J"])
+def test_a_boolean_type_count_is_refused(count):
+    # bool is an int subclass: true once resolved as a type count of 1
+    cfg = {"preset": "drift-sum-1d", "I": 1, "J": 1, "T": 1.0, "g": [["linear"]], count: True}
+    with pytest.raises(ConfigError, match="I and J must be integers >= 1"):
+        resolved_config(cfg)
+
+
+TABLES = {"dynamics": _DYNAMICS, "terminal": _TERMINAL, "running": _RUNNING}
+PRESET_ENTRIES = [(kind, name) for kind, table in TABLES.items() for name in table]
+
+
+def config_with(kind, name, params):
+    """A 1 x 1 game that uses preset `name` of its kind with `params`."""
+    cfg = {"preset": "drift-sum-1d", "params": {}, "I": 1, "J": 1, "T": 1.0, "g": [["zero"]]}
+    if kind == "dynamics":
+        cfg.update(preset=name, params=params)
+    else:
+        cfg["g" if kind == "terminal" else "l"] = [[{"name": name, "params": params}]]
+    return cfg
+
+
+@pytest.mark.parametrize("kind, name", PRESET_ENTRIES, ids=[f"{k}-{n}" for k, n in PRESET_ENTRIES])
+def test_every_preset_builds_from_its_defaults_and_refuses_an_unknown_key(kind, name):
+    model_from_config(config_with(kind, name, {}))
+    where = "preset" if kind == "dynamics" else f"{kind} preset"
+    with pytest.raises(ConfigError, match=re.escape(f"{where} {name}: unknown keys ['bogus']")):
+        model_from_config(config_with(kind, name, {"bogus": 1.0}))
+
+
+def test_the_running_bounds_cover_controls_beyond_two():
+    # |u| = |v| = 5: the bounds once assumed |u|, |v| <= 2 for every set
+    cfg = {
+        "preset": "static-1d", "params": {"controls_u": [-5.0, 5.0], "controls_v": [-3.0, 3.0]},
+        "I": 1, "J": 2, "T": 0.5, "g": [["zero", "zero"]],
+        "l": [[{"name": "separated", "params": {"au": 1.0, "av": -2.0, "c": 0.5}},
+               {"name": "bilinear-uv", "params": {"c": -2.0}}]],
+    }
+    m = model_from_config(cfg)
+    worst = max(
+        abs(float(cost(0.0, np.zeros(1), u, v)))
+        for row in m.running for cost in row for u in m.u_set.values for v in m.v_set.values
+    )
+    assert worst == 30.0
+    assert m.running_bound >= worst
+
+
+README_HEADINGS = {
+    "dynamics": "Dynamics presets:",
+    "terminal": "Terminal cost presets:",
+    "running": "Running cost presets:",
+}
+
+
+def readme_rows(kind: str) -> dict:
+    """Each preset row of the README's table for `kind`, by preset name."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Model configs\n", 1)[1].split("\n## ", 1)[0]
+    block = section.split(README_HEADINGS[kind], 1)[1].strip().split("\n\n", 1)[0]
+    rows = [line for line in block.splitlines() if line.startswith("| `")]
+    return {row.split("`")[1]: row for row in rows}
+
+
+def shown(value) -> str:
+    if isinstance(value, list):
+        return "[" + ", ".join(f"{v:g}" for v in value) + "]"
+    return f"{value:g}"
+
+
+@pytest.mark.parametrize("kind", TABLES)
+def test_the_readme_states_every_preset_parameter_and_default(kind):
+    rows = readme_rows(kind)
+    assert sorted(rows) == sorted(TABLES[kind])
+    for name, (defaults, _) in TABLES[kind].items():
+        params = rows[name].split("|")[2]
+        assert params.count("=") == len(defaults), rows[name]
+        for key, default in defaults.items():
+            assert f"`{key}` = {shown(default)}" in params, (name, key)

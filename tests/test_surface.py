@@ -22,7 +22,7 @@ from infogame.transform import biconjugate_p
 DELETED = {
     "hamiltonian": ("HamiltonianQuery", "_query_table", "ham_inf_sup", "ham_sup_inf", "isaacs_gap"),
     "transform": ("ConjugateValue", "conjugate_p", "concave_conjugate_q", "TIE_TOLERANCE"),
-    "model": ("evaluate_dynamics",),
+    "model": ("evaluate_dynamics", "_Dynamics", "_DYNAMICS_PRESETS", "_terminal_cost", "_running_cost"),
     "oracle": ("exact_payoff_random",),
     "solver": ("_shift", "_derivatives", "_hessians", "numerical_hamiltonian"),
     "dualcheck": ("_stencil_jets",),
