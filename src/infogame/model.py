@@ -235,7 +235,9 @@ class _Cost:
 
 
 _TERMINAL = {
-    "zero": ({}, lambda: _Cost(lambda x: np.zeros(np.asarray(x).shape[:-1]), 0.0, 0.0, True, True)),
+    "zero": ({}, lambda: _Cost(
+        lambda x: np.zeros(np.asarray(x).shape[:-1]), 0.0, 0.0, True, True
+    )),
     "const": ({"c": 1.0}, lambda c: _Cost(
         lambda x: np.full(np.asarray(x).shape[:-1], c), abs(c), 0.0, True
     )),

@@ -159,6 +159,8 @@ def terminal_field(model: GameModel, grids: Grids) -> np.ndarray:
 def _whole_steps(span: float, h: float) -> int:
     """The number of steps of h that fill span, or 0 when h does not divide
     it into whole steps within 1e-9 relative to max(1, span)."""
+    if not math.isfinite(span / h):  # a tiny h; round() of inf raises OverflowError
+        return 0
     steps = int(round(span / h))
     if steps < 1 or abs(steps * h - span) > _WHOLE_STEPS_TOL * max(1.0, span):
         return 0

@@ -1079,17 +1079,26 @@ def test_overflowing_paths_exit_three_with_warnings_as_errors(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "x0, code, message",
-    [("nan", 2, "x0 must be finite"), ("1e308", 3, "not finite")],
-    ids=["nan", "overflow"],
+    "x0, controls_u, code, message",
+    [
+        ("nan", None, 2, "x0 must be finite"),
+        ("1e308", None, 3, "not finite"),  # the stage sums overflow
+        ("1e308", [-1e308, 0.0, 1e308], 3, "not finite"),  # so do the tree's states
+    ],
+    ids=["nan", "value-overflow", "state-overflow"],
 )
-def test_oracle_refuses_a_start_state_that_is_not_finite_or_overflows(tmp_path, x0, code, message):
-    # a NaN start once reached the envelope's table check, and the sums of
-    # values near the float limit printed an overflow warning (exit 1 under
-    # -W error) before the same refusal
+def test_oracle_refuses_a_start_state_that_is_not_finite_or_overflows(tmp_path, x0, controls_u, code, message):
+    # a NaN start once reached the envelope's table check, and values or
+    # states near the float limit printed an overflow warning (exit 1
+    # under -W error) before the same refusal
+    cfg = preset_config("one-sided-drift-1d")
+    if controls_u is not None:
+        cfg["params"]["controls_u"] = controls_u
+    config = tmp_path / "game.json"
+    config.write_text(json.dumps(cfg))
     out = tmp_path / "oracle.json"
     proc = run_fresh(
-        "-W", "error", "-m", "infogame.cli", "oracle", "--preset", "one-sided-drift-1d",
+        "-W", "error", "-m", "infogame.cli", "oracle", "--config", str(config),
         "--steps", "2", "--h", "0.25", "--x0", x0, "--out", str(out),
     )
     assert proc.returncode == code, proc.stderr

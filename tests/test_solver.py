@@ -103,6 +103,9 @@ def test_solve_span_must_be_whole_steps():
         solve(m, grids, t0=0.0, dt=0.3)
     with pytest.raises(ConfigError):
         solve(m, grids, t0=0.6, dt=0.1)
+    # span / dt is inf, which once raised OverflowError while rounding
+    with pytest.raises(ConfigError, match="whole steps"):
+        solve(m, grids, t0=0.0, dt=5e-324)
     # 64 whole steps, each below half an ulp of t: every slice would be at T
     cfg = preset_config("static-bilinear")
     cfg["T"] = 1e15
