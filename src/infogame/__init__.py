@@ -17,14 +17,13 @@ from .model import (
     running_matrix,
 )
 from .oracle import (
-    ClassicalResult,
-    OneSidedResult,
+    BeliefResult,
     TreeGame,
+    belief_recursion,
     classical_backward,
     exact_payoff_pq,
     exact_payoff_tree,
     noise_branches,
-    one_sided_recursion,
 )
 from .simplex import SimplexGrid, build_grid, discrete_convexity_violation
 from .simulator import (

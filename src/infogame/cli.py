@@ -44,7 +44,7 @@ from .dualcheck import (
 from .errors import ConfigError, NumericsError
 from .hamiltonian import is_probability_vector
 from .model import model_from_config, preset_config
-from .oracle import TreeGame, one_sided_recursion
+from .oracle import TreeGame, belief_recursion
 from .simplex import build_grid
 from .simulator import (
     RandomStrategy,
@@ -625,11 +625,13 @@ def _cmd_convexify(args) -> int:
 def _cmd_oracle(args) -> int:
     cfg, cfg_sha = _load_config(args.config, args.preset)
     model = model_from_config(cfg)
+    if model.v_types != 1:
+        raise ConfigError(f"oracle has no q lattice option yet, and the game has {model.v_types} v types")
     x0 = np.asarray(_float_list(args.x0), dtype=float) if args.x0 else np.zeros(model.state_dim)
     tree = TreeGame(model=model, x0=x0, t0=args.t0, steps=args.steps, h=args.h)
     grid = build_grid(model.u_types, args.np)
     started = time.perf_counter()
-    res = one_sided_recursion(tree, grid)
+    res = belief_recursion(tree, grid, build_grid(1, 1))
     elapsed = time.perf_counter() - started
     payload = {
         "config": model.config,
@@ -640,7 +642,7 @@ def _cmd_oracle(args) -> int:
         "h": args.h,
         "p_resolution": args.np,
         "p_points": grid.points,
-        "values": res.values,
+        "values": res.values[:, 0],
     }
     path = args.out if args.out.endswith(".json") else os.path.join(args.out, "oracle.json")
     _write_atomic(path, _dump_json(payload))

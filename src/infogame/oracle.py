@@ -3,17 +3,23 @@
 Replaces the Gaussian increments with symmetric +/-sqrt(h) branches so
 every expectation is a finite sum.  Trees are capped at depth 6 and
 (|U| |V| 2^d)^depth <= 1e7 nodes; within the cap, payoffs of delayed
-strategies and backward recursions are computed exactly (up to float
+strategies and the backward recursion are computed exactly (up to float
 arithmetic), giving an independent reference for the Monte Carlo
 estimators and the grid solver.
 
-The one-sided recursion assumes the maximizer is uninformed (one v type)
-and alternates a pointwise stage minimax with a convexification in the
-belief:
+`belief_recursion` is the one backward recursion, for every tree.  On a
+p lattice and a q lattice it alternates a pointwise stage minimax with
+the grid solver's dual projection, Cav_q Vex_p (`solver.dual_project`):
 
-    V_K(x, p) = sum_i p_i g_i(x)
-    V_k(x, p) = vex_p[ min_u max_v ( sum_i p_i l_i(t_k, x, u, v) h
-                                      + mean_eps V_{k+1}(x', p) ) ]
+    V_K(x, p, q) = p^T g(x) q
+    V_k(x, p, q) = Cav_q Vex_p [ min_u max_v ( p^T l(t_k, x, u, v) q h
+                                               + mean_eps V_{k+1}(x', p, q) ) ]
+
+with g and l the (I, J) tables of the types' costs.  A one-point
+lattice's envelope is the identity, so a one-point q lattice (one v
+type) gives the one-sided recursion V_k = Vex_p[...] of an informed
+minimizer, and two one-point lattices give the complete-information
+recursion of one type pair (`classical_backward`).
 
 min-then-max is the documented order; for cost structures where the
 stage game has no value the recursion still computes exactly this upper
@@ -24,15 +30,16 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import ConfigError, NumericsError
-from .model import GameModel
-from .simplex import SimplexGrid
+from .model import GameModel, restrict_to_types, running_matrix, terminal_matrix
+from .simplex import SimplexGrid, build_grid
 from .simulator import PureStrategy, StrategyProfile, strategy_control
-from .transform import vex_rows
+from .solver import dual_project
+from .transform import _row_bound
 
 _TREE_NODE_CAP = 1e7
 _TREE_DEPTH_CAP = 6
@@ -167,7 +174,7 @@ def _stage_table(tree: TreeGame, k: int, x: np.ndarray, level: dict, running) ->
 
     Each entry is the mean of the children's values in `level` plus
     running(t_k, x, u, v) * h; `running` is None when there is no running
-    cost.  Level values may be floats or arrays over a belief lattice.
+    cost.  Level values are arrays over the belief lattices.
     """
     model = tree.model
     t_k = tree.time_at(k)
@@ -188,82 +195,64 @@ def _stage_table(tree: TreeGame, k: int, x: np.ndarray, level: dict, running) ->
 
 
 @dataclass(frozen=True)
-class ClassicalResult:
-    value: float
-    levels: tuple[dict[bytes, float], ...]
+class BeliefResult:
+    values: np.ndarray  # (P, Q) at the root
+    levels: tuple[dict[bytes, np.ndarray], ...]  # per level, state bytes -> (P, Q)
     states: tuple[dict[bytes, np.ndarray], ...]
 
 
-def classical_backward(tree: TreeGame, i: int = 0, j: int = 0, g=None, l=None) -> ClassicalResult:
-    """Symmetric-information backward recursion, min over u of max over v.
-
-    Only legal when the minimax order provably cannot matter, which this
-    checks through the model's decoupled flag.  Pass g or l to override
-    the type-(i, j) costs with explicit callables.
-    """
+def belief_recursion(tree: TreeGame, p_grid: SimplexGrid, q_grid: SimplexGrid) -> BeliefResult:
+    """The tree's value on the p_grid x q_grid belief lattice: from the
+    terminal p^T g q, each level's stage minimax of p^T l q h plus the
+    mean over the children, then `dual_project`'s Cav_q Vex_p."""
     model = tree.model
-    if not model.decoupled:
-        raise ConfigError(
-            "classical_backward requires decoupled controls; the minimax order is ambiguous otherwise"
-        )
-    gfn = g if g is not None else model.terminal[i][j]
-    lfn = l if l is not None else (model.running[i][j] if model.has_running else None)
-    states = _forward_states(tree)
-    values: list[dict[bytes, float]] = [{} for _ in range(tree.steps + 1)]
-    for key, x in states[tree.steps].items():
-        values[tree.steps][key] = float(gfn(x))
-    running = None if lfn is None else (lambda t, x, u, v: float(lfn(t, x, u, v)))
-    for k in range(tree.steps - 1, -1, -1):
-        for key, x in states[k].items():
-            table = _stage_table(tree, k, x, values[k + 1], running)
-            values[k][key] = float(table.max(axis=1).min(axis=0))
-    return ClassicalResult(
-        value=values[0][tree.x0.tobytes()], levels=tuple(values), states=states
-    )
+    if p_grid.dim != model.u_types or q_grid.dim != model.v_types:
+        raise ConfigError("belief lattice dimensions must equal the model type counts")
+    pts, qts = p_grid.points, q_grid.points
+    bound = min(_row_bound(p_grid), _row_bound(q_grid))
 
+    def weigh(costs):  # p^T costs q, (..., I, J) to (..., P, Q); an einsum changes the bits
+        return np.stack([costs[..., j] @ pts.T for j in range(model.v_types)], axis=-1) @ qts.T
 
-@dataclass(frozen=True)
-class OneSidedResult:
-    values: np.ndarray  # (npoints,) at the root
-    levels: tuple[dict[bytes, np.ndarray], ...]
-    states: tuple[dict[bytes, np.ndarray], ...]
+    def running(t, x, u, v):
+        return weigh(running_matrix(model, t, x, u, v))
 
-
-def one_sided_recursion(tree: TreeGame, p_grid: SimplexGrid) -> OneSidedResult:
-    """Informed-minimizer value on a belief lattice via stagewise vex."""
-    model = tree.model
-    if model.v_types != 1:
-        raise ConfigError("one-sided recursion requires exactly one v type")
-    if p_grid.dim != model.u_types:
-        raise ConfigError("belief grid dimension must match the u type count")
     # states and values near the float limit overflow to inf or nan, which
     # the stage check below reports as a numerics failure
     with np.errstate(over="ignore", invalid="ignore"):
         states = _forward_states(tree)
-        pts = p_grid.points  # (NP, I)
-        gcols = np.stack(
-            [np.asarray([float(model.terminal[i][0](x)) for x in states[tree.steps].values()]) for i in range(model.u_types)],
-            axis=1,
-        )  # (nstates, I)
-        values: list[dict[bytes, np.ndarray]] = [{} for _ in range(tree.steps + 1)]
-        values[tree.steps] = dict(zip(states[tree.steps].keys(), gcols @ pts.T))
-    def running(t, x, u, v):
-        return pts @ np.array([float(model.running[i][0](t, x, u, v)) for i in range(model.u_types)])
-
+        last = states[tree.steps]
+        terminal = weigh(np.array([terminal_matrix(model, x) for x in last.values()]))
+    levels = [{} for _ in range(tree.steps)] + [dict(zip(last.keys(), terminal))]
     for k in range(tree.steps - 1, -1, -1):
-        # every state's stage minimax, then one envelope call for the level
+        # every state's stage minimax, then one projection for the level
         with np.errstate(over="ignore", invalid="ignore"):
             stage = np.array([
                 _stage_table(
-                    tree, k, x, values[k + 1], running if model.has_running else None
+                    tree, k, x, levels[k + 1], running if model.has_running else None
                 ).max(axis=1).min(axis=0)
                 for x in states[k].values()
             ])
-        if not np.all(np.isfinite(stage)):
-            raise NumericsError("the tree's stage values are not finite; the values overflowed")
-        values[k] = dict(zip(states[k].keys(), vex_rows(p_grid, stage)))
-    return OneSidedResult(
-        values=values[0][tree.x0.tobytes()],
-        levels=tuple(values),
-        states=states,
-    )
+        if not np.all(np.abs(stage) <= bound):  # a NaN fails too
+            raise NumericsError(
+                "the tree's stage values overflowed: they are not finite, or above "
+                f"the envelopes' bound {bound:g} in magnitude"
+            )
+        levels[k] = dict(zip(states[k].keys(), dual_project(p_grid, q_grid, stage).values))
+    return BeliefResult(values=levels[0][tree.x0.tobytes()], levels=tuple(levels), states=states)
+
+
+def classical_backward(tree: TreeGame, i: int = 0, j: int = 0) -> BeliefResult:
+    """Complete-information recursion of type pair (i, j), min over u of
+    max over v: `belief_recursion` of the game restricted to that pair, on
+    one-point lattices, whose values are (1, 1).
+
+    Only legal when the minimax order provably cannot matter, which this
+    checks through the model's decoupled flag.
+    """
+    if not tree.model.decoupled:
+        raise ConfigError(
+            "classical_backward requires decoupled controls; the minimax order is ambiguous otherwise"
+        )
+    sub = replace(tree, model=restrict_to_types(tree.model, i, j))
+    return belief_recursion(sub, build_grid(1, 1), build_grid(1, 1))

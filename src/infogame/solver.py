@@ -328,7 +328,7 @@ class ProjectionResult:
 
 
 def _envelope_stage(
-    grids: Grids, vex_in: np.ndarray, cav_in: np.ndarray
+    p: SimplexGrid, q: SimplexGrid, vex_in: np.ndarray, cav_in: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """(vex in p of vex_in, cav in q of cav_in), both (cells, P, Q).
 
@@ -336,30 +336,30 @@ def _envelope_stage(
     `transform.vex_rows` call: each row's envelope depends on that row
     alone.  A one-point lattice's pass is the identity.
     """
-    np_pts, nq_pts = grids.p.npoints, grids.q.npoints
-    p_rows = np.moveaxis(vex_in, 1, 2).reshape(-1, np_pts)  # rows over (x, q)
-    q_rows = -cav_in.reshape(-1, nq_pts)  # rows over (x, p); cav is -vex(-w)
-    if np_pts > 1 and (grids.p.dim, grids.p.resolution) == (grids.q.dim, grids.q.resolution):
-        both = transform.vex_rows(grids.p, np.concatenate([p_rows, q_rows]))
+    p_rows = np.moveaxis(vex_in, 1, 2).reshape(-1, p.npoints)  # rows over (x, q)
+    q_rows = -cav_in.reshape(-1, q.npoints)  # rows over (x, p); cav is -vex(-w)
+    if p.npoints > 1 and (p.dim, p.resolution) == (q.dim, q.resolution):
+        both = transform.vex_rows(p, np.concatenate([p_rows, q_rows]))
         p_rows, q_rows = both[: len(p_rows)], both[len(p_rows) :]
     else:
-        if np_pts > 1:
-            p_rows = transform.vex_rows(grids.p, p_rows)
-        if nq_pts > 1:
-            q_rows = transform.vex_rows(grids.q, q_rows)
-    vexed = np.moveaxis(p_rows.reshape(-1, nq_pts, np_pts), 2, 1)
+        if p.npoints > 1:
+            p_rows = transform.vex_rows(p, p_rows)
+        if q.npoints > 1:
+            q_rows = transform.vex_rows(q, q_rows)
+    vexed = np.moveaxis(p_rows.reshape(-1, q.npoints, p.npoints), 2, 1)
     return vexed, -q_rows.reshape(cav_in.shape)
 
 
-def _certificates(grids: Grids, values: np.ndarray) -> tuple[float, float]:
-    flat = values.reshape(-1, grids.p.npoints, grids.q.npoints)
-    worst_p = np.max(convexity_violations(grids.p, np.moveaxis(flat, 1, 2)))
-    worst_q = np.max(convexity_violations(grids.q, -flat))
+def _certificates(p: SimplexGrid, q: SimplexGrid, values: np.ndarray) -> tuple[float, float]:
+    flat = values.reshape(-1, p.npoints, q.npoints)
+    worst_p = np.max(convexity_violations(p, np.moveaxis(flat, 1, 2)))
+    worst_q = np.max(convexity_violations(q, -flat))
     return max(0.0, float(worst_p)), max(0.0, float(worst_q))
 
 
-def dual_project(grids: Grids, values: np.ndarray) -> ProjectionResult:
-    """Lower convex envelope in p then upper concave envelope in q.
+def dual_project(p: SimplexGrid, q: SimplexGrid, values: np.ndarray) -> ProjectionResult:
+    """Lower convex envelope in p then upper concave envelope in q of
+    values (..., P, Q) on the lattices p and q.
 
     The second envelope is a supremum of p-convex candidates over a
     p-independent feasible set, so it preserves the first certificate;
@@ -367,21 +367,22 @@ def dual_project(grids: Grids, values: np.ndarray) -> ProjectionResult:
     opposite composition is reported as the commutation diagnostic.
 
     Two `_envelope_stage` calls give both compositions: the first
-    envelopes the slice in p and in q, the second the q-envelope in p and
-    the p-envelope in q.  On equal lattices each stage is one
+    envelopes the values in p and in q, the second the q-envelope in p
+    and the p-envelope in q.  On equal lattices each stage is one
     `transform.vex_rows` call; with a one-point lattice one stage is all.
+    No state grid is read: the tree oracle projects its levels here too.
     """
-    work = values.reshape(-1, grids.p.npoints, grids.q.npoints)
-    vexed, caved = _envelope_stage(grids, work, work)
+    work = values.reshape(-1, p.npoints, q.npoints)
+    vexed, caved = _envelope_stage(p, q, work, work)
     commutation = 0.0
-    if grids.p.npoints > 1 and grids.q.npoints > 1:
-        other, projected = _envelope_stage(grids, caved, vexed)
+    if p.npoints > 1 and q.npoints > 1:
+        other, projected = _envelope_stage(p, q, caved, vexed)
         commutation = float(np.max(np.abs(projected - other), initial=0.0))
     else:  # the one-point side's pass is the identity
-        projected = vexed if grids.q.npoints == 1 else caved
+        projected = vexed if q.npoints == 1 else caved
     projected = projected.reshape(values.shape)
     residual = float(np.max(np.abs(projected - values), initial=0.0))
-    worst_p, worst_q = _certificates(grids, projected)
+    worst_p, worst_q = _certificates(p, q, projected)
     return ProjectionResult(
         values=projected,
         convexity_violation_p=worst_p,
@@ -449,7 +450,7 @@ def solve(
     for k in range(steps - 1, -1, -1):
         t = times[k + 1]
         stepped = hjb_step(model, grids, t, values[k + 1], dt, cfl_factor=cfl_factor)
-        proj = dual_project(grids, stepped)
+        proj = dual_project(grids.p, grids.q, stepped)
         stepped = proj.values
         proj_residuals.append(proj.residual)
         commutation_residuals.append(proj.commutation_residual)

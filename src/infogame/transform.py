@@ -34,6 +34,13 @@ _DOWNWARD_TOL = 1e-12  # a lower facet's unit normal has w component below -this
 _FLOAT_MAX = float(np.finfo(float).max)
 
 
+def _row_bound(grid: SimplexGrid) -> float:
+    """B, the largest magnitude of a value `_check_rows` accepts on grid."""
+    if grid.dim <= 2:
+        return _FLOAT_MAX / (4 * grid.resolution)
+    return _FLOAT_MAX * _DOWNWARD_TOL / (1 + np.sqrt(2))
+
+
 def _check_rows(grid: SimplexGrid, rows: np.ndarray) -> np.ndarray:
     """rows as a (rows, npoints) float table whose values are finite and at
     most B in magnitude, so that no step of the envelope overflows.
@@ -56,10 +63,7 @@ def _check_rows(grid: SimplexGrid, rows: np.ndarray) -> np.ndarray:
         raise ConfigError(
             f"rows shape {rows.shape} does not match grid (rows, {grid.npoints})"
         )
-    if grid.dim <= 2:
-        bound = _FLOAT_MAX / (4 * grid.resolution)
-    else:
-        bound = _FLOAT_MAX * _DOWNWARD_TOL / (1 + np.sqrt(2))
+    bound = _row_bound(grid)
     # a NaN fails both comparisons
     if not (-bound <= rows.min(initial=0.0) and rows.max(initial=0.0) <= bound):
         raise ConfigError(f"tabulated values must be finite and at most {bound:g} in magnitude")

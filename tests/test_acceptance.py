@@ -17,7 +17,7 @@ from infogame.cli import main as cli_main
 from infogame.dualcheck import check_dual_solution, default_tolerance, primal_crosscheck
 from infogame.hamiltonian import sample_isaacs_gap
 from infogame.model import model_from_config, preset, terminal_matrix
-from infogame.oracle import TreeGame, exact_payoff_pq, one_sided_recursion
+from infogame.oracle import TreeGame, belief_recursion, exact_payoff_pq
 from infogame.simplex import build_grid
 from infogame.simulator import (
     RandomStrategy,
@@ -160,23 +160,23 @@ def test_criterion_05_one_sided_agreement():
         h = m.horizon / 3
         pg = build_grid(2, 8)
         tree = TreeGame(model=m, x0=np.zeros(1), t0=0.0, steps=3, h=h)
-        osr = one_sided_recursion(tree, pg)
+        osr = belief_recursion(tree, pg, build_grid(1, 1))
         grids = Grids(state=build_state_grid([(0.0, 0.0)], [1]), p=pg, q=build_grid(1, 1))
         result = solve(m, grids, t0=0.0, dt=h)
         np.testing.assert_allclose(
-            result.values[0, 0, :, 0], osr.values, rtol=0, atol=1e-9
+            result.values[0, 0], osr.values, rtol=0, atol=1e-9
         )
 
         # state-dependent drift control: first-order agreement in (dx, sqrt(h))
         m2 = preset("one-sided-drift-1d")
         pg2 = build_grid(2, 4)
         tree2 = TreeGame(model=m2, x0=np.zeros(1), t0=0.0, steps=5, h=0.1)
-        osr2 = one_sided_recursion(tree2, pg2)
+        osr2 = belief_recursion(tree2, pg2, build_grid(1, 1))
         grid2 = build_state_grid([(-1.5, 1.5)], [61])
         grids2 = Grids(state=grid2, p=pg2, q=build_grid(1, 1))
         result2 = solve(m2, grids2, t0=0.0, dt=m2.horizon / 100)
         mid = int(np.argmin(np.abs(grid2.axes[0])))
-        got = result2.values[0, mid, :, 0]
+        got = result2.values[0, mid]
         tol = 5.0 * (grid2.spacing[0] + np.sqrt(0.1))
         np.testing.assert_allclose(got, osr2.values, rtol=0, atol=tol)
 

@@ -19,7 +19,7 @@ from infogame.cli import load_solve, main
 from infogame.dualcheck import default_tolerance
 from infogame.errors import ConfigError
 from infogame.model import model_from_config, preset, preset_config, resolved_config
-from infogame.oracle import TreeGame, one_sided_recursion
+from infogame.oracle import TreeGame, belief_recursion
 from infogame.simplex import build_grid
 from infogame.solver import Grids, SolveResult, build_state_grid, dual_project, hjb_step, solve
 from infogame.transform import vex_p
@@ -384,7 +384,7 @@ def test_the_solved_stack_replays_one_step_at_a_time(tmp_path):
     assert result.times.tolist() == times
     for k in range(8):
         stepped = hjb_step(model, grids, result.times[k + 1], result.values[k + 1], dt)
-        assert result.values[k].tobytes() == dual_project(grids, stepped).values.tobytes()
+        assert result.values[k].tobytes() == dual_project(grids.p, grids.q, stepped).values.tobytes()
     out = tmp_path / "replay"
     write_hand_solve(out, result, cfg, cfg_sha)
     meta = json.loads((out / "diagnostics.json").read_text())
@@ -971,8 +971,16 @@ def test_oracle_subcommand_matches_the_recursion(tmp_path):
     payload = json.loads(out.read_text())
     m = preset("one-sided-drift-1d")
     tree = TreeGame(model=m, x0=np.array([0.2]), t0=0.0, steps=5, h=0.1)
-    want = one_sided_recursion(tree, build_grid(2, 4)).values
+    want = belief_recursion(tree, build_grid(2, 4), build_grid(1, 1)).values[:, 0]
     np.testing.assert_array_equal(np.array(payload["values"]), want)
+
+
+def test_oracle_refuses_a_game_with_more_than_one_v_type(tmp_path, capsys):
+    # the recursion takes a q lattice, the command line has none yet
+    out = tmp_path / "oracle.json"
+    assert run("oracle", "--preset", "two-sided-1d", "--out", out, "--steps", 2, "--h", "0.2") == 2
+    assert "no q lattice option yet" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # ------------------------------------------------------------- exit codes
@@ -1084,8 +1092,9 @@ def test_overflowing_paths_exit_three_with_warnings_as_errors(tmp_path):
         ("nan", None, 2, "x0 must be finite"),
         ("1e308", None, 3, "not finite"),  # the stage sums overflow
         ("1e308", [-1e308, 0.0, 1e308], 3, "not finite"),  # so do the tree's states
+        ("1e307", None, 3, "above the envelopes' bound"),  # finite, past what vex_rows takes
     ],
-    ids=["nan", "value-overflow", "state-overflow"],
+    ids=["nan", "value-overflow", "state-overflow", "envelope-bound"],
 )
 def test_oracle_refuses_a_start_state_that_is_not_finite_or_overflows(tmp_path, x0, controls_u, code, message):
     # a NaN start once reached the envelope's table check, and values or

@@ -443,7 +443,7 @@ def no_constant(token):
 
 
 @FUZZ
-@given(  # the oracle's recursion needs a single v type
+@given(  # mostly games of one v type: the oracle command has no q lattice option yet
     name=st.sampled_from(ONE_V_TYPE) | st.sampled_from(PRESETS),
     cfg=mostly(None, configs()),  # None: run the named preset
     steps=mostly(2, st.integers(-1, 3)),

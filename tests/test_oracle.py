@@ -3,30 +3,38 @@
 from __future__ import annotations
 
 import itertools
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import envelope_reference as ref
-from infogame import oracle
+from exact_reference import two_sided_split, two_sided_state_free_config
+from infogame import oracle, transform
 from infogame.errors import ConfigError
 from infogame.model import model_from_config, preset, preset_config, restrict_to_types
 from infogame.oracle import (
     TreeGame,
+    belief_recursion,
     classical_backward,
     exact_payoff_pq,
     exact_payoff_tree,
     noise_branches,
-    one_sided_recursion,
 )
 from infogame.simplex import build_grid, discrete_convexity_violation
 from infogame.simulator import RandomStrategy, StrategyProfile, constant_strategy
+from infogame.solver import Grids, build_state_grid, solve
 from infogame.transform import vex_p
 
 
 def one_sided_model(T=0.3):
     return preset("one-sided-drift-1d", T=T)
+
+
+def one_sided(tree, pg):
+    """The recursion on a one-point q lattice, for a game with one v type."""
+    return belief_recursion(tree, pg, build_grid(1, 1))
 
 
 def unit_mix(pure):
@@ -114,47 +122,73 @@ def test_classical_backward_drifts_to_hand_value():
     got = classical_backward(tree)
     # g = x increasing, so u = -1 throughout; running cost rides the mean path
     want = (0.5 - 0.3) + 0.3 * 0.1 * (0.5 + 0.4 + 0.3)
-    assert got.value == pytest.approx(want, abs=1e-14)
+    assert got.values.shape == (1, 1)
+    assert got.values[0, 0] == pytest.approx(want, abs=1e-14)
     assert len(got.levels) == 4
     # control pairs and noise signs fan out, drifts partially recombine
     assert [len(s) for s in got.states] == [1, 6, 18, 46]
 
 
 def test_classical_backward_cost_overrides():
-    m = restrict_to_types(one_sided_model(), 0, 0)
+    # other costs are a model with other cost tables
+    m = replace(
+        restrict_to_types(one_sided_model(), 0, 0),
+        terminal=((lambda x: 2.0,),),
+        running=((lambda t, x, u, v: 0.0,),),
+    )
     tree = TreeGame(model=m, x0=np.array([0.0]), t0=0.0, steps=2, h=0.15)
-    flat = classical_backward(tree, g=lambda x: 2.0, l=lambda t, x, u, v: 0.0)
-    assert flat.value == 2.0
+    assert classical_backward(tree).values[0, 0] == 2.0
 
 
-def test_one_sided_requires_single_v_type():
+def test_belief_recursion_refuses_lattices_of_other_dimensions():
     m = preset("two-sided-1d")
     tree = TreeGame(model=m, x0=np.zeros(1), t0=0.0, steps=2, h=0.2)
-    with pytest.raises(ConfigError):
-        one_sided_recursion(tree, build_grid(2, 2))
+    for p_dim, q_dim in ((2, 1), (1, 2), (3, 2), (2, 3)):
+        with pytest.raises(ConfigError, match="lattice dimensions"):
+            belief_recursion(tree, build_grid(p_dim, 2), build_grid(q_dim, 2))
 
 
-def test_one_sided_vertices_equal_classical():
-    m = one_sided_model()
-    tree = TreeGame(model=m, x0=np.array([0.5]), t0=0.0, steps=3, h=0.1)
-    pg = build_grid(2, 4)
-    osr = one_sided_recursion(tree, pg)
-    for i in range(2):
-        mr = restrict_to_types(m, i, 0)
-        tr = TreeGame(model=mr, x0=np.array([0.5]), t0=0.0, steps=3, h=0.1)
-        want = classical_backward(tr).value
-        assert osr.values[pg.vertex_index(i)] == pytest.approx(want, abs=1e-12)
+@pytest.mark.parametrize(
+    "name, steps, x0",
+    [("one-sided-drift-1d", 3, 0.5), ("two-sided-1d", 3, 0.3), ("two-sided-1d", 4, 0.3)],
+    ids=["one-sided-drift-1d", "two-sided-1d-3", "two-sided-1d-4"],
+)
+def test_vertex_values_equal_classical(name, steps, x0):
+    # at one-hot beliefs the projected tree evolves like the complete-
+    # information tree of that type pair, bit for bit
+    m = preset(name)
+    tree = TreeGame(model=m, x0=np.array([x0]), t0=0.0, steps=steps, h=m.horizon / steps)
+    pg, qg = build_grid(m.u_types, 4), build_grid(m.v_types, 4)
+    got = belief_recursion(tree, pg, qg).values
+    for i, j in itertools.product(range(m.u_types), range(m.v_types)):
+        want = classical_backward(tree, i, j).values[0, 0]
+        assert got[pg.vertex_index(i), qg.vertex_index(j)] == want
+
+
+@pytest.mark.parametrize("resolution", [4, 8])
+@pytest.mark.parametrize("steps", [3, 4, 5])
+def test_two_sided_tree_splits_into_a_bilinear_part_and_a_state_free_game(steps, resolution):
+    # the mean over the children moves (p . q) x by the drift alone, so the
+    # tree is (p . q) x0 + phi, phi the state-free game on one node at dt = h
+    m = preset("two-sided-1d")
+    h = m.horizon / steps
+    p, q = build_grid(2, resolution), build_grid(2, resolution)
+    tree = TreeGame(model=m, x0=np.array([0.3]), t0=0.0, steps=steps, h=h)
+    got = belief_recursion(tree, p, q).values
+    node = Grids(state=build_state_grid([(0.0, 0.0)], [1]), p=p, q=q)
+    phi = solve(model_from_config(two_sided_state_free_config()), node, t0=0.0, dt=h)
+    want = two_sided_split([0.3], p.points, q.points, phi.values[:, 0])[0, 0]
+    assert np.max(np.abs(got - want)) <= 1e-13
 
 
 def test_one_sided_values_convex_in_belief():
     m = one_sided_model()
     tree = TreeGame(model=m, x0=np.array([0.2]), t0=0.0, steps=3, h=0.1)
     pg = build_grid(2, 6)
-    osr = one_sided_recursion(tree, pg)
-    assert discrete_convexity_violation(pg, osr.values) <= 1e-12
+    osr = one_sided(tree, pg)
     for level in osr.levels:
         for vec in level.values():
-            assert discrete_convexity_violation(pg, vec) <= 1e-12
+            assert discrete_convexity_violation(pg, vec[:, 0]) <= 1e-12
 
 
 def test_one_sided_stationary_identity():
@@ -164,7 +198,7 @@ def test_one_sided_stationary_identity():
     K, h = 4, 0.15
     pg = build_grid(2, 8)
     tree = TreeGame(model=m, x0=np.zeros(1), t0=0.0, steps=K, h=h)
-    osr = one_sided_recursion(tree, pg)
+    osr = one_sided(tree, pg)
     # stage(p) = min_u max_v sum_i p_i l_i(u, v); terminal already linear
     stage = np.empty(pg.npoints)
     for r, p in enumerate(pg.points):
@@ -178,7 +212,7 @@ def test_one_sided_stationary_identity():
         stage[r] = table.max(axis=1).min()
     g_lin = np.array([0.25 * p[0] - 0.5 * p[1] for p in pg.points])
     want = g_lin + K * h * vex_p(pg, stage)
-    np.testing.assert_allclose(osr.values, want, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(osr.values[:, 0], want, rtol=0, atol=1e-12)
 
 
 def test_one_sided_with_coupled_running_cost():
@@ -200,11 +234,11 @@ def test_one_sided_with_coupled_running_cost():
     assert not m.decoupled
     tree = TreeGame(model=m, x0=np.zeros(1), t0=0.0, steps=2, h=0.2)
     pg = build_grid(2, 4)
-    osr = one_sided_recursion(tree, pg)
+    osr = one_sided(tree, pg)
     # stage: for any u, max_v (p_1 - p_2) u v = |p_1 - p_2|, so the min over u
     # keeps |p_1 - p_2|; that is convex, vex leaves it, and it accrues h per step
     want = 0.4 * np.abs(pg.points[:, 0] - pg.points[:, 1])
-    np.testing.assert_allclose(osr.values, want, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(osr.values[:, 0], want, rtol=0, atol=1e-14)
 
 
 def test_exact_payoff_pq_bilinear():
@@ -266,14 +300,14 @@ def _three_type_one_sided_model():
 def test_one_sided_recursion_envelopes_each_level_in_one_call(monkeypatch, model, pg, x0):
     tree = TreeGame(model=model, x0=x0, t0=0.0, steps=3, h=0.1)
     calls = []
-    inner = oracle.vex_rows
+    inner = transform.vex_rows
 
     def counted(grid, rows):
         calls.append(rows.shape)
         return inner(grid, rows)
 
-    monkeypatch.setattr(oracle, "vex_rows", counted)
-    osr = one_sided_recursion(tree, pg)
+    monkeypatch.setattr(transform, "vex_rows", counted)
+    osr = one_sided(tree, pg)  # the one-point q lattice's pass makes no call
     assert calls == [(len(osr.states[k]), pg.npoints) for k in range(tree.steps - 1, -1, -1)]
     # the per-state loop over the reference envelope, from the same terminal level
     pts = pg.points
@@ -281,7 +315,7 @@ def test_one_sided_recursion_envelopes_each_level_in_one_call(monkeypatch, model
     def running(t, x, u, v):
         return pts @ np.array([float(model.running[i][0](t, x, u, v)) for i in range(model.u_types)])
 
-    want = [None] * tree.steps + [osr.levels[-1]]
+    want = [None] * tree.steps + [{key: vec[:, 0] for key, vec in osr.levels[-1].items()}]
     changed = 0
     for k in range(tree.steps - 1, -1, -1):
         want[k] = {}
@@ -292,4 +326,4 @@ def test_one_sided_recursion_envelopes_each_level_in_one_call(monkeypatch, model
     assert changed > 0  # the envelope is active somewhere
     for got, exp in zip(osr.levels, want):
         assert list(got) == list(exp)
-        assert all(got[key].tobytes() == exp[key].tobytes() for key in got)
+        assert all(got[key][:, 0].tobytes() == exp[key].tobytes() for key in got)

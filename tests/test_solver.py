@@ -180,11 +180,11 @@ def test_dual_project_reports_residuals():
     grids = grids_for(m, nx=1, box=(0.0, 0.0), np_res=4, nq_res=4)
     rng = np.random.default_rng(0)
     raw = rng.standard_normal((1, grids.p.npoints, grids.q.npoints))
-    proj = dual_project(grids, raw)
+    proj = dual_project(grids.p, grids.q, raw)
     assert proj.convexity_violation_p <= 1e-10
     assert proj.concavity_violation_q <= 1e-10
     assert proj.residual > 0.0
-    again = dual_project(grids, proj.values)
+    again = dual_project(grids.p, grids.q, proj.values)
     np.testing.assert_allclose(again.values, proj.values, rtol=0, atol=1e-12)
 
 
@@ -235,9 +235,9 @@ def test_dual_project_matches_the_row_loop(monkeypatch, p_lattice, q_lattice, ca
     values = _mixed_field(grids, np.random.default_rng(31 + sum(p_lattice) + sum(q_lattice)))
     vexed, caved = _row_loop_vex(grids, values), _row_loop_cav(grids, values)
     vex_cav, cav_vex = _row_loop_cav(grids, vexed), _row_loop_vex(grids, caved)
-    stage = _envelope_stage(grids, values, values)
+    stage = _envelope_stage(grids.p, grids.q, values, values)
     assert np.array_equal(stage[0], vexed) and np.array_equal(stage[1], caved)
-    stage = _envelope_stage(grids, caved, vexed)
+    stage = _envelope_stage(grids.p, grids.q, caved, vexed)
     assert np.array_equal(stage[0], cav_vex) and np.array_equal(stage[1], vex_cav)
 
     seen, inner = [], transform.vex_rows
@@ -247,7 +247,7 @@ def test_dual_project_matches_the_row_loop(monkeypatch, p_lattice, q_lattice, ca
         return inner(*args)
 
     monkeypatch.setattr(transform, "vex_rows", counted)
-    proj = dual_project(grids, values)
+    proj = dual_project(grids.p, grids.q, values)
     assert len(seen) == calls
     ref = vex_cav  # on the one-sided lattice cav is the identity, and cav_vex is vex_cav
     assert np.array_equal(proj.values, ref)
@@ -266,7 +266,7 @@ def test_dual_project_rejects_non_finite_fields():
     raw = np.zeros((1, grids.p.npoints, grids.q.npoints))
     raw[0, 2, 1] = np.nan
     with pytest.raises(ConfigError):
-        dual_project(grids, raw)
+        dual_project(grids.p, grids.q, raw)
 
 
 def test_refinement_shrinks_error_against_reference():

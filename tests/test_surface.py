@@ -14,7 +14,7 @@ import pytest
 import infogame
 from infogame.dualcheck import build_probes, check_dual_solution, primal_crosscheck
 from infogame.model import GameModel
-from infogame.oracle import OneSidedResult
+from infogame.oracle import classical_backward
 from infogame.simulator import PayoffEstimate, PureStrategy, feedback_from_field
 from infogame.solver import dual_project, hjb_step, solve
 from infogame.transform import biconjugate_p
@@ -23,7 +23,7 @@ DELETED = {
     "hamiltonian": ("HamiltonianQuery", "_query_table", "ham_inf_sup", "ham_sup_inf", "isaacs_gap"),
     "transform": ("ConjugateValue", "conjugate_p", "concave_conjugate_q", "TIE_TOLERANCE"),
     "model": ("evaluate_dynamics", "_Dynamics", "_DYNAMICS_PRESETS", "_terminal_cost", "_running_cost"),
-    "oracle": ("exact_payoff_random",),
+    "oracle": ("exact_payoff_random", "one_sided_recursion", "OneSidedResult", "ClassicalResult"),
     "solver": ("_shift", "_derivatives", "_hessians", "numerical_hamiltonian"),
     "dualcheck": ("_stencil_jets",),
     "simulator": ("NoisePath",),
@@ -42,7 +42,7 @@ def test_deleted_names_are_gone(module):
 REMOVED_KEYWORDS = (
     (solve, (None, None), {"t0": 0.0, "dt": 0.1}, "isaacs_tol"),
     (solve, (None, None), {"t0": 0.0, "dt": 0.1}, "check_commutation"),
-    (dual_project, (None, None), {}, "check_commutation"),
+    (dual_project, (None, None, None), {}, "check_commutation"),
     (biconjugate_p, (None, None), {}, "extra_probes"),
     (build_probes, (None, "p"), {}, "per_slice_nodes"),
     (check_dual_solution, (None,), {}, "tie_tol"),
@@ -52,7 +52,8 @@ REMOVED_KEYWORDS = (
     (hjb_step, (None, None, 0.0, None, 0.1), {}, "validate"),
     (PureStrategy, ("u", 1, None), {}, "label"),
     (GameModel, (), {}, "name"),
-    (OneSidedResult, (), {}, "grid"),
+    (classical_backward, (None,), {}, "g"),
+    (classical_backward, (None,), {}, "l"),
     (PayoffEstimate, (0.0, 0.0), {}, "samples"),
 )
 
