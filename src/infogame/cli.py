@@ -548,7 +548,7 @@ def _read_lattice_csv(path: str):
     try:
         with open(path) as handle:
             lines = handle.read().splitlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read table: {exc}") from exc
     if not lines:
         raise ConfigError("empty table")
@@ -592,6 +592,8 @@ def _match_lattice(dim: int, table: np.ndarray):
     grid = build_grid(dim, resolution)
     order = np.full(grid.npoints, -1, dtype=int)
     for r, row in enumerate(table[:, :dim]):
+        if not np.all(np.abs(row) <= 1.0 + 1e-9):  # also nan: keeps the int cast below finite
+            raise ConfigError(f"row {r + 1} is not a lattice point at resolution {resolution}")
         nums = np.rint(row * resolution).astype(int)
         if nums.sum() != resolution or np.any(nums < 0):
             raise ConfigError(f"row {r + 1} is not a lattice point at resolution {resolution}")

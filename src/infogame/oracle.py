@@ -21,6 +21,11 @@ type) gives the one-sided recursion V_k = Vex_p[...] of an informed
 minimizer, and two one-point lattices give the complete-information
 recursion of one type pair (`classical_backward`).
 
+Each level is swept forward once, `TreeGame.branch_next` stepping its
+whole state array per control pair.  States are keyed by their exact float
+bytes in first-reached order (0.0 and -0.0 stay distinct), and each
+(state, u, v) branch keeps the rows of its children in the next level.
+
 min-then-max is the documented order; for cost structures where the
 stage game has no value the recursion still computes exactly this upper
 construction.
@@ -31,6 +36,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field, replace
+from functools import reduce
 
 import numpy as np
 
@@ -38,12 +44,11 @@ from .errors import ConfigError, NumericsError
 from .model import GameModel, restrict_to_types, running_matrix, terminal_matrix
 from .simplex import SimplexGrid, build_grid
 from .simulator import PureStrategy, StrategyProfile, strategy_control
-from .solver import dual_project
+from .solver import _whole_steps, dual_project
 from .transform import _row_bound
 
 _TREE_NODE_CAP = 1e7
 _TREE_DEPTH_CAP = 6
-_HORIZON_TOL = 1e-9
 
 
 def noise_branches(noise_dim: int) -> np.ndarray:
@@ -77,8 +82,8 @@ class TreeGame:
             raise ConfigError(
                 f"tree of {fanout}^{self.steps} nodes exceeds the cap {_TREE_NODE_CAP:g}"
             )
-        end = self.t0 + self.steps * self.h
-        if abs(end - self.model.horizon) > _HORIZON_TOL * max(1.0, abs(self.model.horizon)):
+        if _whole_steps(self.model.horizon - self.t0, self.h) != self.steps:
+            end = self.t0 + self.steps * self.h
             raise ConfigError(
                 f"t0 + steps * h = {end:g} must equal the horizon {self.model.horizon:g}"
             )
@@ -88,12 +93,12 @@ class TreeGame:
         return self.t0 + k * self.h
 
     def branch_next(self, k: int, x: np.ndarray, u, v) -> np.ndarray:
-        """Child states for every sign pattern, shape (2^d, n)."""
+        """Child states for every sign pattern, (..., n) to (..., 2^d, n)."""
         t = self.time_at(k)
         b = np.asarray(self.model.drift(t, x, u, v), dtype=float)
         sig = np.asarray(self.model.diffusion(t, x, u, v), dtype=float)
         inc = self.branches * math.sqrt(self.h)  # (2^d, d)
-        return x[None, :] + b[None, :] * self.h + inc @ sig.T
+        return x[..., None, :] + b[..., None, :] * self.h + inc @ np.swapaxes(sig, -1, -2)
 
 
 def exact_payoff_tree(
@@ -154,44 +159,24 @@ def exact_payoff_pq(tree: TreeGame, profile: StrategyProfile, p, q) -> float:
     return total
 
 
-def _forward_states(tree: TreeGame) -> tuple[dict[bytes, np.ndarray], ...]:
-    """Reachable states per level, keyed by the exact float bytes."""
-    model = tree.model
-    levels: list[dict[bytes, np.ndarray]] = [{tree.x0.tobytes(): tree.x0}]
+def _sweep(tree: TreeGame) -> tuple[tuple[dict[bytes, np.ndarray], ...], list, list]:
+    """Per level: the reachable states by their float bytes, the same as one
+    (S, n) array, and the rows of each (state, u, v) branch's children in
+    the next level, shape (S, |U|, |V|, 2^d)."""
+    u_set, v_set = tree.model.u_set, tree.model.v_set
+    states, xs, rows = [{tree.x0.tobytes(): tree.x0}], [tree.x0[None, :]], []
     for k in range(tree.steps):
-        nxt: dict[bytes, np.ndarray] = {}
-        for x in levels[k].values():
-            for u in model.u_set.values:
-                for v in model.v_set.values:
-                    for child in tree.branch_next(k, x, u, v):
-                        nxt.setdefault(child.tobytes(), child)
-        levels.append(nxt)
-    return tuple(levels)
-
-
-def _stage_table(tree: TreeGame, k: int, x: np.ndarray, level: dict, running) -> np.ndarray:
-    """Stage values over control pairs, shape (|U|, |V|, ...).
-
-    Each entry is the mean of the children's values in `level` plus
-    running(t_k, x, u, v) * h; `running` is None when there is no running
-    cost.  Level values are arrays over the belief lattices.
-    """
-    model = tree.model
-    t_k = tree.time_at(k)
-    table = []
-    for u in model.u_set.values:
-        row = []
-        for v in model.v_set.values:
-            children = tree.branch_next(k, x, u, v)
-            ev = 0.0
-            for child in children:
-                ev = ev + level[child.tobytes()]
-            ev = ev / children.shape[0]
-            if running is not None:
-                ev = ev + running(t_k, x, u, v) * tree.h
-            row.append(ev)
-        table.append(row)
-    return np.array(table)
+        children = np.stack(
+            [tree.branch_next(k, xs[k], u, v) for u in u_set.values for v in v_set.values], axis=1
+        )  # (S, |U| |V|, 2^d, n), in the order the children are first reached
+        flat = children.reshape(-1, tree.x0.size)
+        keys = [child.tobytes() for child in flat]
+        states.append(dict(zip(keys, flat)))  # equal keys hold equal bytes
+        xs.append(np.array(list(states[-1].values())))
+        row_of = {key: r for r, key in enumerate(states[-1])}
+        index = np.array([row_of[key] for key in keys])
+        rows.append(index.reshape(-1, u_set.count, v_set.count, tree.branches.shape[0]))
+    return tuple(states), xs, rows
 
 
 @dataclass(frozen=True)
@@ -204,7 +189,9 @@ class BeliefResult:
 def belief_recursion(tree: TreeGame, p_grid: SimplexGrid, q_grid: SimplexGrid) -> BeliefResult:
     """The tree's value on the p_grid x q_grid belief lattice: from the
     terminal p^T g q, each level's stage minimax of p^T l q h plus the
-    mean over the children, then `dual_project`'s Cav_q Vex_p."""
+    mean over the children, then `dual_project`'s Cav_q Vex_p.  min_u max_v
+    is reduced pair by pair.  The running costs are weighed over the
+    lattices state by state: one product for a level moves the last bits."""
     model = tree.model
     if p_grid.dim != model.u_types or q_grid.dim != model.v_types:
         raise ConfigError("belief lattice dimensions must equal the model type counts")
@@ -214,31 +201,39 @@ def belief_recursion(tree: TreeGame, p_grid: SimplexGrid, q_grid: SimplexGrid) -
     def weigh(costs):  # p^T costs q, (..., I, J) to (..., P, Q); an einsum changes the bits
         return np.stack([costs[..., j] @ pts.T for j in range(model.v_types)], axis=-1) @ qts.T
 
-    def running(t, x, u, v):
-        return weigh(running_matrix(model, t, x, u, v))
+    def per_state(costs, x):  # (S, I, J), also from costs that return one number for any x
+        return np.array(np.broadcast_to(costs, (x.shape[0], model.u_types, model.v_types)))
 
     # states and values near the float limit overflow to inf or nan, which
     # the stage check below reports as a numerics failure
     with np.errstate(over="ignore", invalid="ignore"):
-        states = _forward_states(tree)
-        last = states[tree.steps]
-        terminal = weigh(np.array([terminal_matrix(model, x) for x in last.values()]))
-    levels = [{} for _ in range(tree.steps)] + [dict(zip(last.keys(), terminal))]
+        states, xs, rows = _sweep(tree)
+        value = weigh(per_state(terminal_matrix(model, xs[-1]), xs[-1]))
+    levels = [{} for _ in range(tree.steps)] + [dict(zip(states[-1], value))]
     for k in range(tree.steps - 1, -1, -1):
-        # every state's stage minimax, then one projection for the level
+        def branch(a, u, b, v):  # the children's mean plus the running term, (S, P, Q)
+            ev = 0.0
+            for child in rows[k][:, a, b].T:
+                ev = ev + value[child]
+            ev = ev / tree.branches.shape[0]
+            if model.has_running:
+                costs = per_state(running_matrix(model, tree.time_at(k), xs[k], u, v), xs[k])
+                ev = ev + np.array([weigh(c) for c in costs]) * tree.h
+            return ev
+
+        # min over u of max over v, pair by pair, then one projection for the level
         with np.errstate(over="ignore", invalid="ignore"):
-            stage = np.array([
-                _stage_table(
-                    tree, k, x, levels[k + 1], running if model.has_running else None
-                ).max(axis=1).min(axis=0)
-                for x in states[k].values()
-            ])
+            stage = reduce(np.minimum, (
+                reduce(np.maximum, (branch(a, u, b, v) for b, v in enumerate(model.v_set.values)))
+                for a, u in enumerate(model.u_set.values)
+            ))
         if not np.all(np.abs(stage) <= bound):  # a NaN fails too
             raise NumericsError(
                 "the tree's stage values overflowed: they are not finite, or above "
                 f"the envelopes' bound {bound:g} in magnitude"
             )
-        levels[k] = dict(zip(states[k].keys(), dual_project(p_grid, q_grid, stage).values))
+        value = dual_project(p_grid, q_grid, stage).values
+        levels[k] = dict(zip(states[k], value))
     return BeliefResult(values=levels[0][tree.x0.tobytes()], levels=tuple(levels), states=states)
 
 

@@ -938,6 +938,15 @@ def test_convexify_rejects_malformed_tables(tmp_path):
     )  # duplicate point
 
 
+def test_convexify_refuses_a_table_that_is_not_utf8(tmp_path, capsys):
+    path = tmp_path / "t.csv"
+    path.write_bytes(b"p_1,p_2,w\n1,0,\xff\n0,1,0\n")
+    out = tmp_path / "o.csv"
+    assert run("convexify", "--table", path, "--out", out, "--mode", "vex") == 2
+    assert "cannot read table" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # a 2-type and a 3-type table whose envelope arithmetic overflows: the
 # 2-type envelope is 0 at (1/2, 1/2), not 1e308
 OVERFLOWING_TABLES = [

@@ -303,6 +303,9 @@ def tables(draw):
     "0.5,0.5,0,1e308\n0.5,0,0.5,1e308\n0,0.5,0.5,1e308\n",
     mode="vex",
 )
+@example(table="p_1,p_2,w\nnan,1,0\n0,1,0\n", mode="vex")  # once cast to int with a warning
+@example(table="p_1,p_2,w\ninf,1,0\n0,1,0\n", mode="vex")
+@example(table="p_1,p_2,w\n1e300,1,0\n0,1,0\n", mode="vex")
 def test_convexify_exit_codes(workdir, table, mode):
     work = Path(tempfile.mkdtemp(dir=workdir))
     path = work / "table.csv"

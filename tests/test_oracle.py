@@ -10,8 +10,9 @@ import numpy as np
 import pytest
 
 import envelope_reference as ref
+import tree_reference
 from exact_reference import two_sided_split, two_sided_state_free_config
-from infogame import oracle, transform
+from infogame import transform
 from infogame.errors import ConfigError
 from infogame.model import model_from_config, preset, preset_config, restrict_to_types
 from infogame.oracle import (
@@ -24,7 +25,7 @@ from infogame.oracle import (
 )
 from infogame.simplex import build_grid, discrete_convexity_violation
 from infogame.simulator import RandomStrategy, StrategyProfile, constant_strategy
-from infogame.solver import Grids, build_state_grid, solve
+from infogame.solver import Grids, _whole_steps, build_state_grid, solve
 from infogame.transform import vex_p
 
 
@@ -58,6 +59,23 @@ def test_tree_game_validation():
         TreeGame(model=m, x0=np.zeros(1), t0=0.0, steps=3, h=0.2)  # horizon mismatch
     with pytest.raises(ConfigError):
         TreeGame(model=m, x0=np.zeros(2), t0=0.0, steps=3, h=0.1)
+
+
+@pytest.mark.parametrize(
+    "horizon, t0, steps, h, whole",
+    [
+        (100.0, 99.7, 3, 0.1 + 2e-8, False),  # 6e-8 off: within 1e-9 T, not 1e-9 of the span
+        (0.3, -10.0, 3, (10.3 + 5e-9) / 3, True),  # 5e-9 off: within 1e-9 of the span 10.3
+    ],
+)
+def test_the_tree_horizon_follows_the_solvers_whole_steps_rule(horizon, t0, steps, h, whole):
+    m = replace(one_sided_model(), horizon=horizon)
+    assert (_whole_steps(horizon - t0, h) == steps) == whole
+    if whole:
+        TreeGame(model=m, x0=np.zeros(1), t0=t0, steps=steps, h=h)
+    else:
+        with pytest.raises(ConfigError, match="must equal the horizon"):
+            TreeGame(model=m, x0=np.zeros(1), t0=t0, steps=steps, h=h)
 
 
 def test_martingale_terminal_is_start_point():
@@ -320,10 +338,56 @@ def test_one_sided_recursion_envelopes_each_level_in_one_call(monkeypatch, model
     for k in range(tree.steps - 1, -1, -1):
         want[k] = {}
         for key, x in osr.states[k].items():
-            stage = oracle._stage_table(tree, k, x, want[k + 1], running).max(axis=1).min(axis=0)
+            table = tree_reference.stage_table(tree, k, x, want[k + 1], running)
+            stage = table.max(axis=1).min(axis=0)
             want[k][key] = ref.vex_row(pg, stage)
             changed += not np.array_equal(want[k][key], stage)
     assert changed > 0  # the envelope is active somewhere
     for got, exp in zip(osr.levels, want):
         assert list(got) == list(exp)
         assert all(got[key][:, 0].tobytes() == exp[key].tobytes() for key in got)
+
+
+@pytest.mark.parametrize(
+    "model, steps, x0, resolution",
+    [
+        (one_sided_model(), 4, 0.2, 8),
+        (_three_type_one_sided_model(), 3, -0.1, 4),
+        (preset("two-sided-1d"), 5, 0.3, 4),
+        (preset("two-sided-1d"), 5, 0.3, 8),
+        (preset("running-matrix-informed"), 4, 0.0, 8),
+    ],
+    ids=[
+        "one-sided-drift-1d", "three-types", "two-sided-1d-4", "two-sided-1d-8",
+        "running-matrix-informed",
+    ],
+)
+def test_the_level_sweep_equals_the_per_state_reference(model, steps, x0, resolution):
+    tree = TreeGame(model=model, x0=np.array([x0]), t0=0.0, steps=steps, h=model.horizon / steps)
+    pg, qg = build_grid(model.u_types, resolution), build_grid(model.v_types, resolution)
+    got = belief_recursion(tree, pg, qg)
+    want = tree_reference.belief_recursion(tree, pg, qg)
+    assert got.values.tobytes() == want.values.tobytes()
+    for name in ("levels", "states"):
+        for got_level, want_level in zip(getattr(got, name), getattr(want, name), strict=True):
+            assert list(got_level) == list(want_level)  # keys in first-reached order
+            assert all(got_level[key].tobytes() == want_level[key].tobytes() for key in got_level)
+
+
+def test_the_recursion_steps_each_level_and_control_pair_once():
+    m = preset("two-sided-1d")
+    calls = []
+
+    def drift(t, x, u, v):
+        calls.append(np.shape(x))
+        return m.drift(t, x, u, v)
+
+    steps = 4
+    tree = TreeGame(
+        model=replace(m, drift=drift), x0=np.array([0.3]), t0=0.0, steps=steps, h=m.horizon / steps
+    )
+    res = belief_recursion(tree, build_grid(2, 4), build_grid(2, 4))
+    pairs = m.u_set.count * m.v_set.count
+    assert len(calls) == steps * pairs
+    # each call steps the whole level
+    assert calls == [(len(res.states[k]), 1) for k in range(steps) for _ in range(pairs)]

@@ -23,7 +23,10 @@ DELETED = {
     "hamiltonian": ("HamiltonianQuery", "_query_table", "ham_inf_sup", "ham_sup_inf", "isaacs_gap"),
     "transform": ("ConjugateValue", "conjugate_p", "concave_conjugate_q", "TIE_TOLERANCE"),
     "model": ("evaluate_dynamics", "_Dynamics", "_DYNAMICS_PRESETS", "_terminal_cost", "_running_cost"),
-    "oracle": ("exact_payoff_random", "one_sided_recursion", "OneSidedResult", "ClassicalResult"),
+    "oracle": (
+        "exact_payoff_random", "one_sided_recursion", "OneSidedResult", "ClassicalResult",
+        "_forward_states", "_stage_table", "_HORIZON_TOL",
+    ),
     "solver": ("_shift", "_derivatives", "_hessians", "numerical_hamiltonian"),
     "dualcheck": ("_stencil_jets",),
     "simulator": ("NoisePath",),
