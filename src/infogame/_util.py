@@ -10,13 +10,13 @@ only on the values and their order.  No part of the library uses the
 pool any more: the solver and the simulator run on the calling thread.
 `parallel_map` and `thread_count` (INFOGAME_THREADS: unset or "0" picks an
 automatic worker count, any other integer is used verbatim) stay because
-the `perfbench` harness imports them.
+the `perfbench` harness imports them; the thread pool module is imported
+inside `parallel_map`, so no request loads it.
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Sequence, TypeVar
 
 import numpy as np
@@ -43,10 +43,13 @@ def thread_count() -> int:
 
 
 def parallel_map(fn: Callable[[T], R], items: Sequence[T]) -> list[R]:
-    """Map preserving input order; worker count from INFOGAME_THREADS."""
+    """Map preserving input order; worker count from INFOGAME_THREADS.  The
+    thread pool is imported here, so a run that never maps never loads it."""
     workers = thread_count()
     if workers <= 1 or len(items) <= 1:
         return [fn(it) for it in items]
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items))
 

@@ -9,11 +9,11 @@ Two independent routes, never merged:
       residual = xi_t - H(t, x, -xi_x, -X, p, q)
 
   with p running over the conjugate argmax set and H the game-role
-  Hamiltonian `hamiltonian.ham_bellman_inf_sup` (run_sign = +1, min over
-  u of max over v).  The convex-side stack max_p <phat, p> - w must keep
-  the best residual >= -tol at every audited node (supersolution
-  direction); the concave-side stack min_q <qhat, q> - w must keep it
-  <= tol (subsolution direction).
+  Hamiltonian `hamiltonian.ham_bellman_inf_sup` (min over u of max over
+  v).  The convex-side stack max_p <phat, p> - w must keep the best
+  residual >= -tol at every audited node (supersolution direction); the
+  concave-side stack min_q <qhat, q> - w must keep it <= tol
+  (subsolution direction).
 
 * Primal route.  For each probe pair the best interior node of
   w - <phat, p> over (t, x, p) is located on the raw field and the jet
@@ -33,34 +33,32 @@ shifted slice shows at the audited nodes of its two neighbours.
 
 Every audit reads the solve's field stack, `SolveResult.values`, in
 place: `_stack` only checks it (three slices or more, every value
-finite), so no audit copies the field.  Both audits work a side at a
-time, one opponent belief node at a time.
-The conjugate route never forms a whole (t, x) conjugate stack: at each
-audited pick `_queue_conjugate` gathers w on the pick's `_jet_points`
-only (the solver's state stencil at t, then the centre at t + 1 and
-t - 1), scores <probe, r> - w there, takes the max over the own beliefs
-(min on the q side), keeps the time difference of the last two points
-and forms the state jets with the solver's `_jets`, the HJB step's own
-differences.  Picks are core nodes, so no mirror ghost is read, and
-every step is pointwise in (t, x): the residuals are those of the whole
-stack bit for bit.  The crosscheck scores no whole block either: its
-first-occurrence argmin over (t, node, belief) comes from each belief
-column of w sorted once per opponent node (`_extremal_nodes`), and w's
-own jets at each pick come from the pick's `_jet_points` at its belief,
-the same way.  Neither audit forms the jets of a whole stack.  The
-audited rows of a side
-queue in `_Rows` and reach `ham_bellman_inf_sup` in a few batched calls.
-One constant, _BLOCK_FLOATS (1 MB of floats), caps the floats of a
-chunk's stencil gather and of the kernel table of one call, so the
-working set does not grow with the number of probes or checks; on small
-solves a chunk holds every probe of an opponent node.  The conjugate
-route folds one minimum per (opponent node, probe), which the report
-keeps as `pair_residuals_super` and `pair_residuals_sub`; the audited
-pairs are tracked apart from those values, so a NaN residual makes its
-side's scalar residual NaN and the side fail.  The reductions
-keep the per-probe order (opponent node, probe, t, node), so the reports
-do not depend on the chunking.  The probe lifts <probe, r> are one BLAS
-product per probe (`_lifts`).  The probe sets are deduplicated by
+finite).  Both audits work a side at a time, and neither forms a whole
+(t, x) conjugate stack or the jets of one.  The conjugate route takes
+one opponent belief node at a time: at each audited pick
+`_queue_conjugate` gathers w on the pick's `_jet_points` only (the
+solver's state stencil at t, then the centre at t + 1 and t - 1), scores
+<probe, r> - w there, takes the max over the own beliefs (min on the q
+side), keeps the time difference of the last two points and forms the
+state jets with the solver's `_jets`, the HJB step's own differences.
+Picks are core nodes, so no mirror ghost is read, and every step is
+pointwise in (t, x): the residuals are those of the whole stack bit for
+bit.  The crosscheck takes a group of opponent nodes at a time: each
+(opponent node, probe) pair's first-occurrence argmin over (t, node,
+belief) comes from the (belief, opponent node) columns of w sorted once
+per group (`_extremal_nodes`), and w's own jets at the picks from one
+gather of their `_jet_points`.  The audited rows of a side queue in
+`_Rows` and reach `ham_bellman_inf_sup` in a few batched calls.
+`_BLOCK_FLOATS` (1 MB of floats) caps a chunk's stencil gather, a kernel
+table and a crosscheck sort table, so the working set does not grow with
+the number of probes, checks or opponent nodes.  The conjugate route
+folds one minimum per (opponent node, probe), which the report keeps as
+`pair_residuals_super` and `pair_residuals_sub`; the audited pairs are
+tracked apart from those values, so a NaN residual makes its side's
+scalar residual NaN and the side fail.  The reductions keep the
+per-probe order (opponent node, probe, t, node), so the reports do not
+depend on the chunking.  The probe lifts <probe, r> are one BLAS product
+per probe (`_lifts`).  The probe sets are deduplicated by
 `_util.sorted_unique`, so a check never imports numpy.ma.
 """
 
@@ -81,14 +79,15 @@ _TIE_TOL = 1e-9
 # state nodes per slice whose envelope facets seed the probes
 _PROBE_SLICE_NODES = 5
 _PROBE_CAP = 64
-# floats per stencil gather (picks, stencil, K) and per kernel table
-# (rows, |U|, |V|): bounds the audits' working set.  Each call and gather
-# has a fixed cost, so the cap is 1 MB: on check-2type's input (20,480
-# checks) the audits make 6 kernel calls and 20 gathers, one per (route,
-# side, opponent node), where 2**14 made 16 and 50 and 2**16 still makes 8
-# kernel calls; a larger cap saves no call there.  The price is peak
-# memory, mostly the kernel table and its temporaries: about 10,000 rows
-# of |U| |V| floats per call there, and 1.2 MB more peak RSS than at 2**14
+# floats per stencil gather (picks, stencil, K), kernel table (rows, |U|,
+# |V|) and crosscheck sort table (interior (t, node) pairs, K, opponent
+# nodes).  Each call and gather has a fixed cost, so the cap is 1 MB: on
+# check-2type's input (20,480 checks) the audits make 6 kernel calls and
+# 12 conjugate gathers, one per (side, opponent node) on the conjugate
+# route and one per side on the crosscheck, where 2**14 made 16 kernel
+# calls and 2**16 still makes 8.  The price is peak memory, mostly the
+# kernel table and its temporaries: about 10,000 rows of |U| |V| floats
+# per call there, and 1.2 MB more peak RSS than at 2**14
 _BLOCK_FLOATS = 2**17
 
 
@@ -221,11 +220,6 @@ def _sides(stack, grids, probes_p, probes_q):
     yield grids.q, grids.p, -1, np.asarray(probes_q, dtype=float), np.swapaxes(stack, -1, -2)
 
 
-def _beliefs(sense: int, own: np.ndarray, opp: np.ndarray):
-    """(p, q) from the own side's beliefs and the opponent's."""
-    return (own, opp) if sense > 0 else (opp, own)
-
-
 def _lifts(own, probes: np.ndarray) -> np.ndarray:
     """<probe, r> over the own beliefs r, shape (probes, K).
 
@@ -239,47 +233,53 @@ def _lifts(own, probes: np.ndarray) -> np.ndarray:
 
 
 def _extremal_nodes(block: np.ndarray, lifts: np.ndarray, sense: int, core: np.ndarray, size: int):
-    """(chunk, flat index) over consecutive chunks of at most size probes.
+    """(pairs, flat index) over consecutive chunks of at most size pairs.
 
-    block is w at one opponent belief, shape (nt, *shape, K), and core the
-    ascending flat positions of the interior (t, node) pairs in
-    (nt, *shape).  Per probe, the index is the first minimum of
-    sense * (w - <probe, r>) over the flattened (t, node, own belief r)
-    axes, interior pairs only: the minima of w - <probe, r> on the convex
-    side (sense +1), the maxima on the concave one.
+    block is w at G opponent beliefs, shape (nt, *shape, K, G), and core
+    the ascending flat positions of the interior (t, node) pairs in
+    (nt, *shape).  Pair g * len(lifts) + probe is opponent node g and that
+    probe; its index is the first minimum of sense * (w - <probe, r>) at g
+    over the flattened (t, node, own belief r) axes of (nt, *shape, K),
+    interior pairs only: the minima of w - <probe, r> on the convex side
+    (sense +1), the maxima on the concave one.
 
     No (probes, t, node, r) block is scored.  The objective is
     fl(v - c) with v = sense * w and c = sense * <probe, r>, bitwise
-    sense * (w - <probe, r>), and it is monotone in v.  So each column r
-    of v, sorted once, has its least objective at its head, the columns
-    whose head attains a probe's minimum hold every minimum, and in such a
-    column the minima are the sorted prefix whose fl(v - c) equals the
-    head's, found by bisection on that same expression.  The index is the
-    least position in those prefixes, read from the columns' running
+    sense * (w - <probe, r>), and it is monotone in v.  So each column
+    (r, g) of v, sorted once, has its least objective at its head, the
+    columns whose head attains a pair's minimum hold every minimum, and in
+    such a column the minima are the sorted prefix whose fl(v - c) equals
+    the head's, found by bisection on that same expression.  The index is
+    the least position in those prefixes, read from the columns' running
     minima of positions.
     """
-    width = block.shape[-1]
-    values = block.reshape(-1, width)[core]
-    values = values if sense > 0 else -values
-    order = np.argsort(values, axis=0, kind="stable")
-    ranked = np.take_along_axis(values, order, axis=0)  # (P, K), each column ascending
-    first = core[np.minimum.accumulate(order, axis=0)]  # least position among the j + 1 smallest
-    for lo in range(0, len(lifts), size):
-        chunk = np.arange(lo, min(lo + size, len(lifts)))
-        lift = lifts[chunk] if sense > 0 else -lifts[chunk]
-        head = ranked[0] - lift  # (probes, K): each column's least objective
+    width, groups = block.shape[-2:]
+    ranked = block.reshape(-1, width, groups)[core]  # (P, K, G)
+    if sense < 0:
+        np.negative(ranked, out=ranked)
+    order = np.argsort(ranked, axis=0, kind="stable")
+    ranked.sort(axis=0, kind="stable")  # each column ascending, as ranked[order] reads it
+    # the least row of core among the j + 1 smallest of each column
+    first = np.minimum.accumulate(order, axis=0, out=order)
+    heads = ranked[0].T  # (G, K)
+    lifts = lifts if sense > 0 else -lifts
+    for lo in range(0, groups * len(lifts), size):
+        pairs = np.arange(lo, min(lo + size, groups * len(lifts)))
+        group, probe = np.divmod(pairs, len(lifts))
+        lift = lifts[probe]
+        head = heads[group] - lift  # (pairs, K): each column's least objective
         best = head.min(axis=1)
         pr, col = np.nonzero(head == best[:, None])
-        c, least = lift[pr, col], best[pr]
-        # ranked[tie, col] attains the minimum and ranked[past, col] does not
+        g, c, least = group[pr], lift[pr, col], best[pr]
+        # ranked[tie, col, g] attains the minimum and ranked[past, col, g] does not
         tie, past = np.zeros(pr.size, dtype=np.intp), np.full(pr.size, len(ranked))
         while np.any(past - tie > 1):
             mid = (tie + past) // 2
-            hit = ranked[mid, col] - c <= least
+            hit = ranked[mid, col, g] - c <= least
             tie, past = np.where(hit, mid, tie), np.where(hit, past, mid)
-        flat = np.full(chunk.size, np.iinfo(np.intp).max)
-        np.minimum.at(flat, pr, first[tie, col] * width + col)
-        yield chunk, flat
+        flat = np.full(pairs.size, np.iinfo(np.intp).max)
+        np.minimum.at(flat, pr, core[first[tie, col, g]] * width + col)
+        yield pairs, flat
 
 
 class _Rows:
@@ -301,12 +301,13 @@ class _Rows:
         self.blocks: list[tuple] = []  # (out, done, (target, t, x, grad, hess, p, q, xi))
         self.count = 0
 
-    def add(self, out, target, ti, nodes, grad, hess, own_points, opp_point, xi, done=None):
-        """Queue rows at time indices ti and (rows, ndim) state indices nodes."""
+    def add(self, out, target, ti, nodes, grad, hess, own_points, opp_points, xi, done=None):
+        """Queue rows at time indices ti and (rows, ndim) state indices nodes;
+        opp_points is one opponent belief or one per row."""
         grid = self.result.grids.state
         x = np.stack([ax[i] for ax, i in zip(grid.axes, nodes.T)], axis=-1)
-        opp = np.broadcast_to(opp_point, (len(target), opp_point.size))
-        p, q = _beliefs(self.sense, own_points, opp)
+        opp = np.broadcast_to(opp_points, (len(target), opp_points.shape[-1]))
+        p, q = (own_points, opp) if self.sense > 0 else (opp, own_points)
         self.blocks.append((out, done, (target, self.result.times[ti], x, grad, hess, p, q, xi)))
         self.count += len(target)
         while self.count >= self.cap:
@@ -350,14 +351,14 @@ class _Rows:
 
 
 def _queue_conjugate(
-    rows: _Rows, own, opp_point, block, lifts, ti, nodes, out, target, done=None
+    rows: _Rows, own, opp, oriented, jo, lifts, ti, nodes, out, target, done=None
 ) -> None:
     """Queue the conjugate-route rows of audited picks.
 
-    block is w at one opponent belief, shape (nt, *shape, K); pick k is
-    the core (t, node) pair (ti[k], nodes[k]) of the probe whose lift
-    <probe, r> is lifts[k], and its residual folds into out[target[k]].
-    Only the pick's `_jet_points` are scored: the conjugate is the max of
+    oriented is w with the opponent's belief axis last; pick k is the core
+    (t, node) pair (ti[k], nodes[k]) at opponent node jo (or jo[k]) of the
+    probe whose lift <probe, r> is lifts[k], and its residual folds into
+    out[target[k]].  Only the pick's `_jet_points` are scored: the conjugate is the max of
     <probe, r> - w over the own beliefs r on the convex side (sense +1)
     and the min on the concave one, its jets are `solver._jets` of the
     state stencil and the time difference of the last two points, and at
@@ -369,10 +370,10 @@ def _queue_conjugate(
     reduce over the leading axis and the conjugate comes out stencil
     first, as `_jets` reads it; the support mask is read transposed, so
     the rows queue in (pick, belief) order.  The gather itself is
-    (S + 2, picks, K), one contiguous belief row per stencil point.
+    (S + 2, picks, K), one belief row per stencil point.
     """
     grid = rows.result.grids.state
-    gathered = np.moveaxis(block[_jet_points(grid, ti, nodes)], -1, 0)
+    gathered = np.moveaxis(oriented[(*_jet_points(grid, ti, nodes), slice(None), jo)], -1, 0)
     scores = np.subtract(lifts.T[:, None, :], gathered, order="C")
     conj = scores.max(axis=0) if rows.sense > 0 else scores.min(axis=0)
     xi_t = (conj[-2] - conj[-1]) / (2.0 * rows.result.dt)
@@ -380,7 +381,7 @@ def _queue_conjugate(
     sel, cand = np.nonzero(_support(scores[:, 0], conj[0], rows.sense).T)
     rows.add(
         out, target[sel], ti[sel], nodes[sel], -grad[sel], -hess[sel],
-        own.points[cand], opp_point, xi_t[sel], done,
+        own.points[cand], opp.points[jo if np.ndim(jo) == 0 else jo[sel]], xi_t[sel], done,
     )
 
 
@@ -402,12 +403,9 @@ def check_dual_solution(
     grids = result.grids
     if max_checks < 1:
         raise ConfigError("max_checks must be >= 1")
-    if probes_p is None:
-        probes_p = build_probes(result, "p")
-    if probes_q is None:
-        probes_q = build_probes(result, "q")
-    if tol is None:
-        tol = default_tolerance(result)
+    probes_p = build_probes(result, "p") if probes_p is None else probes_p
+    probes_q = build_probes(result, "q") if probes_q is None else probes_q
+    tol = default_tolerance(result) if tol is None else tol
     _check_tolerance(tol)
     nodes = np.array(_core_nodes(result), dtype=int).reshape(-1, grids.state.ndim)
     per_block = (stack.shape[0] - 2) * len(nodes)  # (interior t, node) pairs per conjugate
@@ -446,7 +444,7 @@ def check_dual_solution(
                     mins[at] = np.minimum.reduceat(best, starts)
 
                 _queue_conjugate(
-                    rows, own, opp.points[jo], oriented[..., jo],
+                    rows, own, opp, oriented, jo,
                     np.repeat(lifts[chunk], sizes, axis=0),
                     run // len(nodes) + 1, nodes[run % len(nodes)],
                     np.full(run.size, -np.inf), np.arange(run.size), fold,
@@ -486,12 +484,9 @@ def primal_crosscheck(
     conjugate route at the same nodes."""
     stack = _stack(result)
     grids = result.grids
-    if probes_p is None:
-        probes_p = build_probes(result, "p")
-    if probes_q is None:
-        probes_q = build_probes(result, "q")
-    if tol is None:
-        tol = default_tolerance(result)
+    probes_p = build_probes(result, "p") if probes_p is None else probes_p
+    probes_q = build_probes(result, "q") if probes_q is None else probes_q
+    tol = default_tolerance(result) if tol is None else tol
     _check_tolerance(tol)
     nodes = np.array(_core_nodes(result), dtype=int).reshape(-1, grids.state.ndim)
     interior = np.zeros(stack.shape[:-2], dtype=bool)
@@ -505,27 +500,31 @@ def primal_crosscheck(
     for own, opp, sense, probes, oriented in _sides(stack, grids, probes_p, probes_q):
         # per (opponent node, probe) pair, in that order: sense times the
         # primal residual, and the conjugate route's best at the same node
-        primal = np.full(opp.npoints * probes.shape[0], -np.inf)
+        npr = probes.shape[0]
+        primal = np.full(opp.npoints * npr, -np.inf)
         dual = np.full(primal.size, -np.inf)
         primal_rows = _Rows(result, sense, np.add)
         dual_rows = _Rows(result, sense, np.subtract)
         lifts = _lifts(own, probes)
-        # probes per chunk: each pick gathers its stencil's own-belief rows
+        # opponent nodes per sorted table, and pairs per chunk: each pick
+        # gathers its stencil's own-belief rows
+        group = max(1, _BLOCK_FLOATS // (core.size * own.npoints))
         size = max(1, _BLOCK_FLOATS // (stencil * own.npoints))
-        for jo in range(opp.npoints):
-            block = oriented[..., jo]  # (nt, *shape, own npoints)
-            for chunk, first in _extremal_nodes(block, lifts, sense, core, size):
-                ti, *node, c = np.unravel_index(first, block.shape)
+        for lo in range(0, opp.npoints, group):
+            block = oriented[..., lo : lo + group]  # (nt, *shape, own npoints, G)
+            for pair, first in _extremal_nodes(block, lifts, sense, core, size):
+                target = lo * npr + pair
+                jo, probe = np.divmod(target, npr)
+                ti, *node, c = np.unravel_index(first, block.shape[:-1])
                 node = np.stack(node, axis=-1)
-                jet = block[(*_jet_points(grids.state, ti, node), c)]  # (S + 2, picks)
+                jet = oriented[(*_jet_points(grids.state, ti, node), c, jo)]  # (S + 2, picks)
                 xi_t = (jet[-2] - jet[-1]) / (2.0 * result.dt)
                 grad, hess = _jets(grids.state, jet[:-2])
-                target = jo * probes.shape[0] + chunk
                 primal_rows.add(
                     primal, target, ti, node, grad, hess, own.points[c], opp.points[jo], xi_t,
                 )
                 _queue_conjugate(
-                    dual_rows, own, opp.points[jo], block, lifts[chunk], ti, node, dual, target,
+                    dual_rows, own, opp, oriented, jo, lifts[probe], ti, node, dual, target,
                 )
         primal_rows.flush()
         dual_rows.flush()

@@ -1,9 +1,10 @@
 """Exact finite minimax Hamiltonians and Isaacs diagnostics.
 
 One kernel, `pair_table`, scans the full control grid for a whole batch
-of points and returns the table over control pairs of
+of points and returns the game-role table over control pairs (u
+minimizes, v maximizes) of
 
-    <b, grad> + tr(hess sigma sigma^T) / 2 + run_sign * sum_ij l_ij p_i q_j,
+    <b, grad> + tr(hess sigma sigma^T) / 2 + sum_ij l_ij p_i q_j,
 
 so min/max values and the gap between the two orders are exact for the
 declared finite control sets.  Everything else is a min/max reduction of
@@ -13,21 +14,13 @@ over the two pair axes then run over leading memory axes, elementwise
 across the batch, which numpy does far faster than over short trailing
 ones.  Reduce the view; a caller that needs C-ordered bytes copies it.
 max, min, argmax and argmin are exact selections, so the layout changes
-no value and no tie-break.  The running term enters with one of two signs:
+no value and no tie-break.  Its min-max reduction, `ham_bellman_inf_sup`,
+is what the solver step and both dual residual audits evaluate; the
+feedback replay reads the table.
 
-* run_sign = -1 is the form in which the Isaacs condition for the
-  asymmetric-information equation is stated.  The sampled audit
-  `sample_isaacs_gap` reduces it both ways: the gap is the min over u of
-  the max over v minus the max over v of the min over u.
-* run_sign = +1 keeps the game roles (u minimizes) with the running
-  term +sum l_ij p_i q_j: the form under which smooth value fields
-  satisfy the dynamic-programming equation pointwise.  Its min-max
-  reduction, `ham_bellman_inf_sup`, is what the solver step and both
-  dual residual audits evaluate; the feedback replay reads the table.
-
-The two are mirror images: pair_table(grad, hess, +1) equals
--pair_table(-grad, -hess, -1) to the bit, so the min-max of one is minus
-the max-min of the other.
+The Isaacs condition is stated for the literal form, with -sum l p q,
+which is bit for bit minus this table at the mirrored jet (-grad, -hess),
+so `sample_isaacs_gap` reads the table there with the roles swapped.
 """
 
 from __future__ import annotations
@@ -44,41 +37,22 @@ def is_probability_vector(w: np.ndarray) -> bool:
     return bool(np.all(w >= -1e-12) and abs(w.sum() - 1.0) <= 1e-9)
 
 
-def _belief_contraction(lmat: np.ndarray, p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """sum_ij l_ij p_i q_j over (..., I, J), (..., I) and (..., J).
-
-    Summed from zero in (i, j) row-major order as (l_ij p_i) q_j, which is
-    bitwise what einsum("...ij,ai,bj->...ab") gives on a grid of belief
-    points, whatever the layout of the batch.
-    """
-    total = 0.0
-    for i in range(lmat.shape[-2]):
-        for j in range(lmat.shape[-1]):
-            total = total + lmat[..., i, j] * p[..., i] * q[..., j]
-    return total
-
-
-def pair_table(
-    model: GameModel, t, x, grad, hess, p, q, run_sign: float
-) -> np.ndarray:
+def pair_table(model: GameModel, t, x, grad, hess, p, q) -> np.ndarray:
     """Table over control pairs, shape (..., |U|, |V|), for a batch of points.
 
     x, grad: (..., n); hess: (..., n, n), symmetric; p: (..., I);
     q: (..., J); t a float or an array broadcasting against x[..., 0].
     The batch shape is the broadcast of all leading shapes.  Each entry is
-    <b, grad> + tr(hess sigma sigma^T) / 2 + run_sign * sum_ij l_ij p_i q_j,
+    <b, grad> + tr(hess sigma sigma^T) / 2 + sum_ij l_ij p_i q_j,
     summed from zero in that order with the trace taken as diagonal terms
-    then the upper triangle, so a batch equals its points one at a time.
-    Starting from +0.0, no entry is -0.0.
+    then the upper triangle, and the running term summed from zero on its
+    own in (i, j) row-major order as (l_ij p_i) q_j, so a batch equals its
+    points one at a time.  Starting from +0.0, no entry is -0.0.
 
     The result is a strided view of a pair-major (|U|, |V|, ...) buffer,
     meant to be reduced over its last two axes, not read as C-ordered.
     """
-    x = np.asarray(x, dtype=float)
-    grad = np.asarray(grad, dtype=float)
-    hess = np.asarray(hess, dtype=float)
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
+    x, grad, hess, p, q = (np.asarray(a, dtype=float) for a in (x, grad, hess, p, q))
     n = model.state_dim
     batch = np.broadcast_shapes(
         np.shape(t), x.shape[:-1], grad.shape[:-1], hess.shape[:-2], p.shape[:-1], q.shape[:-1]
@@ -96,22 +70,35 @@ def pair_table(
             for k in range(n):
                 for l in range(k + 1, n):
                     total = total + cov[..., k, l] * hess[..., k, l]
-            if run_sign != 0.0 and model.has_running:
+            if model.has_running:
                 lmat = running_matrix(model, t, x, u, v)
-                total = total + run_sign * _belief_contraction(lmat, p, q)
+                run = 0.0
+                for i in range(model.u_types):
+                    for j in range(model.v_types):
+                        run = run + lmat[..., i, j] * p[..., i] * q[..., j]
+                total = total + run
             out[a, b] = total
     return np.moveaxis(out, (0, 1), (-2, -1))
 
 
 def _gaps(table: np.ndarray) -> np.ndarray:
-    gap = table.max(axis=-1).min(axis=-1) - table.min(axis=-2).max(axis=-1)
+    """Literal-form Isaacs gaps from the game-role table at mirrored jets."""
+    gap = table.max(axis=-2).min(axis=-1) - table.min(axis=-1).max(axis=-1)
     assert np.all(gap >= 0.0)
     return gap
 
 
 def ham_bellman_inf_sup(model: GameModel, t, x, grad, hess, p, q) -> np.ndarray:
     """Game-role min over u of max over v with +sum l p q, per batch point."""
-    return pair_table(model, t, x, grad, hess, p, q, run_sign=1.0).max(axis=-1).min(axis=-1)
+    return pair_table(model, t, x, grad, hess, p, q).max(axis=-1).min(axis=-1)
+
+
+def _dirichlet(draws: np.ndarray) -> np.ndarray:
+    """Rows of exponential draws normalized as `Generator.dirichlet` does."""
+    acc = 0.0
+    for j in range(draws.shape[-1]):
+        acc = acc + draws[:, j]
+    return draws * (1.0 / acc)[:, None]
 
 
 def sample_isaacs_gap(
@@ -126,38 +113,48 @@ def sample_isaacs_gap(
 
     The documented unit query (grad = ones, hess = 0, uniform beliefs at
     the box center and t = t_range start) is always evaluated first; the
-    report carries its gap and the max over all sampled queries.  The
-    queries are drawn one at a time in a fixed order and evaluated in one
-    batch.  A batch whose queries and control-pair table would pass the
-    2 GiB cap is refused before it is drawn.
+    report carries its gap and the max over all sampled queries.  Each
+    later query takes the stream's draws that `uniform` x, `standard_normal`
+    grad and raw hessian, `dirichlet` p and q and `uniform` t calls would,
+    by four generator calls into preallocated rows, then scaled and
+    normalized as whole arrays with numpy's own formulas.  A span that is
+    not finite and >= 0, or a batch past the 2 GiB cap, is refused first.
     """
     if samples < 1:
         raise ConfigError("samples must be >= 1")
     if seed < 0:
         raise ConfigError("seed must be >= 0")
-    n = model.state_dim
-    # t, x, grad, hess, p and q, then the (|U|, |V|) table, per query
-    floats = (1 + 2 * n + n * n + model.u_types + model.v_types
-              + model.u_set.count * model.v_set.count)
+    t_lo, t_hi = t_range if t_range is not None else (0.0, model.horizon)
+    x_span, t_span = float(x_box[1]) - float(x_box[0]), float(t_hi) - float(t_lo)
+    if not (0.0 <= x_span < np.inf and 0.0 <= t_span < np.inf):
+        raise ConfigError(f"Isaacs sample spans must be finite and >= 0: {x_box!r}, {t_range!r}")
+    n, types = model.state_dim, model.u_types + model.v_types
+    # per query t, x, the normal and exponential draws, hess, p, q and the table
+    floats = 1 + 2 * n + 2 * n * n + 2 * types + model.u_set.count * model.v_set.count
     if samples * floats * 8 > _MEMORY_CAP_BYTES:
         raise ConfigError(f"{samples} Isaacs samples are above the 2 GiB cap")
-    t_lo, t_hi = t_range if t_range is not None else (0.0, model.horizon)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    t = np.full(samples, float(t_lo))
-    x = np.full((samples, n), 0.5 * (x_box[0] + x_box[1]))
-    grad = np.ones((samples, n))
-    hess = np.zeros((samples, n, n))
-    p = np.full((samples, model.u_types), 1.0 / model.u_types)
-    q = np.full((samples, model.v_types), 1.0 / model.v_types)
+    t = np.empty(samples)
+    x = np.empty((samples, n))
+    normal = np.zeros((samples, n + n * n))  # grad, then the raw hessian row-major
+    expo = np.ones((samples, types))  # p's draws, then q's
     for s in range(1, samples):
-        x[s] = rng.uniform(x_box[0], x_box[1], size=n)
-        grad[s] = rng.standard_normal(n)
-        raw = rng.standard_normal((n, n))
-        hess[s] = 0.5 * (raw + raw.T)
-        p[s] = rng.dirichlet(np.ones(model.u_types))
-        q[s] = rng.dirichlet(np.ones(model.v_types))
-        t[s] = rng.uniform(t_lo, t_hi)
-    gaps = _gaps(pair_table(model, t, x, grad, hess, p, q, run_sign=-1.0))
+        rng.random(out=x[s])
+        rng.standard_normal(out=normal[s])
+        rng.standard_exponential(out=expo[s])
+        t[s] = rng.random()
+    x = float(x_box[0]) + x_span * x
+    x[0] = 0.5 * (x_box[0] + x_box[1])
+    t = float(t_lo) + t_span * t
+    t[0] = t_lo
+    # the mirrored jets -grad and -hess; the unit query's grad is ones
+    np.negative(normal, out=normal)
+    normal[0, :n] = -1.0
+    raw = normal[:, n:].reshape(samples, n, n)
+    hess = 0.5 * (raw + np.swapaxes(raw, -1, -2))
+    p = _dirichlet(expo[:, : model.u_types])
+    q = _dirichlet(expo[:, model.u_types :])
+    gaps = _gaps(pair_table(model, t, x, normal[:, :n], hess, p, q))
     return {
         "unit_query_gap": float(gaps[0]),
         "max_sampled_gap": float(gaps.max()),

@@ -563,7 +563,6 @@ def feedback_from_field(
         hess,
         grids.p.points[p_idx],
         grids.q.points[q_idx],
-        run_sign=1.0,
     )  # (*shape, nt, |U|, |V|)
     if side == "u":
         controls, picks = model.u_set, np.argmin(table.max(axis=-1), axis=-1)

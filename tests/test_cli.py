@@ -712,9 +712,11 @@ def test_check_writes_no_report_when_the_residuals_overflow(tmp_path):
 
 def test_check_of_the_benchmark_solve_gathers_once_per_opponent_node(tmp_path, monkeypatch):
     # check-2type's input: 20,480 checks, the audited nodes and crosscheck
-    # pairs of both sides.  A 1 MB working set takes each (route, side,
-    # opponent node) in one stencil gather, 20 in all, and the rows in 6
-    # kernel calls; a 128 KB one made 50 and 16
+    # pairs of both sides.  A 1 MB working set takes each (side, opponent
+    # node) of the conjugate route in one stencil gather and each side of
+    # the crosscheck in one, 12 in all, and the rows in 6 kernel calls; a
+    # 128 KB one made 50 and 16, and the crosscheck once gathered per
+    # opponent node too, 20 in all
     out = tmp_path / "small"
     assert run(
         "solve", "--preset", "two-sided-1d", "--nx", 41, "--np", 4, "--nq", 4, "--steps", 25,
@@ -733,7 +735,7 @@ def test_check_of_the_benchmark_solve_gathers_once_per_opponent_node(tmp_path, m
     checks = report["checks_super"] + report["checks_sub"]
     assert checks + cross["pairs_min_side"] + cross["pairs_max_side"] == 20_480
     assert 0 < calls["ham_bellman_inf_sup"] <= 6, calls
-    assert 0 < calls["_queue_conjugate"] <= 20, calls
+    assert 0 < calls["_queue_conjugate"] <= 12, calls
 
 
 @pytest.mark.parametrize("sign", [1.0, -1.0])
@@ -892,6 +894,19 @@ def test_requests_do_not_import_numpy_ma(tmp_path, argv):
         "assert 'numpy.ma' not in sys.modules, 'numpy.ma was imported'\n"
     )
     proc = run_fresh("-c", script, *argv)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_the_cli_does_not_import_the_thread_pool():
+    # no request maps over a pool, so concurrent.futures, which only
+    # `_util.parallel_map` uses, stays unloaded; a fresh interpreter,
+    # because pytest may have imported it here
+    script = (
+        "import sys\n"
+        "import infogame.cli\n"
+        "assert 'concurrent.futures' not in sys.modules, 'concurrent.futures was imported'\n"
+    )
+    proc = run_fresh("-c", script)
     assert proc.returncode == 0, proc.stderr
 
 

@@ -10,6 +10,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import crosscheck_reference
 from infogame import dualcheck
 from infogame.dualcheck import (
     _core_nodes,
@@ -244,7 +245,7 @@ def conjugate_route_by_hand(result, probe_p, probe_q):
                     best = -np.inf
                     for k in support:
                         p, q = (own.points[k], opp.points[jo])[::sense]
-                        table = pair_table(model, times[ti], x[i : i + 1], [-grad], [[-hess]], p, q, 1.0)
+                        table = pair_table(model, times[ti], x[i : i + 1], [-grad], [[-hess]], p, q)
                         best = max(best, sense * (xi_t - table.max(-1).min(-1)))
                     pair = min(pair, best)
             side.append(sense * pair)
@@ -455,6 +456,52 @@ def three_type_solve():
     return solve(m, grids, t0=0.0, dt=m.horizon / 4)
 
 
+@pytest.fixture(
+    scope="module", params=["res1", "res2", "res4", "res8", "drift_solve", "three_type_solve"]
+)
+def crosschecked(request):
+    """two-sided-1d at lattice resolution 1, 2, 4 or 8 on both sides, the
+    one-sided solve or the 3x3-type one."""
+    if not request.param.startswith("res"):
+        return request.getfixturevalue(request.param)
+    m = preset("two-sided-1d")
+    grids = Grids(
+        state=build_state_grid([(-2.0, 2.0)], [41]),
+        p=build_grid(2, int(request.param[3:])),
+        q=build_grid(2, int(request.param[3:])),
+    )
+    return solve(m, grids, t0=0.0, dt=m.horizon / 25)
+
+
+def test_grouped_crosscheck_matches_the_per_opponent_node_route(crosschecked, monkeypatch):
+    # one sorted table per group of opponent nodes: the default groups,
+    # then groups of one and two opponent nodes on each side, the last
+    # group short where the count is odd
+    result = crosschecked
+    probes = {f"probes_{side}": build_probes(result, side) for side in "pq"}
+    tol = default_tolerance(result)
+    want = crosscheck_reference.primal_crosscheck(result, tol=tol, **probes)
+    assert_same_report(primal_crosscheck(result, tol=tol, **probes), want)
+    groups = []
+    inner = dualcheck._extremal_nodes
+
+    def counted(block, *args):
+        groups.append(block.shape[-1])
+        return inner(block, *args)
+
+    monkeypatch.setattr(dualcheck, "_extremal_nodes", counted)
+    interior = (len(result.times) - 2) * len(_core_nodes(result))
+    own = {result.grids.p.npoints, result.grids.q.npoints}
+    caps = sorted({g * interior * k for g in (1, 2) for k in own})
+    for cap in caps:
+        monkeypatch.setattr(dualcheck, "_BLOCK_FLOATS", cap)
+        groups.clear()
+        assert_same_report(primal_crosscheck(result, tol=tol, **probes), want)
+        assert sum(groups) == result.grids.p.npoints + result.grids.q.npoints
+        if cap == caps[0]:  # one opponent node per group on some side
+            assert max(groups) == 1 < max(own)
+
+
 @pytest.mark.parametrize("name", ["two_sided_solve", "three_type_solve"])
 def test_lifts_are_bitwise_per_probe_tensordots(request, name):
     result = request.getfixturevalue(name)
@@ -479,43 +526,48 @@ def test_probes_of_a_huge_three_type_slice_are_finite_without_a_warning(three_ty
 
 def _masked_argmins(block, lifts, sense, interior):
     """The first minimum of sense * (w - <probe, r>) over the whole masked
-    (t, node, r) block, one probe at a time."""
+    (t, node, r) block of each opponent node, one (opponent node, probe)
+    pair at a time, in that order."""
     outside = ~interior[..., None]
     picks = []
-    for lift in lifts:
-        obj = block - lift if sense > 0 else lift - block
-        picks.append(np.where(outside, np.inf, obj).argmin())
+    for g in range(block.shape[-1]):
+        for lift in lifts:
+            obj = block[..., g] - lift if sense > 0 else lift - block[..., g]
+            picks.append(np.where(outside, np.inf, obj).argmin())
     return np.array(picks)
 
 
 def test_extremal_nodes_are_the_first_masked_argmins():
     # exact ties in w, ties made by rounding when |<probe, r>| >> |w|, one
-    # column tied throughout, signed zeros and subnormals, in chunks of
-    # 1 to 4 probes
+    # column tied throughout, signed zeros and subnormals, on groups of 1
+    # to 3 opponent nodes, in chunks of 1 to 4 (opponent node, probe) pairs
     rng = np.random.default_rng(11)
     for trial in range(300):
         nt = int(rng.integers(3, 7))
         shape = tuple(int(n) for n in rng.integers(1, 6, size=int(rng.integers(1, 3))))
         width = int(rng.integers(1, 6))
-        full = (nt, *shape, width)
+        full = (nt, *shape, width, int(rng.integers(1, 4)))
         block = [
             rng.standard_normal(full),
             rng.integers(-2, 3, full).astype(float),
             1.0 + rng.integers(0, 4, full) * 2.0**-52,
-            np.broadcast_to(rng.standard_normal(width), full).copy(),
+            np.broadcast_to(rng.standard_normal((width, 1)), full).copy(),
             rng.choice([0.0, -0.0, 5e-324, -5e-324, 1e-300], size=full),
         ][trial % 5]
         lifts = rng.standard_normal((int(rng.integers(1, 9)), width)) * 10.0 ** rng.integers(-2, 18)
         if trial % 3 == 0:
             lifts = np.round(lifts)
-        interior = np.zeros(full[:-1], dtype=bool)
+        if trial % 2:  # the audits' layouts: a slice of the field, or of its swapped view
+            block = np.swapaxes(np.swapaxes(block, -1, -2).copy(), -1, -2)
+        interior = np.zeros(full[:-2], dtype=bool)
         interior[1:-1] = rng.random((nt - 2, *shape)) < 0.6
         interior[(1,) + (0,) * len(shape)] = True
         for sense in (1, -1):
             size = int(rng.integers(1, 5))
             chunks = list(dualcheck._extremal_nodes(block, lifts, sense, np.flatnonzero(interior), size))
             assert all(len(chunk) <= size for chunk, _ in chunks)
-            assert np.array_equal(np.concatenate([chunk for chunk, _ in chunks]), np.arange(len(lifts)))
+            pairs = np.concatenate([chunk for chunk, _ in chunks])
+            assert np.array_equal(pairs, np.arange(full[-1] * len(lifts)))
             got = np.concatenate([first for _, first in chunks])
             assert np.array_equal(got, _masked_argmins(block, lifts, sense, interior))
 
@@ -596,22 +648,23 @@ class QueuedRows:
         self.sense = sense
         self.queued = []
 
-    def add(self, out, target, ti, nodes, grad, hess, own_points, opp_point, xi, done=None):
-        self.queued.append((target, ti, nodes, xi, grad, hess, own_points))
+    def add(self, out, target, ti, nodes, grad, hess, own_points, opp_points, xi, done=None):
+        opp_points = np.broadcast_to(opp_points, (len(target), opp_points.shape[-1]))
+        self.queued.append((target, ti, nodes, xi, grad, hess, own_points, opp_points))
 
 
-def queued_by_reference(grid, dt, sense, own, block, lifts, ti, nodes, target):
-    """The conjugate rows from each pick's whole conjugate stack, reduced
-    over the beliefs, its jets from `_stack_jets`, and the support mask at
-    the centre read as it is."""
+def queued_by_reference(grid, dt, sense, own, opp, oriented, jo, lifts, ti, nodes, target):
+    """The conjugate rows from each pick's whole conjugate stack at its
+    opponent node, reduced over the beliefs, its jets from `_stack_jets`,
+    and the support mask at the centre read as it is."""
     jets = [], [], []
-    for lift, t, node in zip(lifts, ti, nodes):
-        scores = lift - block
+    for lift, t, node, j in zip(lifts, ti, nodes, jo):
+        scores = lift - oriented[..., j]
         conj = scores.max(axis=-1) if sense > 0 else scores.min(axis=-1)
         for out, jet in zip(jets, _stack_jets(grid, conj, dt)):
             out.append(jet[(t - 1, *node)])
     xi_t, grad, hess = (np.array(jet) for jet in jets)
-    centre = lifts - block[(ti, *nodes.T)]
+    centre = lifts - np.stack([oriented[(t, *node, slice(None), j)] for t, node, j in zip(ti, nodes, jo)])
     conj = centre.max(axis=-1) if sense > 0 else centre.min(axis=-1)
     tie = 1e-9 * np.maximum(1.0, np.max(np.abs(centre), axis=-1))
     if sense > 0:
@@ -619,7 +672,8 @@ def queued_by_reference(grid, dt, sense, own, block, lifts, ti, nodes, target):
     else:
         near = centre <= (conj + tie)[:, None]
     sel, cand = np.nonzero(near)
-    return target[sel], ti[sel], nodes[sel], xi_t[sel], -grad[sel], -hess[sel], own.points[cand]
+    return (target[sel], ti[sel], nodes[sel], xi_t[sel], -grad[sel], -hess[sel], own.points[cand],
+            opp.points[jo[sel]])
 
 
 @pytest.mark.parametrize(
@@ -634,8 +688,10 @@ def test_queued_conjugate_rows_match_a_pick_major_reference(bounds, counts, own)
     # the conjugate's optimum, so the support holds several candidates;
     # w spread by 1e-11 or 1e-9 of its own scale, which varies over
     # (t, x), puts near-ties inside and at the edge of the support's
-    # tolerance at that scale
+    # tolerance at that scale.  The picks sit at one opponent node, as in
+    # the conjugate route, or each at its own, as in the crosscheck
     grid = build_state_grid(bounds, counts)
+    opp = build_grid(3, 1)
     rng = np.random.default_rng(13)
     inner = [np.arange(1, m - 1) if m > 1 else np.arange(1) for m in grid.shape]
     for trial in range(40):
@@ -650,18 +706,22 @@ def test_queued_conjugate_rows_match_a_pick_major_reference(bounds, counts, own)
         else:
             stack = rng.standard_normal(full) * 10.0 ** rng.integers(-3, 4, full)
             lifts = rng.standard_normal((12, own.npoints))
-        # the audits' block: one opponent belief of the field, a strided view
-        block = stack[..., 1] if trial % 4 < 2 else np.swapaxes(stack, -1, -2)[..., 1, :]
+        # the audits' oriented field: the stack, or a strided view of it
+        if trial % 4 >= 2:
+            stack = np.swapaxes(np.swapaxes(stack, -1, -2).copy(), -1, -2)
         ti = rng.integers(1, nt - 1, 12)
         nodes = np.stack([rng.choice(idx, 12) for idx in inner], axis=-1)
         target = rng.permutation(12)
+        jo = 1 if trial % 3 else rng.integers(0, 3, 12)
         for sense in (1, -1):
             rows = QueuedRows(grid, 0.037, sense)
             dualcheck._queue_conjugate(
-                rows, own, np.zeros(2), block, lifts, ti, nodes, None, target,
+                rows, own, opp, stack, jo, lifts, ti, nodes, None, target,
             )
             (got,) = rows.queued
-            want = queued_by_reference(grid, 0.037, sense, own, block, lifts, ti, nodes, target)
+            want = queued_by_reference(
+                grid, 0.037, sense, own, opp, stack, np.broadcast_to(jo, 12), lifts, ti, nodes, target,
+            )
             assert len(want[0]) > len(target) or trial % 2 == 0
             for g, w in zip(got, want):
                 assert same_bits(g, w), (trial, sense)

@@ -2,8 +2,11 @@
 
 Reference values were computed by enumerating the control tables by
 hand; they pin both the minimax orders and the sign with which the
-running term enters each variant.  The batched kernel is checked bitwise
-against a scalar loop over points and control pairs.
+running term enters the game-role table and the literal form.  The
+batched kernel is checked bitwise against a scalar loop over points and
+control pairs; the literal form, with -sum l p q, lives only here, in
+`reference_table` and `c_ordered_table`, as the reference that the
+Isaacs audit's mirrored reading must match bit for bit.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ import pytest
 
 from infogame.errors import ConfigError
 from infogame.hamiltonian import _gaps, ham_bellman_inf_sup, pair_table, sample_isaacs_gap
-from infogame.model import preset, running_matrix
+from infogame.model import model_from_config, preset, running_matrix
 
 PRESETS = (
     "drift-sum-1d",
@@ -28,13 +31,14 @@ PRESETS = (
 )
 
 
-def one_point(model, grad, hess, p=None, q=None, run_sign=-1.0):
-    """Control-pair table at x = 0 for a 1-d state; beliefs default to uniform."""
+def one_point(model, grad, hess, p=None, q=None):
+    """Game-role control-pair table at x = 0 for a 1-d state; beliefs
+    default to uniform."""
     p = np.full(model.u_types, 1.0 / model.u_types) if p is None else np.asarray(p, dtype=float)
     q = np.full(model.v_types, 1.0 / model.v_types) if q is None else np.asarray(q, dtype=float)
     return pair_table(
         model, 0.0, np.zeros(1), np.atleast_1d(np.asarray(grad, dtype=float)),
-        np.atleast_2d(np.asarray(hess, dtype=float)), p, q, run_sign,
+        np.atleast_2d(np.asarray(hess, dtype=float)), p, q,
     )
 
 
@@ -68,12 +72,17 @@ def test_constant_running_enters_negatively():
         "static-bilinear",
         l=[[{"name": "const", "params": {"c": 1.0}}] * 2] * 2,
     )
-    # literal convention: H carries -sum l p q, so l = c gives -c
-    assert inf_sup(one_point(m, 0.0, 0.0)) == -1.0
-    assert sup_inf(one_point(m, 0.0, 0.0)) == -1.0
-    # game-role variant carries +sum l p q
     uniform = np.full(2, 0.5)
-    assert ham_bellman_inf_sup(m, 0.0, np.zeros(1), np.zeros(1), np.zeros((1, 1)), uniform, uniform) == 1.0
+    zero = (0.0, np.zeros(1), np.zeros(1), np.zeros((1, 1)), uniform, uniform)
+    # literal convention: H carries -sum l p q, so l = c gives -c
+    literal = c_ordered_table(m, *zero, -1.0)
+    assert inf_sup(literal) == -1.0
+    assert sup_inf(literal) == -1.0
+    # the game-role table carries +sum l p q, and at the (zero) mirrored
+    # jet it is minus the literal one
+    assert inf_sup(one_point(m, 0.0, 0.0)) == 1.0
+    assert ham_bellman_inf_sup(m, *zero) == 1.0
+    assert np.array_equal(one_point(m, -0.0, -0.0), -literal)
 
 
 def test_coupled_game_order_gap():
@@ -81,26 +90,29 @@ def test_coupled_game_order_gap():
     table = one_point(m, 1.0, 0.0)
     assert inf_sup(table) == 4.0
     assert sup_inf(table) == -4.0
-    # the Isaacs gap is inf-sup minus sup-inf of one table
+    # the Isaacs gap is inf-sup minus sup-inf of one table, which the
+    # audit reads with the roles swapped at the mirrored jet
     assert inf_sup(table) - sup_inf(table) == 8.0
+    assert _gaps(one_point(m, -1.0, -0.0)) == 8.0
 
 
 def test_pair_table_shape_and_beliefs():
     m = preset("running-matrix-informed")
-    t = one_point(m, 0.0, 0.0, [1.0, 0.0], [1.0], run_sign=1.0)
+    t = one_point(m, 0.0, 0.0, [1.0, 0.0], [1.0])
     assert t.shape == (2, 2)
     # l_0(u, v) = u + 0.4 v at the four corners
     np.testing.assert_allclose(t, [[-1.4, -0.6], [0.6, 1.4]], atol=1e-15)
     batch = pair_table(
         m, np.zeros((3, 1)), np.zeros((3, 1, 1)), np.zeros((1, 4, 1)), np.zeros((1, 1, 1)),
-        np.array([1.0, 0.0]), np.array([1.0]), 1.0,
+        np.array([1.0, 0.0]), np.array([1.0]),
     )
     assert batch.shape == (3, 4, 2, 2)
     assert np.array_equal(batch, np.broadcast_to(t, batch.shape))
 
 
 def reference_table(model, t, x, grad, hess, p, q, run_sign):
-    """One point and one control pair at a time, in the kernel's order."""
+    """One point and one control pair at a time, in the kernel's order;
+    run_sign +1 is the kernel's game-role table, -1 the literal form."""
     n = model.state_dim
     out = np.empty((model.u_set.count, model.v_set.count))
     for a, u in enumerate(model.u_set.values):
@@ -115,7 +127,7 @@ def reference_table(model, t, x, grad, hess, p, q, run_sign):
             for k in range(n):
                 for l in range(k + 1, n):
                     total = total + cov[k, l] * hess[k, l]
-            if run_sign != 0.0 and model.has_running:
+            if model.has_running:
                 lmat = running_matrix(model, t, x, u, v)
                 run = 0.0
                 for i in range(model.u_types):
@@ -144,12 +156,11 @@ def test_pair_table_matches_a_per_pair_loop(name):
     m = preset(name)
     rng = np.random.default_rng(11)
     t, x, grad, hess, p, q = random_batch(m, rng, 40)
-    for run_sign in (-1.0, 0.0, 1.0):
-        batch = pair_table(m, t, x, grad, hess, p, q, run_sign)
-        assert batch.shape == (40, m.u_set.count, m.v_set.count)
-        for s in range(40):
-            ref = reference_table(m, t[s], x[s], grad[s], hess[s], p[s], q[s], run_sign)
-            assert np.array_equal(batch[s], ref), (name, run_sign, s)
+    batch = pair_table(m, t, x, grad, hess, p, q)
+    assert batch.shape == (40, m.u_set.count, m.v_set.count)
+    for s in range(40):
+        ref = reference_table(m, t[s], x[s], grad[s], hess[s], p[s], q[s], 1.0)
+        assert np.array_equal(batch[s], ref), (name, s)
 
 
 @pytest.mark.parametrize("name", PRESETS)
@@ -158,13 +169,14 @@ def test_bellman_reduction_is_the_batched_min_max(name):
     t, x, grad, hess, p, q = random_batch(m, np.random.default_rng(5), 40)
     got = ham_bellman_inf_sup(m, t, x, grad, hess, p, q)
     assert got.shape == (40,)
-    assert np.array_equal(got, pair_table(m, t, x, grad, hess, p, q, 1.0).max(-1).min(-1))
+    assert np.array_equal(got, pair_table(m, t, x, grad, hess, p, q).max(-1).min(-1))
 
 
 def c_ordered_table(model, t, x, grad, hess, p, q, run_sign):
     """The kernel's sums, one control pair at a time, written into a
     C-ordered (*batch, |U|, |V|) array: the reference layout whose
-    reductions the pair-major view must match bit for bit."""
+    reductions the pair-major view must match bit for bit.  run_sign +1
+    is the kernel's game-role table, -1 the literal form."""
     n = model.state_dim
     batch = np.broadcast_shapes(
         np.shape(t), x.shape[:-1], grad.shape[:-1], hess.shape[:-2], p.shape[:-1], q.shape[:-1]
@@ -182,7 +194,7 @@ def c_ordered_table(model, t, x, grad, hess, p, q, run_sign):
             for k in range(n):
                 for l in range(k + 1, n):
                     total = total + cov[..., k, l] * hess[..., k, l]
-            if run_sign != 0.0 and model.has_running:
+            if model.has_running:
                 lmat = running_matrix(model, t, x, u, v)
                 run = 0.0
                 for i in range(model.u_types):
@@ -221,9 +233,9 @@ def same_bits(a, b):
 
 @pytest.mark.parametrize("model", [preset("two-sided-1d"), planar_model()], ids=["1d", "2d"])
 def test_pair_major_table_reduces_like_a_c_ordered_one(model):
-    # a (6, 5) batch: zero jets, where every pair ties on the running term
-    # or on 0.0, small integer jets, where the drift ties pairs exactly,
-    # and random jets; at run_sign 0 a zero jet ties all pairs at +0.0
+    # a (6, 5) batch: zero jets, where every pair ties on the running term,
+    # small integer jets, where the drift ties pairs exactly, and random
+    # jets; without running costs a zero jet ties all pairs at +0.0
     rng = np.random.default_rng(7)
     n = model.state_dim
     shape = (6, 5)
@@ -236,10 +248,10 @@ def test_pair_major_table_reduces_like_a_c_ordered_one(model):
     hess[1] = 0.0
     hess[2] = np.broadcast_to(np.eye(n), (5, n, n))
     p[3] = q[3] = 0.5
-    for run_sign in (-1.0, 0.0, 1.0):
-        table = pair_table(model, t, x, grad, hess, p, q, run_sign)
-        want = c_ordered_table(model, t, x, grad, hess, p, q, run_sign)
-        assert same_bits(table, want), run_sign
+    for game in (model, replace(model, has_running=False)):
+        table = pair_table(game, t, x, grad, hess, p, q)
+        want = c_ordered_table(game, t, x, grad, hess, p, q, 1.0)
+        assert same_bits(table, want), game.has_running
         assert not np.any(np.signbit(table) & (table == 0.0))
         for reduce in (
             lambda tab: tab.max(axis=-1).min(axis=-1),
@@ -247,13 +259,13 @@ def test_pair_major_table_reduces_like_a_c_ordered_one(model):
             lambda tab: np.argmin(tab.max(axis=-1), axis=-1),  # the feedback picks
             lambda tab: np.argmax(tab.min(axis=-2), axis=-1),
         ):
-            assert same_bits(reduce(table), reduce(want)), run_sign
-    ties = c_ordered_table(model, t, x, grad, hess, p, q, 0.0)[0]
-    assert np.all(ties == 0.0)
+            assert same_bits(reduce(table), reduce(want)), game.has_running
+    assert np.all(table[0] == 0.0)  # the running-free zero jets tie
+    want = c_ordered_table(model, t, x, grad, hess, p, q, 1.0)
     assert same_bits(ham_bellman_inf_sup(model, t, x, grad, hess, p, q),
                      want.max(axis=-1).min(axis=-1))
     minus = c_ordered_table(model, t, x, grad, hess, p, q, -1.0)
-    assert same_bits(_gaps(pair_table(model, t, x, grad, hess, p, q, -1.0)),
+    assert same_bits(_gaps(pair_table(model, t, x, -grad, -hess, p, q)),
                      minus.max(axis=-1).min(axis=-1) - minus.min(axis=-2).max(axis=-1))
 
 
@@ -265,11 +277,11 @@ def test_dual_variants_swap_roles():
     for name in PRESETS:
         m = preset(name)
         t, x, grad, hess, p, q = random_batch(m, rng, 30)
-        plus = pair_table(m, t, x, grad, hess, p, q, 1.0)
-        assert np.array_equal(plus, -pair_table(m, t, x, -grad, -hess, p, q, -1.0)), name
+        plus = pair_table(m, t, x, grad, hess, p, q)
+        reflected = c_ordered_table(m, t, x, -grad, -hess, p, q, -1.0)
+        assert np.array_equal(plus, -reflected), name
         min_v_max_u = plus.max(axis=-2).min(axis=-1)
         max_u_min_v = plus.min(axis=-1).max(axis=-1)
-        reflected = pair_table(m, t, x, -grad, -hess, p, q, -1.0)
         for s in range(30):
             assert min_v_max_u[s] == -sup_inf(reflected[s])
             assert max_u_min_v[s] == -inf_sup(reflected[s])
@@ -279,7 +291,7 @@ def test_dual_variants_swap_roles():
 def test_decoupled_dual_variants_agree():
     m = preset("two-sided-1d")
     t, x, grad, hess, p, q = random_batch(m, np.random.default_rng(4), 10)
-    table = pair_table(m, t, x, grad, np.zeros_like(hess), p, q, 1.0)
+    table = pair_table(m, t, x, grad, np.zeros_like(hess), p, q)
     # separable controls: both orders of the game-role scan agree
     np.testing.assert_allclose(
         table.max(axis=-1).min(axis=-1), table.min(axis=-2).max(axis=-1), rtol=0, atol=1e-12
@@ -300,10 +312,10 @@ def test_running_term_bilinear_in_beliefs():
     corners = {}
     for i in range(2):
         for j in range(2):
-            corners[(i, j)] = one_point(m, 0.0, 0.0, np.eye(2)[i], np.eye(2)[j], run_sign=1.0)
+            corners[(i, j)] = one_point(m, 0.0, 0.0, np.eye(2)[i], np.eye(2)[j])
     p = np.array([0.3, 0.7])
     q = np.array([0.6, 0.4])
-    blended = one_point(m, 0.0, 0.0, p, q, run_sign=1.0)
+    blended = one_point(m, 0.0, 0.0, p, q)
     manual = sum(
         p[i] * q[j] * corners[(i, j)] for i in range(2) for j in range(2)
     )
@@ -328,28 +340,91 @@ def uniform(k):
     return np.full(k, 1.0 / k)
 
 
-def gap(model, t, x, grad, hess, p, q):
-    """Isaacs gap of one query, from a single-point pair_table."""
-    table = pair_table(model, t, np.asarray(x, dtype=float), np.asarray(grad, dtype=float),
-                       np.asarray(hess, dtype=float), p, q, -1.0)
-    return inf_sup(table) - sup_inf(table)
+def literal_gaps(model, t, x, grad, hess, p, q):
+    """Isaacs gaps of the literal form, min-max minus max-min, per point."""
+    table = c_ordered_table(model, t, x, grad, hess, p, q, -1.0)
+    return table.max(axis=-1).min(axis=-1) - table.min(axis=-2).max(axis=-1)
 
 
 @pytest.mark.parametrize("name", PRESETS)
-def test_sampled_gap_is_the_max_over_single_queries(name):
+def test_audit_gap_is_the_literal_min_max_minus_max_min(name):
     m = preset(name)
-    rep = sample_isaacs_gap(m, samples=50, seed=3, x_box=(-1.0, 2.0), t_range=(0.1, 0.3))
+    t, x, grad, hess, p, q = random_batch(m, np.random.default_rng(13), 200)
+    grad[:20] = hess[:20] = 0.0  # zero jets
+    grad[20:30], hess[20:30], p[20:30], q[20:30] = 1.0, 0.0, uniform(m.u_types), uniform(m.v_types)
+    assert same_bits(_gaps(pair_table(m, t, x, -grad, -hess, p, q)),
+                     literal_gaps(m, t, x, grad, hess, p, q))
+
+
+def three_type_model():
+    """A 3x3-type game on drift-sum-1d with running costs."""
+    return model_from_config({
+        "preset": "drift-sum-1d",
+        "params": {"sigma": 0.5},
+        "I": 3,
+        "J": 3,
+        "T": 0.4,
+        "g": [[{"name": "tanh", "params": {"center": c, "scale": 1.5, "amp": a}}
+               for a in (1.0, -0.8, 0.6)] for c in (-0.5, 0.0, 0.5)],
+        "l": [[{"name": "separated", "params": {"au": au, "av": av, "c": 0.1 * au * av}}
+               for av in (0.5, -0.5, 0.2)] for au in (0.6, -0.6, 0.2)],
+    })
+
+
+def nine_type_model():
+    """A 9x1-type game with coupled running costs: long Dirichlet draws."""
+    return model_from_config({
+        "preset": "drift-sum-1d",
+        "I": 9,
+        "J": 1,
+        "T": 1.0,
+        "g": [["zero"]] * 9,
+        "l": [[{"name": "bilinear-uv", "params": {"c": 0.3 * (i - 4)}}] for i in range(9)],
+    })
+
+
+AUDITED = {name: lambda name=name: preset(name) for name in PRESETS}
+AUDITED["3x3-types"] = three_type_model
+AUDITED["9x1-types"] = nine_type_model
+AUDITED["planar"] = planar_model
+
+
+@pytest.mark.parametrize("name", list(AUDITED))
+def test_sampled_gap_is_the_max_over_single_queries(name):
+    m = AUDITED[name]()
+    n, samples = m.state_dim, 1200
+    rep = sample_isaacs_gap(m, samples=samples, seed=3, x_box=(-1.0, 2.0), t_range=(0.1, 0.3))
     # the same queries, drawn in the documented order, one at a time
     rng = np.random.default_rng(np.random.SeedSequence(3))
-    gaps = [gap(m, 0.1, [0.5], [1.0], [[0.0]], uniform(m.u_types), uniform(m.v_types))]
-    for _ in range(49):
-        x = rng.uniform(-1.0, 2.0, size=1)
-        grad = rng.standard_normal(1)
-        raw = rng.standard_normal((1, 1))
-        p = rng.dirichlet(np.ones(m.u_types))
-        q = rng.dirichlet(np.ones(m.v_types))
-        t = float(rng.uniform(0.1, 0.3))
-        gaps.append(gap(m, t, x, grad, 0.5 * (raw + raw.T), p, q))
-    assert rep == {"unit_query_gap": gaps[0], "max_sampled_gap": max(gaps), "samples": 50}
+    t, x = np.full(samples, 0.1), np.full((samples, n), 0.5)
+    grad, hess = np.ones((samples, n)), np.zeros((samples, n, n))
+    p, q = np.tile(uniform(m.u_types), (samples, 1)), np.tile(uniform(m.v_types), (samples, 1))
+    for s in range(1, samples):
+        x[s] = rng.uniform(-1.0, 2.0, size=n)
+        grad[s] = rng.standard_normal(n)
+        raw = rng.standard_normal((n, n))
+        hess[s] = 0.5 * (raw + raw.T)
+        p[s] = rng.dirichlet(np.ones(m.u_types))
+        q[s] = rng.dirichlet(np.ones(m.v_types))
+        t[s] = rng.uniform(0.1, 0.3)
+    gaps = literal_gaps(m, t, x, grad, hess, p, q).tolist()
+    assert rep == {"unit_query_gap": gaps[0], "max_sampled_gap": max(gaps), "samples": samples}
     with pytest.raises(ConfigError):
         sample_isaacs_gap(m, samples=4, seed=-1)
+
+
+@pytest.mark.parametrize("x_box, t_range", [
+    ((-np.inf, 1.0), None),
+    ((0.0, np.nan), None),
+    ((-1e308, 1e308), None),  # finite bounds, overflowing span
+    ((1.0, -1.0), None),
+    ((-2.0, 2.0), (0.0, np.inf)),
+    ((-2.0, 2.0), (0.3, 0.1)),
+])
+def test_sampled_gap_refuses_a_span_it_cannot_draw(x_box, t_range):
+    # Generator.uniform refused these (OverflowError or ValueError) once it
+    # drew; the whole-array draws refuse them first, at any sample count
+    for samples in (1, 4):
+        with pytest.raises(ConfigError, match="spans must be finite"):
+            sample_isaacs_gap(preset("two-sided-1d"), samples=samples, seed=0,
+                              x_box=x_box, t_range=t_range)
