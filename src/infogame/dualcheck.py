@@ -47,7 +47,8 @@ bit.  The crosscheck takes a group of opponent nodes at a time: each
 (opponent node, probe) pair's first-occurrence argmin over (t, node,
 belief) comes from the (belief, opponent node) columns of w sorted once
 per group (`_extremal_nodes`), and w's own jets at the picks from one
-gather of their `_jet_points`.  The audited rows of a side queue in
+gather of their `_jet_points`, built once per chunk and read again by
+the conjugate route at the same picks.  The audited rows of a side queue in
 `_Rows` and reach `ham_bellman_inf_sup` in a few batched calls.
 `_BLOCK_FLOATS` (1 MB of floats) caps a chunk's stencil gather, a kernel
 table and a crosscheck sort table, so the working set does not grow with
@@ -351,14 +352,15 @@ class _Rows:
 
 
 def _queue_conjugate(
-    rows: _Rows, own, opp, oriented, jo, lifts, ti, nodes, out, target, done=None
+    rows: _Rows, own, opp, oriented, jo, lifts, ti, nodes, points, out, target, done=None
 ) -> None:
     """Queue the conjugate-route rows of audited picks.
 
     oriented is w with the opponent's belief axis last; pick k is the core
     (t, node) pair (ti[k], nodes[k]) at opponent node jo (or jo[k]) of the
     probe whose lift <probe, r> is lifts[k], and its residual folds into
-    out[target[k]].  Only the pick's `_jet_points` are scored: the conjugate is the max of
+    out[target[k]].  points is `_jet_points(grid, ti, nodes)`, which the
+    caller builds once.  Only those points are scored: the conjugate is the max of
     <probe, r> - w over the own beliefs r on the convex side (sense +1)
     and the min on the concave one, its jets are `solver._jets` of the
     state stencil and the time difference of the last two points, and at
@@ -373,7 +375,7 @@ def _queue_conjugate(
     (S + 2, picks, K), one belief row per stencil point.
     """
     grid = rows.result.grids.state
-    gathered = np.moveaxis(oriented[(*_jet_points(grid, ti, nodes), slice(None), jo)], -1, 0)
+    gathered = np.moveaxis(oriented[(*points, slice(None), jo)], -1, 0)
     scores = np.subtract(lifts.T[:, None, :], gathered, order="C")
     conj = scores.max(axis=0) if rows.sense > 0 else scores.min(axis=0)
     xi_t = (conj[-2] - conj[-1]) / (2.0 * rows.result.dt)
@@ -443,10 +445,10 @@ def check_dual_solution(
                 def fold(best, at=(jo, chunk), starts=np.cumsum([0] + sizes[:-1])):
                     mins[at] = np.minimum.reduceat(best, starts)
 
+                ti, node = run // len(nodes) + 1, nodes[run % len(nodes)]
                 _queue_conjugate(
-                    rows, own, opp, oriented, jo,
-                    np.repeat(lifts[chunk], sizes, axis=0),
-                    run // len(nodes) + 1, nodes[run % len(nodes)],
+                    rows, own, opp, oriented, jo, np.repeat(lifts[chunk], sizes, axis=0),
+                    ti, node, _jet_points(grids.state, ti, node),
                     np.full(run.size, -np.inf), np.arange(run.size), fold,
                 )
                 side_checked += run.size
@@ -517,14 +519,15 @@ def primal_crosscheck(
                 jo, probe = np.divmod(target, npr)
                 ti, *node, c = np.unravel_index(first, block.shape[:-1])
                 node = np.stack(node, axis=-1)
-                jet = oriented[(*_jet_points(grids.state, ti, node), c, jo)]  # (S + 2, picks)
+                points = _jet_points(grids.state, ti, node)
+                jet = oriented[(*points, c, jo)]  # (S + 2, picks)
                 xi_t = (jet[-2] - jet[-1]) / (2.0 * result.dt)
                 grad, hess = _jets(grids.state, jet[:-2])
                 primal_rows.add(
                     primal, target, ti, node, grad, hess, own.points[c], opp.points[jo], xi_t,
                 )
                 _queue_conjugate(
-                    dual_rows, own, opp, oriented, jo, lifts[probe], ti, node, dual, target,
+                    dual_rows, own, opp, oriented, jo, lifts[probe], ti, node, points, dual, target,
                 )
         primal_rows.flush()
         dual_rows.flush()

@@ -41,9 +41,10 @@ pure running cost integrates to elapsed time.
 
 The projection runs in two stages: vex and cav of the stepped slice,
 then cav of the vexed slice (the projected field) and vex of the caved
-one (the commutation diagnostic).  Each pass hands the whole slice to
-`transform.vex_rows` as one (rows, npoints) table; on p and q lattices
-of the same dim and resolution a stage's two passes share one call.
+one (the commutation diagnostic).  Each pass hands the slice's rows to
+`transform.vex_rows` as one (rows, npoints) table, the second stage only
+the rows the first did not already envelope; on p and q lattices of the
+same dim and resolution a stage's two passes share one call.
 The convexity certificates are one batched gather over the lattice
 triples.  The solver, like the rest of the library, runs on the calling
 thread only; INFOGAME_THREADS changes none of its results or timings.
@@ -328,16 +329,25 @@ class ProjectionResult:
 
 
 def _envelope_stage(
-    p: SimplexGrid, q: SimplexGrid, vex_in: np.ndarray, cav_in: np.ndarray
+    p: SimplexGrid, q: SimplexGrid, vex_in: np.ndarray, cav_in: np.ndarray, first=None
 ) -> tuple[np.ndarray, np.ndarray]:
     """(vex in p of vex_in, cav in q of cav_in), both (cells, P, Q).
 
     On lattices of the same dim and resolution both passes share one
     `transform.vex_rows` call: each row's envelope depends on that row
-    alone.  A one-point lattice's pass is the identity.
+    alone.  For the same reason a stage given `first`, the (input, vexed,
+    caved) arrays of an earlier stage, envelopes only the rows that
+    differ bit for bit from the input's row at the same position (-0.0 is
+    not +0.0); every other row takes the earlier stage's envelope of it.
+    A one-point lattice's pass is the identity.
     """
     p_rows = np.moveaxis(vex_in, 1, 2).reshape(-1, p.npoints)  # rows over (x, q)
     q_rows = -cav_in.reshape(-1, q.npoints)  # rows over (x, p); cav is -vex(-w)
+    if first is not None:
+        seen, seen_vexed, seen_caved = first
+        p_new = _differs(vex_in, seen, axis=1).reshape(-1)
+        q_new = _differs(cav_in, seen, axis=2).reshape(-1)
+        p_rows, q_rows = p_rows[p_new], q_rows[q_new]
     if p.npoints > 1 and (p.dim, p.resolution) == (q.dim, q.resolution):
         both = transform.vex_rows(p, np.concatenate([p_rows, q_rows]))
         p_rows, q_rows = both[: len(p_rows)], both[len(p_rows) :]
@@ -346,8 +356,18 @@ def _envelope_stage(
             p_rows = transform.vex_rows(p, p_rows)
         if q.npoints > 1:
             q_rows = transform.vex_rows(q, q_rows)
+    if first is not None:
+        p_new_rows, q_new_rows = p_rows, q_rows
+        p_rows = np.moveaxis(seen_vexed, 1, 2).reshape(-1, p.npoints).copy()
+        q_rows = -seen_caved.reshape(-1, q.npoints)
+        p_rows[p_new], q_rows[q_new] = p_new_rows, q_new_rows
     vexed = np.moveaxis(p_rows.reshape(-1, q.npoints, p.npoints), 2, 1)
     return vexed, -q_rows.reshape(cav_in.shape)
+
+
+def _differs(a: np.ndarray, b: np.ndarray, axis: int) -> np.ndarray:
+    """Mask of the rows along axis in which a and b differ bit for bit."""
+    return np.any(a.view(np.int64) != b.view(np.int64), axis=axis)
 
 
 def _certificates(p: SimplexGrid, q: SimplexGrid, values: np.ndarray) -> tuple[float, float]:
@@ -368,15 +388,18 @@ def dual_project(p: SimplexGrid, q: SimplexGrid, values: np.ndarray) -> Projecti
 
     Two `_envelope_stage` calls give both compositions: the first
     envelopes the values in p and in q, the second the q-envelope in p
-    and the p-envelope in q.  On equal lattices each stage is one
-    `transform.vex_rows` call; with a one-point lattice one stage is all.
+    and the p-envelope in q.  The second envelopes only its new rows: a
+    row of the q-envelope that is bit for bit the values' row at the same
+    (x, q) takes the first stage's p-envelope of it, and likewise in q.
+    On equal lattices each stage is one `transform.vex_rows` call; with a
+    one-point lattice one stage is all.
     No state grid is read: the tree oracle projects its levels here too.
     """
     work = values.reshape(-1, p.npoints, q.npoints)
     vexed, caved = _envelope_stage(p, q, work, work)
     commutation = 0.0
     if p.npoints > 1 and q.npoints > 1:
-        other, projected = _envelope_stage(p, q, caved, vexed)
+        other, projected = _envelope_stage(p, q, caved, vexed, first=(work, vexed, caved))
         commutation = float(np.max(np.abs(projected - other), initial=0.0))
     else:  # the one-point side's pass is the identity
         projected = vexed if q.npoints == 1 else caved

@@ -12,6 +12,13 @@ it): one Qhull call per row; the plane arithmetic once per pass.  `vex_p`
 is the one-row case, the upper concave envelope (cav) is -vex(-w), and
 `facet_slope_probes` reads its slopes from the same batched facets.
 
+Each hull is one raw Qhull run: scipy's `_Qhull`, the object that
+scipy.spatial's convex-hull class builds itself, with that class's own
+options ("i" output, "Qt" triangulated facets, and "Qx" on clouds of 5
+or more coordinates).  It gives the class's `equations` and `simplices`
+bit for bit, without the volume and area pass, the bound reductions and
+the point copy that the class adds and no caller reads.
+
 Envelope values at the simplex vertices never change, envelopes are
 idempotent, and the biconjugate computed from facet-slope probes
 reproduces vex exactly up to roundoff.
@@ -182,12 +189,22 @@ class _LowerHull:
     import, and the reduced coordinates of the cloud are written once.
     One Qhull call per row; the plane arithmetic once per pass, over the
     facets of all the rows of that pass.
+
+    A hull is scipy's private `_Qhull` run as scipy.spatial's convex-hull
+    class runs it: options "Qx" on a cloud of 5 or more coordinates and
+    none otherwise, "Qt" required, then `triangulate` and the facet array.
+    The class itself is not used: its volume and area pass, bound
+    reductions and point copy cost about a tenth of a hull and are
+    never read.  scipy types `_Qhull` in its own `_qhull.pyi` but does not
+    promise it; `test_transform.py` pins this route to the class, array
+    for array and bit for bit, on 3-, 4- and 5-type lattices.
     """
 
     def __init__(self, grid: SimplexGrid):
-        from scipy.spatial import ConvexHull, QhullError
+        from scipy.spatial._qhull import QhullError, _Qhull
 
-        self._convex_hull, self._qhull_error = ConvexHull, QhullError
+        self._qhull, self._qhull_error = _Qhull, QhullError
+        self._options = b"Qx" if grid.dim >= 5 else b""
         self.reduced = grid.points[:, :-1]
         self._cloud = np.empty((grid.npoints, grid.dim))
         self._cloud[:, :-1] = self.reduced
@@ -196,8 +213,13 @@ class _LowerHull:
         """(equations, simplices) of the cloud with w divided by scale; an
         equation (normal..., offset) has normal . y + offset <= 0 inside."""
         self._cloud[:, -1] = values / scale
-        hull = self._convex_hull(self._cloud)
-        return hull.equations, hull.simplices
+        qhull = self._qhull(b"i", self._cloud, self._options, required_options=b"Qt")
+        try:
+            qhull.triangulate()
+            simplices, _, equations, _, _ = qhull.get_simplex_facet_array()
+        finally:
+            qhull.close()
+        return equations, simplices
 
     def lower_facets(self, rows: np.ndarray):
         """(gradients, offsets, starts, member mask) of the lower facets of

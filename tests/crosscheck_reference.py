@@ -68,7 +68,8 @@ def primal_crosscheck(result, *, probes_p, probes_q, tol):
             first = extremal_nodes(block, lifts, sense, core)
             ti, *node, c = np.unravel_index(first, block.shape)
             node = np.stack(node, axis=-1)
-            jet = block[(*dualcheck._jet_points(grids.state, ti, node), c)]  # (S + 2, picks)
+            points = dualcheck._jet_points(grids.state, ti, node)
+            jet = block[(*points, c)]  # (S + 2, picks)
             xi_t = (jet[-2] - jet[-1]) / (2.0 * result.dt)
             grad, hess = _jets(grids.state, jet[:-2])
             target = jo * probes.shape[0] + chunk
@@ -76,7 +77,7 @@ def primal_crosscheck(result, *, probes_p, probes_q, tol):
                 primal, target, ti, node, grad, hess, own.points[c], opp.points[jo], xi_t,
             )
             dualcheck._queue_conjugate(
-                dual_rows, own, opp, oriented, jo, lifts, ti, node, dual, target,
+                dual_rows, own, opp, oriented, jo, lifts, ti, node, points, dual, target,
             )
         primal_rows.flush()
         dual_rows.flush()

@@ -738,6 +738,28 @@ def test_check_of_the_benchmark_solve_gathers_once_per_opponent_node(tmp_path, m
     assert 0 < calls["_queue_conjugate"] <= 12, calls
 
 
+def test_check_of_the_benchmark_solve_builds_each_pick_stencil_once(tmp_path, monkeypatch):
+    # check-2type's input: the conjugate route builds its picks' stencil
+    # indices once per chunk, 10 times, and the crosscheck once per side
+    # for both its primal jets and its conjugate rows, 2 times; building
+    # them again for the crosscheck's conjugate rows made 14
+    out = tmp_path / "small"
+    assert run(
+        "solve", "--preset", "two-sided-1d", "--nx", 41, "--np", 4, "--nq", 4, "--steps", 25,
+        "--out", out,
+    ) == 0
+    builds = []
+    inner = dualcheck._jet_points
+
+    def counted(*args):
+        builds.append(1)
+        return inner(*args)
+
+    monkeypatch.setattr(dualcheck, "_jet_points", counted)
+    assert run("check", "--solve", out) == 0
+    assert len(builds) == 12
+
+
 @pytest.mark.parametrize("sign", [1.0, -1.0])
 def test_check_fails_with_exit_three_on_a_shifted_slice(tmp_path, sign):
     # one interior slice of a two-sided solve shifted by 10 dt: the centred

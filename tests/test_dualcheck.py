@@ -716,7 +716,8 @@ def test_queued_conjugate_rows_match_a_pick_major_reference(bounds, counts, own)
         for sense in (1, -1):
             rows = QueuedRows(grid, 0.037, sense)
             dualcheck._queue_conjugate(
-                rows, own, opp, stack, jo, lifts, ti, nodes, None, target,
+                rows, own, opp, stack, jo, lifts, ti, nodes, _jet_points(grid, ti, nodes), None,
+                target,
             )
             (got,) = rows.queued
             want = queued_by_reference(

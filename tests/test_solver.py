@@ -3,6 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import envelope_reference as ref
 from envelope_reference import convexity_violation, vex_row
 from exact_reference import one_sided_drift_value, two_sided_split, two_sided_state_free_config
 from infogame import transform
@@ -258,6 +259,130 @@ def test_dual_project_matches_the_row_loop(monkeypatch, p_lattice, q_lattice, ca
     worst_q = max([0.0] + [convexity_violation(grids.q, -row) for blk in flat for row in blk])
     assert proj.convexity_violation_p == worst_p
     assert proj.concavity_violation_q == worst_q
+
+
+def _table_vex(grid, values):
+    """vex in p of (cells, P, Q) values: `vex_table` on all its (x, q) rows."""
+    rows = np.moveaxis(values, 1, 2).reshape(-1, grid.npoints)
+    return np.moveaxis(ref.vex_table(grid, rows).reshape(len(values), -1, grid.npoints), 2, 1)
+
+
+def _table_cav(grid, values):
+    """cav in q of (cells, P, Q) values: -`vex_table` on all its negated (x, p) rows."""
+    return -ref.vex_table(grid, -values.reshape(-1, grid.npoints)).reshape(values.shape)
+
+
+def _stage_rows(grids, vex_in, cav_in):
+    """A stage's input rows, in `_envelope_stage`'s order: the (x, q) rows
+    of vex_in over p, then the negated (x, p) rows of cav_in over q."""
+    return (np.moveaxis(vex_in, 1, 2).reshape(-1, grids.p.npoints),
+            -cav_in.reshape(-1, grids.q.npoints))
+
+
+def _spy_envelopes(monkeypatch):
+    """Lists of the rows `_LowerHull._hull` (first call per row) and
+    `_chain_rows` see, as bytes, in call order."""
+    hulled, chained = [], []
+    hull, chain = transform._LowerHull._hull, transform._chain_rows
+
+    def spy_hull(self, values, scale):
+        if scale == 1.0:
+            hulled.append(values.tobytes())
+        return hull(self, values, scale)
+
+    def spy_chain(grid, ys):
+        chained.extend(row.tobytes() for row in ys)
+        return chain(grid, ys)
+
+    monkeypatch.setattr(transform._LowerHull, "_hull", spy_hull)
+    monkeypatch.setattr(transform, "_chain_rows", spy_chain)
+    return hulled, chained
+
+
+def _needs_hull(grid, row):
+    """Whether `vex_rows` hulls the row: neither convex to the fixed-point
+    tolerance nor, on three or more components, affine."""
+    scale = max(1.0, float(np.max(np.abs(row))))
+    if convexity_violation(grid, row) <= 1e-12 * scale:
+        return False
+    return grid.dim == 2 or transform._affine_fit(grid, row) is None
+
+
+def _memo_field(grids, rng, nx=6):
+    """Cells f(p) + g(q) with g concave, which cav in q keeps bit for bit,
+    so that their p-rows reach the second stage unchanged, beside cells of
+    noise, whose rows all change."""
+    f = rng.standard_normal((nx, grids.p.npoints, 1))
+    g = -np.sum(grids.q.points**2, axis=1)
+    values = f + g
+    noisy = rng.random(nx) < 0.5
+    values[noisy] = rng.standard_normal((noisy.sum(), grids.p.npoints, grids.q.npoints))
+    return values
+
+
+@pytest.mark.parametrize(
+    "p_lattice,q_lattice",
+    [((3, 4), (3, 4)), ((2, 8), (2, 8)), ((3, 4), (2, 6))],
+    ids=["3-type", "2-type", "3-by-2-type"],
+)
+def test_the_second_stage_envelopes_only_the_rows_that_changed(monkeypatch, p_lattice, q_lattice):
+    grids = Grids(
+        state=build_state_grid([(-1.0, 1.0)], [6]), p=build_grid(*p_lattice), q=build_grid(*q_lattice)
+    )
+    values = _memo_field(grids, np.random.default_rng(59 + sum(p_lattice)))
+    vexed, caved = _table_vex(grids.p, values), _table_cav(grids.q, values)
+    projected, other = _table_cav(grids.q, vexed), _table_vex(grids.p, caved)
+
+    # the rows each stage must envelope, in call order: all of the first
+    # stage's, and those of the second that differ bit for bit from the
+    # first's row at the same position
+    first = _stage_rows(grids, values, values)
+    second = _stage_rows(grids, caved, vexed)
+    want = {2: [], 3: []}
+    skipped = 0
+    for stage, mask in ((first, None), (second, True)):
+        for grid, rows, seen in zip((grids.p, grids.q), stage, first):
+            for row, old in zip(rows, seen):
+                if not _needs_hull(grid, row):
+                    continue
+                if mask and row.tobytes() == old.tobytes():
+                    skipped += 1
+                else:
+                    want[min(grid.dim, 3)].append(row.tobytes())
+    assert skipped > 0  # the field has rows the memo saves
+
+    hulled, chained = _spy_envelopes(monkeypatch)
+    proj = dual_project(grids.p, grids.q, values)
+    assert chained == want[2] and hulled == want[3]
+    assert proj.values.tobytes() == projected.tobytes()
+    assert proj.residual == float(np.max(np.abs(projected - values)))
+    assert proj.commutation_residual == float(np.max(np.abs(projected - other)))
+    worst_p = max([0.0] + [convexity_violation(grids.p, col) for blk in projected for col in blk.T])
+    worst_q = max([0.0] + [convexity_violation(grids.q, -row) for blk in projected for row in blk])
+    assert proj.convexity_violation_p == worst_p
+    assert proj.concavity_violation_q == worst_q
+
+
+@pytest.mark.parametrize("p_lattice", [(3, 4), (2, 8)], ids=["3-type", "2-type"])
+def test_a_row_that_differs_in_the_sign_of_a_zero_is_enveloped_again(monkeypatch, p_lattice):
+    grids = Grids(
+        state=build_state_grid([(-1.0, 1.0)], [6]), p=build_grid(*p_lattice), q=build_grid(*p_lattice)
+    )
+    values = _memo_field(grids, np.random.default_rng(61))
+    values[:, 0, :] = 0.0  # a vertex of p: on every hull, it keeps its exact value
+    vexed, caved = _envelope_stage(grids.p, grids.q, values, values)
+    again = values.copy()
+    again[2, 0, 1] = -0.0  # the (x, q) = (2, 1) row over p
+    row = np.moveaxis(again, 1, 2).reshape(-1, grids.p.npoints)[2 * grids.q.npoints + 1]
+    assert _needs_hull(grids.p, row)
+
+    hulled, chained = _spy_envelopes(monkeypatch)
+    got_vexed, got_caved = _envelope_stage(grids.p, grids.q, again, values, first=(values, vexed, caved))
+    assert (hulled + chained) == [row.tobytes()]
+    assert got_caved.tobytes() == caved.tobytes()
+    want = _table_vex(grids.p, again)
+    assert got_vexed.tobytes() == want.tobytes()
+    assert np.signbit(got_vexed[2, 0, 1]) and not np.signbit(vexed[2, 0, 1])
 
 
 def test_dual_project_rejects_non_finite_fields():

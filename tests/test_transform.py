@@ -363,18 +363,33 @@ def test_vex_rows_is_bitwise_the_per_row_envelope_on_a_solve_sized_stack(monkeyp
         assert got.tobytes() == (sign * ref.vex_table(grid, sign * rows)).tobytes()
 
 
-def test_vex_rows_builds_one_hull_per_remaining_row(monkeypatch):
+def _count_hulls(monkeypatch) -> list:
+    """A list that gains an entry per `_LowerHull._hull` call; any call to
+    `ConvexHull` fails, since the library runs Qhull without it."""
     import scipy.spatial
+    import scipy.spatial._qhull
 
+    hulls = []
+    hull = transform._LowerHull._hull
+
+    def counting(self, values, scale):
+        hulls.append(1)
+        return hull(self, values, scale)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the envelopes must not build a ConvexHull")
+
+    monkeypatch.setattr(transform._LowerHull, "_hull", counting)
+    for module in (scipy.spatial, scipy.spatial._qhull):
+        monkeypatch.setattr(module, "ConvexHull", refuse)
+    return hulls
+
+
+def test_vex_rows_builds_one_hull_per_remaining_row(monkeypatch):
     grid = build_grid(3, 6)
     rng = np.random.default_rng(29)
-    hulls = []
+    hulls = _count_hulls(monkeypatch)
     fits = []
-
-    class CountingHull(scipy.spatial.ConvexHull):
-        def __init__(self, points, *args, **kwargs):
-            hulls.append(1)
-            super().__init__(points, *args, **kwargs)
 
     def refuse(*args, **kwargs):
         raise AssertionError("vex_rows must not run a per-row helper")
@@ -385,7 +400,6 @@ def test_vex_rows_builds_one_hull_per_remaining_row(monkeypatch):
         fits.append(1)
         return exact_fit(grid, values)
 
-    monkeypatch.setattr(scipy.spatial, "ConvexHull", CountingHull)
     monkeypatch.setattr(transform, "_affine_fit", counting_fit)
     for name in ("vex_p", "cav_q", "_check_values", "facet_slope_probes"):
         monkeypatch.setattr(transform, name, refuse)
@@ -397,6 +411,56 @@ def test_vex_rows_builds_one_hull_per_remaining_row(monkeypatch):
     assert len(hulls) == 7  # the random rows; none is convex or affine
     assert len(fits) == 1  # only the guard-band row gets the exact fit
     assert np.array_equal(out[7:], rows[7:])
+
+
+def _spike_row(grid, sign):
+    """Zero but for sign * 1e14 at the first node that is not a vertex."""
+    row = np.zeros(grid.npoints)
+    row[np.flatnonzero(grid.numerators.max(axis=1) < grid.resolution)[0]] = sign * 1e14
+    return row
+
+
+@pytest.mark.parametrize("dim,resolution", [(3, 6), (4, 3), (5, 2)])
+def test_raw_qhull_gives_convex_hull_arrays_bit_for_bit(dim, resolution):
+    # `_LowerHull` runs scipy's private `_Qhull` as ConvexHull does; this
+    # pins its arrays to ConvexHull's, on both sides of the "Qx" rule (a
+    # 5-type lattice lifts to 5 coordinates), at scale 1 and at the
+    # scaled retry's scale, for rows that take each branch
+    from scipy.spatial import ConvexHull, QhullError
+
+    grid = build_grid(dim, resolution)
+    rng = np.random.default_rng(67 + dim)
+    rows = [*rng.uniform(-3, 3, (6, grid.npoints)), _spike_row(grid, 1.0), _spike_row(grid, -1.0),
+            np.sum(grid.points**2, axis=1), _guard_band_row(grid)]
+    hull = transform._LowerHull(grid)
+    flat = 0  # raw hulls that fail or have no downward facet: the retry's branch
+    for row in rows:
+        for scale in (1.0, max(1.0, float(np.max(np.abs(row))))):
+            cloud = np.column_stack([grid.points[:, :-1], row / scale])
+            try:
+                want = ConvexHull(cloud)
+            except QhullError:
+                flat += 1
+                with pytest.raises(QhullError):
+                    hull._hull(row, scale)
+                continue
+            equations, simplices = hull._hull(row, scale)
+            flat += not (equations[:, -2] < -1e-12).any()
+            assert equations.dtype == want.equations.dtype and equations.shape == want.equations.shape
+            assert simplices.dtype == want.simplices.dtype and simplices.shape == want.simplices.shape
+            assert equations.tobytes() == want.equations.tobytes()
+            assert simplices.tobytes() == want.simplices.tobytes()
+    assert flat >= 1  # the downward spike at scale 1
+
+
+def test_vex_rows_is_bitwise_the_per_row_envelope_on_five_types():
+    grid = build_grid(5, 2)
+    rng = np.random.default_rng(71)
+    kinds = [ROW_KINDS[k % len(ROW_KINDS)] for k in range(40)]
+    rows = np.array([_table_row(grid, kind, rng) for kind in kinds]
+                    + [_spike_row(grid, 1.0), _spike_row(grid, -1.0), _guard_band_row(grid)])
+    for sign in (1.0, -1.0):
+        assert vex_rows(grid, sign * rows).tobytes() == ref.vex_table(grid, sign * rows).tobytes()
 
 
 def _first_union(parts):
@@ -435,8 +499,6 @@ def test_facet_slope_probes_stack_is_the_union_of_its_rows(dim, resolution):
 
 
 def test_facet_slope_probes_builds_one_hull_per_non_affine_row(monkeypatch):
-    import scipy.spatial
-
     grid = build_grid(3, 5)
     rng = np.random.default_rng(41)
     rows = np.vstack([
@@ -444,19 +506,13 @@ def test_facet_slope_probes_builds_one_hull_per_non_affine_row(monkeypatch):
         _table_row(grid, "affine", rng),
         np.sum(grid.points**2, axis=1),  # convex but not affine: it needs a hull
     ])
-    hulls, builds = [], []
-
-    class CountingHull(scipy.spatial.ConvexHull):
-        def __init__(self, points, *args, **kwargs):
-            hulls.append(1)
-            super().__init__(points, *args, **kwargs)
+    hulls, builds = _count_hulls(monkeypatch), []
 
     class CountingLowerHull(transform._LowerHull):
         def __init__(self, grid):
             builds.append(1)
             super().__init__(grid)
 
-    monkeypatch.setattr(scipy.spatial, "ConvexHull", CountingHull)
     monkeypatch.setattr(transform, "_LowerHull", CountingLowerHull)
     facet_slope_probes(grid, rows)
     assert len(hulls) == 5 and len(builds) == 1
