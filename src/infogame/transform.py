@@ -191,13 +191,12 @@ class _LowerHull:
     facets of all the rows of that pass.
 
     A hull is scipy's private `_Qhull` run as scipy.spatial's convex-hull
-    class runs it: options "Qx" on a cloud of 5 or more coordinates and
-    none otherwise, "Qt" required, then `triangulate` and the facet array.
-    The class itself is not used: its volume and area pass, bound
-    reductions and point copy cost about a tenth of a hull and are
-    never read.  scipy types `_Qhull` in its own `_qhull.pyi` but does not
-    promise it; `test_transform.py` pins this route to the class, array
-    for array and bit for bit, on 3-, 4- and 5-type lattices.
+    class runs it (options as in the module docstring), then `triangulate`
+    and the facet array.  The class itself is not used: its extra passes
+    cost about a tenth of a hull and are never read.  scipy types `_Qhull`
+    in its own `_qhull.pyi` but does not promise it; `test_transform.py`
+    pins this route to the class, bit for bit, on 3-, 4- and 5-type
+    lattices.
     """
 
     def __init__(self, grid: SimplexGrid):
