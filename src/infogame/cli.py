@@ -190,22 +190,42 @@ def _coordinate_cells(grids: Grids) -> tuple[list[str], list[str]]:
     return x_cells, pq_cells
 
 
+def _repr_cells(values: np.ndarray) -> list[bytes]:
+    """repr(float(w)).encode() of each w in values, in C order.
+
+    orjson prints a float64 with its shortest round-trip digits, the
+    digits repr prints, and writes a whole array in one call; the two
+    texts differ only in exponent notation, which repr uses outside
+    1e-4 <= |w| < 1e16 (and orjson prints NaN and inf as null).  Those
+    cells, rare in a solve, take repr itself.
+    """
+    import orjson  # loaded by solve alone, as transform loads scipy.spatial
+
+    flat = np.ascontiguousarray(values, dtype=float).ravel()  # orjson takes no strided array
+    cells = orjson.dumps(flat, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].split(b",")
+    size = np.abs(flat)
+    plain = ((size >= 1e-4) & (size < 1e16)) | (flat == 0.0)
+    for k in np.flatnonzero(~plain).tolist():
+        cells[k] = repr(float(flat[k])).encode()
+    return cells
+
+
 def _write_solve_outputs(out_dir: str, result: SolveResult, cfg_resolved: dict, cfg_sha: str) -> None:
     grids = result.grids
     x_cells, pq_cells = _coordinate_cells(grids)
-    # one row template per solve, filled per slice with each row's (t, w):
-    # %a prints a Python float as its repr.  Built a state node at a time, and
-    # t goes in by %b, not by replacing a placeholder: a list of every row's
-    # string, or a replaced copy of the template, raised the peak RSS
-    template = "".join("".join(f"%b,{x},{pq},%a\n" for pq in pq_cells) for x in x_cells).encode()
+    # one row template per solve, filled per slice with each row's (t, w)
+    # as repr bytes (w's from `_repr_cells`).  Built a state node at a
+    # time, and t goes in by %b, not by replacing a placeholder: a list of
+    # every row's string, or a replaced copy of the template, raised the
+    # peak RSS
+    template = "".join("".join(f"%b,{x},{pq},%b\n" for pq in pq_cells) for x in x_cells).encode()
     cells = [b""] * (2 * len(x_cells) * len(pq_cells))
 
     def slice_chunks():
         yield (_slices_header(grids) + "\n").encode()
-        # .tolist() gives Python floats: %a of a numpy scalar prints np.float64(...)
         for t, values in zip(result.times.tolist(), result.values):
             cells[::2] = [repr(t).encode()] * (len(cells) // 2)
-            cells[1::2] = values.ravel().tolist()
+            cells[1::2] = _repr_cells(values)
             yield template % tuple(cells)
 
     # the digest covers the exact CSV bytes and then the binary w column

@@ -376,6 +376,7 @@ def _queue_conjugate(
     """
     grid = rows.result.grids.state
     gathered = np.moveaxis(oriented[(*points, slice(None), jo)], -1, 0)
+    del points  # this frame's reference to the pick index arrays, before the score table
     scores = np.subtract(lifts.T[:, None, :], gathered, order="C")
     conj = scores.max(axis=0) if rows.sense > 0 else scores.min(axis=0)
     xi_t = (conj[-2] - conj[-1]) / (2.0 * rows.result.dt)

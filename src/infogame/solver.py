@@ -341,13 +341,14 @@ def _envelope_stage(
     not +0.0); every other row takes the earlier stage's envelope of it.
     A one-point lattice's pass is the identity.
     """
-    p_rows = np.moveaxis(vex_in, 1, 2).reshape(-1, p.npoints)  # rows over (x, q)
-    q_rows = -cav_in.reshape(-1, q.npoints)  # rows over (x, p); cav is -vex(-w)
-    if first is not None:
+    if first is None:
+        p_rows = np.moveaxis(vex_in, 1, 2).reshape(-1, p.npoints)  # rows over (x, q)
+        q_rows = -cav_in.reshape(-1, q.npoints)  # rows over (x, p); cav is -vex(-w)
+    else:  # only the new rows are copied out of the inputs
         seen, seen_vexed, seen_caved = first
-        p_new = _differs(vex_in, seen, axis=1).reshape(-1)
-        q_new = _differs(cav_in, seen, axis=2).reshape(-1)
-        p_rows, q_rows = p_rows[p_new], q_rows[q_new]
+        p_new = _differs(vex_in, seen, axis=1)
+        q_new = _differs(cav_in, seen, axis=2)
+        p_rows, q_rows = np.moveaxis(vex_in, 1, 2)[p_new], -cav_in[q_new]
     if p.npoints > 1 and (p.dim, p.resolution) == (q.dim, q.resolution):
         both = transform.vex_rows(p, np.concatenate([p_rows, q_rows]))
         p_rows, q_rows = both[: len(p_rows)], both[len(p_rows) :]
@@ -358,8 +359,9 @@ def _envelope_stage(
             q_rows = transform.vex_rows(q, q_rows)
     if first is not None:
         p_new_rows, q_new_rows = p_rows, q_rows
-        p_rows = np.moveaxis(seen_vexed, 1, 2).reshape(-1, p.npoints).copy()
-        q_rows = -seen_caved.reshape(-1, q.npoints)
+        # the earlier p-envelope is a view of its (x, q) rows: without the
+        # copy, the scatter would write into it
+        p_rows, q_rows = np.moveaxis(seen_vexed, 1, 2).copy(), -seen_caved
         p_rows[p_new], q_rows[q_new] = p_new_rows, q_new_rows
     vexed = np.moveaxis(p_rows.reshape(-1, q.npoints, p.npoints), 2, 1)
     return vexed, -q_rows.reshape(cav_in.shape)

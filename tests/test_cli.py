@@ -13,6 +13,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from infogame import cli, dualcheck, simulator
 from infogame.cli import load_solve, main
@@ -256,7 +258,12 @@ def test_a_cache_of_another_grid_is_not_used(tmp_path, monkeypatch, parse_spy):
     assert len(parse_spy) == 2
 
 
-EXTREME_W = [-0.0, 5e-324, 1e-05, 1e16, -1.7976931348623157e308]
+# beside subnormal, tiny and huge cells, both sides of each edge of the
+# range in which `_repr_cells` keeps orjson's text: 1e-4 <= |w| < 1e16
+EXTREME_W = [
+    -0.0, 5e-324, 1e-05, 1e16, -1.7976931348623157e308,
+    1e-4, np.nextafter(1e-4, 0), -1e-4, 9999999999999998.0, 0.00010000000000000002,
+]
 # the per-step diagnostics lists of a hand-written solve of two steps
 TWO_STEPS = dict.fromkeys(
     ("projection_residuals", "commutation_residuals", "convexity_violations_p",
@@ -322,6 +329,23 @@ def test_slices_csv_rows_are_the_repr_of_their_cells(tmp_path, monkeypatch, pars
     assert parse_spy == []  # the digest path
     assert np.array_equal(parsed_bits(out, monkeypatch), bits)
     assert len(parse_spy) == 1
+
+
+# any float64 bit pattern: hypothesis's floats (subnormals, NaN, +-inf)
+# and raw bits, which reach every exponent, NaN payloads and negative NaNs
+float64s = st.floats() | st.integers(0, 2**64 - 1).map(
+    lambda bits: float(np.array(bits, dtype=np.uint64).view(np.float64))
+)
+
+
+@given(st.lists(float64s, min_size=1, max_size=40))
+@example([0.0, -0.0, 5e-324, -2.2250738585072014e-308, math.nan, math.inf, -math.inf])
+@settings(max_examples=400, deadline=None)
+def test_cells_are_the_repr_of_each_float_byte_for_byte(ws):
+    values = np.array(ws)
+    want = [repr(w).encode() for w in ws]
+    assert cli._repr_cells(values) == want
+    assert cli._repr_cells(values[::-1]) == want[::-1]  # a strided view
 
 
 def test_a_solve_on_a_grid_of_another_dimension_is_refused(tmp_path):
@@ -914,6 +938,7 @@ def test_requests_do_not_import_numpy_ma(tmp_path, argv):
         "code = infogame.cli.main(sys.argv[1:])\n"
         "assert code == 0, code\n"
         "assert 'numpy.ma' not in sys.modules, 'numpy.ma was imported'\n"
+        "assert 'orjson' not in sys.modules, 'orjson was imported'\n"  # the solve writer's alone
     )
     proc = run_fresh("-c", script, *argv)
     assert proc.returncode == 0, proc.stderr
@@ -921,12 +946,14 @@ def test_requests_do_not_import_numpy_ma(tmp_path, argv):
 
 def test_the_cli_does_not_import_the_thread_pool():
     # no request maps over a pool, so concurrent.futures, which only
-    # `_util.parallel_map` uses, stays unloaded; a fresh interpreter,
-    # because pytest may have imported it here
+    # `_util.parallel_map` uses, stays unloaded; nor does the import load
+    # orjson, which only the slices.csv writer uses; a fresh interpreter,
+    # because pytest may have imported them here
     script = (
         "import sys\n"
         "import infogame.cli\n"
         "assert 'concurrent.futures' not in sys.modules, 'concurrent.futures was imported'\n"
+        "assert 'orjson' not in sys.modules, 'orjson was imported'\n"
     )
     proc = run_fresh("-c", script)
     assert proc.returncode == 0, proc.stderr
