@@ -1,11 +1,16 @@
 """Exact values on small binary-noise trees.
 
 Replaces the Gaussian increments with symmetric +/-sqrt(h) branches so
-every expectation is a finite sum.  Trees are capped at depth 6 and
-(|U| |V| 2^d)^depth <= 1e7 nodes; within the cap, payoffs of delayed
-strategies and the backward recursion are computed exactly (up to float
-arithmetic), giving an independent reference for the Monte Carlo
-estimators and the grid solver.
+every expectation is a finite sum.  Payoffs of delayed strategies and the
+backward recursion are computed exactly (up to float arithmetic), giving
+an independent reference for the Monte Carlo estimators and the grid
+solver.
+
+`exact_payoff_tree` plays a pure pair on all 2^(d steps) sign patterns
+as one batch of the simulator's `resolve_controls` and `payoff_path`, and
+takes the tree's mean level by level from the last step: 0.0 plus each
+child in sign order, over 2^d.  Its one bound is the 2 GiB memory cap,
+checked before any path is built.
 
 `belief_recursion` is the one backward recursion, for every tree.  On a
 p lattice and a q lattice it alternates a pointwise stage minimax with
@@ -19,7 +24,9 @@ with g and l the (I, J) tables of the types' costs.  A one-point
 lattice's envelope is the identity, so a one-point q lattice (one v
 type) gives the one-sided recursion V_k = Vex_p[...] of an informed
 minimizer, and two one-point lattices give the complete-information
-recursion of one type pair (`classical_backward`).
+recursion of one type pair (`classical_backward`).  It takes every
+control pair at every node, so it is capped at depth 6 and
+(|U| |V| 2^d)^depth <= 1e7 nodes.
 
 Each level is swept forward once, `TreeGame.branch_next` stepping its
 whole state array per control pair.  States are keyed by their exact float
@@ -40,10 +47,11 @@ from functools import reduce
 
 import numpy as np
 
+from ._util import _MEMORY_CAP_BYTES
 from .errors import ConfigError, NumericsError
 from .model import GameModel, restrict_to_types, running_matrix, terminal_matrix
 from .simplex import SimplexGrid, build_grid
-from .simulator import PureStrategy, StrategyProfile, strategy_control
+from .simulator import PureStrategy, StrategyProfile, _path_bytes, payoff_path, resolve_controls
 from .solver import _whole_steps, dual_project
 from .transform import _row_bound
 
@@ -73,15 +81,8 @@ class TreeGame:
         object.__setattr__(self, "x0", x0)
         if self.steps < 1:
             raise ConfigError("tree needs at least one step")
-        if self.steps > _TREE_DEPTH_CAP:
-            raise ConfigError(f"tree depth capped at {_TREE_DEPTH_CAP}")
         if not (math.isfinite(self.h) and self.h > 0) or not math.isfinite(self.t0):
             raise ConfigError(f"need a finite h > 0 and t0, got h = {self.h!r}, t0 = {self.t0!r}")
-        fanout = self.model.u_set.count * self.model.v_set.count * 2**self.model.noise_dim
-        if fanout**self.steps > _TREE_NODE_CAP:
-            raise ConfigError(
-                f"tree of {fanout}^{self.steps} nodes exceeds the cap {_TREE_NODE_CAP:g}"
-            )
         if _whole_steps(self.model.horizon - self.t0, self.h) != self.steps:
             end = self.t0 + self.steps * self.h
             raise ConfigError(
@@ -108,32 +109,20 @@ def exact_payoff_tree(
     model = tree.model
     if not (0 <= i < model.u_types and 0 <= j < model.v_types):
         raise ConfigError(f"type pair ({i}, {j}) out of range")
-    if strat_u.side != "u" or strat_v.side != "v":
-        raise ConfigError("exact_payoff_tree needs a u strategy and a v strategy")
-    gfn = model.terminal[i][j]
-    lfn = model.running[i][j] if model.has_running else None
+    d, steps = model.noise_dim, tree.steps
+    # 2^(d steps) paths above the cap, without forming that count for a deep tree
+    if _path_bytes(model, steps) > _MEMORY_CAP_BYTES >> (d * steps):
+        raise ConfigError(f"a tree of 2^{d * steps} paths needs arrays above the 2 GiB cap")
+    increments = noise_branches(d * steps).reshape(-1, steps, d) * math.sqrt(tree.h)
+    res = resolve_controls(model, strat_u, strat_v, tree.x0, increments, tree.h, tree.t0)
+    values = payoff_path(model, i, j, res)
     fan = tree.branches.shape[0]
-
-    def recurse(k: int, x_path: np.ndarray, u_rows: np.ndarray, v_rows: np.ndarray, acc: float) -> float:
-        if k == tree.steps:
-            return acc + float(gfn(x_path[-1]))
-        u = strategy_control(strat_u, model.u_set, k, x_path, v_rows)
-        v = strategy_control(strat_v, model.v_set, k, x_path, u_rows)
-        t_k = tree.time_at(k)
-        if lfn is not None:
-            acc = acc + float(lfn(t_k, x_path[-1], u, v)) * tree.h
-        children = tree.branch_next(k, x_path[-1], u, v)
-        u_next = np.vstack([u_rows, u[None, :]])
-        v_next = np.vstack([v_rows, v[None, :]])
+    for _ in range(steps):  # the last step's signs vary fastest
         total = 0.0
-        for child in children:
-            total += recurse(k + 1, np.vstack([x_path, child[None, :]]), u_next, v_next, acc)
-        return total / fan
-
-    x_path = tree.x0[None, :]
-    u_rows = np.empty((0, model.u_set.dim))
-    v_rows = np.empty((0, model.v_set.dim))
-    return recurse(0, x_path, u_rows, v_rows, 0.0)
+        for child in values.reshape(-1, fan).T:
+            total = total + child
+        values = total / fan
+    return float(values[0])
 
 
 def exact_payoff_pq(tree: TreeGame, profile: StrategyProfile, p, q) -> float:
@@ -193,6 +182,11 @@ def belief_recursion(tree: TreeGame, p_grid: SimplexGrid, q_grid: SimplexGrid) -
     is reduced pair by pair.  The running costs are weighed over the
     lattices state by state: one product for a level moves the last bits."""
     model = tree.model
+    if tree.steps > _TREE_DEPTH_CAP:
+        raise ConfigError(f"tree depth capped at {_TREE_DEPTH_CAP}")
+    fanout = model.u_set.count * model.v_set.count * 2**model.noise_dim
+    if fanout**tree.steps > _TREE_NODE_CAP:
+        raise ConfigError(f"tree of {fanout}^{tree.steps} nodes exceeds the cap {_TREE_NODE_CAP:g}")
     if p_grid.dim != model.u_types or q_grid.dim != model.v_types:
         raise ConfigError("belief lattice dimensions must equal the model type counts")
     pts, qts = p_grid.points, q_grid.points

@@ -169,7 +169,11 @@ def strategy_control(
     x_path: np.ndarray,
     opp_path: np.ndarray | None,
 ):
-    """Evaluate a rule under the delay discipline and canonicalize output."""
+    """Evaluate a rule under the delay discipline and canonicalize output.
+
+    The library plays every path through `resolve_controls`; this one-step
+    form stays for the per-step references in the tests, and because the
+    `perfbench` trace binds a span to it by name."""
     return controls.values[_rule_index(strategy, controls, step, x_path, opp_path)]
 
 
@@ -302,6 +306,13 @@ def _steps_for(model: GameModel, t0: float, h: float) -> int:
     return steps
 
 
+def _path_bytes(model: GameModel, steps: int) -> int:
+    """Bytes that one path of a resolved batch holds: the noise, the states,
+    both control paths and their indices, per step."""
+    widths = model.noise_dim + model.state_dim + model.u_set.dim + model.v_set.dim + 4
+    return 8 * (steps + 1) * widths
+
+
 def payoff_samples(
     model: GameModel,
     profile: StrategyProfile,
@@ -334,9 +345,7 @@ def payoff_samples(
         for au, wu in zip(ru.atoms, ru.weights)
         for av, wv in zip(rv.atoms, rv.weights)
     ]
-    # noise, states, both control paths and their indices, per step and sample
-    widths = model.noise_dim + model.state_dim + model.u_set.dim + model.v_set.dim + 4
-    chunk = max(1, _CHUNK_BYTES // (8 * (steps + 1) * widths))
+    chunk = max(1, _CHUNK_BYTES // _path_bytes(model, steps))
     out = np.zeros((samples, model.u_types, model.v_types))
     for start in range(0, samples, chunk):
         stop = min(samples, start + chunk)

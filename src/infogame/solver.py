@@ -18,9 +18,10 @@ condition
     dt <= c * min(dx^2 / (n sigma_max^2), dx / b_max),  c <= 1/2,
 
 checked together with the sharper total-stencil-weight bound before any
-step runs.  Boundaries use zero-gradient mirror ghosts; assertions about
-solved values are made on interior cores away from the numerical domain
-of dependence of the boundary.
+step runs; `cfl_limit` returns a dt within both (on one moving axis the
+first implies the second).  Boundaries use zero-gradient mirror ghosts;
+assertions about solved values are made on interior cores away from the
+numerical domain of dependence of the boundary.
 
 The solver owns the library's one jet stencil.  `_stencil` gives the
 state offsets (the centre, x +- e_k, four mixed points per axis pair),
@@ -193,6 +194,7 @@ def cfl_limit(model: GameModel, grid: StateGrid, cfl_factor: float = 0.5) -> flo
         raise ConfigError("cfl factor must lie in (0, 1/2]")
     n = grid.ndim
     limit = np.inf
+    moving, rate = 0, 0.0  # rate: validate_time_step's stencil weight per unit dt
     for ax, dx in zip(grid.axes, grid.spacing):
         if ax.size == 1:
             continue
@@ -202,6 +204,12 @@ def cfl_limit(model: GameModel, grid: StateGrid, cfl_factor: float = 0.5) -> flo
             limit = min(limit, dx * dx / (n * (model.diffusion_bound * model.diffusion_bound)))
         if model.drift_bound > 0:
             limit = min(limit, dx / model.drift_bound)
+        moving += 1
+        rate += model.drift_bound / dx + (model.diffusion_bound * model.diffusion_bound) / (dx * dx)
+    if moving > 1 and rate > 0:
+        # the per-axis limits keep the summed stencil weight at most 1 on one
+        # moving axis only; on more, bound the sum, to 1 at the factor 1/2
+        limit = min(limit, 2.0 / rate)
     return cfl_factor * limit
 
 

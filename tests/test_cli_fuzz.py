@@ -461,6 +461,9 @@ def no_constant(token):
 @example(  # a belief lattice above the memory cap once grew until memory ran out
     name="one-sided-drift-1d", cfg=None, steps=2, h=0.25, t0=0.0, np_res=10**8, x0=None,
 )
+@example(  # the depth cap is the recursion's, not the tree's: it still exits 2
+    name="one-sided-drift-1d", cfg=None, steps=7, h=None, t0=0.0, np_res=2, x0=None,
+)
 def test_oracle_exit_codes(workdir, name, cfg, steps, h, t0, np_res, x0):
     if h is None:
         h = preset_config(name)["T"] / max(steps, 1)
@@ -476,6 +479,8 @@ def test_oracle_exit_codes(workdir, name, cfg, steps, h, t0, np_res, x0):
     ]
     code, err = exit_code(argv)
     assert code in (0, 2, 3), f"exit {code} for {argv}:\n{err}"
+    if steps > 6:  # above the recursion's depth cap
+        assert code == 2, f"exit {code} for {argv}:\n{err}"
     if code == 0:  # the artifact is strict JSON
         json.loads(out.read_text(), parse_constant=no_constant)
     shutil.rmtree(work)

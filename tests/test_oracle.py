@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import replace
 from fractions import Fraction
@@ -12,7 +13,7 @@ import pytest
 import envelope_reference as ref
 import tree_reference
 from exact_reference import two_sided_split, two_sided_state_free_config
-from infogame import transform
+from infogame import oracle, transform
 from infogame.errors import ConfigError
 from infogame.model import model_from_config, preset, preset_config, restrict_to_types
 from infogame.oracle import (
@@ -24,9 +25,17 @@ from infogame.oracle import (
     noise_branches,
 )
 from infogame.simplex import build_grid, discrete_convexity_violation
-from infogame.simulator import RandomStrategy, StrategyProfile, constant_strategy
-from infogame.solver import Grids, _whole_steps, build_state_grid, solve
+from infogame.simulator import (
+    PureStrategy,
+    RandomStrategy,
+    StrategyProfile,
+    constant_strategy,
+    cycle_strategy,
+    feedback_from_field,
+)
+from infogame.solver import Grids, _whole_steps, build_state_grid, cfl_limit, solve
 from infogame.transform import vex_p
+from test_hamiltonian import planar_model
 
 
 def one_sided_model(T=0.3):
@@ -53,8 +62,10 @@ def test_tree_game_validation():
     m = one_sided_model()
     with pytest.raises(ConfigError):
         TreeGame(model=m, x0=np.zeros(1), t0=0.0, steps=0, h=0.1)
-    with pytest.raises(ConfigError):
-        TreeGame(model=m, x0=np.zeros(1), t0=0.0, steps=7, h=0.3 / 7)
+    # the depth cap belongs to the recursion, which takes every control pair
+    deep = TreeGame(model=m, x0=np.zeros(1), t0=0.0, steps=7, h=0.3 / 7)
+    with pytest.raises(ConfigError, match="depth capped at 6"):
+        belief_recursion(deep, build_grid(2, 2), build_grid(1, 1))
     with pytest.raises(ConfigError):
         TreeGame(model=m, x0=np.zeros(1), t0=0.0, steps=3, h=0.2)  # horizon mismatch
     with pytest.raises(ConfigError):
@@ -89,6 +100,111 @@ def test_martingale_terminal_is_start_point():
     assert val == pytest.approx(0.7 + 0.3 * 0.7 * 0.1 * 3, abs=1e-14)
     val2 = exact_payoff_tree(tree, 1, 0, su, sv)
     assert val2 == pytest.approx(-(0.7 + 0.3 * 0.7 * 0.1 * 3), abs=1e-14)
+
+
+def test_a_depth_12_payoff_is_the_martingale_closed_form():
+    # 4,096 paths: deeper than the recursion's cap, one simulator batch
+    m = one_sided_model()
+    tree = TreeGame(model=m, x0=np.array([0.7]), t0=0.0, steps=12, h=0.3 / 12)
+    su = constant_strategy(m, "u", index=1)  # u = 0
+    sv = constant_strategy(m, "v", index=0)
+    want = 0.7 + 0.3 * 0.7 * 0.3  # g = x plus the running 0.3 x over the horizon 0.3
+    assert abs(exact_payoff_tree(tree, 0, 0, su, sv) - want) <= 1e-13
+    assert abs(exact_payoff_tree(tree, 1, 0, su, sv) + want) <= 1e-13
+
+
+@pytest.mark.parametrize("steps, refused", [(20, False), (21, True), (40, True)])
+def test_a_tree_above_the_memory_cap_is_refused_before_its_paths_are_built(
+    monkeypatch, steps, refused
+):
+    # a path holds 8 (steps + 1) doubles here: 2^20 paths take 1.4 GB, and
+    # 2^21 take 3.0 GB, above the cap
+    class Enumerated(Exception):
+        pass
+
+    def enumerate_none(noise_dim):
+        raise Enumerated
+
+    m = one_sided_model()
+    tree = TreeGame(model=m, x0=np.zeros(1), t0=0.0, steps=steps, h=0.3 / steps)
+    su, sv = constant_strategy(m, "u"), constant_strategy(m, "v")
+    monkeypatch.setattr(oracle, "noise_branches", enumerate_none)
+    expected = pytest.raises(ConfigError, match="2 GiB cap") if refused else pytest.raises(Enumerated)
+    with expected:
+        exact_payoff_tree(tree, 0, 0, su, sv)
+
+
+def observing_strategy(model, side, delay_cells):
+    """A per-path rule that reads the whole observed path and the
+    opponent's controls before the cell start."""
+    controls = model.u_set if side == "u" else model.v_set
+
+    def rule(step, x_obs, opp_obs):
+        k = len(x_obs) + int(np.sum(opp_obs > 0)) + int(np.sum(x_obs) > 0)
+        return controls.values[k % controls.count]
+
+    return PureStrategy(side=side, delay_cells=delay_cells, rule=rule, observes_controls=True)
+
+
+@functools.lru_cache(maxsize=None)
+def solved(name):
+    m = preset(name)
+    grids = Grids(
+        state=build_state_grid([(-2.0, 2.0)], [41]),
+        p=build_grid(m.u_types, 4),
+        q=build_grid(m.v_types, 4),
+    )
+    return solve(m, grids, t0=0.0, dt=m.horizon / np.ceil(m.horizon / cfl_limit(m, grids.state)))
+
+
+def strategy_family(model, side, h, field):
+    """Constant, cycle (delays 1-3), observing (delays 1 and 2) and, from
+    a solved field, feedback atoms of one side."""
+    controls = model.u_set if side == "u" else model.v_set
+    family = [constant_strategy(model, side, index=k) for k in range(controls.count)]
+    family += [cycle_strategy(model, side, delay_cells=d) for d in (1, 2, 3)]
+    family += [observing_strategy(model, side, d) for d in (1, 2)]
+    if field is not None:
+        p, q = np.full(model.u_types, 1 / model.u_types), np.full(model.v_types, 1 / model.v_types)
+        for d in (1, 2):
+            family.append(feedback_from_field(model, field, side, p, q, h=h, delay_cells=d)[0].atoms[0])
+    return family
+
+
+def assert_payoffs_equal_the_reference(tree, family_u, family_v):
+    model = tree.model
+    for i, j in itertools.product(range(model.u_types), range(model.v_types)):
+        for su, sv in itertools.product(family_u, family_v):
+            got = exact_payoff_tree(tree, i, j, su, sv)
+            want = tree_reference.exact_payoff_tree(tree, i, j, su, sv)
+            assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+@pytest.mark.parametrize("steps", [2, 3, 4])
+@pytest.mark.parametrize(
+    "name, field",
+    [("one-sided-drift-1d", True), ("two-sided-1d", True), ("running-matrix-informed", False)],
+)
+def test_the_batched_payoff_equals_the_per_node_recursion(name, field, steps):
+    m = preset(name)
+    h = m.horizon / steps
+    result = solved(name) if field else None
+    family_u = strategy_family(m, "u", h, result)
+    family_v = strategy_family(m, "v", h, result)
+    for x0 in (-0.3, 0.2):
+        tree = TreeGame(model=m, x0=np.array([x0]), t0=0.0, steps=steps, h=h)
+        assert_payoffs_equal_the_reference(tree, family_u, family_v)
+
+
+@pytest.mark.parametrize("steps", [2, 3])
+def test_the_batched_payoff_equals_the_per_node_recursion_on_two_noise_axes(steps):
+    # four children per node: the mean adds them in sign order
+    m = planar_model()
+    h = m.horizon / steps
+    tree = TreeGame(model=m, x0=np.array([0.3, -0.2]), t0=0.0, steps=steps, h=h)
+    assert_payoffs_equal_the_reference(
+        tree, strategy_family(m, "u", h, None), strategy_family(m, "v", h, None)
+    )
 
 
 def test_hand_enumerated_two_step_tree():
@@ -275,9 +391,11 @@ def test_exact_payoff_pq_bilinear():
 
 
 def test_tree_size_cap():
+    # the caps count every control branch, so they are the recursion's
     m = one_sided_model(T=6.0)
-    with pytest.raises(ConfigError):
-        TreeGame(model=m, x0=np.zeros(1), t0=0.0, steps=10, h=0.6)
+    deep = TreeGame(model=m, x0=np.zeros(1), t0=0.0, steps=10, h=0.6)
+    with pytest.raises(ConfigError, match="depth capped at 6"):
+        belief_recursion(deep, build_grid(2, 2), build_grid(1, 1))
     cfg = {
         "preset": "static-1d",
         "params": {
@@ -290,8 +408,9 @@ def test_tree_size_cap():
         "g": [["zero"]],
     }
     wide = model_from_config(cfg)
-    with pytest.raises(ConfigError):
-        TreeGame(model=wide, x0=np.zeros(1), t0=0.0, steps=5, h=0.12)
+    tree = TreeGame(model=wide, x0=np.zeros(1), t0=0.0, steps=5, h=0.12)
+    with pytest.raises(ConfigError, match="3200\\^5 nodes exceeds the cap 1e\\+07"):
+        belief_recursion(tree, build_grid(1, 1), build_grid(1, 1))
 
 
 def _three_type_one_sided_model():

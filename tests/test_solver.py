@@ -22,6 +22,7 @@ from infogame.solver import (
     terminal_field,
     validate_time_step,
 )
+from test_hamiltonian import planar_model
 
 
 def grids_for(model, nx=41, box=(-2.0, 2.0), np_res=4, nq_res=4):
@@ -73,6 +74,15 @@ def test_cfl_limit_and_validation():
         cfl_limit(m, sg, cfl_factor=0.8)
     with pytest.raises(ConfigError):
         solve(m, grids_for(m), t0=0.9, dt=lim * 1.5)
+
+
+@pytest.mark.parametrize("nodes", [5, 11, 21, 41])
+def test_the_cfl_limit_passes_the_stencil_check_on_a_planar_grid(nodes):
+    # the per-axis limits let the stencil weights of two moving axes sum
+    # past 1 on the coarser grids: 1.125, 1.3125 and 1.3 at 5, 11 and 21
+    m = planar_model()
+    grid = build_state_grid([(-2.0, 2.0)] * 2, [nodes] * 2)
+    validate_time_step(m, grid, cfl_limit(m, grid))
 
 
 def test_hjb_step_identity_for_frozen_model():

@@ -1,4 +1,12 @@
-"""Per-state tree recursion: a bitwise reference for `oracle.belief_recursion`.
+"""Per-node tree recursions: bitwise references for the `oracle` module.
+
+`exact_payoff_tree` is the node-by-node payoff of a pure pair: it walks
+every path of the tree, resolves both controls at each node with
+`simulator.strategy_control`, accumulates the running cost along the path
+and averages the children in sign order.  The library plays all the
+paths as one simulator batch instead.
+
+`belief_recursion` is the per-state reference for `oracle.belief_recursion`.
 
 The library sweeps each tree level once: it steps the whole level per
 control pair, records where each branch's children sit in the next level,
@@ -20,7 +28,33 @@ import numpy as np
 
 from infogame.model import running_matrix, terminal_matrix
 from infogame.oracle import BeliefResult
+from infogame.simulator import strategy_control
 from infogame.solver import dual_project
+
+
+def exact_payoff_tree(tree, i, j, strat_u, strat_v):
+    """Exact expected payoff of a pure strategy pair, one node at a time."""
+    model = tree.model
+    gfn = model.terminal[i][j]
+    lfn = model.running[i][j] if model.has_running else None
+    fan = tree.branches.shape[0]
+
+    def recurse(k, x_path, u_rows, v_rows, acc):
+        if k == tree.steps:
+            return acc + float(gfn(x_path[-1]))
+        u = strategy_control(strat_u, model.u_set, k, x_path, v_rows)
+        v = strategy_control(strat_v, model.v_set, k, x_path, u_rows)
+        if lfn is not None:
+            acc = acc + float(lfn(tree.time_at(k), x_path[-1], u, v)) * tree.h
+        u_next = np.vstack([u_rows, u[None, :]])
+        v_next = np.vstack([v_rows, v[None, :]])
+        total = 0.0
+        for child in branch_next(tree, k, x_path[-1], u, v):
+            total += recurse(k + 1, np.vstack([x_path, child[None, :]]), u_next, v_next, acc)
+        return total / fan
+
+    empty_u, empty_v = np.empty((0, model.u_set.dim)), np.empty((0, model.v_set.dim))
+    return recurse(0, tree.x0[None, :], empty_u, empty_v, 0.0)
 
 
 def branch_next(tree, k, x, u, v):
